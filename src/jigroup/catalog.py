@@ -118,10 +118,6 @@ def _metacyclic_regular(n, twist, s_sq):
     return PermGroup([r, s])
 
 
-def quaternion8():
-    return quaternion(8)
-
-
 def quaternion16():
     return quaternion(16)
 

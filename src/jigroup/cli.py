@@ -28,33 +28,15 @@ from .profiles import (
     va_just_infinite,
     validate_va_profile,
 )
-from .verdicts import JI, NOT_JI, Verdict
+from .verdicts import JI, NOT_JI, Verdict, describe
 from .wreath import WreathShadow, wreath_verdicts
-
-
-def _describe(value):
-    if isinstance(value, Verdict):
-        return value.to_report()
-    if isinstance(value, dict):
-        return {str(k): _describe(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_describe(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else (
-            f"{value.numerator}/{value.denominator}"
-        )
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if hasattr(value, "to_report"):
-        return _describe(value.to_report())
-    return repr(value)
 
 
 def _print_report(report, mode, t0, out):
     if mode == "machine":
         report = dict(report)
         report["timing_ms"] = None  # deterministic machine output
-        out.write(json.dumps(_describe(report), sort_keys=True, indent=1))
+        out.write(json.dumps(describe(report), sort_keys=True, indent=1))
         out.write("\n")
     else:
         _print_text(report, out)
@@ -76,13 +58,13 @@ def _print_text(node, out, indent=0):
                 out.write(f"{pad}{k}:\n")
                 _print_text(v, out, indent + 1)
             else:
-                out.write(f"{pad}{k}: {_describe(v)}\n")
+                out.write(f"{pad}{k}: {describe(v)}\n")
         return
     if isinstance(node, (list, tuple)):
         for v in node:
             _print_text(v, out, indent + 1)
         return
-    out.write(f"{pad}{_describe(node)}\n")
+    out.write(f"{pad}{describe(node)}\n")
 
 
 def _cmd_analyze(args, out):

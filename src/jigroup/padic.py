@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import ratmat as rm
+from .hilbert import _valuation_and_unit, hilbert_symbol
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, Verdict
 
 DEFAULT_PRECISION = 64
@@ -97,9 +98,6 @@ class PadicApprox:
                 f"valuation undecidable: element is 0 mod p^{self.abs_prec}"
             )
         return self.shift
-
-    def is_zero_to_precision(self):
-        return self.unit == 0
 
     def provably_nonzero(self):
         return self.unit != 0
@@ -242,18 +240,6 @@ def pmat_identity(d, p, prec):
     return tuple(
         tuple(one if i == j else zero for j in range(d)) for i in range(d)
     )
-
-
-def pmat_from_int_rows(rows, p, prec):
-    return approx_mat(rows, p, prec)
-
-
-def pvec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def pvec_scale(u, c):
-    return tuple(x * c for x in u)
 
 
 def _is_zero_at(x, floor):
@@ -403,37 +389,13 @@ def _fp_trim(f, p):
 
 
 def _fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out, p)
-
-
-def _fp_divmod(f, g, p):
-    f = _fp_trim(list(f), p)
-    g = _fp_trim(list(g), p)
-    if not g:
-        raise ZeroDivisionError
-    ginv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] * ginv % p
-        k = len(f) - len(g)
-        q[k] = c
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % p
-        f = _fp_trim(f, p)
-    return _fp_trim(q, p), f
+    return _fp_trim(_int_poly_mul(f, g), p)
 
 
 def _fp_gcd(f, g, p):
     f, g = _fp_trim(list(f), p), _fp_trim(list(g), p)
     while g:
-        f, g = g, _fp_divmod(f, g, p)[1]
+        f, g = g, _int_poly_divmod_mod(f, g, p)[1]
     if f:
         inv = pow(f[-1], p - 2, p)
         f = [c * inv % p for c in f]
@@ -442,11 +404,11 @@ def _fp_gcd(f, g, p):
 
 def _fp_pow_mod(base, e, mod, p):
     out = [1]
-    base = _fp_divmod(base, mod, p)[1]
+    base = _int_poly_divmod_mod(base, mod, p)[1]
     while e:
         if e & 1:
-            out = _fp_divmod(_fp_mul(out, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+            out = _int_poly_divmod_mod(_fp_mul(out, base, p), mod, p)[1]
+        base = _int_poly_divmod_mod(_fp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return out
 
@@ -478,7 +440,7 @@ def _fp_factor_squarefree(f, p):
         g = _fp_gcd(work, h_minus_x, p)
         if len(g) > 1:
             out.extend((fac, d) for fac in _fp_equal_degree(g, d, p))
-            work = _fp_divmod(work, g, p)[0]
+            work = _int_poly_divmod_mod(work, g, p)[0]
         d += 1
     if len(work) > 1:
         out.append((work, len(work) - 1))
@@ -505,11 +467,11 @@ def _fp_equal_degree(f, d, p):
                     ],
                     p,
                 )
-                cur = _fp_divmod(_fp_mul(cur, cur, p), f, p)[1]
+                cur = _int_poly_divmod_mod(_fp_mul(cur, cur, p), f, p)[1]
             g = _fp_gcd(f, tr, p)
             if 1 < len(g) < len(f):
                 return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                    _fp_divmod(f, g, p)[0], d, p
+                    _int_poly_divmod_mod(f, g, p)[0], d, p
                 )
         raise AssertionError("equal-degree splitting failed (p=2)")
     e = (p**d - 1) // 2
@@ -520,18 +482,16 @@ def _fp_equal_degree(f, d, p):
         g = _fp_gcd(f, _fp_trim(h, p), p)
         if 1 < len(g) < len(f):
             return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                _fp_divmod(f, g, p)[0], d, p
+                _int_poly_divmod_mod(f, g, p)[0], d, p
             )
     raise AssertionError("equal-degree splitting failed")
 
 
 def _poly_from_int_bits(c):
     out = []
-    i = 0
     while c:
         out.append(c & 1)
         c >>= 1
-        i += 1
     return out or [0]
 
 
@@ -597,7 +557,7 @@ def _fp_bezout(g, h, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _fp_divmod(r0, r1, p)
+        q, r = _int_poly_divmod_mod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _fp_trim(
             [(a - b) % p for a, b in _zip_pad(s0, _fp_mul(q, s1, p))], p
@@ -642,21 +602,6 @@ def _int_poly_sub(f, g, mod=None):
     if mod:
         out = [c % mod for c in out]
     return _int_trim(out)
-
-
-def _int_poly_mod(f, g, mod, p):
-    """f mod g over Z/mod, where g is monic mod p (leading coeff a unit)."""
-    f = [c % mod for c in f]
-    f = _int_trim(f)
-    g = _int_trim([c % mod for c in g])
-    lead_inv = pow(g[-1], -1, mod)
-    while len(f) >= len(g):
-        c = f[-1] * lead_inv % mod
-        k = len(f) - len(g)
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % mod
-        f = _int_trim(f)
-    return f
 
 
 def _poly_eval_mod(g, x, mod):
@@ -1202,7 +1147,7 @@ def pminimal_polynomial(m, p):
     powers = [pmat_identity(d, p, prec)]
     for k in range(1, d + 2):
         rows = [tuple(x for row in mm for x in row) for mm in powers]
-        ns = pnullspace(rm_transpose_p(rows))
+        ns = pnullspace(rm.mat_transpose(rows))
         if ns:
             v = list(ns[0])
             # make monic: the free column is the last power
@@ -1213,10 +1158,6 @@ def pminimal_polynomial(m, p):
             return tuple(x * inv for x in v)
         powers.append(pmat_mul(powers[-1], m))
     raise PrecisionExhausted("no dependence found for minimal polynomial")
-
-
-def rm_transpose_p(rows):
-    return tuple(zip(*rows))
 
 
 def _newton_idempotent(e, p, target_slack):
@@ -1237,19 +1178,7 @@ def _newton_idempotent(e, p, target_slack):
         e = pmat_sub(pmat_scale(e2, three), pmat_scale(pmat_mul(e2, e), two))
 
 
-def prow_kernel_left(mat_rows):
-    """{v : v . mat = 0}: left kernel of an approx matrix, as rows."""
-    return pnullspace(rm_transpose_p(mat_rows))
-
-
 # -- polynomial irreducibility certificates for approx coefficients ---------------
-
-
-def approx_poly_residues(coeffs, p, k):
-    out = []
-    for c in coeffs:
-        out.append(c.residue(k))
-    return out
 
 
 def qp_poly_status_approx(coeffs, p):
@@ -1398,11 +1327,25 @@ def _matrix_poly_approx(coeffs_int, mat_p, p, prec):
     return acc
 
 
-def _fp_poly_product(fs, p):
-    out = [1]
-    for f in fs:
-        out = _fp_mul(out, list(f), p)
-    return out
+def _lift_idempotent(facs, a_mat_p, p, prec, target_slack):
+    """Idempotent of Q_p[a] lifting the first of the coprime mod-p factors.
+
+    facs: the mod-p factors of the minimal polynomial of the approx matrix
+    a_mat_p.  A Bezout combination v*h of the first factor and the product
+    h of the others is an idempotent mod p; Newton refines it to
+    p^target_slack.  Returns None when the lift is 0 or the identity.
+    """
+    h0 = [1]
+    for f in facs[1:]:
+        h0 = _fp_mul(h0, f, p)
+    _, v0 = _fp_bezout(facs[0], h0, p)
+    e0 = _matrix_poly_approx(_fp_mul(v0, h0, p), a_mat_p, p, prec)
+    e = _newton_idempotent(e0, p, target_slack)
+    nonzero = any(x.provably_nonzero() for row in e for x in row)
+    diff = pmat_sub(e, pmat_identity(len(e), p, 4))
+    if nonzero and any(x.provably_nonzero() for row in diff for x in row):
+        return e
+    return None
 
 
 def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
@@ -1417,29 +1360,12 @@ def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
     if report.factor_count == 1:
         return ("irreducible", report)
     if report.method == "squarefree_hensel":
-        facs = report.detail["factors"]
-        g0 = list(facs[0])
-        h0 = _fp_poly_product(facs[1:], p)
-        u0, v0 = _fp_bezout(g0, h0, p)
-        d = len(a_mat_p)
         ca = pmat_scale(a_mat_p, PadicApprox.from_int(c, p, prec))
-        e0 = _matrix_poly_approx(
-            [int(x) for x in _fp_mul(v0, h0, p)], ca, p, prec
-        )
-        e = _newton_idempotent(e0, p, prec - 4)
-        if not _pmat_nontrivial_idempotent(e, p):
+        e = _lift_idempotent(report.detail["factors"], ca, p, prec, prec - 4)
+        if e is None:
             raise PrecisionExhausted("field-split idempotent degenerated")
         return ("idempotent", e)
     return ("unknown", report)
-
-
-def _pmat_nontrivial_idempotent(e, p):
-    d = len(e)
-    nonzero = any(x.provably_nonzero() for row in e for x in row)
-    ident = pmat_identity(d, p, 4)
-    diff = pmat_sub(e, ident)
-    not_ident = any(x.provably_nonzero() for row in diff for x in row)
-    return nonzero and not_ident
 
 
 def _pieces_from_projector(gen_images_p, q_mat, p):
@@ -1452,7 +1378,7 @@ def _pieces_from_projector(gen_images_p, q_mat, p):
     work_prec = min(x.abs_prec for row in q_mat for x in row)
     floor = max(work_prec // 2, 4)
     rows_img = psaturate([row for row in q_mat], p, floor)
-    rows_ker = psaturate(pnullspace(rm_transpose_p(q_mat), floor), p, floor)
+    rows_ker = psaturate(pnullspace(rm.mat_transpose(q_mat), floor), p, floor)
     d = len(q_mat)
     if len(rows_img) + len(rows_ker) != d:
         raise PrecisionExhausted("projector pieces do not fill the space")
@@ -1466,7 +1392,7 @@ def _pieces_from_projector(gen_images_p, q_mat, p):
 
 def _verify_invariant_approx(gen_images_p, rows, floor=None):
     d = len(gen_images_p[0])
-    rt = rm_transpose_p(rows)
+    rt = rm.mat_transpose(rows)
     for g in gen_images_p:
         for v in rows:
             img = tuple(_dot(v, tuple(g[k][j] for k in range(d))) for j in range(d))
@@ -1504,8 +1430,6 @@ def _qp_analyze(rep, p, prec, seed=0):
                 return ("split", {"pieces": _pieces_from_projector(gens_p, payload, p)})
             return ("unknown", f"field factor count not certified: {payload.method}")
         if st.kind == "quaternion_over_Q":
-            from .hilbert import hilbert_symbol
-
             a, b = st.data["a"], st.data["b"]
             if hilbert_symbol(a, b, p) == -1:
                 return (
@@ -1525,36 +1449,34 @@ def _quaternion_zero_divisor_qp(st, p, prec):
     """Zero divisor of a Q_p-split quaternion commutant, as approx matrix."""
     a, b = Fraction(st.data["a"]), Fraction(st.data["b"])
     i_m, j_m = st.data["i"], st.data["j"]
-    d = len(i_m)
     # normalize a, b to integers with v_p in {0, 1} by square scalings
     a_int, i_scale = _normalize_qp_square(a, p)
     b_int, j_scale = _normalize_qp_square(b, p)
     sol = conic_solve_qp(a_int, b_int, p, prec)
     assert sol is not None, "split symbol but insoluble conic"
-    x, y, z = sol
     i_p = approx_mat(rm.mat_scale(i_m, i_scale), p, prec)
     j_p = approx_mat(rm.mat_scale(j_m, j_scale), p, prec)
-    q = pmat_add(
-        pmat_scale(pmat_identity(d, p, prec), PadicApprox.from_int(z, p, prec)),
+    return _conic_zero_divisor(sol, i_p, j_p, p, prec)
+
+
+def _conic_zero_divisor(sol, i_p, j_p, p, prec):
+    """z + x*i + y*j for a conic point (x, y, z): a zero divisor when
+    z^2 = a x^2 + b y^2 with i^2 = a, j^2 = b, ij = -ji."""
+    x, y, z = sol
+    return pmat_add(
+        pmat_scale(pmat_identity(len(i_p), p, prec), PadicApprox.from_int(z, p, prec)),
         pmat_add(
             pmat_scale(i_p, PadicApprox.from_int(x, p, prec)),
             pmat_scale(j_p, PadicApprox.from_int(y, p, prec)),
         ),
     )
-    return q
 
 
 def _normalize_qp_square(q, p):
     """(integer with v_p in {0,1}, rational scale s) with q*s^2 = integer."""
     q = Fraction(q)
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    v, unit = _valuation_and_unit(q, p)
+    num, den = unit.numerator, unit.denominator
     half = v // 2  # floor toward -inf keeps v - 2*half in {0, 1}
     s = Fraction(den) * Fraction(p) ** (-half)
     t = p ** (v - 2 * half) * num * den
@@ -1581,14 +1503,13 @@ def _qp_analyze_quadratic_center(rep, st, comm, p, prec):
         q = approx_mat(quat[1], p, prec)
         return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
     a_pair, b_pair, i_mat, j_mat = quat
-    cc, m_int2 = _int_model(m)
-    ext, shift = QuadExt.from_center_minpoly(p, m_int2, prec + 24)
-    gamma_mat = rm.mat_sub(rm.mat_scale(wmat, cc),
+    ext, shift = QuadExt.from_center_minpoly(p, m_int, prec + 24)
+    gamma_mat = rm.mat_sub(rm.mat_scale(wmat, c),
                            rm.mat_scale(rm.identity(len(wmat)), shift))
-    # express a = a0 + a1 w in the gamma basis: w = (gamma + shift)/cc
+    # express a = a0 + a1 w in the gamma basis: w = (gamma + shift)/c
     def to_gamma_pair(pair):
         a0, a1 = Fraction(pair[0]), Fraction(pair[1])
-        return (a0 + a1 * Fraction(shift, cc), a1 / cc)
+        return (a0 + a1 * Fraction(shift, c), a1 / c)
 
     a_g = to_gamma_pair(a_pair)
     b_g = to_gamma_pair(b_pair)
@@ -1629,8 +1550,8 @@ def _normalize_ext_square(ext, pair_fracs, p):
     q0, q1 = Fraction(pair_fracs[0]), Fraction(pair_fracs[1])
 
     def val_pair():
-        v0 = _frac_vp(q0, p)
-        v1 = _frac_vp(q1, p)
+        v0 = _valuation_and_unit(q0, p)[0] if q0 else None
+        v1 = _valuation_and_unit(q1, p)[0] if q1 else None
         if ext.ramified:
             c0 = 2 * v0 if v0 is not None else 10**9
             c1 = 2 * v1 + 1 if v1 is not None else 10**9
@@ -1672,12 +1593,6 @@ def _normalize_ext_square(ext, pair_fracs, p):
         q1.numerator * pow(q1.denominator, -1, mod) % mod if q1 else 0,
     )
     return e_pair, k
-
-
-def _frac_vp(q, p):
-    if q == 0:
-        return None
-    return (_vp(q.numerator, p) or 0) - (_vp(q.denominator, p) or 0)
 
 
 def _gamma_divide(ext, q0, q1):
@@ -1733,14 +1648,9 @@ def _spin_split(rep, p, prec, seed=0):
     order = rep.group.order
     floor = max(prec // 2, 4)
     rng = random.Random(seed + 17)
-    vectors = []
-    for i in range(d):
-        vectors.append(
-            tuple(
-                PadicApprox.from_int(1 if j == i else 0, p, prec)
-                for j in range(d)
-            )
-        )
+    ident = pmat_identity(d, p, prec)
+    zero_row = (PadicApprox.zero(p, prec),) * d
+    vectors = list(ident)
     for _ in range(6):
         vectors.append(
             tuple(
@@ -1766,23 +1676,11 @@ def _spin_split(rep, p, prec, seed=0):
                 next(j for j, x in enumerate(r) if x.provably_nonzero() and x.shift == 0)
             )
         others = [j for j in range(d) if j not in pivots]
-        m_rows = list(sat) + [
-            tuple(
-                PadicApprox.from_int(1 if t == j else 0, p, prec)
-                for t in range(d)
-            )
-            for j in others
-        ]
+        m_rows = list(sat) + [ident[j] for j in others]
         minv = _pmat_inverse(m_rows, p, floor)
         if minv is None:
             continue
-        sel = [
-            tuple(
-                PadicApprox.from_int(1 if (i == j and i < len(sat)) else 0, p, prec)
-                for j in range(d)
-            )
-            for i in range(d)
-        ]
+        sel = ident[: len(sat)] + (zero_row,) * (d - len(sat))
         proj0 = pmat_mul(pmat_mul(minv, sel), m_rows)
         inv_order = PadicApprox.from_rational(Fraction(1, order), p, prec)
         acc = None
@@ -1806,13 +1704,8 @@ def _pmat_inverse(rows, p, floor=None):
     """Inverse of a square approx matrix via augmented elimination."""
     d = len(rows)
     prec = max(x.abs_prec for row in rows for x in row)
-    aug = [
-        tuple(
-            list(rows[i])
-            + [PadicApprox.from_int(1 if i == j else 0, p, prec) for j in range(d)]
-        )
-        for i in range(d)
-    ]
+    ident = pmat_identity(d, p, prec)
+    aug = [tuple(rows[i]) + ident[i] for i in range(d)]
     ech, pivots = prow_echelon(aug, floor=floor)
     if pivots != list(range(d)):
         return None
@@ -1826,7 +1719,6 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     gens_p = list(rep.gen_images)
     comm = commutant_approx(gens_p, p, prec)
     dim = len(comm)
-    d = rep.dimension
     if dim == 1:
         return ("irreducible", {"certificate": "scalar commutant"})
     # sample elements: a constructive factorization of any minimal polynomial
@@ -1852,16 +1744,11 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
                 {"certificate": "commutant field inert", "how": status[1]},
             )
         if status[0] == "factors_mod_p":
-            facs = status[1]
-            g0 = list(facs[0])
-            h0 = _fp_poly_product(facs[1:], p)
-            u0, v0 = _fp_bezout(g0, h0, p)
-            e0 = _pmat_poly(_fp_mul(v0, h0, p), a, p, prec)
             try:
-                e = _newton_idempotent(e0, p, prec - 6)
+                e = _lift_idempotent(status[1], a, p, prec, prec - 6)
             except PrecisionExhausted:
                 continue
-            if not _pmat_nontrivial_idempotent(e, p):
+            if e is None:
                 continue
             return ("split", {"pieces": _pieces_from_projector(gens_p, e, p)})
     spun = _spin_split(rep, p, prec, seed)
@@ -1871,8 +1758,7 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
         quat = _approx_quaternion(comm, p, prec)
         if quat is not None:
             a_val, a_cls, b_val, b_cls, i_p, j_p, a_appr, b_appr = quat
-            sym = _symbol_from_classes(p, a_val, a_cls, b_val, b_cls)
-            if sym == -1:
+            if hilbert_symbol(p**a_val * a_cls, p**b_val * b_cls, p) == -1:
                 return (
                     "irreducible",
                     {"certificate": "division quaternion", "symbol": -1},
@@ -1881,28 +1767,9 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
             b_int = b_appr.residue(min(prec, b_appr.abs_prec))
             sol = conic_solve_qp(a_int, b_int, p, min(prec, a_appr.abs_prec) - 2)
             assert sol is not None
-            x, y, z = sol
-            q = pmat_add(
-                pmat_scale(pmat_identity(d, p, prec), PadicApprox.from_int(z, p, prec)),
-                pmat_add(
-                    pmat_scale(i_p, PadicApprox.from_int(x, p, prec)),
-                    pmat_scale(j_p, PadicApprox.from_int(y, p, prec)),
-                ),
-            )
+            q = _conic_zero_divisor(sol, i_p, j_p, p, prec)
             return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
     return ("unknown", f"approx commutant of dimension {dim} not classified")
-
-
-def _pmat_poly(coeffs, mat_p, p, prec):
-    d = len(mat_p)
-    acc = pmat_scale(pmat_identity(d, p, prec), PadicApprox.zero(p, prec))
-    for c in reversed(list(coeffs)):
-        acc = pmat_mul(acc, mat_p)
-        acc = pmat_add(
-            acc,
-            pmat_scale(pmat_identity(d, p, prec), PadicApprox.from_int(int(c), p, prec)),
-        )
-    return acc
 
 
 def _approx_quaternion(comm, p, prec):
@@ -1932,7 +1799,7 @@ def _approx_quaternion(comm, p, prec):
         for bb in comm:
             m = pmat_add(pmat_mul(i_p, bb), pmat_mul(bb, i_p))
             rows.append(tuple(q for row in m for q in row))
-        coeffs = pnullspace(rm_transpose_p(rows))
+        coeffs = pnullspace(rm.mat_transpose(rows))
         for v in coeffs:
             j_p = None
             for cv, bb in zip(v, comm):
@@ -1969,25 +1836,6 @@ def _pmat_is_scalar(m, diag_value):
             if want_zero.provably_nonzero():
                 return False
     return True
-
-
-def _symbol_from_classes(p, va, ua, vb, ub):
-    """Hilbert symbol from valuations and unit classes (mod 8 or mod p)."""
-    if p == 2:
-        eps_a, eps_b = (ua - 1) // 2 % 2, (ub - 1) // 2 % 2
-        om_a, om_b = (ua * ua - 1) // 8 % 2, (ub * ub - 1) // 8 % 2
-        ex = eps_a * eps_b + va * om_b + vb * om_a
-        return -1 if ex % 2 else 1
-    sign = 1
-    if va % 2 and vb % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    leg_a = 1 if pow(ua, (p - 1) // 2, p) == 1 else -1
-    leg_b = 1 if pow(ub, (p - 1) // 2, p) == 1 else -1
-    if vb % 2:
-        sign *= leg_a
-    if va % 2:
-        sign *= leg_b
-    return sign
 
 
 # -- public API --------------------------------------------------------------------
@@ -2070,7 +1918,7 @@ def _constituent_rep(rep, rows, p, n):
     sat = psaturate(rows, p, floor)
     k = len(sat)
     d = rep.dimension
-    rt = rm_transpose_p(sat)
+    rt = rm.mat_transpose(sat)
     emap_p = rep_element_map_padic(rep, p, n)
 
     def coords(g):

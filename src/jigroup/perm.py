@@ -91,23 +91,6 @@ def perm_order(p):
     return order
 
 
-def cycles(p):
-    """Cycle decomposition, fixed points omitted."""
-    seen = set()
-    out = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            continue
-        cyc = [i]
-        j = p[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
-
-
 def perm_from_cycles(n, *cycs):
     p = list(range(n))
     for cyc in cycs:

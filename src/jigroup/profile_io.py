@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import DEFAULT_PRECISION, PadicApprox
-from .perm import PermGroup, check_perm
+from sympy import isprime
+
+from .padic import DEFAULT_PRECISION, PadicApprox, pmat_identity, pmat_mul, pmat_sub
+from .perm import LATTICE_GATE, PermGroup, check_perm, identity_perm
 from .profiles import VaProfile
 from .ratmat import NumberRing
+from .rep import MatRep, RelationViolation, close_over_group, rep_from_data
 
 FORMAT_HEADER = "jigroup-profile v1"
 
@@ -101,7 +104,7 @@ def _parse_int(ln, s, what):
 def _parse_wreath(fields):
     from .wreath import build_wreath_shadow
 
-    ln, fiber = _require(fields, "fiber", "wreath")
+    _, fiber = _require(fields, "fiber", "wreath")
     ln2, prime = _require(fields, "prime", "wreath")
     return build_wreath_shadow(fiber, _parse_int(ln2, prime, "prime"))
 
@@ -137,7 +140,7 @@ def _parse_ring(fields):
         return "Z"
     if s.startswith("Z") and s[1:].isdigit():
         p = int(s[1:])
-        if p < 2:
+        if not isprime(p):
             raise ProfileError(ln, f"bad prime in ring {s!r}")
         return ("Zp", p)
     raise ProfileError(ln, f"ring must be Z or Z<p>, got {s!r}")
@@ -150,14 +153,13 @@ def _parse_entry(ln, token, ring, precision, number_ring):
         r, _, k = token.partition(":")
         return PadicApprox(ring[1], 0, _parse_int(ln, r, "residue"),
                            _parse_int(ln, k, "precision"))
-    if "," in token:
-        if number_ring is None:
-            raise ProfileError(ln, "coefficient-vector entry without a modulus")
-        coeffs = [Fraction(t) for t in token.split(",")]
-        return number_ring.element(coeffs)
+    if "," in token and number_ring is None:
+        raise ProfileError(ln, "coefficient-vector entry without a modulus")
     try:
+        if "," in token:
+            return number_ring.element([Fraction(t) for t in token.split(",")])
         return Fraction(token)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ProfileError(ln, f"bad matrix entry {token!r}")
 
 
@@ -178,7 +180,7 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         ml, ms = fields["modulus"]
         try:
             number_ring = NumberRing([Fraction(t) for t in ms.split()])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ProfileError(ml, f"bad modulus: {exc}")
     if kind == "va":
         rl, rs = _require(fields, "rank", "va")
@@ -202,7 +204,13 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         gen_mats.append(
             tuple(tuple(entries[i * d + j] for j in range(d)) for i in range(d))
         )
-    rep = _rep_from_parsed(group, gen_mats, ring, precision, number_ring)
+    try:
+        rep = _rep_from_parsed(group, gen_mats, ring, precision, number_ring)
+    except RelationViolation as exc:
+        # located at the mat line of the last generator of the failing word
+        raise ProfileError(mats[exc.word[-1]][0], str(exc))
+    except ValueError as exc:
+        raise ProfileError(mats[0][0], str(exc))
     if kind == "matrep":
         return rep
     return VaProfile(ring, rank, rep, precision)
@@ -218,8 +226,6 @@ def _isqrt_exact(ln, n):
 
 
 def _rep_from_parsed(group, gen_mats, ring, precision, number_ring):
-    from .rep import MatRep, rep_from_data
-
     if gen_mats and isinstance(gen_mats[0][0][0], PadicApprox):
         return _rep_from_padic(group, gen_mats, ring[1], precision)
     if number_ring is not None:
@@ -229,50 +235,22 @@ def _rep_from_parsed(group, gen_mats, ring, precision, number_ring):
 
 def _rep_from_padic(group, gen_mats, p, precision):
     """Closure-verified approx MatRep; provable inconsistency is an error."""
-    from .padic import PadicApprox, pmat_mul, pmat_sub
-    from .perm import identity_perm, mul
-    from .rep import MatRep
+
+    def provably_equal(a, b):
+        return not any(x.provably_nonzero() for row in pmat_sub(a, b) for x in row)
 
     d = len(gen_mats[0])
+    ident_mat = pmat_identity(d, p, precision)
+    emap = close_over_group(group, gen_mats, ident_mat, pmat_mul, provably_equal,
+                            LATTICE_GATE)
     ident = identity_perm(group.degree)
-    ident_mat = tuple(
-        tuple(PadicApprox.from_int(1 if i == j else 0, p, precision)
-              for j in range(d))
-        for i in range(d)
-    )
-    emap = {ident: ident_mat}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            mp = emap[perm]
-            for g, mg in zip(group.generators, gen_mats):
-                q = mul(perm, g)
-                mq = pmat_mul(mp, mg)
-                if q in emap:
-                    diff = pmat_sub(emap[q], mq)
-                    if any(x.provably_nonzero() for row in diff for x in row):
-                        raise ValueError(
-                            "p-adic generator images violate a relation"
-                        )
-                else:
-                    emap[q] = mq
-                    nxt.append(q)
-        frontier = nxt
-    faithful = True
-    for perm, m in emap.items():
-        if perm == ident:
-            continue
-        diff = pmat_sub(m, ident_mat)
-        if not any(x.provably_nonzero() for row in diff for x in row):
-            faithful = False
+    faithful = not any(provably_equal(m, ident_mat)
+                       for perm, m in emap.items() if perm != ident)
     return MatRep(group, gen_mats, emap, faithful, ("Zp", p), d)
 
 
 def _rep_from_number_ring(group, gen_mats, number_ring):
     """Number-ring matrices are verified through the regular embedding."""
-    from .rep import MatRep, rep_from_data
-
     k = number_ring.degree
     blown = []
     for m in gen_mats:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import ratmat as rm
+from .hilbert import _valuation_and_unit
 from .padic import DEFAULT_PRECISION, PadicApprox, irreducible_over_Qp
 from .perm import SubgroupHandle
 from .rep import MatRep, irreducible_over_Q, matrix_block_system
@@ -44,9 +45,6 @@ class VaProfile:
     @property
     def p(self):
         return self.ring[1] if isinstance(self.ring, tuple) else None
-
-    def fraction_field(self):
-        return "Q" if self.ring == "Z" else ("Qp", self.ring[1])
 
     def __repr__(self):
         ring = "Z" if self.ring == "Z" else f"Z_{self.ring[1]}"
@@ -108,17 +106,7 @@ def _entry_valuation(x, p):
     if isinstance(x, PadicApprox):
         return x.val_lower_bound()
     q = Fraction(x)
-    if q == 0:
-        return 0
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _valuation_and_unit(q, p)[0] if q else 0
 
 
 def _det_valuation(mat_g, p, prec):

@@ -24,10 +24,6 @@ def mat(rows):
     return tuple(tuple(F(x) for x in row) for row in rows)
 
 
-def mat_dim(m):
-    return len(m)
-
-
 def identity(d):
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
@@ -56,14 +52,6 @@ def mat_mul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def mat_trace(a):
@@ -110,18 +98,6 @@ def mat_det(a):
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
-
-
-def mat_pow(a, k):
-    d = len(a)
-    out = identity(d)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def _primitive(v):
@@ -225,7 +201,6 @@ def row_space_intersection(u_rows, v_rows):
         return ()
     n = len(u_rows[0])
     # x = a.U = b.V: solve [U^T | -V^T] (a;b)^T = 0
-    cols = len(u_rows) + len(v_rows)
     rows = []
     for i in range(n):
         row = [u[i] for u in u_rows] + [-v[i] for v in v_rows]
@@ -270,13 +245,6 @@ def poly_trim(p):
 
 def poly_deg(p):
     return len(p) - 1
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return poly_trim(x + y for x, y in zip(p, q))
 
 
 def poly_sub(p, q):
@@ -349,13 +317,6 @@ def poly_deriv(p):
     return poly_trim(i * c for i, c in enumerate(p) if i > 0)
 
 
-def poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval_mat(p, m):
     d = len(m)
     acc = zeros(d, d)
@@ -367,14 +328,6 @@ def poly_eval_mat(p, m):
 
 def poly_is_squarefree(p):
     return poly_deg(poly_gcd(p, poly_deriv(p))) == 0
-
-
-def poly_to_integer(p):
-    """Clear denominators; returns integer coefficient tuple."""
-    den = 1
-    for c in p:
-        den = lcm(den, F(c).denominator)
-    return tuple(int(c * den) for c in p)
 
 
 _X = sympy.Symbol("x")
@@ -502,14 +455,6 @@ class NumberRing:
             raise ZeroDivisionError("element is not invertible")
         _, rem = poly_divmod(poly_scale(u, 1 / g[0]), self.modulus)
         return self.element(rem)
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def minimal_polynomial_of(self, a):
-        """Monic minimal polynomial over Q of an element."""
-        mat_a = self.mult_matrix(a)
-        return minimal_polynomial(mat_a)
 
     def mult_matrix(self, a):
         """Multiplication-by-a as a rational matrix on the power basis."""

@@ -11,6 +11,7 @@ certificate with an explicit trial count.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,17 +66,8 @@ class MatRep:
 
 
 def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
-    """Build and verify a MatRep from generator images.
-
-    Walks the whole group in parallel in the permutation and matrix worlds;
-    any inconsistency is reported with the failing generator word.
-    """
-    gens = group.generators
+    """Build and verify a MatRep from generator images."""
     mats = [rm.mat(m) for m in generator_matrices]
-    if len(mats) != len(gens):
-        raise ValueError("need exactly one matrix per group generator")
-    if group.order > gate:
-        raise OrderGateExceeded("representation closure", group.order, gate)
     d = None
     for m in mats:
         if d is None:
@@ -86,19 +78,37 @@ def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
             raise ValueError("generator image is not invertible")
     if d is None:
         raise ValueError("rep_from_data needs at least one generator matrix")
+    element_map = close_over_group(group, mats, rm.identity(d), rm.mat_mul,
+                                   operator.eq, gate)
+    faithful = len(set(element_map.values())) == len(element_map)
+    return MatRep(group, mats, element_map, faithful)
+
+
+def close_over_group(group, mats, identity, product, equal, gate):
+    """Element-to-matrix map of the homomorphism given by generator images.
+
+    Walks the whole group in parallel in the permutation and matrix worlds;
+    `product` multiplies two images and `equal` says whether two images of
+    one element agree.  A disagreement raises RelationViolation with the
+    failing generator word.
+    """
+    if len(mats) != len(group.generators):
+        raise ValueError("need exactly one matrix per group generator")
+    if group.order > gate:
+        raise OrderGateExceeded("representation closure", group.order, gate)
     ident = identity_perm(group.degree)
-    element_map = {ident: rm.identity(d)}
+    element_map = {ident: identity}
     words = {ident: ()}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
             mp = element_map[p]
-            for k, (g, mg) in enumerate(zip(gens, mats)):
+            for k, (g, mg) in enumerate(zip(group.generators, mats)):
                 q = mul(p, g)
-                mq = rm.mat_mul(mp, mg)
+                mq = product(mp, mg)
                 if q in element_map:
-                    if element_map[q] != mq:
+                    if not equal(element_map[q], mq):
                         raise RelationViolation(words[p] + (k,))
                 else:
                     element_map[q] = mq
@@ -106,8 +116,7 @@ def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
                     nxt.append(q)
         frontier = nxt
     assert len(element_map) == group.order
-    faithful = len(set(element_map.values())) == len(element_map)
-    return MatRep(group, mats, element_map, faithful)
+    return element_map
 
 
 def commutant(rep):
@@ -176,16 +185,8 @@ class AlgebraStructure:
         out = {"kind": self.kind, "dimension": len(self.basis)}
         for k, v in self.data.items():
             if k in ("minpoly", "a", "b", "center_minpoly", "trials"):
-                out[k] = _fmt(v)
+                out[k] = v
         return out
-
-
-def _fmt(v):
-    if isinstance(v, tuple):
-        return [_fmt(x) for x in v]
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
 
 
 def _sample_element(basis, rng, spread=5):
@@ -665,7 +666,6 @@ def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
 def _blocks_from_pieces(rep, pieces, target, field, p=None, precision=None):
     from itertools import combinations
 
-    d = rep.dimension
     dims = [len(q) for q in pieces]
     idxs = range(len(pieces))
     for r in range(1, len(pieces)):

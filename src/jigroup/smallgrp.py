@@ -222,18 +222,6 @@ def maximal_subgroups(group, gate=LATTICE_GATE):
     return [tbl.handle(cls[0]) for cls in classes]
 
 
-def maximal_subgroup_classes(group, gate=LATTICE_GATE):
-    """All maximal subgroups grouped into conjugacy classes (of handles)."""
-    tbl = small_table(group, gate)
-    if tbl.n == 1:
-        return []
-    maxim = tbl.maximal_subgroups()
-    return [
-        [tbl.handle(s) for s in cls]
-        for cls in tbl.conjugacy_classes_of_subgroups(maxim)
-    ]
-
-
 def all_subgroups(group, gate=LATTICE_GATE):
     tbl = small_table(group, gate)
     return [tbl.handle(s) for s, _ in tbl.all_subgroups()]
@@ -254,15 +242,6 @@ def frattini(group, gate=LATTICE_GATE):
     for m in maxim:
         inter &= m
     return tbl.handle(inter)
-
-
-def subgroups_containing(group, handle, gate=LATTICE_GATE):
-    """All subgroups of `group` containing the given SubgroupHandle."""
-    tbl = small_table(group, gate)
-    want = frozenset(tbl.index[e] for e in handle.group.elements(gate))
-    return [
-        tbl.handle(s) for s, _ in tbl.all_subgroups() if want <= s
-    ]
 
 
 def maximal_subgroups_over(group, handle, gate=LATTICE_GATE):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 JI = "ji"
@@ -30,28 +31,29 @@ class Verdict:
         out = {
             "status": self.status,
             "provenance": self.provenance,
-            "witness": _describe(self.witness),
+            "witness": describe(self.witness),
         }
         if self.shadow:
             out["shadow_verdict"] = True
         return out
 
 
-def _describe(w):
-    if w is None:
-        return None
-    if hasattr(w, "to_report"):
-        return w.to_report()
-    if isinstance(w, dict):
-        return {k: _describe(v) for k, v in sorted(w.items())}
-    if isinstance(w, (list, tuple)):
-        return [_describe(x) for x in w]
-    if isinstance(w, (str, int, bool)):
-        return w
-    from fractions import Fraction
+def describe(value):
+    """JSON-ready form of a report value.
 
-    if isinstance(w, Fraction):
-        return f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(
-            w.numerator
-        )
-    return repr(w)
+    Dict keys become strings, sorted as strings; Fractions become "n/d" (or
+    "n"); objects with a `to_report` are described through it; anything
+    else unknown becomes its repr.
+    """
+    if isinstance(value, dict):
+        return {str(k): describe(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [describe(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    if hasattr(value, "to_report"):
+        return describe(value.to_report())
+    return repr(value)

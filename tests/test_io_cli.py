@@ -223,3 +223,45 @@ def test_cli_shadow_p3(tmp_path):
     assert status == 0
     assert report["H_index"] == 9
     assert all(r["agree"] for r in report["normal_equivalence"])
+
+
+def _analyze_text(tmp_path, text):
+    f = tmp_path / "bad.profile"
+    f.write_text(text)
+    out = io.StringIO()
+    status, report = run_command(["analyze", str(f)], out)
+    return status, out.getvalue()
+
+
+def test_ring_with_composite_modulus_is_a_located_error(tmp_path):
+    text = (DATA / "c3_z3.profile").read_text().replace("ring Z3", "ring Z4")
+    with pytest.raises(ProfileError) as err:
+        parse_profile(text)
+    assert "line 3" in str(err.value)
+    status, out = _analyze_text(tmp_path, text)
+    assert status == 2
+    assert out.startswith("error: line 3: ")
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1,1/0"])
+def test_zero_denominator_entry_is_a_located_error(tmp_path, entry):
+    text = ("jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\n"
+            f"degree 2\ngen 1 0\nmat {entry}\n")
+    status, out = _analyze_text(tmp_path, text)
+    assert status == 2
+    assert out == f"error: line 8: bad matrix entry {entry!r}\n"
+
+
+@pytest.mark.parametrize("ring, entry", [("Z", "2"), ("Z2", "3:8")])
+def test_relation_violation_is_a_located_error(tmp_path, ring, entry):
+    # the transposition squares to 1, but 2*2 = 4 and 3*3 = 9 != 1 mod 2^8
+    text = (f"jigroup-profile v1\nkind va\nring {ring}\nrank 1\ndegree 2\n"
+            f"gen 1 0\nmat {entry}\n")
+    with pytest.raises(ProfileError) as err:
+        parse_profile(text)
+    assert str(err.value) == (
+        "line 7: generator images violate the relation at word (0, 0)"
+    )
+    status, out = _analyze_text(tmp_path, text)
+    assert status == 2
+    assert out.startswith("error: line 7: ")
