@@ -30,6 +30,7 @@ CASES = {
     "analyze_q16_va_prec256": ["--precision", "256", "analyze", DATA / "q16_va.profile"],
     "shadow_wreath_a5_p2": ["shadow", DATA / "wreath_a5_p2.profile"],
     "chartab_q16_group": ["chartab", DATA / "q16_group.profile"],
+    "chartab_extraspecial128_group": ["chartab", DATA / "extraspecial128_group.profile"],
     "hilbert_m1_m1_2": ["hilbert", "-1", "-1", "2"],
     "hilbert_m1_m1_real": ["hilbert", "-1", "-1", "real"],
     "hilbert_1_m7_5": ["hilbert", "1", "-7", "5"],
