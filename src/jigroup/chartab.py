@@ -3,18 +3,20 @@
 Eigenvalue work runs over a prime field F_l with l = 1 mod exponent(G) and
 l >= 2|G|+1, then lifts to exact cyclotomic values; the returned table is
 verified against row orthogonality and the degree sum before it is handed
-out, both checks exact.
+out, both checks exact.  A failed check raises CertificateError.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 
 import numpy as np
 
 from .cyclotomic import CycloContext
 from .perm import LATTICE_GATE
 from .smallgrp import small_table
+from .verdicts import CertificateError
 
 
 class CharacterTable:
@@ -40,17 +42,35 @@ class CharacterTable:
         )
 
     def verify(self, order):
-        assert len(self.degrees) == self.n_classes
-        assert sum(d * d for d in self.degrees) == order
+        """Check the degree sum and X diag(|C|) conj(X)^T = |G| I exactly.
+
+        X is the table of values in Z[zeta_e].  Each value is conjugated
+        once.  For every pair of rows i >= j, sum_k |C_k| chi_i(k)
+        conj(chi_j(k)) is accumulated as one unreduced integer polynomial in
+        zeta of length 2 dim - 1, reduced mod Phi_e once and compared with
+        |G| delta_ij.  Raises CertificateError on the first failure.
+        """
+        if len(self.degrees) != self.n_classes:
+            raise CertificateError("one degree per class expected")
+        if sum(d * d for d in self.degrees) != order:
+            raise CertificateError("squared degrees do not sum to the group order")
         ctx = self.ctx
+        # coefficient columns: scaled[i][a][k] = |C_k| * (coefficient a of chi_i(k))
+        scaled = [
+            [tuple(size * v[a] for size, v in zip(self.class_sizes, row))
+             for a in range(ctx.dim)]
+            for row in self.values
+        ]
+        conjugated = [list(zip(*(ctx.conj(v) for v in row))) for row in self.values]
         for i in range(self.n_classes):
             for j in range(i + 1):
-                total = ctx.zero()
-                for k in range(self.n_classes):
-                    term = ctx.mul(self.values[i][k], ctx.conj(self.values[j][k]))
-                    total = ctx.add(total, ctx.scale(term, self.class_sizes[k]))
+                total = [0] * (2 * ctx.dim - 1)
+                for a, col in enumerate(scaled[i]):
+                    for b, ccol in enumerate(conjugated[j]):
+                        total[a + b] += sum(map(operator.mul, col, ccol))
                 want = ctx.from_rational(order if i == j else 0)
-                assert total == want, f"orthogonality failed at rows {i},{j}"
+                if ctx.reduce(total) != want:
+                    raise CertificateError(f"orthogonality failed at rows {i},{j}")
         return True
 
 
@@ -168,7 +188,8 @@ def character_table(group, gate=LATTICE_GATE):
             if null:
                 sub = (np.array(null, dtype=np.int64) @ block) % l
                 out.append(sub)
-        assert sum(b.shape[0] for b in out) == rows
+        if sum(b.shape[0] for b in out) != rows:
+            raise CertificateError("eigenspaces do not split the block")
         return out
 
     for m in mats:
@@ -178,7 +199,8 @@ def character_table(group, gate=LATTICE_GATE):
         blocks = new_blocks
         if all(b.shape[0] == 1 for b in blocks):
             break
-    assert all(b.shape[0] == 1 for b in blocks), "class algebra failed to split"
+    if any(b.shape[0] != 1 for b in blocks):
+        raise CertificateError("class algebra failed to split")
 
     # each block is one character: eigenvalues w_i = |C_i| chi(g_i)/chi(1)
     chars_mod = []
@@ -206,6 +228,8 @@ def character_table(group, gate=LATTICE_GATE):
     # lift to cyclotomics: chi(g) = sum_s m_s zeta^s with multiplicities m_s
     ctx = CycloContext(exponent)
     t_root = _element_of_order(l, exponent)
+    # t_root has order exactly `exponent`, so its powers repeat with that period
+    root_pows = [pow(t_root, k, l) for k in range(exponent)]
     power_class = [
         [class_of[_table_power(tbl, reps[j], u)] for u in range(exponent)]
         for j in range(r)
@@ -216,15 +240,18 @@ def character_table(group, gate=LATTICE_GATE):
     for d, vmod in chars_mod:
         row = []
         for j in range(r):
+            powers_mod = [vmod[c] for c in power_class[j]]
             mults = []
             for s in range(exponent):
                 acc = 0
-                for u in range(exponent):
-                    acc += vmod[power_class[j][u]] * pow(t_root, (-s * u) % (l - 1), l)
+                for u, x in enumerate(powers_mod):
+                    acc += x * root_pows[(-s * u) % exponent]
                 m_s = (acc * e_inv) % l
-                assert m_s <= d, "character multiplicity out of range"
+                if m_s > d:
+                    raise CertificateError("character multiplicity out of range")
                 mults.append(m_s)
-            assert sum(mults) == d, "eigenvalue multiplicities do not sum to degree"
+            if sum(mults) != d:
+                raise CertificateError("eigenvalue multiplicities do not sum to degree")
             row.append(ctx.from_root_multiplicities(mults))
         values.append(row)
         degrees.append(d)
@@ -263,7 +290,8 @@ def _solve_left(block, target, l):
     x = np.zeros((n, tt.shape[1]), dtype=np.int64)
     for i, c in enumerate(pivots):
         x[c] = aug[i, n:]
-    assert np.array_equal((bt @ x) % l, tt % l), "inconsistent restriction solve"
+    if not np.array_equal((bt @ x) % l, tt % l):
+        raise CertificateError("inconsistent restriction solve")
     return x.T % l
 
 
@@ -286,13 +314,17 @@ def _eigenvalues_mod(a, l):
 def _charpoly_mod(a, l):
     """Characteristic polynomial mod l via Newton's identities, low degree first.
 
-    Requires l > n so the 1/k divisions exist.
+    Requires l > n so the 1/k divisions exist.  The powers of a run in int64:
+    an entry of a product of two reduced n x n matrices is at most
+    n (l-1)^2, which must stay below 2^63.
     """
     n = a.shape[0]
-    am = (a % l).astype(object)
+    if n * (l - 1) ** 2 >= 2**63:
+        raise OverflowError(f"int64 powers mod {l} of a {n} x {n} matrix could overflow")
+    am = (a % l).astype(np.int64)
     inv_cache = [pow(k, l - 2, l) for k in range(1, n + 1)]
     p = []  # power sums trace(A^k)
-    mk = np.eye(n, dtype=object)
+    mk = np.eye(n, dtype=np.int64)
     for _ in range(n):
         mk = (am @ mk) % l
         p.append(int(np.trace(mk)) % l)
@@ -312,7 +344,8 @@ def _int_sqrt_exact(d2):
     from math import isqrt
 
     d = isqrt(d2)
-    assert d * d == d2, "degree recovery failed; modulus too small"
+    if d * d != d2:
+        raise CertificateError("degree recovery failed; modulus too small")
     return d
 
 

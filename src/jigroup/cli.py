@@ -28,7 +28,7 @@ from .profiles import (
     va_just_infinite,
     validate_va_profile,
 )
-from .verdicts import JI, NOT_JI, Verdict, describe
+from .verdicts import JI, NOT_JI, CertificateError, Verdict, describe
 from .wreath import WreathShadow, wreath_verdicts
 
 
@@ -320,6 +320,9 @@ def run_command(argv, out=None):
     except ProfileError as exc:
         out.write(f"error: {exc}\n")
         return 2, {"error": str(exc)}
+    except CertificateError as exc:
+        out.write(f"error: certificate: {exc}\n")
+        return 2, {"error": f"certificate: {exc}"}
     except OrderGateExceeded as exc:
         out.write(f"error: order gate: {exc}\n")
         return 2, {"error": f"order gate: {exc}"}

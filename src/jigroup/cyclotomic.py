@@ -1,14 +1,17 @@
-"""Exact arithmetic in Q(zeta_e): rational coefficient vectors mod Phi_e.
+"""Exact arithmetic in Z[zeta_e]: integer coefficient vectors mod Phi_e.
 
-Values are tuples of Fractions of length deg(Phi_e); zeta is the residue of
-x.  Complex conjugation is the Galois map zeta -> zeta^(e-1).  All equality
-tests are exact.
+Values are tuples of Python ints of length deg(Phi_e); zeta is the residue
+of x.  Character values are sums of roots of unity, so they are algebraic
+integers and never need denominators.  Phi_e is monic, so reduction mod
+Phi_e stays in Z.  Complex conjugation is the Galois map zeta ->
+zeta^(e-1).  All equality tests are exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+
+from .verdicts import CertificateError
 
 
 @lru_cache(maxsize=None)
@@ -30,12 +33,13 @@ def _polydiv_exact(num, den):
         out[i] = c
         for j, dj in enumerate(den):
             num[i + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise CertificateError("non-exact polynomial division")
     return out
 
 
 class CycloContext:
-    """Arithmetic context for Q(zeta_e)."""
+    """Arithmetic context for Z[zeta_e]."""
 
     def __init__(self, e):
         self.e = e
@@ -43,26 +47,20 @@ class CycloContext:
         self.dim = len(self.phi) - 1
         # reduction table: zeta^k as a vector for k in 0..e-1
         self._pow = []
-        cur = [Fraction(0)] * self.dim
-        cur[0] = Fraction(1)
+        cur = [0] * self.dim
+        cur[0] = 1
         for _ in range(e):
             self._pow.append(tuple(cur))
             cur = self._shift(cur)
 
     def _shift(self, vec):
         """Multiply by zeta with reduction mod Phi_e."""
-        out = [Fraction(0)] * self.dim
         carry = vec[self.dim - 1]
-        for i in range(self.dim - 1, 0, -1):
-            out[i] = vec[i - 1]
-        out[0] = Fraction(0)
+        out = [0] + list(vec[: self.dim - 1])
         if carry:
             for i in range(self.dim):
                 out[i] -= carry * self.phi[i]
         return out
-
-    def zero(self):
-        return (Fraction(0),) * self.dim
 
     def one(self):
         return self.root_power(0)
@@ -71,49 +69,38 @@ class CycloContext:
         return self._pow[k % self.e]
 
     def from_rational(self, q):
-        out = [Fraction(0)] * self.dim
-        out[0] = Fraction(q)
+        out = [0] * self.dim
+        out[0] = q
+        return tuple(out)
+
+    def reduce(self, poly):
+        """The value of an integer polynomial in zeta, of any length."""
+        out = list(poly[: self.dim]) + [0] * (self.dim - len(poly))
+        for k in range(self.dim, len(poly)):
+            c = poly[k]
+            if c:
+                vec = self._pow[k % self.e]
+                for t in range(self.dim):
+                    out[t] += c * vec[t]
         return tuple(out)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, q):
-        q = Fraction(q)
-        return tuple(x * q for x in a)
-
     def mul(self, a, b):
-        out = [Fraction(0)] * self.dim
+        prod = [0] * (2 * self.dim - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k < self.dim:
-                    out[k] += ai * bj
-                else:
-                    vec = self._pow[k % self.e]
-                    c = ai * bj
-                    for t in range(self.dim):
-                        out[t] += c * vec[t]
-        return tuple(out)
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        return self.reduce(prod)
 
     def conj(self, a):
         """Complex conjugation: zeta^k -> zeta^(e-k)."""
-        out = [Fraction(0)] * self.dim
-        # a = sum a_i zeta^i -> sum a_i zeta^(e-i)
+        poly = [0] * self.e
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            vec = self._pow[(self.e - i) % self.e]
-            for t in range(self.dim):
-                out[t] += ai * vec[t]
-        return tuple(out)
+            poly[-i % self.e] = ai
+        return self.reduce(poly)
 
     def is_rational(self, a):
         return all(x == 0 for x in a[1:])
@@ -125,11 +112,4 @@ class CycloContext:
 
     def from_root_multiplicities(self, mults):
         """sum over s of mults[s] * zeta^s."""
-        out = [Fraction(0)] * self.dim
-        for s, m in enumerate(mults):
-            if not m:
-                continue
-            vec = self._pow[s % self.e]
-            for t in range(self.dim):
-                out[t] += m * vec[t]
-        return tuple(out)
+        return self.reduce(mults)

@@ -169,7 +169,6 @@ def _parse_matrix_kind(kind, fields, gens, mats):
     perms = [_parse_perm(gl, s, degree) for gl, s in gens]
     if not perms:
         raise ProfileError(ln, f"kind {kind} requires gen lines")
-    group = PermGroup(perms, degree)
     ring = _parse_ring(fields) or "Z"
     precision = DEFAULT_PRECISION
     if "precision" in fields:
@@ -192,8 +191,12 @@ def _parse_matrix_kind(kind, fields, gens, mats):
             mats[-1][0] if mats else ln,
             f"need one mat line per gen ({len(perms)}), got {len(mats)}",
         )
-    gen_mats = []
-    for ml, s in mats:
+    # PermGroup drops identity generators, so pair each gen with its mat
+    # first and keep the pairs aligned: an identity gen must map to the
+    # identity matrix, and then the pair carries no information.
+    kept_perms, gen_mats, mat_lines = [], [], []
+    ident = identity_perm(degree)
+    for perm, (ml, s) in zip(perms, mats):
         tokens = s.split()
         d = rank if rank is not None else _isqrt_exact(ml, len(tokens))
         if len(tokens) != d * d:
@@ -201,19 +204,41 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         entries = [
             _parse_entry(ml, t, ring, precision, number_ring) for t in tokens
         ]
-        gen_mats.append(
-            tuple(tuple(entries[i * d + j] for j in range(d)) for i in range(d))
-        )
+        mat = tuple(tuple(entries[i * d + j] for j in range(d)) for i in range(d))
+        if perm == ident:
+            if not _is_identity_matrix(mat):
+                raise ProfileError(ml, "identity generator needs the identity matrix")
+            continue
+        kept_perms.append(perm)
+        gen_mats.append(mat)
+        mat_lines.append(ml)
+    group = PermGroup(kept_perms, degree)
     try:
         rep = _rep_from_parsed(group, gen_mats, ring, precision, number_ring)
     except RelationViolation as exc:
         # located at the mat line of the last generator of the failing word
-        raise ProfileError(mats[exc.word[-1]][0], str(exc))
+        raise ProfileError(mat_lines[exc.word[-1]], str(exc))
     except ValueError as exc:
         raise ProfileError(mats[0][0], str(exc))
     if kind == "matrep":
         return rep
     return VaProfile(ring, rank, rep, precision)
+
+
+def _is_identity_matrix(m):
+    """Whether m is the identity; a p-adic entry counts to its precision."""
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            want = int(i == j)
+            if isinstance(x, PadicApprox):
+                if (x - want).provably_nonzero():
+                    return False
+            elif isinstance(x, tuple):  # number-ring coefficient vector
+                if x[0] != want or any(x[1:]):
+                    return False
+            elif x != want:
+                return False
+    return True
 
 
 def _isqrt_exact(ln, n):

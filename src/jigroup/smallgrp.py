@@ -138,7 +138,12 @@ class SmallGroupTable:
         return classes
 
     def conjugacy_classes(self):
-        """Conjugacy classes of elements; identity class first."""
+        """Conjugacy classes of elements; identity class first.
+
+        Each orbit grows by conjugating with the group's generators only,
+        which reaches the whole class because the group is finite.
+        """
+        gens = [self.index[g] for g in self.group.generators]
         seen = [False] * self.n
         classes = []
         for i in range(self.n):
@@ -149,7 +154,7 @@ class SmallGroupTable:
             seen[i] = True
             while frontier:
                 x = frontier.pop()
-                for g in range(self.n):
+                for g in gens:
                     y = self.conj(x, g)
                     if not seen[y]:
                         seen[y] = True

@@ -17,6 +17,13 @@ REDUCIBLE = "reducible"
 IRREDUCIBLE = "irreducible"
 
 
+class CertificateError(RuntimeError):
+    """An exact re-check of a computed certificate failed.
+
+    Raised instead of `assert`, so the check also runs under `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class Verdict:
     status: str

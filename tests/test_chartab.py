@@ -1,8 +1,18 @@
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from jigroup import catalog
-from jigroup.chartab import character_table, min_faithful_degree
+from jigroup.chartab import CharacterTable, character_table, min_faithful_degree
 from jigroup.cyclotomic import CycloContext, cyclotomic_poly
+from jigroup.smallgrp import small_table
+from jigroup.verdicts import CertificateError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cyclotomic_polys():
@@ -122,3 +132,205 @@ def _bruteforce_min_faithful(G):
 )
 def test_min_faithful_against_bruteforce(G):
     assert min_faithful_degree(G) == _bruteforce_min_faithful(G)
+
+
+# -- differential oracles ------------------------------------------------------
+#
+# The slow references below are the Fraction arithmetic and the triple-loop
+# orthogonality check that the integer Z[zeta_e] kernel replaced.  They are
+# kept here so the fast path is checked against an obviously correct one.
+
+
+class FractionCyclo:
+    """Q(zeta_e) on Fraction coefficient vectors, reduced through zeta^k."""
+
+    def __init__(self, e):
+        self.e = e
+        self.phi = cyclotomic_poly(e)
+        self.dim = len(self.phi) - 1
+        self._pow = []
+        cur = [Fraction(0)] * self.dim
+        cur[0] = Fraction(1)
+        for _ in range(e):
+            self._pow.append(tuple(cur))
+            carry = cur[-1]
+            cur = [Fraction(0)] + cur[:-1]
+            for i in range(self.dim):
+                cur[i] -= carry * self.phi[i]
+
+    def zero(self):
+        return (Fraction(0),) * self.dim
+
+    def from_rational(self, q):
+        return (Fraction(q),) + (Fraction(0),) * (self.dim - 1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def scale(self, a, q):
+        return tuple(x * Fraction(q) for x in a)
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * self.dim
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if not bj:
+                    continue
+                vec = self._pow[(i + j) % self.e]
+                for t in range(self.dim):
+                    out[t] += ai * bj * vec[t]
+        return tuple(out)
+
+    def conj(self, a):
+        out = [Fraction(0)] * self.dim
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            vec = self._pow[(self.e - i) % self.e]
+            for t in range(self.dim):
+                out[t] += ai * vec[t]
+        return tuple(out)
+
+    def from_root_multiplicities(self, mults):
+        out = [Fraction(0)] * self.dim
+        for s, m in enumerate(mults):
+            if not m:
+                continue
+            vec = self._pow[s % self.e]
+            for t in range(self.dim):
+                out[t] += m * vec[t]
+        return tuple(out)
+
+
+def fraction_verify(table, order):
+    """Triple-loop check of the degree sum and row orthogonality over Q."""
+    if len(table.degrees) != table.n_classes:
+        return False
+    if sum(d * d for d in table.degrees) != order:
+        return False
+    ctx = FractionCyclo(table.ctx.e)
+    for i in range(table.n_classes):
+        for j in range(i + 1):
+            total = ctx.zero()
+            for k in range(table.n_classes):
+                term = ctx.mul(table.values[i][k], ctx.conj(table.values[j][k]))
+                total = ctx.add(total, ctx.scale(term, table.class_sizes[k]))
+            if total != ctx.from_rational(order if i == j else 0):
+                return False
+    return True
+
+
+def integer_verify(table, order):
+    try:
+        return table.verify(order)
+    except CertificateError:
+        return False
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 12, 15, 30, 60])
+def test_integer_cyclotomic_matches_fraction_oracle(e):
+    rng = random.Random(e)
+    ctx, ref = CycloContext(e), FractionCyclo(e)
+    for _ in range(25):
+        a = tuple(rng.randint(-40, 40) for _ in range(ctx.dim))
+        b = tuple(rng.choice([0, rng.randint(-40, 40)]) for _ in range(ctx.dim))
+        mults = [rng.randint(0, 9) for _ in range(rng.choice([e, 2 * e + 1]))]
+        for got, want in [
+            (ctx.mul(a, b), ref.mul(a, b)),
+            (ctx.conj(a), ref.conj(a)),
+            (ctx.add(a, b), ref.add(a, b)),
+            (ctx.from_root_multiplicities(mults), ref.from_root_multiplicities(mults)),
+        ]:
+            assert got == want
+            assert all(type(x) is int for x in got)
+
+
+_TABLES = {}
+
+
+def _table(name):
+    if name not in _TABLES:
+        group = {"q16": catalog.quaternion(16), "d30": catalog.dihedral(30),
+                 "s6": catalog.symmetric(6)}[name]
+        _TABLES[name] = (character_table(group), group.order)
+    return _TABLES[name]
+
+
+def test_chartab_s6_and_d30_degrees():
+    assert sorted(_table("s6")[0].degrees) == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+    assert sorted(_table("d30")[0].degrees) == [1] * 4 + [2] * 14
+
+
+def _corrupted(ct, how):
+    values = [list(row) for row in ct.values]
+    degrees = list(ct.degrees)
+    sizes = list(ct.class_sizes)
+    i = 1  # an early row, so the slow oracle also stops early
+    if how == "value":
+        v = values[i][1]
+        values[i][1] = (v[0] + 1,) + tuple(v[1:])
+    elif how == "swap":
+        k = next(k for k, v in enumerate(values[i]) if v != values[i][0])
+        values[i][0], values[i][k] = values[i][k], values[i][0]
+    elif how == "double":  # still orthogonal to the other rows, but norm 4|G|
+        values[i] = [tuple(2 * x for x in v) for v in values[i]]
+    elif how == "zeta":
+        values[i][1] = ct.ctx.mul(values[i][1], ct.ctx.root_power(1))
+    elif how == "size":
+        sizes[1] += 1
+    elif how == "degree":
+        degrees[i] += 1
+    return CharacterTable(ct.group, ct.classes, sizes, values, degrees, ct.ctx)
+
+
+@pytest.mark.parametrize("name", ["q16", "d30", "s6"])
+def test_verify_agrees_with_fraction_oracle(name):
+    ct, order = _table(name)
+    assert integer_verify(ct, order) and fraction_verify(ct, order)
+    for how in ("value", "swap", "double", "zeta", "size", "degree"):
+        bad = _corrupted(ct, how)
+        assert not integer_verify(bad, order), how
+        assert not fraction_verify(bad, order), how
+
+
+def _classes_by_all_elements(tbl):
+    """Conjugacy classes by conjugating with every element of the group."""
+    seen = set()
+    classes = []
+    for i in range(tbl.n):
+        if i in seen:
+            continue
+        orbit = {tbl.conj(i, g) for g in range(tbl.n)}
+        seen |= orbit
+        classes.append(sorted(orbit))
+    classes.sort(key=lambda c: (c[0] != tbl.ident, tbl.order_of[c[0]], c[0]))
+    return classes
+
+
+@pytest.mark.parametrize("group", [catalog.quaternion(16), catalog.dihedral(30),
+                                   catalog.symmetric(6), catalog.cyclic(1)])
+def test_conjugacy_classes_match_all_elements_walk(group):
+    tbl = small_table(group)
+    assert tbl.conjugacy_classes() == _classes_by_all_elements(tbl)
+
+
+def test_corrupted_table_raises_certificate_error_under_O():
+    script = (
+        "from jigroup import catalog\n"
+        "from jigroup.chartab import character_table\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "ct = character_table(catalog.quaternion(16))\n"
+        "v = ct.values[-1][1]\n"
+        "ct.values[-1][1] = (v[0] + 1,) + tuple(v[1:])\n"
+        "try:\n"
+        "    ct.verify(16)\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: orthogonality failed at rows")

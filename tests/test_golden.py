@@ -5,10 +5,9 @@ compares the exit status and the stdout bytes with the files stored under
 `tests/golden/`: `<case>.out` holds stdout and `status.json` the exit
 statuses.  Refactors must leave every byte unchanged.
 
-Two outputs are left out because each takes 5-6 s on its own:
-`chartab extraspecial128_group.profile` and `verify-paper 3`.  Acceptance
-criterion 6 (`test_acceptance.py`) and `test_cli_verify_paper_example3`
-(`test_io_cli.py`) already pin what they report.
+`verify-paper 3` is left out: acceptance criterion 6 (`test_acceptance.py`)
+and `test_cli_verify_paper_example3` (`test_io_cli.py`) already pin what it
+reports.
 """
 
 import io

@@ -265,3 +265,49 @@ def test_relation_violation_is_a_located_error(tmp_path, ring, entry):
     status, out = _analyze_text(tmp_path, text)
     assert status == 2
     assert out.startswith("error: line 7: ")
+
+
+@pytest.mark.parametrize("ring, one, minus_one", [("Z", "1", "-1"), ("Z2", "1:8", "255:8")])
+def test_identity_gen_with_identity_mat_is_dropped(tmp_path, ring, one, minus_one):
+    text = (f"jigroup-profile v1\nkind va\nring {ring}\nrank 1\ndegree 2\n"
+            f"gen 1 0\ngen 0 1\nmat {minus_one}\nmat {one}\n")
+    profile = parse_profile(text)
+    assert len(profile.Q.generators) == 1
+    assert len(profile.action.gen_images) == 1
+    status, _ = _analyze_text(tmp_path, text)
+    assert status == 0
+
+
+def test_relation_violation_line_skips_identity_gen():
+    # the identity pair comes first, so the kept transposition is mat line 9
+    text = ("jigroup-profile v1\nkind va\nring Z\nrank 1\ndegree 2\n"
+            "gen 0 1\ngen 1 0\nmat 1\nmat 2\n")
+    with pytest.raises(ProfileError) as err:
+        parse_profile(text)
+    assert str(err.value) == (
+        "line 9: generator images violate the relation at word (0, 0)"
+    )
+
+
+@pytest.mark.parametrize("ring, entry", [("Z", "-1"), ("Z2", "255:8")])
+def test_identity_gen_with_other_mat_is_a_located_error(tmp_path, ring, entry):
+    text = (f"jigroup-profile v1\nkind va\nring {ring}\nrank 1\ndegree 2\n"
+            f"gen 1 0\ngen 0 1\nmat {entry}\nmat {entry}\n")
+    status, out = _analyze_text(tmp_path, text)
+    assert status == 2
+    assert out == "error: line 9: identity generator needs the identity matrix\n"
+
+
+def test_certificate_error_is_exit_2(monkeypatch):
+    from jigroup.chartab import CharacterTable
+    from jigroup.verdicts import CertificateError
+
+    def reject(table, order):
+        raise CertificateError("orthogonality failed at rows 1,0")
+
+    monkeypatch.setattr(CharacterTable, "verify", reject)
+    out = io.StringIO()
+    status, report = run_command(["chartab", str(DATA / "q16_group.profile")], out)
+    assert status == 2
+    assert out.getvalue() == "error: certificate: orthogonality failed at rows 1,0\n"
+    assert report == {"error": "certificate: orthogonality failed at rows 1,0"}
