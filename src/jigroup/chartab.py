@@ -69,7 +69,7 @@ class CharacterTable:
                     for b, ccol in enumerate(conjugated[j]):
                         total[a + b] += sum(map(operator.mul, col, ccol))
                 want = ctx.from_rational(order if i == j else 0)
-                if ctx.reduce(total) != want:
+                if ctx.from_root_multiplicities(total) != want:
                     raise CertificateError(f"orthogonality failed at rows {i},{j}")
         return True
 

@@ -73,17 +73,6 @@ class CycloContext:
         out[0] = q
         return tuple(out)
 
-    def reduce(self, poly):
-        """The value of an integer polynomial in zeta, of any length."""
-        out = list(poly[: self.dim]) + [0] * (self.dim - len(poly))
-        for k in range(self.dim, len(poly)):
-            c = poly[k]
-            if c:
-                vec = self._pow[k % self.e]
-                for t in range(self.dim):
-                    out[t] += c * vec[t]
-        return tuple(out)
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -93,14 +82,14 @@ class CycloContext:
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        return self.reduce(prod)
+        return self.from_root_multiplicities(prod)
 
     def conj(self, a):
         """Complex conjugation: zeta^k -> zeta^(e-k)."""
         poly = [0] * self.e
         for i, ai in enumerate(a):
             poly[-i % self.e] = ai
-        return self.reduce(poly)
+        return self.from_root_multiplicities(poly)
 
     def is_rational(self, a):
         return all(x == 0 for x in a[1:])
@@ -111,5 +100,16 @@ class CycloContext:
         return a[0]
 
     def from_root_multiplicities(self, mults):
-        """sum over s of mults[s] * zeta^s."""
-        return self.reduce(mults)
+        """sum over s of mults[s] * zeta^s, for an integer sequence of any length.
+
+        This is the reduction mod Phi_e of the polynomial with coefficients
+        `mults`; every product and conjugate goes through it.
+        """
+        out = list(mults[: self.dim]) + [0] * (self.dim - len(mults))
+        for k in range(self.dim, len(mults)):
+            c = mults[k]
+            if c:
+                vec = self._pow[k % self.e]
+                for t in range(self.dim):
+                    out[t] += c * vec[t]
+        return tuple(out)
