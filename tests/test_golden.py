@@ -4,10 +4,6 @@ Each case runs `run_command(["--report", "machine", *argv])` in-process and
 compares the exit status and the stdout bytes with the files stored under
 `tests/golden/`: `<case>.out` holds stdout and `status.json` the exit
 statuses.  Refactors must leave every byte unchanged.
-
-`verify-paper 3` is left out: acceptance criterion 6 (`test_acceptance.py`)
-and `test_cli_verify_paper_example3` (`test_io_cli.py`) already pin what it
-reports.
 """
 
 import io
@@ -35,6 +31,7 @@ CASES = {
     "hilbert_1_m7_5": ["hilbert", "1", "-7", "5"],
     "verify_paper_1": ["verify-paper", "1"],
     "verify_paper_2": ["verify-paper", "2"],
+    "verify_paper_3": ["verify-paper", "3"],
     "verify_paper_leethm": ["verify-paper", "leethm"],
 }
 
