@@ -25,7 +25,6 @@ from .perm import (
     conj,
     identity_perm,
     mul,
-    support,
 )
 from .smallgrp import (
     maximal_subgroups_over,
@@ -251,10 +250,6 @@ class ShadowModel:
         if isinstance(H, ShadowSubgroup):
             return H.contains_base
         return all(g in H.group for g in self.base_generators)
-
-    def subgroup(self, top_gens, label=""):
-        handle = SubgroupHandle(self.top, top_gens, check=True)
-        return ShadowSubgroup(self, handle, label)
 
     def normal_subgroups_structural(self):
         """All nontrivial normal subgroups: base x| N over N normal in top.

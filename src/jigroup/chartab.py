@@ -12,6 +12,7 @@ import heapq
 import operator
 
 import numpy as np
+from sympy import isprime, primefactors
 
 from .cyclotomic import CycloContext
 from .perm import LATTICE_GATE
@@ -42,19 +43,23 @@ class CharacterTable:
         )
 
     def verify(self, order):
-        """Check the degree sum and X diag(|C|) conj(X)^T = |G| I exactly.
+        """Check the degrees and X diag(|C|) conj(X)^T = |G| I exactly.
 
-        X is the table of values in Z[zeta_e].  Each value is conjugated
-        once.  For every pair of rows i >= j, sum_k |C_k| chi_i(k)
+        Each degree must be the value at the identity class (column 0), and
+        the squared degrees must sum to |G|.  X is the table of values in
+        Z[zeta_e].  Each value is conjugated once.  For every pair of rows i >= j, sum_k |C_k| chi_i(k)
         conj(chi_j(k)) is accumulated as one unreduced integer polynomial in
         zeta of length 2 dim - 1, reduced mod Phi_e once and compared with
         |G| delta_ij.  Raises CertificateError on the first failure.
         """
         if len(self.degrees) != self.n_classes:
             raise CertificateError("one degree per class expected")
+        ctx = self.ctx
+        for i, (d, row) in enumerate(zip(self.degrees, self.values)):
+            if row[0] != ctx.from_rational(d):
+                raise CertificateError(f"degree {i} is not the value at the identity")
         if sum(d * d for d in self.degrees) != order:
             raise CertificateError("squared degrees do not sum to the group order")
-        ctx = self.ctx
         # coefficient columns: scaled[i][a][k] = |C_k| * (coefficient a of chi_i(k))
         scaled = [
             [tuple(size * v[a] for size, v in zip(self.class_sizes, row))
@@ -77,67 +82,47 @@ class CharacterTable:
 def _smallest_modulus(order, exponent):
     l = 2 * order + 1
     while True:
-        if l % exponent == 1 and _is_prime(l):
+        if l % exponent == 1 and isprime(l):
             return l
         l += 1
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _rref_mod(a, l):
+    """Reduced row echelon form of a over F_l, and its pivot columns."""
+    a = a % l
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if not len(nz):
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), l - 2, l)) % l
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % l
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def _nullspace_mod(mat, l):
     """Basis of the right nullspace of mat over F_l (rows are vectors)."""
-    a = mat % l
-    rows, cols = a.shape
-    a = a.copy()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] % l:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), l - 2, l)
-        a[r] = (a[r] * inv) % l
-        for i in range(rows):
-            if i != r and a[i, c] % l:
-                a[i] = (a[i] - a[i, c] * a[r]) % l
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    a, pivots = _rref_mod(mat, l)
+    cols = a.shape[1]
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
         for i, c in enumerate(pivots):
             v[c] = (-a[i, f]) % l
-        basis.append(v % l)
+        basis.append(v)
     return basis
 
 
@@ -231,7 +216,7 @@ def character_table(group, gate=LATTICE_GATE):
     # t_root has order exactly `exponent`, so its powers repeat with that period
     root_pows = [pow(t_root, k, l) for k in range(exponent)]
     power_class = [
-        [class_of[_table_power(tbl, reps[j], u)] for u in range(exponent)]
+        [class_of[tbl.power(reps[j], u)] for u in range(exponent)]
         for j in range(r)
     ]
     e_inv = pow(exponent, l - 2, l)
@@ -263,36 +248,16 @@ def character_table(group, gate=LATTICE_GATE):
 
 def _solve_left(block, target, l):
     """Solve a @ block = target over F_l (block has full row rank)."""
-    rows, cols = block.shape
     bt = block.T % l
-    tt = target.T % l
-    # solve bt @ x = tt column by column via Gaussian elimination
-    aug = np.concatenate([bt, tt], axis=1) % l
-    m, n = bt.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i, c] % l:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[[r, piv]] = aug[[piv, r]]
-        inv = pow(int(aug[r, c]), l - 2, l)
-        aug[r] = (aug[r] * inv) % l
-        for i in range(m):
-            if i != r and aug[i, c] % l:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % l
-        pivots.append(c)
-        r += 1
-    x = np.zeros((n, tt.shape[1]), dtype=np.int64)
+    n = bt.shape[1]
+    aug, pivots = _rref_mod(np.concatenate([bt, target.T % l], axis=1), l)
+    x = np.zeros((n, target.shape[0]), dtype=np.int64)
     for i, c in enumerate(pivots):
-        x[c] = aug[i, n:]
-    if not np.array_equal((bt @ x) % l, tt % l):
+        if c < n:
+            x[c] = aug[i, n:]
+    if not np.array_equal((bt @ x) % l, target.T % l):
         raise CertificateError("inconsistent restriction solve")
-    return x.T % l
+    return x.T
 
 
 def _eigenvalues_mod(a, l):
@@ -353,29 +318,9 @@ def _element_of_order(l, e):
     """A fixed element of multiplicative order e in F_l (l = 1 mod e)."""
     for g in range(2, l):
         x = pow(g, (l - 1) // e, l)
-        if x != 1 and all(pow(x, e // q, l) != 1 for q in _prime_factors(e)):
+        if x != 1 and all(pow(x, e // q, l) != 1 for q in primefactors(e)):
             return x
     raise AssertionError("no element of the required order")
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _table_power(tbl, i, k):
-    out = tbl.ident
-    for _ in range(k):
-        out = tbl.table[out][i]
-    return out
 
 
 def min_faithful_degree(group, gate=LATTICE_GATE, table=None):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from sympy import primefactors
+
 REAL_PLACE = "real"
 
 
@@ -130,21 +132,8 @@ def quaternion_is_division(a, b, field):
     if isinstance(field, tuple) and field[0] == "Qp":
         return hilbert_symbol(a, b, field[1]) == -1
     if field == "Q":
-        places = [REAL_PLACE] + sorted(_support_primes(a) | _support_primes(b) | {2})
+        support = primefactors(a.numerator * a.denominator * b.numerator * b.denominator)
+        places = [REAL_PLACE] + sorted(set(support) | {2})
         return any(hilbert_symbol(a, b, pl) == -1 for pl in places)
     raise ValueError(f"unknown field: {field!r}")
 
-
-def _support_primes(q):
-    out = set()
-    for n in (abs(q.numerator), q.denominator):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.add(n)
-    return out

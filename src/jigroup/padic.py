@@ -16,6 +16,7 @@ from math import gcd
 
 from . import ratmat as rm
 from .hilbert import _valuation_and_unit, hilbert_symbol
+from .rep import anticommuting, commutation_rows
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, Verdict
 
 DEFAULT_PRECISION = 64
@@ -920,6 +921,54 @@ class QuadExt:
         return self.e
 
 
+class _ZpRing:
+    """Z_p as integers mod p^W, with the QuadExt methods the conic code uses.
+
+    The degree-one case of QuadExt: the uniformizer is p itself.
+    """
+
+    def __init__(self, p, work_digits):
+        self.p = p
+        self.W = work_digits
+        self.mod = p**work_digits
+
+    def from_int(self, n):
+        return n % self.mod
+
+    def add(self, x, y):
+        return (x + y) % self.mod
+
+    def sub(self, x, y):
+        return (x - y) % self.mod
+
+    def mul(self, x, y):
+        return x * y % self.mod
+
+    def square(self, x):
+        return x * x % self.mod
+
+    def val(self, x, limit):
+        x %= self.mod
+        return min(_vp(x, self.p) if x else self.W, limit)
+
+    def pi_digits(self, k):
+        return range(self.p**k)
+
+    def reduce_pi(self, x, k):
+        return x % self.p**k
+
+    def div_pi(self, x):
+        return x // self.p % self.mod
+
+    def inv_unit(self, x):
+        if x % self.p == 0:
+            raise PrecisionExhausted("inverting a non-unit")
+        return pow(x, -1, self.mod)
+
+    def v2(self):
+        return 1 if self.p == 2 else 0
+
+
 def conic_solve_ext(ext, a, b, target_pi_prec):
     """Solve z^2 = a x^2 + b y^2 nontrivially over O_E, or return None.
 
@@ -1052,19 +1101,7 @@ def quaternion_over_center(comm_basis, center_gen, center_minpoly):
     assert a_pair is not None, "i^2 is not central"
     if all(c == 0 for c in a_pair):
         return ("zero_divisor", i_mat)
-    # anticommutant of i inside the algebra
-    rows = []
-    for bb in comm_basis:
-        m = rm.mat_add(rm.mat_mul(i_mat, bb), rm.mat_mul(bb, i_mat))
-        rows.append(tuple(q for row in m for q in row))
-    coeffs = rm.nullspace(rm.mat_transpose(rows))
-    for v in coeffs:
-        j_mat = rm.zeros(d, d)
-        for c, bb in zip(v, comm_basis):
-            if c:
-                j_mat = rm.mat_add(j_mat, rm.mat_scale(bb, c))
-        if all(q == 0 for row in j_mat for q in row):
-            continue
+    for j_mat in anticommuting(i_mat, comm_basis):
         j_sq = rm.mat_mul(j_mat, j_mat)
         b_pair = f_span_coords(j_sq)
         if b_pair is None:
@@ -1108,17 +1145,7 @@ def rep_element_map_padic(rep, p, prec):
 def commutant_approx(gen_images_p, p, prec):
     """Approx basis of {X : X g = g X for the given approx matrices}."""
     d = len(gen_images_p[0])
-    rows = []
-    zero = PadicApprox.zero(p, prec)
-    for g in gen_images_p:
-        for i in range(d):
-            for j in range(d):
-                row = [zero] * (d * d)
-                for k in range(d):
-                    row[i * d + k] = row[i * d + k] + g[k][j]
-                    row[k * d + j] = row[k * d + j] - g[i][k]
-                rows.append(tuple(row))
-    vecs = pnullspace(rows)
+    vecs = pnullspace(commutation_rows(gen_images_p, PadicApprox.zero(p, prec)))
     out = []
     for v in vecs:
         m = tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))
@@ -1224,77 +1251,14 @@ def qp_poly_status_approx(coeffs, p):
 
 
 def conic_solve_qp(a_int, b_int, p, prec):
-    """Nontrivial (x, y, z) in Z_p^3 with z^2 = a x^2 + b y^2, or None.
+    """Nontrivial (x, y, z) in Z_p^3 with z^2 = a x^2 + b y^2 mod p^(prec-1),
+    or None.
 
-    a, b integers with v_p in {0, 1}.  Same search + Newton as the
-    extension-field version, specialised to Q_p.
+    a, b integers with v_p in {0, 1}.  The extension-field search and Newton
+    run over Z_p itself, residues mod p^prec.
     """
-    e = 1 if p == 2 else 0
-    va = _vp(a_int, p)
-    vb = _vp(b_int, p)
-    assert va in (0, 1) and vb in (0, 1)
-    K = 2 * e + 1 + 2 * max(va, vb)
-    mod = p**K
-    sq_all = {}
-    sq_unit = {}
-    for z in range(mod):
-        zz = z * z % mod
-        sq_all.setdefault(zz, z)
-        if z % p:
-            sq_unit.setdefault(zz, z)
-    found = None
-    for x in range(mod):
-        ax2 = a_int * x * x % mod
-        for y in range(mod):
-            t = (ax2 + b_int * y * y) % mod
-            z = sq_all.get(t) if (x % p or y % p) else sq_unit.get(t)
-            if z is not None:
-                found = (x, y, z)
-                break
-        if found:
-            break
-    if found is None:
-        return None
-    x, y, z = found
-    # Newton on the variable with the best margin
-    big = p**prec
-
-    def fval(x, y, z):
-        return (z * z - a_int * x * x - b_int * y * y) % big
-
-    cands = []
-    if z % p:
-        cands.append(("z", e))
-    if x % p:
-        cands.append(("x", e + va))
-    if y % p:
-        cands.append(("y", e + vb))
-    var, t = min(cands, key=lambda c: c[1])
-    guard = 0
-    while True:
-        fv = fval(x, y, z)
-        if fv % big == 0 or _vp(fv, p) >= prec - 1:
-            break
-        guard += 1
-        if guard > 80:
-            raise PrecisionExhausted("Q_p conic Newton stalled")
-        if var == "z":
-            dv = 2 * z
-        elif var == "x":
-            dv = -2 * a_int * x
-        else:
-            dv = -2 * b_int * y
-        tv = _vp(dv, p)
-        step = (fv // p**tv) * pow(dv // p**tv, -1, p ** (prec - tv)) % p ** (
-            prec - tv
-        )
-        if var == "z":
-            z = (z - step) % big
-        elif var == "x":
-            x = (x - step) % big
-        else:
-            y = (y - step) % big
-    return x % big, y % big, z % big
+    ring = _ZpRing(p, prec)
+    return conic_solve_ext(ring, ring.from_int(a_int), ring.from_int(b_int), prec - 1)
 
 
 # -- the splitting engine ---------------------------------------------------------
@@ -1386,18 +1350,27 @@ def _pieces_from_projector(gen_images_p, q_mat, p):
     if prank(stacked, floor) != d:
         raise PrecisionExhausted("projector pieces are not independent")
     for rows in (rows_img, rows_ker):
-        _verify_invariant_approx(gen_images_p, rows, floor)
+        for g in gen_images_p:
+            _image_coords(rows, g, floor)
     return [rows_img, rows_ker]
 
 
-def _verify_invariant_approx(gen_images_p, rows, floor=None):
-    d = len(gen_images_p[0])
+def _image_coords(rows, g, floor):
+    """Coordinates of v g in the basis rows, one tuple per row v.
+
+    Raises PrecisionExhausted when an image is not in the span of rows at
+    the floor, so a successful call also certifies invariance under g.
+    """
+    d = len(g)
     rt = rm.mat_transpose(rows)
-    for g in gen_images_p:
-        for v in rows:
-            img = tuple(_dot(v, tuple(g[k][j] for k in range(d))) for j in range(d))
-            if psolve(rt, img, floor) is None:
-                raise PrecisionExhausted("invariance not verifiable at precision")
+    out = []
+    for v in rows:
+        img = tuple(_dot(v, tuple(g[k][j] for k in range(d))) for j in range(d))
+        sol = psolve(rt, img, floor)
+        if sol is None:
+            raise PrecisionExhausted("image not in the span at precision")
+        out.append(sol)
+    return tuple(out)
 
 
 def _qp_analyze(rep, p, prec, seed=0):
@@ -1917,21 +1890,8 @@ def _constituent_rep(rep, rows, p, n):
     floor = max(work_prec // 2, 4)
     sat = psaturate(rows, p, floor)
     k = len(sat)
-    d = rep.dimension
-    rt = rm.mat_transpose(sat)
     emap_p = rep_element_map_padic(rep, p, n)
-
-    def coords(g):
-        out_rows = []
-        for v in sat:
-            img = tuple(_dot(v, tuple(g[t][j] for t in range(d))) for j in range(d))
-            sol = psolve(rt, img, floor)
-            if sol is None:
-                raise PrecisionExhausted("constituent coordinates inconsistent")
-            out_rows.append(sol)
-        return tuple(out_rows)
-
-    emap = {perm: coords(g) for perm, g in emap_p.items()}
+    emap = {perm: _image_coords(sat, g, floor) for perm, g in emap_p.items()}
     # p-integrality and unit determinants
     for mat_c in emap.values():
         for row in mat_c:

@@ -61,20 +61,6 @@ def conj(p, g):
     return tuple(g[p[gi[i]]] for i in range(len(p)))
 
 
-def perm_power(p, k):
-    n = len(p)
-    if k < 0:
-        return perm_power(inv(p), -k)
-    out = identity_perm(n)
-    base = p
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        k >>= 1
-    return out
-
-
 def perm_order(p):
     seen = [False] * len(p)
     order = 1
@@ -101,10 +87,6 @@ def perm_from_cycles(n, *cycs):
     q = tuple(p)
     check_perm(q)
     return q
-
-
-def support(p):
-    return frozenset(i for i, j in enumerate(p) if i != j)
 
 
 class _Level:

@@ -63,21 +63,14 @@ def mat_transpose(a):
 
 
 def mat_inv(a):
+    """Inverse as the right half of the RREF of [A | I]; ZeroDivisionError if singular."""
     d = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(d)]
-           for i, row in enumerate(a)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if aug[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(d):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[d:]) for row in aug)
+    reduced, pivots = rref(
+        [tuple(row) + tuple(int(i == j) for j in range(d)) for i, row in enumerate(a)]
+    )
+    if pivots != list(range(d)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(row[d:] for row in reduced)
 
 
 def mat_det(a):
@@ -429,31 +422,9 @@ class NumberRing:
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         return tuple(coeffs[: self.degree])
 
-    def zero(self):
-        return (Fraction(0),) * self.degree
-
-    def one(self):
-        return self.element([1])
-
-    def gen(self):
-        return self.element([0, 1])
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
     def mul(self, a, b):
         prod = poly_mul(a, b)
         _, rem = poly_divmod(prod, self.modulus)
-        return self.element(rem)
-
-    def inv(self, a):
-        g, u, _ = poly_xgcd(poly_trim(a), self.modulus)
-        if poly_deg(g) != 0:
-            raise ZeroDivisionError("element is not invertible")
-        _, rem = poly_divmod(poly_scale(u, 1 / g[0]), self.modulus)
         return self.element(rem)
 
     def mult_matrix(self, a):

@@ -18,11 +18,15 @@ from fractions import Fraction
 
 from . import ratmat as rm
 from .hilbert import quaternion_is_division
-from .perm import LATTICE_GATE, OrderGateExceeded, identity_perm, mul
+from .perm import LATTICE_GATE, OrderGateExceeded, identity_perm, inv, mul
 from .smallgrp import maximal_subgroups
-from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, Verdict
+from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
 
 SAMPLE_BUDGET = 64
+
+
+class UncertifiedSplit(RuntimeError):
+    """decompose_over_Q met a constituent it cannot certify either way."""
 
 
 class RelationViolation(ValueError):
@@ -44,9 +48,6 @@ class MatRep:
         self.element_map = element_map  # perm tuple -> matrix
         self.faithful = faithful
         self.ring = ring
-
-    def image(self, perm):
-        return self.element_map[tuple(perm)]
 
     def restrict(self, handle):
         """Restriction to a subgroup handle (as a rep of its own PermGroup)."""
@@ -115,7 +116,8 @@ def close_over_group(group, mats, identity, product, equal, gate):
                     words[q] = words[p] + (k,)
                     nxt.append(q)
         frontier = nxt
-    assert len(element_map) == group.order
+    if len(element_map) != group.order:
+        raise CertificateError("closure does not reach the group order")
     return element_map
 
 
@@ -135,17 +137,7 @@ def commutant(rep):
             for r in range(d)
             for c in range(d)
         )
-    rows = []
-    for g in rep.gen_images:
-        # X g - g X = 0: linear in the d^2 entries of X
-        for i in range(d):
-            for j in range(d):
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    row[i * d + k] += g[k][j]
-                    row[k * d + j] -= g[i][k]
-                rows.append(tuple(row))
-    basis_vecs = rm.nullspace(rows)
+    basis_vecs = rm.nullspace(commutation_rows(rep.gen_images, Fraction(0)))
     basis = tuple(
         rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)])
         for v in basis_vecs
@@ -155,17 +147,37 @@ def commutant(rep):
     return basis
 
 
+def commutation_rows(mats, zero):
+    """Rows of X g - g X = 0 for each g in mats, linear in the d^2 entries of X.
+
+    zero is the zero of the entries' scalar type.
+    """
+    d = len(mats[0])
+    rows = []
+    for g in mats:
+        for i in range(d):
+            for j in range(d):
+                row = [zero] * (d * d)
+                for k in range(d):
+                    row[i * d + k] += g[k][j]
+                    row[k * d + j] -= g[i][k]
+                rows.append(tuple(row))
+    return rows
+
+
 def _verify_commutant(rep, basis):
     d = rep.dimension
     span_rows = [tuple(x for row in b for x in row) for b in basis]
     canon = rm.row_space_canonical(span_rows)
     ident_vec = tuple(x for row in rm.identity(d) for x in row)
-    assert _in_row_space(canon, ident_vec), "commutant missing the identity"
+    if not _in_row_space(canon, ident_vec):
+        raise CertificateError("commutant missing the identity")
     for a in basis:
         for b in basis:
             prod = rm.mat_mul(a, b)
             vec = tuple(x for row in prod for x in row)
-            assert _in_row_space(canon, vec), "commutant not closed under product"
+            if not _in_row_space(canon, vec):
+                raise CertificateError("commutant not closed under product")
 
 
 def _in_row_space(canon_rows, vec):
@@ -215,11 +227,13 @@ def _idempotent_from_minpoly(a, facs):
         for _ in range(mult):
             rest = rm.poly_mul(rest, fac)
     g, u, v = rm.poly_xgcd(f1, rest)
-    assert rm.poly_deg(g) == 0 and g[0] == 1, "factors are not coprime"
+    if rm.poly_deg(g) != 0 or g[0] != 1:
+        raise CertificateError("factors are not coprime")
     # e = u*f1 evaluated at a satisfies e = 0 mod f1-part, 1 mod rest-part
     e_poly = rm.poly_mul(u, f1)
     e = rm.poly_eval_mat(e_poly, a)
-    assert rm.mat_mul(e, e) == e, "CRT idempotent check failed"
+    if rm.mat_mul(e, e) != e:
+        raise CertificateError("CRT idempotent check failed")
     return e
 
 
@@ -298,18 +312,9 @@ def algebra_structure(comm_basis, seed=0):
 def algebra_center(basis):
     """Basis of the center of a matrix algebra given by a basis."""
     d = len(basis[0])
-    rows = []
-    for b in basis:
-        for i in range(d):
-            for j in range(d):
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    row[i * d + k] += b[k][j]
-                    row[k * d + j] -= b[i][k]
-                rows.append(tuple(row))
     # centralizer of the algebra in M_d, then intersect with the algebra span
     alg_rows = [tuple(x for row in b for x in row) for b in basis]
-    ker = rm.nullspace(rows)
+    ker = rm.nullspace(commutation_rows(basis, Fraction(0)))
     inter = rm.row_space_intersection(ker, alg_rows)
     return tuple(
         rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)]) for v in inter
@@ -346,19 +351,7 @@ def _quaternion_structure(basis, seed):
         a_param = sq[0][0]
         if sq != rm.mat_scale(rm.identity(d), a_param) or a_param == 0:
             continue
-        # anticommutant of i inside the algebra: kernel of y -> iy + yi
-        anti_rows = []
-        for bb in basis:
-            m = rm.mat_add(rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))
-            anti_rows.append(tuple(x for row in m for x in row))
-        coeffs = rm.nullspace(rm.mat_transpose(anti_rows))
-        for v in coeffs:
-            j_m = rm.zeros(d, d)
-            for c, bb in zip(v, basis):
-                if c:
-                    j_m = rm.mat_add(j_m, rm.mat_scale(bb, c))
-            if all(x == 0 for row in j_m for x in row):
-                continue
+        for j_m in anticommuting(i_m, basis):
             sqj = rm.mat_mul(j_m, j_m)
             b_param = sqj[0][0]
             if sqj != rm.mat_scale(rm.identity(d), b_param):
@@ -381,6 +374,23 @@ def _quaternion_structure(basis, seed):
     return None
 
 
+def anticommuting(i_m, basis):
+    """Nonzero j = sum c_b b with i j + j i = 0, one per vector of the
+    nullspace of y -> iy + yi on the span of basis, in nullspace order."""
+    d = len(i_m)
+    rows = []
+    for bb in basis:
+        m = rm.mat_add(rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))
+        rows.append(tuple(x for row in m for x in row))
+    for v in rm.nullspace(rm.mat_transpose(rows)):
+        j_m = rm.zeros(d, d)
+        for c, bb in zip(v, basis):
+            if c:
+                j_m = rm.mat_add(j_m, rm.mat_scale(bb, c))
+        if any(x != 0 for row in j_m for x in row):
+            yield j_m
+
+
 def invariant_subspace_from_zero_divisor(rep, z):
     """Row space of a commutant zero divisor: invariant under v -> v rho(g).
 
@@ -388,7 +398,8 @@ def invariant_subspace_from_zero_divisor(rep, z):
     rowspace(X rho(g)) = rowspace(rho(g) X) <= rowspace(X).)
     """
     basis = rm.row_space_canonical(z)
-    assert 0 < len(basis) < rep.dimension
+    if not 0 < len(basis) < rep.dimension:
+        raise CertificateError("zero divisor has full or zero rank")
     _verify_invariant(rep, basis)
     return basis
 
@@ -401,7 +412,8 @@ def _verify_invariant(rep, basis_rows):
                 sum(v[k] * g[k][j] for k in range(len(v)))
                 for j in range(len(v))
             )
-            assert _in_row_space(canon, img), "subspace is not invariant"
+            if not _in_row_space(canon, img):
+                raise CertificateError("subspace is not invariant")
 
 
 def irreducible_over_Q(rep, seed=0):
@@ -496,7 +508,7 @@ def decompose_over_Q(rep, seed=0, _depth=0):
     if verdict.status == IRREDUCIBLE:
         return [rm.row_space_canonical(rm.identity(d))]
     if verdict.status == UNKNOWN:
-        raise RuntimeError("cannot certify constituent decomposition")
+        raise UncertifiedSplit("cannot certify constituent decomposition")
     w = verdict.witness["subspace"]
     comp = _invariant_complement(rep, w)
     out = []
@@ -512,7 +524,8 @@ def decompose_over_Q(rep, seed=0, _depth=0):
                 for v in piece
             ]
             out.append(rm.row_space_canonical(rows))
-    assert sum(len(q) for q in out) == d
+    if sum(len(q) for q in out) != d:
+        raise CertificateError("constituents do not fill the space")
     return out
 
 
@@ -545,14 +558,17 @@ def _invariant_complement(rep, w_rows):
         m,
     )
     acc = rm.zeros(d, d)
-    for g in rep.element_map.values():
-        acc = rm.mat_add(acc, rm.mat_mul(rm.mat_mul(g, proj0), rm.mat_inv(g)))
+    emap = rep.element_map
+    for perm, g in emap.items():
+        acc = rm.mat_add(acc, rm.mat_mul(rm.mat_mul(g, proj0), emap[inv(perm)]))
     proj = rm.mat_scale(acc, Fraction(1, rep.group.order))
-    assert rm.mat_mul(proj, proj) == proj
+    if rm.mat_mul(proj, proj) != proj:
+        raise CertificateError("averaged projector is not idempotent")
     # complement = kernel of the averaged projection (row vectors v with v P = 0)
     comp = rm.nullspace(rm.mat_transpose(proj))
     comp = rm.row_space_canonical(comp)
-    assert len(comp) + len(canon) == d
+    if len(comp) + len(canon) != d:
+        raise CertificateError("complement has the wrong dimension")
     return comp
 
 
@@ -570,7 +586,8 @@ def _subspace_restriction(rep, rows):
         for v in rows:
             img = tuple(sum(v[t] * g[t][j] for t in range(d)) for j in range(d))
             sol = rm.solve(rt, img)
-            assert sol is not None, "subspace not invariant in restriction"
+            if sol is None:
+                raise CertificateError("subspace not invariant in restriction")
             coords.append(sol)
         return rm.mat(coords)
 
@@ -617,7 +634,7 @@ def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
         if field == "Q":
             try:
                 pieces = decompose_over_Q(res, seed)
-            except RuntimeError:
+            except UncertifiedSplit:
                 certificate.append(
                     {"maximal_order": M.order, "reason": "restriction split unknown"}
                 )

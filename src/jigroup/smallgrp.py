@@ -14,7 +14,6 @@ from math import gcd
 from .perm import (
     LATTICE_GATE,
     OrderGateExceeded,
-    PermGroup,
     SubgroupHandle,
     identity_perm,
     mul,
@@ -43,8 +42,11 @@ class SmallGroupTable:
         self._all_subgroups = None
         self._maximal = None
 
-    def mult(self, i, j):
-        return self.table[i][j]
+    def power(self, i, k):
+        out = self.ident
+        for _ in range(k):
+            out = self.table[out][i]
+        return out
 
     def conj(self, i, g):
         return self.table[self.table[self.inverse[g]][i]][g]
@@ -335,15 +337,8 @@ def recognize_special(group, gate=LATTICE_GATE):
         if len(center) == p and tbl.derived_subgroup() == center:
             # G/Z elementary abelian <=> every p-th power is central
             # (G/Z abelian already follows from [G,G] = Z)
-            if all(_power(tbl, i, p) in center for i in range(n)):
+            if all(tbl.power(i, p) in center for i in range(n)):
                 tags.add("extraspecial")
     if not tags:
         tags.add("none")
     return tags
-
-
-def _power(tbl, i, k):
-    out = tbl.ident
-    for _ in range(k):
-        out = tbl.table[out][i]
-    return out

@@ -31,9 +31,6 @@ class Verdict:
     provenance: str = ""
     shadow: bool = False  # verdicts on finite shadow models are labeled
 
-    def definite(self):
-        return self.status != UNKNOWN
-
     def to_report(self):
         out = {
             "status": self.status,

@@ -6,8 +6,17 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from jigroup import catalog
-from jigroup.chartab import CharacterTable, character_table, min_faithful_degree
+from jigroup.chartab import (
+    CharacterTable,
+    _nullspace_mod,
+    _rref_mod,
+    _solve_left,
+    character_table,
+    min_faithful_degree,
+)
 from jigroup.cyclotomic import CycloContext, cyclotomic_poly
 from jigroup.smallgrp import small_table
 from jigroup.verdicts import CertificateError
@@ -295,6 +304,22 @@ def test_verify_agrees_with_fraction_oracle(name):
         assert not fraction_verify(bad, order), how
 
 
+def test_verify_ties_degrees_to_identity_column():
+    # orthogonality and the degree sum alone accept both corruptions
+    ct, order = _table("q16")
+    swapped = list(ct.degrees)
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    negated = [list(row) for row in ct.values]
+    negated[2] = [tuple(-x for x in v) for v in negated[2]]
+    for bad in (
+        CharacterTable(ct.group, ct.classes, ct.class_sizes, ct.values, swapped, ct.ctx),
+        CharacterTable(ct.group, ct.classes, ct.class_sizes, negated, ct.degrees, ct.ctx),
+    ):
+        assert fraction_verify(bad, order)
+        with pytest.raises(CertificateError, match="not the value at the identity"):
+            bad.verify(order)
+
+
 def _classes_by_all_elements(tbl):
     """Conjugacy classes by conjugating with every element of the group."""
     seen = set()
@@ -334,3 +359,139 @@ def test_corrupted_table_raises_certificate_error_under_O():
                           text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected: orthogonality failed at rows")
+
+
+# -- the mod-l elimination against the former loops ------------------------------
+
+
+def oracle_rref_mod(mat, l):
+    """Gauss-Jordan on lists of Python ints mod l."""
+    a = [[int(x) % l for x in row] for row in mat]
+    rows, cols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, l)
+        a[r] = [x * inv % l for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % l for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def oracle_nullspace_mod(mat, l):
+    """The former nullspace loop."""
+    a = mat % l
+    rows, cols = a.shape
+    a = a.copy()
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i, c] % l:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), l - 2, l)
+        a[r] = (a[r] * inv) % l
+        for i in range(rows):
+            if i != r and a[i, c] % l:
+                a[i] = (a[i] - a[i, c] * a[r]) % l
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = np.zeros(cols, dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-a[i, f]) % l
+        basis.append(v % l)
+    return basis
+
+
+def oracle_solve_left(block, target, l):
+    """The former restriction solve: a @ block = target over F_l."""
+    bt = block.T % l
+    tt = target.T % l
+    aug = np.concatenate([bt, tt], axis=1) % l
+    m, n = bt.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if aug[i, c] % l:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[[r, piv]] = aug[[piv, r]]
+        inv = pow(int(aug[r, c]), l - 2, l)
+        aug[r] = (aug[r] * inv) % l
+        for i in range(m):
+            if i != r and aug[i, c] % l:
+                aug[i] = (aug[i] - aug[i, c] * aug[r]) % l
+        pivots.append(c)
+        r += 1
+    x = np.zeros((n, tt.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = aug[i, n:]
+    if not np.array_equal((bt @ x) % l, tt % l):
+        raise CertificateError("inconsistent restriction solve")
+    return x.T % l
+
+
+def _random_mod(rng, rows, cols, l, rank=None):
+    """A random rows x cols matrix mod l, of rank at most `rank` if given."""
+    if rank is None:
+        return np.array([[rng.randrange(l) for _ in range(cols)] for _ in range(rows)],
+                        dtype=np.int64)
+    return (_random_mod(rng, rows, rank, l) @ _random_mod(rng, rank, cols, l)) % l
+
+
+@pytest.mark.parametrize("l", [7, 97, 257, 7681])
+def test_rref_and_nullspace_mod_match_former_loops(l):
+    rng = random.Random(l)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mat = _random_mod(rng, rows, cols, l, rng.choice([None, 1, 2, min(rows, cols)]))
+        if rng.random() < 0.2:
+            mat[rng.randrange(rows)] = 0
+        reduced, pivots = _rref_mod(mat, l)
+        assert (reduced.tolist(), pivots) == oracle_rref_mod(mat, l)
+        got, want = _nullspace_mod(mat, l), oracle_nullspace_mod(mat, l)
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
+@pytest.mark.parametrize("l", [7, 97, 257, 7681])
+def test_solve_left_matches_former_loop(l):
+    rng = random.Random(-l)
+    for _ in range(40):
+        cols = rng.randint(1, 7)
+        block = _random_mod(rng, rng.randint(1, cols), cols, l)
+        if len(oracle_rref_mod(block, l)[1]) < block.shape[0]:
+            continue  # the solve needs full row rank
+        a = _random_mod(rng, block.shape[0], block.shape[0], l)
+        target = (a @ block) % l
+        assert _solve_left(block, target, l).tolist() == a.tolist()
+        assert oracle_solve_left(block, target, l).tolist() == a.tolist()
+        if block.shape[0] < cols:  # a target outside the row space
+            bad = target.copy()
+            bad[0] = (bad[0] + _random_mod(rng, 1, cols, l)[0]) % l
+            if len(oracle_rref_mod(np.vstack([block, bad[:1]]), l)[1]) > block.shape[0]:
+                for solve in (_solve_left, oracle_solve_left):
+                    with pytest.raises(CertificateError):
+                        solve(block, bad, l)

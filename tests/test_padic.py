@@ -159,6 +159,78 @@ def test_conic_solve_qp():
     assert any(v % 3 for v in (x, y, z))
 
 
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def oracle_conic_solve_qp(a, b, p, prec):
+    """The former stand-alone Q_p conic solver: search mod p^K, then Newton
+    on the variable with the best margin, steps taken mod p^(prec - v)."""
+    e = 1 if p == 2 else 0
+    va, vb = _vp(a, p), _vp(b, p)
+    K = 2 * e + 1 + 2 * max(va, vb)
+    mod = p**K
+    sq_all, sq_unit = {}, {}
+    for z in range(mod):
+        sq_all.setdefault(z * z % mod, z)
+        if z % p:
+            sq_unit.setdefault(z * z % mod, z)
+    found = None
+    for x in range(mod):
+        for y in range(mod):
+            t = (a * x * x + b * y * y) % mod
+            z = sq_all.get(t) if (x % p or y % p) else sq_unit.get(t)
+            if z is not None:
+                found = (x, y, z)
+                break
+        if found:
+            break
+    if found is None:
+        return None
+    x, y, z = found
+    big = p**prec
+    cands = [(v, t) for v, u, t in (("z", z, e), ("x", x, e + va), ("y", y, e + vb))
+             if u % p]
+    var = min(cands, key=lambda c: c[1])[0]
+    while True:
+        fv = (z * z - a * x * x - b * y * y) % big
+        if fv == 0 or _vp(fv, p) >= prec - 1:
+            return x, y, z
+        dv = {"z": 2 * z, "x": -2 * a * x, "y": -2 * b * y}[var]
+        tv = _vp(dv, p)
+        step = (fv // p**tv) * pow(dv // p**tv, -1, p ** (prec - tv)) % p ** (prec - tv)
+        if var == "z":
+            z = (z - step) % big
+        elif var == "x":
+            x = (x - step) % big
+        else:
+            y = (y - step) % big
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_conic_solve_qp_matches_former_solver(p):
+    units = [u for u in (1, -1, 2, 3, -3, 5, 6) if u % p]
+    for a in units + [p]:
+        for b in units + [p]:
+            # the search does not depend on prec, so an insoluble conic is
+            # checked at one prec only
+            if oracle_conic_solve_qp(a, b, p, 20) is None:
+                assert conic_solve_qp(a, b, p, 20) is None, (a, b, p)
+                continue
+            for prec in (6, 20):
+                x, y, z = sol = conic_solve_qp(a, b, p, prec)
+                want = oracle_conic_solve_qp(a, b, p, prec)
+                low = p ** (prec - 2)
+                assert [v % low for v in sol] == [v % low for v in want], (a, b, p)
+                assert (z * z - a * x * x - b * y * y) % p ** (prec - 1) == 0
+    if p == 2:
+        assert conic_solve_qp(-1, -1, 2, 20) is None
+
+
 # -- irreducibility over Q_p ----------------------------------------------------
 
 

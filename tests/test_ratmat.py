@@ -31,6 +31,25 @@ def oracle_rref(rows):
     return tuple(tuple(row) for row in m[:r]), pivots
 
 
+def oracle_mat_inv(a):
+    """The former Fraction Gauss-Jordan inverse."""
+    d = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(a)]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if aug[r][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return tuple(tuple(row[d:]) for row in aug)
+
+
 def oracle_minimal_polynomial(m):
     """Least k with I, M, ..., M^k dependent; the dependency, made monic."""
     d = len(m)
@@ -117,3 +136,25 @@ def test_minimal_polynomial_matches_nullspace_of_powers(kind):
         assert mp == oracle_minimal_polynomial(rm.mat(m))
         assert mp[-1] == 1
         assert rm.poly_eval_mat(mp, rm.mat(m)) == rm.zeros(len(m), len(m))
+
+
+@pytest.mark.parametrize(
+    "kind", ["general", "integer", "nilpotent", "scalar", "rank_deficient"]
+)
+def test_mat_inv_matches_fraction_gauss_jordan(kind):
+    rng = random.Random("inv-" + kind)
+    inverted = 0
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        m = rm.mat(random_square(rng, d, kind))
+        try:
+            want = oracle_mat_inv(m)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                rm.mat_inv(m)
+            continue
+        got = rm.mat_inv(m)
+        assert got == want
+        assert rm.mat_mul(m, got) == rm.identity(d)
+        inverted += 1
+    assert inverted or kind in ("nilpotent", "rank_deficient")

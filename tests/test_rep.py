@@ -1,10 +1,17 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from jigroup import catalog, ratmat as rm
+from jigroup import rep as rep_module
 from jigroup.rep import (
+    AlgebraStructure,
     RelationViolation,
+    UncertifiedSplit,
+    _quaternion_zero_divisor,
     algebra_center,
     algebra_structure,
     commutant,
@@ -14,7 +21,9 @@ from jigroup.rep import (
     rep_from_data,
 )
 from jigroup.smallgrp import maximal_subgroups
-from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
+from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE, CertificateError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def c3_companion_rep():
@@ -197,3 +206,53 @@ def test_restrict():
     res = rep.restrict(M)
     assert res.dimension == 4
     assert len(res.element_map) == 4
+
+
+def test_quaternion_zero_divisor_split_algebra():
+    # (1, 1) is M_2(Q): i = diag(1, -1), j = swap, ij = -ji
+    i_m = rm.mat([[1, 0], [0, -1]])
+    j_m = rm.mat([[0, 1], [1, 0]])
+    assert rm.mat_mul(i_m, j_m) == rm.mat_scale(rm.mat_mul(j_m, i_m), -1)
+    st = AlgebraStructure("quaternion_over_Q", (), {"a": Fraction(1), "b": Fraction(1),
+                                                   "i": i_m, "j": j_m})
+    zd = _quaternion_zero_divisor(st)
+    assert zd is not None
+    assert any(x != 0 for row in zd for x in row)
+    assert rm.mat_det(zd) == 0
+
+
+def test_block_system_reports_only_uncertified_splits(monkeypatch):
+    def uncertified(res, seed=0):
+        raise UncertifiedSplit("cannot certify constituent decomposition")
+
+    monkeypatch.setattr(rep_module, "decompose_over_Q", uncertified)
+    v = matrix_block_system(q8_quaternion_rep())
+    assert v.status == "unknown"
+    assert {row["reason"] for row in v.witness["per_maximal"]} == {
+        "restriction split unknown"
+    }
+
+    def failed_certificate(res, seed=0):
+        raise CertificateError("averaged projector is not idempotent")
+
+    monkeypatch.setattr(rep_module, "decompose_over_Q", failed_certificate)
+    with pytest.raises(CertificateError):
+        matrix_block_system(q8_quaternion_rep())
+
+
+def test_non_invariant_subspace_rejected_under_O():
+    script = (
+        "from jigroup import catalog\n"
+        "from jigroup.rep import _verify_invariant, rep_from_data\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "rep = rep_from_data(catalog.cyclic(2), [[[1, 0], [0, -1]]])\n"
+        "try:\n"
+        "    _verify_invariant(rep, [(1, 1)])\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: subspace is not invariant\n"
