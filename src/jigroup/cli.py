@@ -255,8 +255,8 @@ def _cmd_verify_paper(args, out):
         for label, ok in VERIFY_TARGETS[t](args.precision or DEFAULT_PRECISION,
                                            args.seed):
             claims.append({"claim": label, "passed": bool(ok)})
-            line = "PASS" if ok else "FAIL"
-            out.write(f"{line}  {label}\n")
+            if args.report == "text":
+                out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
             all_ok = all_ok and ok
     report = {"command": "verify-paper", "targets": targets, "claims": claims,
               "all_passed": all_ok}

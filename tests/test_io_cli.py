@@ -193,6 +193,15 @@ def test_cli_verify_paper_example3():
     assert report["all_passed"]
 
 
+@pytest.mark.parametrize("target", ["1", "3"])
+def test_cli_verify_paper_machine_stdout_is_json(target):
+    out = io.StringIO()
+    status, _ = run_command(["--report", "machine", "verify-paper", target], out)
+    assert status == 0
+    doc = json.loads(out.getvalue())
+    assert doc["all_passed"] and doc["targets"] == [target]
+
+
 def test_cli_analyze_pro2_dihedral_reaches_hji(tmp_path):
     f = tmp_path / "d.profile"
     f.write_text(emit_va_profile(fixtures.pro2_dihedral_profile()))
