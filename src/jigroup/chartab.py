@@ -12,7 +12,6 @@ import heapq
 import operator
 
 import numpy as np
-from sympy import isprime, primefactors
 
 from .cyclotomic import CycloContext
 from .perm import LATTICE_GATE
@@ -80,6 +79,11 @@ class CharacterTable:
 
 
 def _smallest_modulus(order, exponent):
+    # sympy is imported on first use: loaded at module import, its ~30 MB
+    # would sit under the compile of the larger modules of the package and
+    # raise the peak RSS of a CLI run by about 3 MB.
+    from sympy import isprime
+
     l = 2 * order + 1
     while True:
         if l % exponent == 1 and isprime(l):
@@ -248,14 +252,14 @@ def character_table(group, gate=LATTICE_GATE):
 
 def _solve_left(block, target, l):
     """Solve a @ block = target over F_l (block has full row rank)."""
-    bt = block.T % l
+    bt, tt = block.T % l, target.T % l
     n = bt.shape[1]
-    aug, pivots = _rref_mod(np.concatenate([bt, target.T % l], axis=1), l)
-    x = np.zeros((n, target.shape[0]), dtype=np.int64)
+    aug, pivots = _rref_mod(np.concatenate([bt, tt], axis=1), l)
+    x = np.zeros((n, tt.shape[1]), dtype=np.int64)
     for i, c in enumerate(pivots):
         if c < n:
             x[c] = aug[i, n:]
-    if not np.array_equal((bt @ x) % l, target.T % l):
+    if not np.array_equal((bt @ x) % l, tt):
         raise CertificateError("inconsistent restriction solve")
     return x.T
 
@@ -316,6 +320,8 @@ def _int_sqrt_exact(d2):
 
 def _element_of_order(l, e):
     """A fixed element of multiplicative order e in F_l (l = 1 mod e)."""
+    from sympy import primefactors
+
     for g in range(2, l):
         x = pow(g, (l - 1) // e, l)
         if x != 1 and all(pow(x, e // q, l) != 1 for q in primefactors(e)):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import primefactors
-
 REAL_PLACE = "real"
 
 
@@ -132,6 +130,8 @@ def quaternion_is_division(a, b, field):
     if isinstance(field, tuple) and field[0] == "Qp":
         return hilbert_symbol(a, b, field[1]) == -1
     if field == "Q":
+        from sympy import primefactors  # on first use, as in chartab
+
         support = primefactors(a.numerator * a.denominator * b.numerator * b.denominator)
         places = [REAL_PLACE] + sorted(set(support) | {2})
         return any(hilbert_symbol(a, b, pl) == -1 for pl in places)
