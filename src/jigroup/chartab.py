@@ -46,10 +46,11 @@ class CharacterTable:
 
         Each degree must be the value at the identity class (column 0), and
         the squared degrees must sum to |G|.  X is the table of values in
-        Z[zeta_e].  Each value is conjugated once.  For every pair of rows i >= j, sum_k |C_k| chi_i(k)
-        conj(chi_j(k)) is accumulated as one unreduced integer polynomial in
-        zeta of length 2 dim - 1, reduced mod Phi_e once and compared with
-        |G| delta_ij.  Raises CertificateError on the first failure.
+        Z[zeta_e].  Each value is conjugated once.  For every pair of rows
+        i >= j, sum_k |C_k| chi_i(k) conj(chi_j(k)) is accumulated as one
+        unreduced integer polynomial in zeta of length 2 dim - 1, reduced
+        mod Phi_e once and compared with |G| delta_ij.  Raises
+        CertificateError on the first failure.
         """
         if len(self.degrees) != self.n_classes:
             raise CertificateError("one degree per class expected")
@@ -322,9 +323,10 @@ def _element_of_order(l, e):
     """A fixed element of multiplicative order e in F_l (l = 1 mod e)."""
     from sympy import primefactors
 
+    qs = primefactors(e)
     for g in range(2, l):
         x = pow(g, (l - 1) // e, l)
-        if x != 1 and all(pow(x, e // q, l) != 1 for q in primefactors(e)):
+        if x != 1 and all(pow(x, e // q, l) != 1 for q in qs):
             return x
     raise AssertionError("no element of the required order")
 

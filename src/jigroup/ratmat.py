@@ -63,7 +63,10 @@ def mat_transpose(a):
 
 
 def mat_inv(a):
-    """Inverse as the right half of the RREF of [A | I]; ZeroDivisionError if singular."""
+    """Inverse as the right half of the RREF of [A | I].
+
+    Raises ZeroDivisionError if A is singular.
+    """
     d = len(a)
     reduced, pivots = rref(
         [tuple(row) + tuple(int(i == j) for j in range(d)) for i, row in enumerate(a)]

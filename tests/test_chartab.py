@@ -311,10 +311,9 @@ def test_verify_ties_degrees_to_identity_column():
     swapped[0], swapped[-1] = swapped[-1], swapped[0]
     negated = [list(row) for row in ct.values]
     negated[2] = [tuple(-x for x in v) for v in negated[2]]
-    for bad in (
-        CharacterTable(ct.group, ct.classes, ct.class_sizes, ct.values, swapped, ct.ctx),
-        CharacterTable(ct.group, ct.classes, ct.class_sizes, negated, ct.degrees, ct.ctx),
-    ):
+    parts = (ct.group, ct.classes, ct.class_sizes)
+    for bad in (CharacterTable(*parts, ct.values, swapped, ct.ctx),
+                CharacterTable(*parts, negated, ct.degrees, ct.ctx)):
         assert fraction_verify(bad, order)
         with pytest.raises(CertificateError, match="not the value at the identity"):
             bad.verify(order)
