@@ -20,7 +20,6 @@ from .chartab import CharacterTable, character_table, min_faithful_degree
 from .hilbert import REAL_PLACE, hilbert_symbol, quaternion_is_division
 from .padic import (
     DEFAULT_PRECISION,
-    PadicApprox,
     PrecisionExhausted,
     QpFactorReport,
     irreducible_over_Qp,
@@ -66,7 +65,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "MatRep",
     "NumberRing",
-    "PadicApprox",
     "PermGroup",
     "PrecisionExhausted",
     "QpFactorReport",

@@ -1,23 +1,29 @@
 """p-adic decision layer: factor counting over Q_p, precision-tracked
 linear algebra, idempotent lifting, and irreducibility over Q_p.
 
-Elements carry an absolute precision; arithmetic propagates precision
-pessimistically and any decision that would need more digits than are
-available raises PrecisionExhausted (callers retry with doubled precision,
-twice, before giving up).  Nothing here is floating point: every residue is
-an exact integer mod p^k.
+Matrices over Q_p follow the capped-absolute model: a PadicMatrix holds
+Python-int residues under one absolute precision cap for all its entries,
+and a block exponent for entries with p in the denominator.  Where two
+matrices meet, the smaller cap wins; products and pivot divisions lower it
+by the valuations involved, so a digit below the cap is always certified.
+Any decision that would need more digits than are available raises
+PrecisionExhausted (callers retry with doubled precision, twice, before
+giving up).  Nothing here is floating point: every residue is an exact
+integer mod p^k.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from math import gcd
 
 from . import ratmat as rm
 from .hilbert import _valuation_and_unit, hilbert_symbol
 from .rep import anticommuting, commutation_rows
-from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, Verdict
+from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
 
 DEFAULT_PRECISION = 64
 
@@ -29,6 +35,8 @@ class PrecisionExhausted(RuntimeError):
 def _vp(n, p):
     if n == 0:
         return None
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -36,347 +44,308 @@ def _vp(n, p):
     return v
 
 
-class PadicApprox:
-    """x = p^shift * u with u known mod p^k (u a unit or 0).
+def _residue(q, mod):
+    """A p-integral rational as an int mod `mod`, a power of p."""
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
-    Absolute precision is shift + k; the valuation is exactly `shift` when
-    u != 0 and is only bounded below by shift + k when u == 0.
+
+class PadicMatrix:
+    """A matrix over Q_p in the capped-absolute model.
+
+    Entry (i, j) is p^val * rows[i][j], known mod p^cap: the residues are
+    ints mod p^(cap - val).  `val` is a block exponent, a lower bound for
+    the entry valuations; it is 0 for integral matrices and negative where
+    p divides a denominator.
     """
 
-    __slots__ = ("p", "shift", "unit", "k")
+    __slots__ = ("p", "cap", "val", "rows")
 
-    def __init__(self, p, shift, unit, k):
-        if k < 0:
-            k = 0
-        unit %= p**k if k else 1
-        if unit:
-            v = _vp(unit, p)
-            if v:
-                shift += v
-                k -= v
-                unit //= p**v
-                unit %= p**k if k else 1
-        self.p = p
-        self.shift = shift
-        self.unit = unit
-        self.k = k
+    def __init__(self, p, cap, rows, val=0):
+        mod = p ** max(cap - val, 0)
+        self.p, self.cap, self.val = p, cap, val
+        self.rows = tuple(tuple(x % mod for x in row) for row in rows)
 
-    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def from_rational(cls, rows, p, prec):
+        """An exact rational matrix with prec digits above its least valuation."""
+        rows = [[Fraction(x) for x in row] for row in rows]
+        val = min([0] + [_valuation_and_unit(x, p)[0] for row in rows for x in row if x])
+        lift = Fraction(p) ** -val
+        mod = p**prec
+        return cls(p, prec + val, [[_residue(x * lift, mod) for x in row] for row in rows],
+                   val)
 
-    @staticmethod
-    def from_int(n, p, prec):
-        return PadicApprox(p, 0, n % p**prec, prec)
+    @classmethod
+    def identity(cls, d, p, cap):
+        return cls(p, cap, [[int(i == j) for j in range(d)] for i in range(d)])
 
-    @staticmethod
-    def from_rational(q, p, prec):
-        q = Fraction(q)
-        if q == 0:
-            return PadicApprox(p, 0, 0, prec)
-        vn = _vp(q.numerator, p) or 0
-        vd = _vp(q.denominator, p) or 0
-        num = q.numerator // p**vn
-        den = q.denominator // p**vd
-        unit = num * pow(den, -1, p**prec) % p**prec
-        return PadicApprox(p, vn - vd, unit, prec)
+    @classmethod
+    def stack(cls, mats):
+        """The rows of all of `mats`, one matrix below the other."""
+        val = min(m.val for m in mats)
+        return cls(mats[0].p, min(m.cap for m in mats),
+                   [row for m in mats for row in m._at(val)], val)
 
-    @staticmethod
-    def zero(p, prec):
-        return PadicApprox(p, 0, 0, prec)
+    def _at(self, val):
+        """The residues rescaled to a block exponent val <= self.val."""
+        if val == self.val:
+            return self.rows
+        f = self.p ** (self.val - val)
+        return tuple(tuple(x * f for x in row) for row in self.rows)
 
-    # -- structure ------------------------------------------------------------
+    def __len__(self):
+        return len(self.rows)
 
     @property
-    def abs_prec(self):
-        return self.shift + self.k
-
-    def val_lower_bound(self):
-        return self.shift if self.unit else self.shift + self.k
-
-    def valuation(self):
-        """Exact valuation; raises if the element is indistinguishable from 0."""
-        if self.unit == 0:
-            raise PrecisionExhausted(
-                f"valuation undecidable: element is 0 mod p^{self.abs_prec}"
-            )
-        return self.shift
-
-    def provably_nonzero(self):
-        return self.unit != 0
-
-    def residue(self, k):
-        """Integer residue of x mod p^k (requires shift >= 0 or exact shift)."""
-        if self.shift < 0:
-            raise PrecisionExhausted("negative valuation residue requested")
-        if self.abs_prec < k:
-            raise PrecisionExhausted(
-                f"residue mod p^{k} needs precision {k}, have {self.abs_prec}"
-            )
-        return self.unit * self.p**self.shift % self.p**k
+    def ncols(self):
+        return len(self.rows[0])
 
     def __repr__(self):
-        if self.unit == 0:
-            return f"O({self.p}^{self.abs_prec})"
-        return f"{self.unit}*{self.p}^{self.shift}+O({self.p}^{self.abs_prec})"
+        return f"PadicMatrix(p={self.p}, cap={self.cap}, val={self.val}, rows={self.rows})"
 
-    # -- arithmetic -------------------------------------------------------------
+    # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, PadicApprox):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PadicApprox.from_rational(other, self.p, self.k + max(self.shift, 0) + 4)
-        return NotImplemented
+    def _plus(self, other, sign):
+        val = min(self.val, other.val)
+        rows = [[x + sign * y for x, y in zip(ra, rb)]
+                for ra, rb in zip(self._at(val), other._at(val))]
+        return PadicMatrix(self.p, min(self.cap, other.cap), rows, val)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        s = min(self.shift, other.shift)
-        a_abs = self.abs_prec
-        b_abs = other.abs_prec
-        out_abs = min(a_abs, b_abs)
-        k = out_abs - s
-        if k <= 0:
-            return PadicApprox(p, out_abs, 0, 0)
-        val = (
-            self.unit * p ** (self.shift - s) + other.unit * p ** (other.shift - s)
-        ) % p**k
-        return PadicApprox(p, s, val, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicApprox(self.p, self.shift, -self.unit % self.p**self.k if self.k else 0, self.k)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self._plus(other, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        cols = tuple(zip(*other.rows))
+        rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
+        cap = min(self.cap + other.val, other.cap + self.val)
+        return PadicMatrix(self.p, cap, rows, self.val + other.val)
+
+    def scale(self, c):
+        """c times the matrix: c an exact int or Fraction, or a 1x1 PadicMatrix."""
         p = self.p
-        # relative precision of a product of units is min of relative precisions
-        if self.unit == 0 or other.unit == 0:
-            abs_out = min(
-                self.abs_prec + other.val_lower_bound(),
-                other.abs_prec + self.val_lower_bound(),
-            )
-            return PadicApprox(p, abs_out, 0, 0)
-        k = min(self.k, other.k)
-        return PadicApprox(
-            p, self.shift + other.shift, self.unit * other.unit % p**k, k
-        )
+        if isinstance(c, PadicMatrix):
+            u, cap, v = c.rows[0][0], min(self.cap + c.val, c.cap + self.val), c.val
+        elif c == 0:
+            u, cap, v = 0, self.cap, 0
+        else:
+            v, u = _valuation_and_unit(c, p)
+            u, cap = _residue(u, p ** max(self.cap - self.val, 1)), self.cap + v
+        return PadicMatrix(p, cap, [[x * u for x in row] for row in self.rows], self.val + v)
 
-    __rmul__ = __mul__
+    def transpose(self):
+        return PadicMatrix(self.p, self.cap, zip(*self.rows), self.val)
 
-    def inverse(self):
-        if self.unit == 0:
-            raise PrecisionExhausted("cannot invert an element indistinguishable from 0")
-        p = self.p
-        return PadicApprox(p, -self.shift, pow(self.unit, -1, p**self.k), self.k)
+    def flat(self):
+        """The entries as a single row, row after row."""
+        return PadicMatrix(self.p, self.cap, [[x for row in self.rows for x in row]], self.val)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+    def square(self, d):
+        """A single row of d*d entries as a d x d matrix."""
+        r = self.rows[0]
+        return PadicMatrix(self.p, self.cap, [r[i * d:(i + 1) * d] for i in range(d)],
+                           self.val)
 
-    def unit_class_mod(self, m):
-        """The unit part mod m (for symbol formulas); requires nonzero."""
-        if self.unit == 0:
-            raise PrecisionExhausted("unit class of an apparent zero")
-        if self.p**self.k < m:
+    def entry(self, i, j):
+        return PadicMatrix(self.p, self.cap, [[self.rows[i][j]]], self.val)
+
+    def normalized(self):
+        """The matrix times the power of p that makes its least valuation 0."""
+        low = min((_vp(x, self.p) for row in self.rows for x in row if x), default=None)
+        if low is None:
+            return self
+        f = self.p**low
+        return PadicMatrix(self.p, self.cap - self.val - low,
+                           [[x // f for x in row] for row in self.rows])
+
+    # -- reading entries --------------------------------------------------------
+
+    def valuations(self):
+        """Entry valuations; an entry that is 0 mod p^cap counts as cap."""
+        p, val, cap = self.p, self.val, self.cap
+        return [[_vp(x, p) + val if x else cap for x in row] for row in self.rows]
+
+    def min_valuation(self):
+        return min((v for row in self.valuations() for v in row), default=self.cap)
+
+    def is_zero(self):
+        return not any(map(any, self.rows))
+
+    def valuation(self):
+        """The valuation of a 1x1 matrix; raises if it is 0 mod p^cap."""
+        x = self.rows[0][0]
+        if not x:
+            raise PrecisionExhausted(f"valuation undecidable: element is 0 mod p^{self.cap}")
+        return _vp(x, self.p) + self.val
+
+    def unit_class(self, m):
+        """The unit part of a nonzero 1x1 matrix, mod m."""
+        v = self.valuation()
+        if self.p ** (self.cap - v) < m:
             raise PrecisionExhausted("not enough digits for the unit class")
-        return self.unit % m
+        return self.rows[0][0] // self.p ** (v - self.val) % m
+
+    def residues(self, k):
+        """The entries as ints mod p^k; they must be integral, and k <= cap."""
+        if k > self.cap:
+            raise PrecisionExhausted(f"residue mod p^{k} needs precision {k}, have {self.cap}")
+        if self.min_valuation() < 0:
+            raise PrecisionExhausted("negative valuation residue requested")
+        p, mod = self.p, self.p**k
+        if self.val >= 0:
+            return [[x * p**self.val % mod for x in row] for row in self.rows]
+        return [[x // p**-self.val % mod for x in row] for row in self.rows]
+
+    # -- reads of the echelon -----------------------------------------------------
+
+    def rank(self, floor=None):
+        return len(prow_echelon(self, floor=floor)[1])
+
+    def nullspace(self, floor=None):
+        """Rows spanning the right kernel {v : self . v = 0}."""
+        ech, pivots, _ = prow_echelon(self, floor=floor)
+        out = []
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
+            v = [0] * self.ncols
+            v[f] = self.p**-ech.val
+            for row, c in zip(ech.rows, pivots):
+                v[c] = -row[f]
+            out.append(v)
+        return PadicMatrix(self.p, ech.cap, out, ech.val)
+
+    def coords(self, images, floor=None):
+        """X with X . self = images; raises if an image is not in the row span."""
+        n = len(self)
+        aug = PadicMatrix.stack([self, images]).transpose()
+        ech, pivots, _ = prow_echelon(aug, floor=floor)
+        if pivots and pivots[-1] >= n:
+            raise PrecisionExhausted("image not in the span at precision")
+        xt = [(0,) * len(images)] * n
+        for row, c in zip(ech.rows, pivots):
+            xt[c] = row[n:]
+        return PadicMatrix(self.p, ech.cap, xt, ech.val).transpose()
+
+    def saturate(self, floor):
+        """A pure integral basis of the row space, rows sorted by pivot column.
+
+        Full pivoting makes each row integral with a unit pivot; rows below
+        the noise floor drop out.
+        """
+        ech, pivots, _ = prow_echelon(self, floor=floor, full=True)
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return PadicMatrix(self.p, ech.cap, [ech.rows[i] for i in order], ech.val)
+
+    def inverse(self, floor=None):
+        """The inverse of a square matrix, or None if it is singular at the floor."""
+        d = len(self)
+        ident = PadicMatrix.identity(d, self.p, self.cap)
+        aug = PadicMatrix.stack([self.transpose(), ident]).transpose()
+        ech, pivots, _ = prow_echelon(aug, floor=floor)
+        if pivots != list(range(d)):
+            return None
+        return PadicMatrix(self.p, ech.cap, [row[d:] for row in ech.rows], ech.val)
+
+    def det_valuation(self):
+        """The valuation of the determinant: the sum of the pivot valuations."""
+        _, pivots, vals = prow_echelon(self)
+        if len(pivots) < len(self):
+            raise PrecisionExhausted("determinant valuation uncertain")
+        return sum(vals)
 
 
-def approx_mat(rows, p, prec):
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                x
-                if isinstance(x, PadicApprox)
-                else PadicApprox.from_rational(x, p, prec)
-                for x in row
-            )
-        )
-    return tuple(out)
+def _pivot_val(x, mod, p, s, floor):
+    """Valuation of the entry x / p^s known mod `mod`, or None where it is 0."""
+    x %= mod
+    if not x:
+        return None
+    v = _vp(x, p) - s
+    return None if floor is not None and v >= floor else v
 
 
-def pmat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(_dot(row, col) for col in bt) for row in a
-    )
+def prow_echelon(m, min_certify=1, floor=None, full=False):
+    """Gauss-Jordan elimination of a PadicMatrix, minimal-valuation pivoting.
 
+    Returns (echelon, pivot columns, pivot valuations): each echelon row is
+    1 at its pivot column and 0 at the other pivot columns.  Column by
+    column, the pivot is the first entry of least valuation in the rows not
+    yet used; with `full`, it is the first such entry, row by row, over all
+    columns not yet used, which keeps integral rows integral.  An entry that
+    is 0 mod p^cap is 0.  Without a floor, such an entry in a pivot search
+    raises PrecisionExhausted when the cap is below `min_certify`; with a
+    floor, entries of valuation floor or more are 0 by fiat, and the caller
+    verifies the outcome independently.
 
-def _dot(u, v):
-    acc = None
-    for x, y in zip(u, v):
-        t = x * y
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def pmat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def pmat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def pmat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def pmat_identity(d, p, prec):
-    one = PadicApprox.from_int(1, p, prec)
-    zero = PadicApprox.zero(p, prec)
-    return tuple(
-        tuple(one if i == j else zero for j in range(d)) for i in range(d)
-    )
-
-
-def _is_zero_at(x, floor):
-    """Treat as zero: uncertain entries, and (with a floor) tiny entries.
-
-    The noise floor handles numerical-rank questions: approximations of
-    exactly dependent rows leave residues of valuation close to the working
-    precision, which must not count as pivots.
+    The rows are ints over a common denominator p^s.  Dividing a row of
+    least valuation m_r by a pivot of valuation w leaves it cap - 2w + m_r
+    digits, and clearing an entry f with it costs down to
+    min(cap + m_r - w, cap - 2w + m_r + v(f)); the shared cap takes the least.
     """
-    if not x.provably_nonzero():
-        return True
-    return floor is not None and x.shift >= floor
-
-
-def prow_echelon(rows, min_certify=1, floor=None):
-    """Row echelon with minimal-valuation pivoting over PadicApprox.
-
-    Returns (echelon rows, pivot columns).  Without a floor, an uncertain
-    pivot candidate with fewer than `min_certify` digits raises
-    PrecisionExhausted; with a floor, small entries are zero by fiat and the
-    caller is expected to verify the outcome independently.
-    """
-    work = [list(r) for r in rows]
-    nr = len(work)
-    if nr == 0:
-        return (), []
-    nc = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
+    p, cap, s = m.p, m.cap, max(-m.val, 0)
+    work = [list(row) for row in m._at(min(m.val, 0))]
+    nr, nc = len(work), len(work[0]) if work else 0
+    pivots, vals = [], []
+    c0 = 0
+    while len(pivots) < nr:
+        r = len(pivots)
+        mod = p ** max(cap + s, 0)
         best = None
-        for i in range(r, nr):
-            e = work[i][c]
-            if not _is_zero_at(e, floor):
-                if best is None or e.shift < work[best][c].shift:
-                    best = i
-            elif floor is None and not e.provably_nonzero() and e.abs_prec < min_certify:
-                raise PrecisionExhausted("pivot decision beyond precision")
+        if full:
+            for i in range(r, nr):
+                for c in range(nc):
+                    v = None if c in pivots else _pivot_val(work[i][c], mod, p, s, floor)
+                    if v is not None and (best is None or v < best[0]):
+                        best = (v, i, c)
+        while not full and best is None and c0 < nc:
+            for i in range(r, nr):
+                v = _pivot_val(work[i][c0], mod, p, s, floor)
+                if v is None:
+                    if floor is None and cap < min_certify:
+                        raise PrecisionExhausted("pivot decision beyond precision")
+                elif best is None or v < best[0]:
+                    best = (v, i, c0)
+            c0 += 1
         if best is None:
-            continue
-        work[r], work[best] = work[best], work[r]
-        piv = work[r][c]
-        inv = piv.inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nr):
-            if i != r and not _is_zero_at(work[i][c], floor):
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            break
+        w, i, c = best
+        if full:
+            work.insert(r, work.pop(i))
+        else:
+            work[r], work[i] = work[i], work[r]
+        row = [x % mod for x in work[r]]
+        m_r = min(_vp(x, p) for x in row if x) - s
+        fvals = {k: _pivot_val(work[k][c], mod, p, s, floor) for k in range(nr) if k != r}
+        fvals = {k: v for k, v in fvals.items() if v is not None}
+        new_cap = min(cap, cap - 2 * w + m_r)
+        s_new = max(s, w - m_r)
+        if fvals:
+            vf = min(fvals.values())
+            new_cap = min(new_cap, cap + m_r - w, cap - 2 * w + m_r + vf)
+            s_new = max(s_new, w - m_r - vf)
+        # the pivot row keeps s_new more digits, which the division by
+        # p^s_new in the elimination uses up
+        mod, one = p ** max(new_cap + s_new, 0), p**s_new
+        if s_new > s:
+            work = [[x * p ** (s_new - s) for x in wrow] for wrow in work]
+        inv = pow(row[c] // p ** (w + s), -1, mod * one)
+        e = s_new - s - w
+        row = [(x * inv * p**e if e >= 0 else x * inv // p**-e) % (mod * one) for x in row]
+        row[c] = one
+        for k in fvals:
+            f = work[k][c]
+            work[k] = [(x - f * y // one) % mod for x, y in zip(work[k], row)]
+        work[r] = row
+        cap, s = new_cap, s_new
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    ech = [tuple(row) for row in work[:r]]
-    return tuple(ech), pivots
-
-
-def pnullspace(rows, floor=None):
-    """Right-kernel basis {v : rows . v = 0} at working precision."""
-    if not rows:
-        return ()
-    ech, pivots = prow_echelon(rows, floor=floor)
-    nc = len(rows[0])
-    p = rows[0][0].p
-    prec = max(x.abs_prec for row in rows for x in row)
-    free = [c for c in range(nc) if c not in pivots]
-    out = []
-    for f in free:
-        v = [PadicApprox.zero(p, prec) for _ in range(nc)]
-        v[f] = PadicApprox.from_int(1, p, prec)
-        for i, c in enumerate(pivots):
-            v[c] = -ech[i][f]
-        out.append(tuple(v))
-    return tuple(out)
-
-
-def prank(rows, floor=None):
-    return len(prow_echelon(rows, floor=floor)[0])
-
-
-def psolve(a_rows, b_vec, floor=None):
-    """Solve a x = b at precision; None if inconsistent at precision."""
-    aug = [tuple(list(r) + [bv]) for r, bv in zip(a_rows, b_vec)]
-    ech, pivots = prow_echelon(aug, floor=floor)
-    nc = len(a_rows[0])
-    p = b_vec[0].p
-    prec = max(x.abs_prec for x in b_vec)
-    if pivots and pivots[-1] == nc:
-        return None  # pivot in the constant column: inconsistent
-    x = [PadicApprox.zero(p, prec) for _ in range(nc)]
-    for i, c in enumerate(pivots):
-        x[c] = ech[i][-1]
-    return tuple(x)
-
-
-def psaturate(rows, p, floor=None):
-    """Pure integral lattice basis of the row space, by full pivoting.
-
-    Each step picks the minimal-valuation entry of the remaining matrix,
-    normalizes its row (making the row integral with a unit pivot), and
-    clears the column everywhere.  Rows below the noise floor are dropped.
-    Rows come back sorted by pivot column.
-    """
-    work = [list(r) for r in rows]
-    done = []  # (pivot column, row)
-    used = set()
-    while True:
-        best = None
-        for i, row in enumerate(work):
-            for j, x in enumerate(row):
-                if j in used or _is_zero_at(x, floor):
-                    continue
-                if best is None or x.shift < best[0]:
-                    best = (x.shift, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        row = work.pop(i)
-        inv = row[j].inverse()
-        row = [x * inv for x in row]
-        for k in range(len(work)):
-            if not _is_zero_at(work[k][j], floor):
-                f = work[k][j]
-                work[k] = [x - f * y for x, y in zip(work[k], row)]
-        done = [
-            (
-                pc,
-                [x - drow[j] * y for x, y in zip(drow, row)]
-                if not _is_zero_at(drow[j], floor)
-                else drow,
-            )
-            for pc, drow in done
-        ]
-        done.append((j, row))
-        used.add(j)
-    done.sort(key=lambda t: t[0])
-    return tuple(tuple(row) for _, row in done)
+        vals.append(w)
+    mod = p ** max(cap + s, 0)
+    ech = [[x % mod for x in row] for row in work[:len(pivots)]]
+    low = min((_vp(x, p) for row in ech for x in row if x), default=0)
+    k = max(min(low, s), 0)
+    return PadicMatrix(p, cap, [[x // p**k for x in row] for row in ech], k - s), pivots, vals
 
 
 # -- F_p[x] machinery (exact integers) ----------------------------------------
@@ -496,45 +465,8 @@ def _poly_from_int_bits(c):
     return out or [0]
 
 
-# -- Hensel lifting ------------------------------------------------------------
 
-
-def hensel_lift_pair(f, g0, h0, p, target_k):
-    """Lift f = g0 h0 (mod p), gcd(g0,h0)=1 mod p, to f = g h (mod p^target_k).
-
-    f monic integer; g0, h0 monic mod p.  Classic quadratic Hensel with the
-    quotient terms carried so degrees stay put and g stays monic.
-    """
-    u, v = _fp_bezout(g0, h0, p)  # u g0 + v h0 = 1 mod p
-    g, h = [c % p for c in g0], [c % p for c in h0]
-    k = 1
-    while k < target_k:
-        k2 = min(2 * k, target_k)
-        mod = p**k2
-        e = _int_poly_sub(f, _int_poly_mul(g, h), mod)
-        # delta_g = (v e) rem g; delta_h = u e + (v e quot g) h
-        q, dg = _int_poly_divmod_mod(_int_poly_mul(v, e), g, mod)
-        dh = [
-            c % mod
-            for c in _int_poly_add(_int_poly_mul(u, e), _int_poly_mul(q, h))
-        ]
-        g = _int_trim([(a + b) % mod for a, b in _zip_pad(g, dg)])
-        h = _int_trim([(a + b) % mod for a, b in _zip_pad(h, _int_trim(dh))])
-        # repair Bezout: c = u g + v h - 1; u -= (u c rem h); v -= v c + q' g
-        c_err = _int_poly_sub(
-            _int_poly_add(_int_poly_mul(u, g), _int_poly_mul(v, h)), [1], mod
-        )
-        q2, du = _int_poly_divmod_mod(_int_poly_mul(u, c_err), h, mod)
-        dv = [
-            x % mod
-            for x in _int_poly_add(_int_poly_mul(v, c_err), _int_poly_mul(q2, g))
-        ]
-        u = _int_trim([(a - b) % mod for a, b in _zip_pad(u, du)])
-        v = _int_trim([(a - b) % mod for a, b in _zip_pad(v, _int_trim(dv))])
-        k = k2
-    mod = p**target_k
-    assert _int_poly_sub(f, _int_poly_mul(g, h), mod) == []
-    return [c % mod for c in g], [c % mod for c in h]
+# -- integer polynomials mod p^k --------------------------------------------------
 
 
 def _int_poly_divmod_mod(f, g, mod):
@@ -594,75 +526,12 @@ def _int_poly_mul(f, g):
     return _int_trim(out)
 
 
-def _int_poly_add(f, g):
-    return _int_trim([a + b for a, b in _zip_pad(list(f), list(g))])
-
-
-def _int_poly_sub(f, g, mod=None):
-    out = [a - b for a, b in _zip_pad(list(f), list(g))]
-    if mod:
-        out = [c % mod for c in out]
-    return _int_trim(out)
-
-
 def _poly_eval_mod(g, x, mod):
     acc = 0
     for c in reversed(g):
         acc = (acc * x + c) % mod
     return acc
 
-
-def zp_simple_roots(f, p, prec, dig_depth=8, branch_budget=512):
-    """Roots of an integer polynomial in Z_p with Hensel margin, mod p^prec.
-
-    Digs digit by digit until the margin v(f(x)) > 2 v(f'(x)) holds, then
-    runs Newton; branches that never reach the margin within dig_depth are
-    dropped (only roots that can be certified are returned).
-    """
-    f = _int_trim(list(f))
-    fprime = _int_trim([i * c for i, c in enumerate(f)][1:])
-    roots = []
-    mod_full = p**prec
-    stack = [(r, 1) for r in range(p) if _poly_eval_mod(f, r, p) == 0]
-    budget = branch_budget
-    while stack:
-        budget -= 1
-        if budget < 0:
-            raise PrecisionExhausted("root digging budget exceeded")
-        x, k = stack.pop()
-        fx = _poly_eval_mod(f, x, mod_full)
-        dfx = _poly_eval_mod(fprime, x, mod_full)
-        vf = _vp(fx, p) if fx else prec
-        vdf = _vp(dfx, p) if dfx else None
-        if vdf is not None and vf > 2 * vdf:
-            cur = x
-            t = vdf
-            for _ in range(prec.bit_length() + 6):
-                fc = _poly_eval_mod(f, cur, mod_full)
-                if fc == 0:
-                    break
-                dc = _poly_eval_mod(fprime, cur, mod_full)
-                step = (
-                    (fc // p**t)
-                    * pow(dc // p**t, -1, p ** (prec - t))
-                    % p ** (prec - t)
-                )
-                cur = (cur - step) % mod_full
-            if _poly_eval_mod(f, cur, p ** (prec - t)) == 0:
-                roots.append((cur % p ** (prec - t), prec - t))
-            continue
-        if k > dig_depth:
-            continue
-        for t in range(p):
-            x2 = x + t * p**k
-            if _poly_eval_mod(f, x2, p ** (k + 1)) == 0:
-                stack.append((x2, k + 1))
-    # deduplicate by the coarsest certified precision
-    out = []
-    for r, kk in sorted(roots):
-        if not any((r - r2) % p ** min(kk, k2) == 0 for r2, k2 in out):
-            out.append((r, kk))
-    return out
 
 
 # -- qp_factor_count ------------------------------------------------------------
@@ -721,11 +590,7 @@ def qp_factor_count(f, p):
         raise ValueError("polynomial is not squarefree over Q")
     if len(f) <= 2:
         return QpFactorReport(f, p, 1 if len(f) == 2 else 0, "trivial", {})
-    if f[-1] % p == 0:
-        # a unit leading coefficient is needed for the mod-p route; fall
-        # through to shifts / polygon
-        pass
-    else:
+    if f[-1] % p:  # else no mod-p route: fall through to shifts / polygon
         fbar = _fp_trim(list(f), p)
         if len(fbar) == len(f) and fp_is_squarefree(fbar, p):
             facs = fp_factor_squarefree_monic(fbar, p)
@@ -822,9 +687,6 @@ class QuadExt:
         raise PrecisionExhausted("no Eisenstein model for the quadratic center")
 
     # elements: pairs of ints mod self.mod
-    def zero(self):
-        return (0, 0)
-
     def one(self):
         return (1, 0)
 
@@ -1089,7 +951,8 @@ def quaternion_over_center(comm_basis, center_gen, center_minpoly):
     rows = [tuple(q for row in m for q in row) for m in basis4]
     vec = tuple(q for row in x2 for q in row)
     sol = rm.solve(rm.mat_transpose(rows), vec)
-    assert sol is not None, "element is not quadratic over the center"
+    if sol is None:
+        raise CertificateError("element is not quadratic over the center")
     alpha, beta, gamma, delta = sol
     # i = x - t/2 with t = alpha + beta w
     half_t = rm.mat_add(
@@ -1098,7 +961,8 @@ def quaternion_over_center(comm_basis, center_gen, center_minpoly):
     i_mat = rm.mat_sub(x, half_t)
     i_sq = rm.mat_mul(i_mat, i_mat)
     a_pair = f_span_coords(i_sq)
-    assert a_pair is not None, "i^2 is not central"
+    if a_pair is None:
+        raise CertificateError("i^2 is not central")
     if all(c == 0 for c in a_pair):
         return ("zero_divisor", i_mat)
     for j_mat in anticommuting(i_mat, comm_basis):
@@ -1129,80 +993,52 @@ def quaternion_over_center(comm_basis, center_gen, center_minpoly):
 # -- approx commutants and minimal polynomials -----------------------------------
 
 
-def rep_gen_images_padic(rep, p, prec):
-    """Generator images as PadicApprox matrices (exact rational reps embed)."""
-    if rep.ring == "Q":
-        return [approx_mat(g, p, prec) for g in rep.gen_images]
-    return list(rep.gen_images)
-
-
 def rep_element_map_padic(rep, p, prec):
     if rep.ring == "Q":
-        return {e: approx_mat(g, p, prec) for e, g in rep.element_map.items()}
+        return {e: PadicMatrix.from_rational(g, p, prec) for e, g in rep.element_map.items()}
     return dict(rep.element_map)
 
 
 def commutant_approx(gen_images_p, p, prec):
-    """Approx basis of {X : X g = g X for the given approx matrices}."""
+    """Approx basis of {X : X g = g X for the given approx matrices}.
+
+    Each basis element is scaled by a power of p to least valuation 0.
+    """
     d = len(gen_images_p[0])
-    vecs = pnullspace(commutation_rows(gen_images_p, PadicApprox.zero(p, prec)))
-    out = []
-    for v in vecs:
-        m = tuple(tuple(v[i * d + j] for j in range(d)) for i in range(d))
-        out.append(_pmat_normalize_integral(m, p))
-    return out
+    val = min(g.val for g in gen_images_p)
+    rows = commutation_rows([g._at(val) for g in gen_images_p], 0)
+    cap = min([prec] + [g.cap for g in gen_images_p])
+    vecs = PadicMatrix(p, cap, rows, val).nullspace()
+    return [PadicMatrix(p, vecs.cap, [row], vecs.val).square(d).normalized()
+            for row in vecs.rows]
 
 
-def _pmat_normalize_integral(m, p):
-    """Scale an approx matrix by a power of p so min valuation is 0."""
-    vals = [
-        x.valuation() for row in m for x in row if x.provably_nonzero()
-    ]
-    if not vals:
-        return m
-    shift = -min(vals)
-    if shift == 0:
-        return m
-    c = PadicApprox(p, shift, 1, max(x.k for row in m for x in row))
-    return pmat_scale(m, c)
-
-
-def pminimal_polynomial(m, p):
-    """Approx monic minimal polynomial of an approx matrix."""
+def pminimal_polynomial(m):
+    """Approx monic minimal polynomial of an approx matrix, as a single row."""
     d = len(m)
-    prec = max(x.abs_prec for row in m for x in row)
-    powers = [pmat_identity(d, p, prec)]
+    powers = [PadicMatrix.identity(d, m.p, m.cap)]
     for k in range(1, d + 2):
-        rows = [tuple(x for row in mm for x in row) for mm in powers]
-        ns = pnullspace(rm.mat_transpose(rows))
-        if ns:
-            v = list(ns[0])
-            # make monic: the free column is the last power
-            lead = v[-1]
-            if not lead.provably_nonzero():
+        ns = PadicMatrix.stack([q.flat() for q in powers]).transpose().nullspace()
+        if ns.rows:
+            # the free column is the last power, where the vector is 1
+            if ns.rows[0][-1] != m.p**-ns.val:
                 raise PrecisionExhausted("minimal polynomial lead uncertain")
-            inv = lead.inverse()
-            return tuple(x * inv for x in v)
-        powers.append(pmat_mul(powers[-1], m))
+            return PadicMatrix(m.p, ns.cap, ns.rows[:1], ns.val)
+        powers.append(powers[-1] * m)
     raise PrecisionExhausted("no dependence found for minimal polynomial")
 
 
-def _newton_idempotent(e, p, target_slack):
+def _newton_idempotent(e, target_slack):
     """Refine e with e^2 - e = O(p) to an idempotent mod p^target_slack."""
-    prec = max(x.abs_prec for row in e for x in row) + 4
-    three = PadicApprox.from_int(3, p, prec)
-    two = PadicApprox.from_int(2, p, prec)
     guard = 0
     while True:
-        delta = pmat_sub(pmat_mul(e, e), e)
-        worst = min(x.val_lower_bound() for row in delta for x in row)
-        if worst >= target_slack:
+        e2 = e * e
+        if (e2 - e).min_valuation() >= target_slack:
             return e
         guard += 1
         if guard > 40:
             raise PrecisionExhausted("idempotent refinement stalled")
-        e2 = pmat_mul(e, e)
-        e = pmat_sub(pmat_scale(e2, three), pmat_scale(pmat_mul(e2, e), two))
+        e = e2.scale(3) - (e2 * e).scale(2)
 
 
 # -- polynomial irreducibility certificates for approx coefficients ---------------
@@ -1210,40 +1046,33 @@ def _newton_idempotent(e, p, target_slack):
 
 def qp_poly_status_approx(coeffs, p):
     """('irreducible', how) / ('factors_mod_p', fbar_factors) / ('unknown', why)
-    for a monic approx polynomial over Z_p."""
-    n = len(coeffs) - 1
+    for a monic approx polynomial over Z_p, given as a single row."""
+    n = coeffs.ncols - 1
     if n == 1:
         return ("irreducible", "linear")
-    kmin = min(c.abs_prec for c in coeffs)
+    kmin = coeffs.cap
     if kmin < 2:
         raise PrecisionExhausted("not enough digits for reduction tests")
-    if any(c.shift < 0 for c in coeffs):
+    if coeffs.min_valuation() < 0:
         return ("unknown", "non-integral coefficients")
-    fbar = _fp_trim([c.residue(1) for c in coeffs], p)
+    res = coeffs.residues(kmin)[0]
+    fbar = _fp_trim(res, p)
     if len(fbar) == n + 1 and fp_is_squarefree(fbar, p):
         facs = fp_factor_squarefree_monic(fbar, p)
         if len(facs) == 1:
             return ("irreducible", "irreducible mod p")
         return ("factors_mod_p", facs)
     # Eisenstein shifts on residues (valuations certified up to kmin digits)
-    res = [c.residue(kmin) for c in coeffs]
     for s in range(-p, p + 1):
-        shifted = _int_shift_poly(tuple(res), s)
-        if all(c % p == 0 for c in shifted[:-1]) and shifted[-1] % p and shifted[
-            0
-        ] % (p * p):
+        if _is_eisenstein(_int_shift_poly(tuple(res), s), p):
             return ("irreducible", f"eisenstein shift {s}")
     # single-slope Newton polygon with full denominator
     v0 = _vp(res[0], p) if res[0] else kmin
-    if res[0] and gcd(v0, n) == 1:
-        ok = True
-        for i in range(1, n):
-            vi = _vp(res[i], p) if res[i] else kmin
-            if Fraction(vi) < Fraction(v0) * (n - i) / n:
-                ok = False
-                break
-        if ok:
-            return ("irreducible", "single newton slope")
+    if res[0] and gcd(v0, n) == 1 and all(
+        Fraction(_vp(res[i], p) if res[i] else kmin) >= Fraction(v0) * (n - i) / n
+        for i in range(1, n)
+    ):
+        return ("irreducible", "single newton slope")
     return ("unknown", "no certificate applies")
 
 
@@ -1280,14 +1109,12 @@ def _int_model(f):
     return c, g
 
 
-def _matrix_poly_approx(coeffs_int, mat_p, p, prec):
+def _matrix_poly_approx(coeffs_int, mat_p, prec):
     """Evaluate an integer polynomial at an approx matrix."""
-    d = len(mat_p)
-    acc = pmat_scale(pmat_identity(d, p, prec), PadicApprox.from_int(0, p, prec))
+    ident = PadicMatrix.identity(len(mat_p), mat_p.p, prec)
+    acc = ident.scale(0)
     for c in reversed(coeffs_int):
-        acc = pmat_mul(acc, mat_p)
-        acc = pmat_add(acc, pmat_scale(pmat_identity(d, p, prec),
-                                       PadicApprox.from_int(c, p, prec)))
+        acc = acc * mat_p + ident.scale(c)
     return acc
 
 
@@ -1303,13 +1130,11 @@ def _lift_idempotent(facs, a_mat_p, p, prec, target_slack):
     for f in facs[1:]:
         h0 = _fp_mul(h0, f, p)
     _, v0 = _fp_bezout(facs[0], h0, p)
-    e0 = _matrix_poly_approx(_fp_mul(v0, h0, p), a_mat_p, p, prec)
-    e = _newton_idempotent(e0, p, target_slack)
-    nonzero = any(x.provably_nonzero() for row in e for x in row)
-    diff = pmat_sub(e, pmat_identity(len(e), p, 4))
-    if nonzero and any(x.provably_nonzero() for row in diff for x in row):
-        return e
-    return None
+    e0 = _matrix_poly_approx(_fp_mul(v0, h0, p), a_mat_p, prec)
+    e = _newton_idempotent(e0, target_slack)
+    if e.is_zero() or (e - PadicMatrix.identity(len(e), p, 4)).is_zero():
+        return None
+    return e
 
 
 def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
@@ -1324,7 +1149,7 @@ def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
     if report.factor_count == 1:
         return ("irreducible", report)
     if report.method == "squarefree_hensel":
-        ca = pmat_scale(a_mat_p, PadicApprox.from_int(c, p, prec))
+        ca = a_mat_p.scale(PadicMatrix(p, prec, [[c]]))
         e = _lift_idempotent(report.detail["factors"], ca, p, prec, prec - 4)
         if e is None:
             raise PrecisionExhausted("field-split idempotent degenerated")
@@ -1335,42 +1160,24 @@ def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
 def _pieces_from_projector(gen_images_p, q_mat, p):
     """Two invariant pieces from a commutant zero divisor / idempotent.
 
-    The noise floor is half the worst entry precision of the projector:
-    exact-rank decisions are replaced by rank-at-floor plus the downstream
-    invariance/direct-sum verifications.
+    The noise floor is half the cap of the projector: exact-rank decisions
+    are replaced by rank-at-floor plus the downstream invariance/direct-sum
+    verifications.
     """
-    work_prec = min(x.abs_prec for row in q_mat for x in row)
-    floor = max(work_prec // 2, 4)
-    rows_img = psaturate([row for row in q_mat], p, floor)
-    rows_ker = psaturate(pnullspace(rm.mat_transpose(q_mat), floor), p, floor)
+    floor = max(q_mat.cap // 2, 4)
+    rows_img = q_mat.saturate(floor)
+    kernel = q_mat.transpose().nullspace(floor)
+    pieces = [rows_img, kernel.saturate(floor) if kernel.rows else kernel]
     d = len(q_mat)
-    if len(rows_img) + len(rows_ker) != d:
+    if sum(len(rows) for rows in pieces) != d:
         raise PrecisionExhausted("projector pieces do not fill the space")
-    stacked = list(rows_img) + list(rows_ker)
-    if prank(stacked, floor) != d:
+    if PadicMatrix.stack(pieces).rank(floor) != d:
         raise PrecisionExhausted("projector pieces are not independent")
-    for rows in (rows_img, rows_ker):
-        for g in gen_images_p:
-            _image_coords(rows, g, floor)
-    return [rows_img, rows_ker]
-
-
-def _image_coords(rows, g, floor):
-    """Coordinates of v g in the basis rows, one tuple per row v.
-
-    Raises PrecisionExhausted when an image is not in the span of rows at
-    the floor, so a successful call also certifies invariance under g.
-    """
-    d = len(g)
-    rt = rm.mat_transpose(rows)
-    out = []
-    for v in rows:
-        img = tuple(_dot(v, tuple(g[k][j] for k in range(d))) for j in range(d))
-        sol = psolve(rt, img, floor)
-        if sol is None:
-            raise PrecisionExhausted("image not in the span at precision")
-        out.append(sol)
-    return tuple(out)
+    for rows in pieces:
+        if len(rows):
+            for g in gen_images_p:
+                rows.coords(rows * g, floor)
+    return pieces
 
 
 def _qp_analyze(rep, p, prec, seed=0):
@@ -1385,12 +1192,12 @@ def _qp_analyze(rep, p, prec, seed=0):
             return ("split_exact", {"pieces": pieces, "note": "reducible over Q"})
         comm = commutant(rep)
         st = algebra_structure(comm, seed)
-        gens_p = rep_gen_images_padic(rep, p, prec)
+        gens_p = [PadicMatrix.from_rational(g, p, prec) for g in rep.gen_images]
         if st.kind == "scalars":
             return ("irreducible", {"certificate": "scalar commutant"})
         if st.kind == "field":
             a = st.data["generator"]
-            a_p = approx_mat(a, p, prec)
+            a_p = PadicMatrix.from_rational(a, p, prec)
             kind, payload = _split_from_field_generator(
                 a_p, st.data["minpoly"], p, prec
             )
@@ -1426,23 +1233,19 @@ def _quaternion_zero_divisor_qp(st, p, prec):
     a_int, i_scale = _normalize_qp_square(a, p)
     b_int, j_scale = _normalize_qp_square(b, p)
     sol = conic_solve_qp(a_int, b_int, p, prec)
-    assert sol is not None, "split symbol but insoluble conic"
-    i_p = approx_mat(rm.mat_scale(i_m, i_scale), p, prec)
-    j_p = approx_mat(rm.mat_scale(j_m, j_scale), p, prec)
+    if sol is None:
+        raise CertificateError("split symbol but insoluble conic")
+    i_p = PadicMatrix.from_rational(rm.mat_scale(i_m, i_scale), p, prec)
+    j_p = PadicMatrix.from_rational(rm.mat_scale(j_m, j_scale), p, prec)
     return _conic_zero_divisor(sol, i_p, j_p, p, prec)
 
 
 def _conic_zero_divisor(sol, i_p, j_p, p, prec):
     """z + x*i + y*j for a conic point (x, y, z): a zero divisor when
     z^2 = a x^2 + b y^2 with i^2 = a, j^2 = b, ij = -ji."""
-    x, y, z = sol
-    return pmat_add(
-        pmat_scale(pmat_identity(len(i_p), p, prec), PadicApprox.from_int(z, p, prec)),
-        pmat_add(
-            pmat_scale(i_p, PadicApprox.from_int(x, p, prec)),
-            pmat_scale(j_p, PadicApprox.from_int(y, p, prec)),
-        ),
-    )
+    x, y, z = (PadicMatrix(p, prec, [[c]]) for c in sol)
+    ident = PadicMatrix.identity(len(i_p), p, prec)
+    return ident.scale(z) + (i_p.scale(x) + j_p.scale(y))
 
 
 def _normalize_qp_square(q, p):
@@ -1453,7 +1256,8 @@ def _normalize_qp_square(q, p):
     half = v // 2  # floor toward -inf keeps v - 2*half in {0, 1}
     s = Fraction(den) * Fraction(p) ** (-half)
     t = p ** (v - 2 * half) * num * den
-    assert q * s * s == t and _vp(t, p) in (0, 1)
+    if q * s * s != t or _vp(t, p) not in (0, 1):
+        raise CertificateError("square normalization does not give q s^2 = t")
     return t, s
 
 
@@ -1461,19 +1265,20 @@ def _qp_analyze_quadratic_center(rep, st, comm, p, prec):
     m = st.data["center_minpoly"]
     wmat = st.data["center_generator"]
     c, m_int = _int_model(m)
-    gens_p = rep_gen_images_padic(rep, p, prec)
+    gens_p = [PadicMatrix.from_rational(g, p, prec) for g in rep.gen_images]
     report = qp_factor_count(m_int, p)
     if report.factor_count and report.factor_count >= 2:
-        w_p = approx_mat(wmat, p, prec)
+        w_p = PadicMatrix.from_rational(wmat, p, prec)
         kind, payload = _split_from_field_generator(w_p, m, p, prec)
-        assert kind == "idempotent"
+        if kind != "idempotent":
+            raise CertificateError(f"split center gave {kind}, not an idempotent")
         return ("split", {"pieces": _pieces_from_projector(gens_p, payload, p)})
     if report.factor_count != 1:
         return ("unknown", "center factor count not certified")
     # center inert: exact quaternion structure over F = Q(w)
     quat = quaternion_over_center(comm, wmat, m)
     if quat[0] == "zero_divisor":
-        q = approx_mat(quat[1], p, prec)
+        q = PadicMatrix.from_rational(quat[1], p, prec)
         return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
     a_pair, b_pair, i_mat, j_mat = quat
     ext, shift = QuadExt.from_center_minpoly(p, m_int, prec + 24)
@@ -1502,12 +1307,9 @@ def _qp_analyze_quadratic_center(rep, st, comm, p, prec):
     pi_mat = gamma_mat if ext.ramified else rm.mat_scale(rm.identity(d), p)
     i_use = _apply_gamma_scale(i_mat, pi_mat, i_adj, p, prec)
     j_use = _apply_gamma_scale(j_mat, pi_mat, j_adj, p, prec)
-    q = pmat_add(
-        _ext_coeff_matrix(z, gamma_mat, p, prec),
-        pmat_add(
-            pmat_mul(_ext_coeff_matrix(x, gamma_mat, p, prec), i_use),
-            pmat_mul(_ext_coeff_matrix(y, gamma_mat, p, prec), j_use),
-        ),
+    q = _ext_coeff_matrix(z, gamma_mat, p, prec) + (
+        _ext_coeff_matrix(x, gamma_mat, p, prec) * i_use
+        + _ext_coeff_matrix(y, gamma_mat, p, prec) * j_use
     )
     return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
 
@@ -1580,13 +1382,12 @@ def _gamma_multiply(ext, q0, q1):
     return (-ext.C * q1, q0 - ext.B * q1)
 
 
+
 def _ext_coeff_matrix(pair, gamma_mat, p, prec):
-    """c0 + c1*gamma as an approx matrix (c_i integer residues)."""
-    d = len(gamma_mat)
-    c0 = pmat_scale(pmat_identity(d, p, prec), PadicApprox.from_int(pair[0], p, prec))
-    g_p = approx_mat(gamma_mat, p, prec)
-    c1 = pmat_scale(g_p, PadicApprox.from_int(pair[1], p, prec))
-    return pmat_add(c0, c1)
+    """c0 + c1*gamma as an approx matrix (c_i integer residues mod p^prec)."""
+    c0, c1 = (PadicMatrix(p, prec, [[c]]) for c in pair)
+    ident = PadicMatrix.identity(len(gamma_mat), p, prec)
+    return ident.scale(c0) + PadicMatrix.from_rational(gamma_mat, p, prec).scale(c1)
 
 
 def _apply_gamma_scale(mat, pi_mat, k, p, prec):
@@ -1603,7 +1404,7 @@ def _apply_gamma_scale(mat, pi_mat, k, p, prec):
     elif k < 0:
         for _ in range(-k):
             out = rm.mat_mul(out, pi_mat)
-    return approx_mat(out, p, prec)
+    return PadicMatrix.from_rational(out, p, prec)
 
 
 def _spin_split(rep, p, prec, seed=0):
@@ -1615,78 +1416,46 @@ def _spin_split(rep, p, prec, seed=0):
     """
     import random
 
-    d = rep.dimension
-    emap = rep_element_map_padic(rep, p, prec)
-    gens_p = rep_gen_images_padic(rep, p, prec)
-    order = rep.group.order
-    floor = max(prec // 2, 4)
-    rng = random.Random(seed + 17)
-    ident = pmat_identity(d, p, prec)
-    zero_row = (PadicApprox.zero(p, prec),) * d
-    vectors = list(ident)
-    for _ in range(6):
-        vectors.append(
-            tuple(
-                PadicApprox.from_int(rng.randint(-3, 3), p, prec)
-                for _ in range(d)
-            )
-        )
     from .perm import inv as perm_inv
 
+    d = rep.dimension
+    emap = rep_element_map_padic(rep, p, prec)
+    floor = max(prec // 2, 4)
+    rng = random.Random(seed + 17)
+    ident = PadicMatrix.identity(d, p, prec)
+    vectors = list(ident.rows)
+    for _ in range(6):
+        vectors.append(tuple(rng.randint(-3, 3) for _ in range(d)))
     for v in vectors:
-        rows = []
-        for g in emap.values():
-            rows.append(
-                tuple(_dot(v, tuple(g[k][j] for k in range(d))) for j in range(d))
-            )
-        sat = psaturate(rows, p, floor)
-        if not (0 < len(sat) < d):
+        v = PadicMatrix(p, prec, [v])
+        sat = PadicMatrix.stack([v * g for g in emap.values()]).saturate(floor)
+        k = len(sat)
+        if not 0 < k < d:
             continue
-        # projector onto span(sat) along the unit-vector complement
-        pivots = []
-        for r in sat:
-            pivots.append(
-                next(j for j, x in enumerate(r) if x.provably_nonzero() and x.shift == 0)
-            )
+        # projector onto span(sat) along the unit-vector complement; the
+        # complement skips the first unit entry of each row
+        pivots = [row.index(0) for row in sat.valuations()]
         others = [j for j in range(d) if j not in pivots]
-        m_rows = list(sat) + [ident[j] for j in others]
-        minv = _pmat_inverse(m_rows, p, floor)
+        m_rows = PadicMatrix.stack([sat, PadicMatrix(p, prec, [ident.rows[j] for j in others])])
+        minv = m_rows.inverse(floor)
         if minv is None:
             continue
-        sel = ident[: len(sat)] + (zero_row,) * (d - len(sat))
-        proj0 = pmat_mul(pmat_mul(minv, sel), m_rows)
-        inv_order = PadicApprox.from_rational(Fraction(1, order), p, prec)
-        acc = None
-        for perm, g in emap.items():
-            ginv = emap[perm_inv(perm)]
-            term = pmat_mul(pmat_mul(g, proj0), ginv)
-            acc = term if acc is None else pmat_add(acc, term)
-        proj = pmat_scale(acc, inv_order)
-        delta = pmat_sub(pmat_mul(proj, proj), proj)
-        worst = min(x.val_lower_bound() for row in delta for x in row)
-        if worst < floor:
+        sel = PadicMatrix(p, prec, [[int(i == j < k) for j in range(d)] for i in range(d)])
+        proj0 = minv * sel * m_rows
+        proj = reduce(operator.add, [g * proj0 * emap[perm_inv(perm)]
+                                     for perm, g in emap.items()])
+        proj = proj.scale(Fraction(1, rep.group.order))
+        if (proj * proj - proj).min_valuation() < floor:
             continue
         try:
-            return _pieces_from_projector(gens_p, proj, p)
+            return _pieces_from_projector(rep.gen_images, proj, p)
         except PrecisionExhausted:
             continue
     return None
 
 
-def _pmat_inverse(rows, p, floor=None):
-    """Inverse of a square approx matrix via augmented elimination."""
-    d = len(rows)
-    prec = max(x.abs_prec for row in rows for x in row)
-    ident = pmat_identity(d, p, prec)
-    aug = [tuple(rows[i]) + ident[i] for i in range(d)]
-    ech, pivots = prow_echelon(aug, floor=floor)
-    if pivots != list(range(d)):
-        return None
-    return tuple(tuple(row[d:]) for row in ech)
-
-
 def _qp_analyze_approx(rep, p, prec, seed=0):
-    """Classification for reps whose entries are already PadicApprox."""
+    """Classification for reps whose entries are already PadicMatrix."""
     import random
 
     gens_p = list(rep.gen_images)
@@ -1699,19 +1468,15 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     rng = random.Random(seed)
     cands = list(comm)
     for _ in range(16):
-        acc = None
-        for b in comm:
-            c = PadicApprox.from_int(rng.randint(-3, 3), p, prec)
-            term = pmat_scale(b, c)
-            acc = term if acc is None else pmat_add(acc, term)
-        cands.append(acc)
+        cands.append(reduce(operator.add, [
+            b.scale(PadicMatrix(p, prec, [[rng.randint(-3, 3)]])) for b in comm]))
     for a in cands:
         try:
-            mp = pminimal_polynomial(a, p)
+            mp = pminimal_polynomial(a)
             status = qp_poly_status_approx(mp, p)
         except PrecisionExhausted:
             continue
-        if status[0] == "irreducible" and len(mp) - 1 == dim:
+        if status[0] == "irreducible" and mp.ncols - 1 == dim:
             return (
                 "irreducible",
                 {"certificate": "commutant field inert", "how": status[1]},
@@ -1736,10 +1501,12 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
                     "irreducible",
                     {"certificate": "division quaternion", "symbol": -1},
                 )
-            a_int = a_appr.residue(min(prec, a_appr.abs_prec))
-            b_int = b_appr.residue(min(prec, b_appr.abs_prec))
-            sol = conic_solve_qp(a_int, b_int, p, min(prec, a_appr.abs_prec) - 2)
-            assert sol is not None
+            k = min(prec, a_appr.cap)
+            a_int = a_appr.residues(k)[0][0]
+            b_int = b_appr.residues(min(prec, b_appr.cap))[0][0]
+            sol = conic_solve_qp(a_int, b_int, p, k - 2)
+            if sol is None:
+                raise CertificateError("split symbol but insoluble conic")
             q = _conic_zero_divisor(sol, i_p, j_p, p, prec)
             return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
     return ("unknown", f"approx commutant of dimension {dim} not classified")
@@ -1748,67 +1515,37 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
 def _approx_quaternion(comm, p, prec):
     """(v(a), a mod 8 class, v(b), ..., i, j, a, b) for an approx quaternion."""
     d = len(comm[0])
+    ident = PadicMatrix.identity(d, p, prec)
+    cls_mod = 8 if p == 2 else p
     for x in comm:
-        mp = pminimal_polynomial(x, p)
-        if len(mp) - 1 != 2:
+        mp = pminimal_polynomial(x)
+        if mp.ncols - 1 != 2:
             continue
         # i = x - t/2 with mp = x^2 - t x + n: mp[1] = -t
-        t = mp[1]
-        half = PadicApprox.from_rational(Fraction(-1, 2), p, prec) * t
-        i_p = pmat_add(x, pmat_scale(pmat_identity(d, p, prec), half))
-        sq = pmat_mul(i_p, i_p)
-        a = sq[0][0]
-        if not _pmat_is_scalar(sq, a):
-            continue
-        if not a.provably_nonzero():
+        i_p = x + ident.scale(mp.entry(0, 1).scale(Fraction(-1, 2)))
+        sq = i_p * i_p
+        a = sq.entry(0, 0)
+        if not (sq - ident.scale(a)).is_zero() or a.is_zero():
             continue
         # normalize v(a) into {0,1}
-        va = a.valuation()
-        k = va // 2 if va >= 0 else -((-va + 1) // 2)
-        scale = PadicApprox(p, -k, 1, prec)
-        i_p = pmat_scale(i_p, scale)
-        a = a * scale * scale
-        rows = []
-        for bb in comm:
-            m = pmat_add(pmat_mul(i_p, bb), pmat_mul(bb, i_p))
-            rows.append(tuple(q for row in m for q in row))
-        coeffs = pnullspace(rm.mat_transpose(rows))
-        for v in coeffs:
-            j_p = None
-            for cv, bb in zip(v, comm):
-                term = pmat_scale(bb, cv)
-                j_p = term if j_p is None else pmat_add(j_p, term)
-            sqj = pmat_mul(j_p, j_p)
-            b = sqj[0][0]
-            if not _pmat_is_scalar(sqj, b) or not b.provably_nonzero():
+        k = a.valuation() // 2
+        i_p = i_p.scale(Fraction(p) ** -k)
+        a = a.scale(Fraction(p) ** (-2 * k))
+        rows = PadicMatrix.stack([(i_p * bb + bb * i_p).flat() for bb in comm])
+        coeffs = rows.transpose().nullspace()
+        for n in range(len(coeffs)):
+            j_p = reduce(operator.add, [bb.scale(coeffs.entry(n, idx))
+                                        for idx, bb in enumerate(comm)])
+            sqj = j_p * j_p
+            b = sqj.entry(0, 0)
+            if not (sqj - ident.scale(b)).is_zero() or b.is_zero():
                 continue
-            vb = b.valuation()
-            k2 = vb // 2 if vb >= 0 else -((-vb + 1) // 2)
-            scale2 = PadicApprox(p, -k2, 1, prec)
-            j_p = pmat_scale(j_p, scale2)
-            b = b * scale2 * scale2
-            cls_mod = 8 if p == 2 else p
-            return (
-                a.valuation(),
-                (a * PadicApprox(p, -a.valuation(), 1, prec)).unit_class_mod(cls_mod),
-                b.valuation(),
-                (b * PadicApprox(p, -b.valuation(), 1, prec)).unit_class_mod(cls_mod),
-                i_p,
-                j_p,
-                a,
-                b,
-            )
+            k2 = b.valuation() // 2
+            j_p = j_p.scale(Fraction(p) ** -k2)
+            b = b.scale(Fraction(p) ** (-2 * k2))
+            return (a.valuation(), a.unit_class(cls_mod), b.valuation(),
+                    b.unit_class(cls_mod), i_p, j_p, a, b)
     return None
-
-
-def _pmat_is_scalar(m, diag_value):
-    d = len(m)
-    for i in range(d):
-        for j in range(d):
-            want_zero = (m[i][j] - (diag_value if i == j else 0))
-            if want_zero.provably_nonzero():
-                return False
-    return True
 
 
 # -- public API --------------------------------------------------------------------
@@ -1882,72 +1619,33 @@ def _padic_split_at(rep, p, n, seed):
 
 def _constituent_rep(rep, rows, p, n):
     """Restriction of rep to an invariant subspace as a Z_p lattice rep."""
+    from .perm import mul as perm_mul
     from .rep import MatRep
 
-    if rows and not isinstance(rows[0][0], PadicApprox):
-        rows = [tuple(PadicApprox.from_rational(x, p, n) for x in r) for r in rows]
-    work_prec = min(x.abs_prec for r in rows for x in r)
-    floor = max(work_prec // 2, 4)
-    sat = psaturate(rows, p, floor)
-    k = len(sat)
-    emap_p = rep_element_map_padic(rep, p, n)
-    emap = {perm: _image_coords(sat, g, floor) for perm, g in emap_p.items()}
+    if not isinstance(rows, PadicMatrix):
+        rows = PadicMatrix.from_rational(rows, p, n)
+    floor = max(rows.cap // 2, 4)
+    sat = rows.saturate(floor)
+    emap = {perm: sat.coords(sat * g, floor)
+            for perm, g in rep_element_map_padic(rep, p, n).items()}
     # p-integrality and unit determinants
-    for mat_c in emap.values():
-        for row in mat_c:
-            for x in row:
-                if x.val_lower_bound() < 0:
-                    raise PrecisionExhausted("constituent entry not p-integral")
+    if any(mat_c.min_valuation() < 0 for mat_c in emap.values()):
+        raise PrecisionExhausted("constituent entry not p-integral")
     for perm in rep.group.generators:
-        if _pdet_valuation(emap[perm], p) != 0:
+        if emap[perm].det_valuation() != 0:
             raise PrecisionExhausted("constituent determinant is not a unit")
     # homomorphism check mod p^(n/2)
     slack = max(n // 2, 4)
     for g in rep.group.generators:
-        cg = emap[g]
         for perm, ch in emap.items():
-            from .perm import mul as perm_mul
-
-            prod = pmat_mul(ch, cg)
-            target = emap[perm_mul(perm, g)]
-            diff = pmat_sub(prod, target)
-            worst = min(x.val_lower_bound() for row in diff for x in row)
-            if worst < slack:
+            if (ch * emap[g] - emap[perm_mul(perm, g)]).min_valuation() < slack:
                 raise PrecisionExhausted("constituent relations fail at N/2")
     gen_images = [emap[g] for g in rep.group.generators]
     ident = rep.group.identity()
-    faithful = True
     idm = emap[ident]
-    for perm, mat_c in emap.items():
-        if perm == ident:
-            continue
-        diff = pmat_sub(mat_c, idm)
-        if not any(x.provably_nonzero() for row in diff for x in row):
-            faithful = False
-    return MatRep(rep.group, gen_images, emap, faithful, ("Zp", p), k)
-
-
-def _pdet_valuation(mat_c, p):
-    """Valuation of the determinant via echelon pivots."""
-    work = [list(r) for r in mat_c]
-    d = len(work)
-    total = 0
-    for c in range(d):
-        piv = None
-        for i in range(c, d):
-            if work[i][c].provably_nonzero():
-                if piv is None or work[i][c].shift < work[piv][c].shift:
-                    piv = i
-        if piv is None:
-            raise PrecisionExhausted("determinant valuation uncertain")
-        work[c], work[piv] = work[piv], work[c]
-        total += work[c][c].valuation()
-        inv = work[c][c].inverse()
-        for i in range(c + 1, d):
-            if work[i][c].provably_nonzero():
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return total
+    faithful = not any((mat_c - idm).is_zero()
+                       for perm, mat_c in emap.items() if perm != ident)
+    return MatRep(rep.group, gen_images, emap, faithful, ("Zp", p), len(sat))
 
 
 def decompose_over_Qp(rep, p, precision=None, seed=0):
@@ -1965,16 +1663,7 @@ def decompose_over_Qp(rep, p, precision=None, seed=0):
     if rep.ring != "Q":
         verdict = irreducible_over_Qp(rep, p, precision, seed)
         if verdict.status == IRREDUCIBLE:
-            d = rep.dimension
-            return [
-                tuple(
-                    tuple(
-                        PadicApprox.from_int(1 if i == j else 0, p, precision)
-                        for j in range(d)
-                    )
-                    for i in range(d)
-                )
-            ]
+            return [PadicMatrix.identity(rep.dimension, p, precision)]
         if verdict.status == REDUCIBLE:
             raise ApproxSplitNeeded("approx constituent splits over Q_p")
         raise PrecisionExhausted("approx constituent Q_p status unknown")

@@ -13,17 +13,19 @@ Format (version header required, '#' comments allowed):
 
 Entry tokens: integers, rationals "n/d", p-adic approximations "r:k"
 (residue r known mod p^k), or number-ring coefficient vectors "c0,c1,..."
-against a declared "modulus c0 c1 ... 1" line.  Kinds: va, wreath,
-permgroup, matrep.
+against a declared "modulus c0 c1 ... 1" line.  A matrix with a p-adic
+entry is known to the least precision its entries state, and is emitted
+at that precision.  Kinds: va, wreath, permgroup, matrep.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from sympy import isprime
 
-from .padic import DEFAULT_PRECISION, PadicApprox, pmat_identity, pmat_mul, pmat_sub
+from .padic import DEFAULT_PRECISION, PadicMatrix
 from .perm import LATTICE_GATE, PermGroup, check_perm, identity_perm
 from .profiles import VaProfile
 from .ratmat import NumberRing
@@ -150,9 +152,7 @@ def _parse_entry(ln, token, ring, precision, number_ring):
     if ":" in token:
         if not isinstance(ring, tuple):
             raise ProfileError(ln, "p-adic entry in a non-Zp profile")
-        r, _, k = token.partition(":")
-        return PadicApprox(ring[1], 0, _parse_int(ln, r, "residue"),
-                           _parse_int(ln, k, "precision"))
+        return Fraction(_parse_int(ln, token.partition(":")[0], "residue"))
     if "," in token and number_ring is None:
         raise ProfileError(ln, "coefficient-vector entry without a modulus")
     try:
@@ -204,7 +204,9 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         entries = [
             _parse_entry(ml, t, ring, precision, number_ring) for t in tokens
         ]
-        mat = tuple(tuple(entries[i * d + j] for j in range(d)) for i in range(d))
+        rows = tuple(tuple(entries[i * d:(i + 1) * d]) for i in range(d))
+        caps = [_parse_int(ml, t.partition(":")[2], "precision") for t in tokens if ":" in t]
+        mat = PadicMatrix.from_rational(rows, ring[1], min(caps)) if caps else rows
         if perm == ident:
             if not _is_identity_matrix(mat):
                 raise ProfileError(ml, "identity generator needs the identity matrix")
@@ -226,14 +228,13 @@ def _parse_matrix_kind(kind, fields, gens, mats):
 
 
 def _is_identity_matrix(m):
-    """Whether m is the identity; a p-adic entry counts to its precision."""
+    """Whether m is the identity; a p-adic matrix counts to its cap."""
+    if isinstance(m, PadicMatrix):
+        return (m - PadicMatrix.identity(len(m), m.p, m.cap)).is_zero()
     for i, row in enumerate(m):
         for j, x in enumerate(row):
             want = int(i == j)
-            if isinstance(x, PadicApprox):
-                if (x - want).provably_nonzero():
-                    return False
-            elif isinstance(x, tuple):  # number-ring coefficient vector
+            if isinstance(x, tuple):  # number-ring coefficient vector
                 if x[0] != want or any(x[1:]):
                     return False
             elif x != want:
@@ -251,7 +252,7 @@ def _isqrt_exact(ln, n):
 
 
 def _rep_from_parsed(group, gen_mats, ring, precision, number_ring):
-    if gen_mats and isinstance(gen_mats[0][0][0], PadicApprox):
+    if any(isinstance(m, PadicMatrix) for m in gen_mats):
         return _rep_from_padic(group, gen_mats, ring[1], precision)
     if number_ring is not None:
         return _rep_from_number_ring(group, gen_mats, number_ring)
@@ -262,11 +263,13 @@ def _rep_from_padic(group, gen_mats, p, precision):
     """Closure-verified approx MatRep; provable inconsistency is an error."""
 
     def provably_equal(a, b):
-        return not any(x.provably_nonzero() for row in pmat_sub(a, b) for x in row)
+        return (a - b).is_zero()
 
     d = len(gen_mats[0])
-    ident_mat = pmat_identity(d, p, precision)
-    emap = close_over_group(group, gen_mats, ident_mat, pmat_mul, provably_equal,
+    ident_mat = PadicMatrix.identity(d, p, precision)
+    gen_mats = [m if isinstance(m, PadicMatrix) else PadicMatrix.from_rational(m, p, precision)
+                for m in gen_mats]
+    emap = close_over_group(group, gen_mats, ident_mat, operator.mul, provably_equal,
                             LATTICE_GATE)
     ident = identity_perm(group.degree)
     faithful = not any(provably_equal(m, ident_mat)
@@ -300,8 +303,6 @@ def _rep_from_number_ring(group, gen_mats, number_ring):
 
 
 def _fmt_entry(x):
-    if isinstance(x, PadicApprox):
-        return f"{x.residue(x.abs_prec)}:{x.abs_prec}"
     q = Fraction(x)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -318,7 +319,11 @@ def emit_va_profile(profile):
     for g in profile.Q.generators:
         lines.append("gen " + " ".join(str(i) for i in g))
     for m in profile.action.gen_images:
-        lines.append("mat " + " ".join(_fmt_entry(x) for row in m for x in row))
+        if isinstance(m, PadicMatrix):
+            tokens = [f"{x}:{m.cap}" for row in m.residues(m.cap) for x in row]
+        else:
+            tokens = [_fmt_entry(x) for row in m for x in row]
+        lines.append("mat " + " ".join(tokens))
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from typing import Any
 
 from . import ratmat as rm
 from .hilbert import _valuation_and_unit
-from .padic import DEFAULT_PRECISION, PadicApprox, irreducible_over_Qp
+from .padic import DEFAULT_PRECISION, PadicMatrix, irreducible_over_Qp
 from .perm import SubgroupHandle
 from .rep import MatRep, irreducible_over_Q, matrix_block_system
 from .smallgrp import all_subgroups, maximal_subgroups, recognize_special
@@ -83,12 +83,9 @@ def validate_va_profile(profile):
                      "detail": str(det)}
                 )
         else:
-            bad = []
-            for i, row in enumerate(mat_g):
-                for j, x in enumerate(row):
-                    v = _entry_valuation(x, p)
-                    if v < 0:
-                        bad.append((i, j))
+            vals = (mat_g.valuations() if isinstance(mat_g, PadicMatrix)
+                    else [[_entry_valuation(x, p) for x in row] for row in mat_g])
+            bad = [(i, j) for i, row in enumerate(vals) for j, v in enumerate(row) if v < 0]
             if bad:
                 failures.append(
                     {"condition": "integrality", "generator": gi, "entries": bad}
@@ -103,17 +100,13 @@ def validate_va_profile(profile):
 
 
 def _entry_valuation(x, p):
-    if isinstance(x, PadicApprox):
-        return x.val_lower_bound()
     q = Fraction(x)
     return _valuation_and_unit(q, p)[0] if q else 0
 
 
 def _det_valuation(mat_g, p, prec):
-    if isinstance(mat_g[0][0], PadicApprox):
-        from .padic import _pdet_valuation
-
-        return _pdet_valuation(mat_g, p)
+    if isinstance(mat_g, PadicMatrix):
+        return mat_g.det_valuation()
     det = rm.mat_det(mat_g)
     return _entry_valuation(det, p)
 

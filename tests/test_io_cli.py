@@ -320,3 +320,17 @@ def test_certificate_error_is_exit_2(monkeypatch):
     assert status == 2
     assert out.getvalue() == "error: certificate: orthogonality failed at rows 1,0\n"
     assert report == {"error": "certificate: orthogonality failed at rows 1,0"}
+
+
+@pytest.mark.parametrize("entries, emitted", [
+    ("255:8 0:8 3:8 1:8", "255:8 0:8 3:8 1:8"),
+    # one cap per matrix: the least precision an entry states
+    ("255:8 0:6 3:8 1:6", "63:6 0:6 3:6 1:6"),
+])
+def test_padic_matrix_emits_at_its_least_entry_precision(entries, emitted):
+    # g = [[-1, 0], [3, 1]] squares to the identity
+    text = ("jigroup-profile v1\nkind va\nring Z2\nrank 2\nprecision 8\n"
+            f"degree 2\ngen 1 0\nmat {entries}\n")
+    out = emit_va_profile(parse_profile(text))
+    assert out == text.replace(entries, emitted)
+    assert emit_va_profile(parse_profile(out)) == out

@@ -1,21 +1,24 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from jigroup import catalog
 from jigroup.padic import (
-    PadicApprox,
+    PadicMatrix,
     PrecisionExhausted,
     conic_solve_qp,
-    hensel_lift_pair,
     irreducible_over_Qp,
     newton_polygon_slopes,
     padic_split,
     qp_factor_count,
-    zp_simple_roots,
 )
 from jigroup.rep import rep_from_data
 from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def c3_companion_rep():
@@ -33,34 +36,37 @@ def q8_quaternion_rep():
     return rep_from_data(G, [i_m, j_m])
 
 
-# -- PadicApprox basics -------------------------------------------------------
+# -- PadicMatrix elements ------------------------------------------------------
 
 
 def test_padic_approx_arithmetic():
-    a = PadicApprox.from_int(10, 2, 10)
+    a = PadicMatrix.from_rational([[10]], 2, 10)
     assert a.valuation() == 1
-    b = PadicApprox.from_rational(Fraction(3, 4), 2, 10)
+    b = PadicMatrix.from_rational([[Fraction(3, 4)]], 2, 10)
     assert b.valuation() == -2
     prod = a * b
     assert prod.valuation() == -1
+    assert prod.cap == 8  # 2^10 digits of a, less the 2 of the denominator of b
     s = a + a
     assert s.valuation() == 2
     # cancellation loses certainty, not correctness
     z = a - a
-    assert not z.provably_nonzero()
-    assert z.abs_prec >= 10
+    assert z.is_zero()
+    assert z.cap == 10
 
 
 def test_padic_approx_division():
-    a = PadicApprox.from_int(6, 3, 8)
-    b = PadicApprox.from_int(3, 3, 8)
-    q = a / b
+    a = PadicMatrix.from_rational([[6]], 3, 8)
+    q = a.scale(Fraction(1, 3))
     assert q.valuation() == 0
-    assert q.residue(5) == 2
+    assert q.cap == 7
+    assert q.residues(5) == [[2]]
+    with pytest.raises(PrecisionExhausted):
+        q.residues(8)
 
 
 def test_padic_valuation_uncertain():
-    z = PadicApprox.zero(5, 4)
+    z = PadicMatrix(5, 4, [[0]])
     with pytest.raises(PrecisionExhausted):
         z.valuation()
 
@@ -110,41 +116,6 @@ def test_newton_polygon_slopes():
     # x^2 - 4x + 2 ... vals (0:1),(1:2),(2:0)
     slopes = newton_polygon_slopes((2, -4, 1), 2)
     assert len(slopes) == 1
-
-
-def test_hensel_lift_pair():
-    # x^2 - 1 = (x-1)(x+1) mod 3, lift to 3^10
-    f = [-1, 0, 1]
-    g, h = hensel_lift_pair(f, [2, 1], [1, 1], 3, 10)
-    mod = 3**10
-    # check product
-    prod = [
-        (g[0] * h[0]) % mod,
-        (g[0] * h[1] + g[1] * h[0]) % mod,
-        (g[1] * h[1]) % mod,
-    ]
-    assert prod == [(-1) % mod, 0, 1]
-
-
-def test_hensel_lift_pair_nontrivial():
-    # x^2 + x + 1 mod 7 = (x-2)(x-4): lift and verify roots
-    f = [1, 1, 1]
-    g, h = hensel_lift_pair(f, [(-2) % 7, 1], [(-4) % 7, 1], 7, 8)
-    mod = 7**8
-    r1 = (-g[0]) % mod
-    assert (r1 * r1 + r1 + 1) % mod == 0
-
-
-def test_zp_simple_roots():
-    roots = zp_simple_roots([1, 1, 1], 7, 20)
-    assert len(roots) == 2
-    for r, k in roots:
-        assert (r * r + r + 1) % 7**k == 0
-    assert sorted(r % 7 for r, _ in roots) == [2, 4]
-
-
-def test_zp_simple_roots_none():
-    assert zp_simple_roots([1, 0, 1], 7, 10) == []  # x^2+1 at 7 = 3 mod 4
 
 
 def test_conic_solve_qp():
@@ -276,14 +247,14 @@ def test_padic_split_c3_at_7():
     eigs = []
     for sub in pieces:
         g = sub.gen_images[0]
-        eigs.append(g[0][0].residue(1))
+        eigs.append(g.residues(1)[0][0])
     assert sorted(eigs) == [2, 4]
 
 
 def test_padic_split_precision_monotone_c3():
     for prec in (32, 64, 128):
         pieces = padic_split(c3_companion_rep(), 7, prec)
-        eigs = sorted(sub.gen_images[0][0][0].residue(1) for sub in pieces)
+        eigs = sorted(sub.gen_images[0].residues(1)[0][0] for sub in pieces)
         assert eigs == [2, 4]
 
 
@@ -292,3 +263,26 @@ def test_padic_split_q8_at_3():
     assert sorted(sub.dimension for sub in pieces) == [2, 2]
     for sub in pieces:
         assert sub.faithful
+
+
+def test_insoluble_conic_after_split_symbol_raises_under_O():
+    # (-1, -1) splits at 3, so an insoluble conic there is a failed
+    # certificate, not a verdict; the check must survive python -O
+    script = (
+        "from jigroup import catalog, padic\n"
+        "from jigroup.rep import rep_from_data\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "i_m = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]\n"
+        "j_m = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]\n"
+        "rep = rep_from_data(catalog.quaternion(8), [i_m, j_m])\n"
+        "padic.conic_solve_qp = lambda a, b, p, prec: None\n"
+        "try:\n"
+        "    padic.irreducible_over_Qp(rep, 3)\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: split symbol but insoluble conic")

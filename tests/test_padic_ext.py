@@ -89,7 +89,7 @@ def test_c4_profile_splits_at_5():
     assert v.status == REDUCIBLE
     pieces = padic_split(rep, 5, 32)
     assert sorted(s.dimension for s in pieces) == [1, 1]
-    eigs = sorted(s.gen_images[0][0][0].residue(1) for s in pieces)
+    eigs = sorted(s.gen_images[0].residues(1)[0][0] for s in pieces)
     assert eigs == [2, 3]  # the square roots of -1 mod 5
 
 
@@ -124,15 +124,11 @@ def test_block_dimensions_equal_and_divide():
 
 def test_padic_split_preserves_unit_determinants():
     profile, rep8, pieces = fixtures.quaternionic_profile()
-    from jigroup.padic import _pdet_valuation
-
     for sub in pieces:
         for g in sub.gen_images:
-            assert _pdet_valuation(g, 2) == 0
+            assert g.det_valuation() == 0
         for mat in sub.element_map.values():
-            for row in mat:
-                for x in row:
-                    assert x.val_lower_bound() >= 0
+            assert mat.min_valuation() >= 0
 
 
 def test_normalize_ext_square_ramified():
@@ -145,6 +141,9 @@ def test_normalize_ext_square_ramified():
     assert k == 1 and pair == (1, 0)  # 2 / gamma^2 = 1
     pair, k = _normalize_ext_square(ext, (Fraction(-1), Fraction(0)), 2)
     assert k == 0 and pair == ((-1) % ext.mod, 0)
+    # valuation -2: two multiplications by gamma, (1/2) * gamma^2 = 1
+    pair, k = _normalize_ext_square(ext, (Fraction(1, 2), Fraction(0)), 2)
+    assert k == -1 and pair == (1, 0)
 
 
 def test_normalize_ext_square_unramified():

@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigroup import catalog
 from jigroup.hilbert import REAL_PLACE, hilbert_symbol
-from jigroup.padic import PadicApprox, qp_factor_count
+from jigroup import ratmat as rm
+from jigroup.padic import PadicMatrix, PrecisionExhausted, qp_factor_count
 from jigroup.perm import PermGroup, closure_order_bruteforce
 from jigroup.ratmat import poly_is_squarefree, poly_trim
 
@@ -38,17 +40,51 @@ def test_hilbert_real_rule(a, b):
     assert hilbert_symbol(a, b, REAL_PLACE) == (-1 if a < 0 and b < 0 else 1)
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50),
-       st.sampled_from([2, 3, 5]), st.integers(2, 12))
-@settings(max_examples=200, deadline=None)
-def test_padic_approx_matches_exact_arithmetic(x, y, p, prec):
-    ax = PadicApprox.from_int(x, p, prec)
-    ay = PadicApprox.from_int(y, p, prec)
-    s = ax + ay
-    m = ax * ay
-    assert s.residue(min(prec, s.abs_prec)) == (x + y) % p ** min(prec, s.abs_prec)
-    k = min(prec, m.abs_prec)
-    assert m.residue(k) == (x * y) % p**k
+small_rationals = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 1, 1, 2, 3, 4, 5]))
+
+
+def rational_matrix(rows, cols):
+    return st.lists(st.lists(small_rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _agrees(kernel, exact):
+    """The kernel matrix equals the exact rational one mod p^cap."""
+    return (kernel - PadicMatrix.from_rational(exact, kernel.p, kernel.cap + 64)).is_zero()
+
+
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_padic_matrix_matches_exact_linear_algebra(data, p, r, k, m):
+    """Product, rank, nullspace and solve of the capped-absolute kernel
+    against exact ratmat results, compared mod p^cap."""
+    prec = 48
+    a = data.draw(rational_matrix(r, k))
+    b = data.draw(rational_matrix(k, m))
+    c = data.draw(rational_matrix(m, r))
+    pa, pb = PadicMatrix.from_rational(a, p, prec), PadicMatrix.from_rational(b, p, prec)
+    prod = pa * pb
+    assert prod.cap == min(pa.cap + pb.val, pb.cap + pa.val)
+    assert _agrees(prod, rm.mat_mul(a, b))
+    rank = rm.rank(a)
+    assert pa.rank() == rank
+    ns = pa.nullspace()
+    exact_ns = rm.nullspace(a)
+    assert len(ns) == len(exact_ns) == k - rank
+    if exact_ns:
+        assert _agrees(ns, exact_ns)
+        assert (pa * ns.transpose()).is_zero()
+    # X . a = c . a: X is c itself when the rows of a are independent
+    images = rm.mat_mul(c, a)
+    x = pa.coords(PadicMatrix.from_rational(images, p, prec))
+    assert _agrees(x * pa, images)
+    if rank == r:
+        assert _agrees(x, c)
+    outside = [e for e in rm.identity(k) if rm.rank(list(a) + [e]) > rank]
+    if outside:
+        with pytest.raises(PrecisionExhausted):
+            pa.coords(PadicMatrix.from_rational([outside[0]], p, prec))
 
 
 @given(st.permutations(range(6)), st.permutations(range(6)))
