@@ -1,5 +1,6 @@
 """Property tests for the invariants that quantify over inputs."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigroup import catalog
-from jigroup.hilbert import REAL_PLACE, hilbert_symbol
+from jigroup.hilbert import REAL_PLACE, _valuation_and_unit, hilbert_symbol
 from jigroup import ratmat as rm
 from jigroup.padic import PadicMatrix, PrecisionExhausted, qp_factor_count
 from jigroup.perm import PermGroup, closure_order_bruteforce
@@ -57,8 +58,9 @@ def _agrees(kernel, exact):
        st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_padic_matrix_matches_exact_linear_algebra(data, p, r, k, m):
-    """Product, rank, nullspace and solve of the capped-absolute kernel
-    against exact ratmat results, compared mod p^cap."""
+    """Product, rank, nullspace, solve, saturation, determinant valuation and
+    inverse of the capped-absolute kernel against exact ratmat results,
+    compared mod p^cap."""
     prec = 48
     a = data.draw(rational_matrix(r, k))
     b = data.draw(rational_matrix(k, m))
@@ -85,6 +87,23 @@ def test_padic_matrix_matches_exact_linear_algebra(data, p, r, k, m):
     if outside:
         with pytest.raises(PrecisionExhausted):
             pa.coords(PadicMatrix.from_rational([outside[0]], p, prec))
+    # saturation: integral rows of the same span, pure (a unit minor mod p)
+    sat = pa.saturate(prec // 2)
+    assert len(sat) == rank and sat.min_valuation() >= 0
+    assert PadicMatrix.stack([sat, pa]).rank() == rank
+    if rank:
+        low = [[x % p for x in row] for row in sat.residues(1)]
+        assert any(rm.mat_det([[row[j] for j in cols] for row in low]) % p
+                   for cols in itertools.combinations(range(k), rank))
+    if r == k:
+        det = rm.mat_det(a)
+        if det:
+            assert pa.det_valuation() == _valuation_and_unit(det, p)[0]
+            assert _agrees(pa.inverse(), rm.mat_inv(a))
+        else:
+            with pytest.raises(PrecisionExhausted):
+                pa.det_valuation()
+            assert pa.inverse() is None
 
 
 @given(st.permutations(range(6)), st.permutations(range(6)))
