@@ -46,7 +46,7 @@ def test_padic_approx_arithmetic():
     assert b.valuation() == -2
     prod = a * b
     assert prod.valuation() == -1
-    assert prod.cap == 8  # 2^10 digits of a, less the 2 of the denominator of b
+    assert prod.cap == 8  # the 10 digits of a, less the 2 of the denominator of b
     s = a + a
     assert s.valuation() == 2
     # cancellation loses certainty, not correctness

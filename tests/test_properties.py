@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigroup import catalog
-from jigroup.hilbert import REAL_PLACE, _valuation_and_unit, hilbert_symbol
 from jigroup import ratmat as rm
+from jigroup.hilbert import REAL_PLACE, _valuation_and_unit, hilbert_symbol
 from jigroup.padic import PadicMatrix, PrecisionExhausted, qp_factor_count
 from jigroup.perm import PermGroup, closure_order_bruteforce
 from jigroup.ratmat import poly_is_squarefree, poly_trim
