@@ -5,7 +5,8 @@ Matrices over Q_p follow the capped-absolute model: a PadicMatrix holds
 Python-int residues under one absolute precision cap for all its entries,
 and a block exponent for entries with p in the denominator.  Where two
 matrices meet, the smaller cap wins; products and pivot divisions lower it
-by the valuations involved, so a digit below the cap is always certified.
+by the valuations involved (elimination keeps a cap per row and returns the
+least of them), so a digit below the cap is always certified.
 Any decision that would need more digits than are available raises
 PrecisionExhausted (callers retry with doubled precision, twice, before
 giving up).  Nothing here is floating point: every residue is an exact
@@ -35,8 +36,6 @@ class PrecisionExhausted(RuntimeError):
 def _vp(n, p):
     if n == 0:
         return None
-    if p == 2:
-        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -275,35 +274,37 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
     yet used; with `full`, it is the first such entry, row by row, over all
     columns not yet used, which keeps integral rows integral.  An entry that
     is 0 mod p^cap is 0.  Without a floor, such an entry in a pivot search
-    raises PrecisionExhausted when the cap is below `min_certify`; with a
+    raises PrecisionExhausted when its row's cap is below `min_certify`; with a
     floor, entries of valuation floor or more are 0 by fiat, and the caller
     verifies the outcome independently.
 
-    The rows are ints over a common denominator p^s.  Dividing a row of
-    least valuation m_r by a pivot of valuation w leaves it cap - 2w + m_r
-    digits, and clearing an entry f with it costs down to
-    min(cap + m_r - w, cap - 2w + m_r + v(f)); the shared cap takes the least.
+    The rows are ints over a common denominator p^s, each known to its own
+    cap while the elimination runs; the result takes the least cap of its
+    rows.  Dividing a row of least valuation m_r and cap a by a pivot of
+    valuation w leaves it a - 2w + m_r digits, and clearing an entry f of a
+    row of cap b with it leaves that row min(b + m_r - w, a - 2w + m_r + v(f)).
     """
-    p, cap, s = m.p, m.cap, max(-m.val, 0)
+    p, s = m.p, max(-m.val, 0)
     work = [list(row) for row in m._at(min(m.val, 0))]
     nr, nc = len(work), len(work[0]) if work else 0
+    caps = [m.cap] * nr
     pivots, vals = [], []
     c0 = 0
     while len(pivots) < nr:
         r = len(pivots)
-        mod = p ** max(cap + s, 0)
         best = None
         if full:
             for i in range(r, nr):
+                mod = p ** max(caps[i] + s, 0)
                 for c in range(nc):
                     v = None if c in pivots else _pivot_val(work[i][c], mod, p, s, floor)
                     if v is not None and (best is None or v < best[0]):
                         best = (v, i, c)
         while not full and best is None and c0 < nc:
             for i in range(r, nr):
-                v = _pivot_val(work[i][c0], mod, p, s, floor)
+                v = _pivot_val(work[i][c0], p ** max(caps[i] + s, 0), p, s, floor)
                 if v is None:
-                    if floor is None and cap < min_certify:
+                    if floor is None and caps[i] < min_certify:
                         raise PrecisionExhausted("pivot decision beyond precision")
                 elif best is None or v < best[0]:
                     best = (v, i, c0)
@@ -313,34 +314,37 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
         w, i, c = best
         if full:
             work.insert(r, work.pop(i))
+            caps.insert(r, caps.pop(i))
         else:
             work[r], work[i] = work[i], work[r]
-        row = [x % mod for x in work[r]]
+            caps[r], caps[i] = caps[i], caps[r]
+        row = [x % p ** max(caps[r] + s, 0) for x in work[r]]
         m_r = min(_vp(x, p) for x in row if x) - s
-        fvals = {k: _pivot_val(work[k][c], mod, p, s, floor) for k in range(nr) if k != r}
+        fvals = {k: _pivot_val(work[k][c], p ** max(caps[k] + s, 0), p, s, floor)
+                 for k in range(nr) if k != r}
         fvals = {k: v for k, v in fvals.items() if v is not None}
-        new_cap = min(cap, cap - 2 * w + m_r)
-        s_new = max(s, w - m_r)
-        if fvals:
-            vf = min(fvals.values())
-            new_cap = min(new_cap, cap + m_r - w, cap - 2 * w + m_r + vf)
-            s_new = max(s_new, w - m_r - vf)
+        caps[r] = min(caps[r], caps[r] - 2 * w + m_r)
+        s_new = max([s, w - m_r] + [w - m_r - vf for vf in fvals.values()])
+        for k, vf in fvals.items():
+            caps[k] = min(caps[k], caps[k] + m_r - w, caps[r] + vf)
         # the pivot row keeps s_new more digits, which the division by
         # p^s_new in the elimination uses up
-        mod, one = p ** max(new_cap + s_new, 0), p**s_new
+        one = p**s_new
         if s_new > s:
             work = [[x * p ** (s_new - s) for x in wrow] for wrow in work]
-        inv = pow(row[c] // p ** (w + s), -1, mod * one)
+        rmod = p ** max(caps[r] + s_new, 0) * one
+        inv = pow(row[c] // p ** (w + s), -1, rmod)
         e = s_new - s - w
-        row = [(x * inv * p**e if e >= 0 else x * inv // p**-e) % (mod * one) for x in row]
+        row = [(x * inv * p**e if e >= 0 else x * inv // p**-e) % rmod for x in row]
         row[c] = one
         for k in fvals:
-            f = work[k][c]
+            f, mod = work[k][c], p ** max(caps[k] + s_new, 0)
             work[k] = [(x - f * y // one) % mod for x, y in zip(work[k], row)]
         work[r] = row
-        cap, s = new_cap, s_new
+        s = s_new
         pivots.append(c)
         vals.append(w)
+    cap = min(caps[:len(pivots)], default=m.cap)
     mod = p ** max(cap + s, 0)
     ech = [[x % mod for x in row] for row in work[:len(pivots)]]
     low = min((_vp(x, p) for row in ech for x in row if x), default=0)
@@ -590,7 +594,11 @@ def qp_factor_count(f, p):
         raise ValueError("polynomial is not squarefree over Q")
     if len(f) <= 2:
         return QpFactorReport(f, p, 1 if len(f) == 2 else 0, "trivial", {})
-    if f[-1] % p:  # else no mod-p route: fall through to shifts / polygon
+    if f[-1] % p == 0:
+        # a unit leading coefficient is needed for the mod-p route; fall
+        # through to shifts / polygon
+        pass
+    else:
         fbar = _fp_trim(list(f), p)
         if len(fbar) == len(f) and fp_is_squarefree(fbar, p):
             facs = fp_factor_squarefree_monic(fbar, p)
@@ -1068,11 +1076,15 @@ def qp_poly_status_approx(coeffs, p):
             return ("irreducible", f"eisenstein shift {s}")
     # single-slope Newton polygon with full denominator
     v0 = _vp(res[0], p) if res[0] else kmin
-    if res[0] and gcd(v0, n) == 1 and all(
-        Fraction(_vp(res[i], p) if res[i] else kmin) >= Fraction(v0) * (n - i) / n
-        for i in range(1, n)
-    ):
-        return ("irreducible", "single newton slope")
+    if res[0] and gcd(v0, n) == 1:
+        ok = True
+        for i in range(1, n):
+            vi = _vp(res[i], p) if res[i] else kmin
+            if Fraction(vi) < Fraction(v0) * (n - i) / n:
+                ok = False
+                break
+        if ok:
+            return ("irreducible", "single newton slope")
     return ("unknown", "no certificate applies")
 
 
@@ -1380,7 +1392,6 @@ def _gamma_divide(ext, q0, q1):
 
 def _gamma_multiply(ext, q0, q1):
     return (-ext.C * q1, q0 - ext.B * q1)
-
 
 
 def _ext_coeff_matrix(pair, gamma_mat, p, prec):

@@ -206,6 +206,8 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         ]
         rows = tuple(tuple(entries[i * d:(i + 1) * d]) for i in range(d))
         caps = [_parse_int(ml, t.partition(":")[2], "precision") for t in tokens if ":" in t]
+        if caps and min(caps) < 1:
+            raise ProfileError(ml, f"entry precision must be at least 1, got {min(caps)}")
         mat = PadicMatrix.from_rational(rows, ring[1], min(caps)) if caps else rows
         if perm == ident:
             if not _is_identity_matrix(mat):

@@ -307,6 +307,15 @@ def test_identity_gen_with_other_mat_is_a_located_error(tmp_path, ring, entry):
     assert out == "error: line 9: identity generator needs the identity matrix\n"
 
 
+@pytest.mark.parametrize("entry, k", [("255:0", 0), ("255:-1", -1)])
+def test_entry_precision_below_one_is_a_located_error(tmp_path, entry, k):
+    text = ("jigroup-profile v1\nkind va\nring Z2\nrank 1\ndegree 2\n"
+            f"gen 1 0\nmat {entry}\n")
+    status, out = _analyze_text(tmp_path, text)
+    assert status == 2
+    assert out == f"error: line 7: entry precision must be at least 1, got {k}\n"
+
+
 def test_certificate_error_is_exit_2(monkeypatch):
     from jigroup.chartab import CharacterTable
     from jigroup.verdicts import CertificateError

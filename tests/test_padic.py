@@ -13,6 +13,7 @@ from jigroup.padic import (
     irreducible_over_Qp,
     newton_polygon_slopes,
     padic_split,
+    prow_echelon,
     qp_factor_count,
 )
 from jigroup.rep import rep_from_data
@@ -69,6 +70,21 @@ def test_padic_valuation_uncertain():
     z = PadicMatrix(5, 4, [[0]])
     with pytest.raises(PrecisionExhausted):
         z.valuation()
+
+
+@pytest.mark.parametrize("p, rows, pivots, vals", [
+    # the pivot row keeps 2 digits and the cleared row 6, in which -72 is nonzero
+    (3, [[81, 9, 9], [-81, -81, -9]], [0, 1], [4, 2]),
+    (2, [[4, -13, -6], [4, -1, 18], [4, 11, -8]], [0, 1, 2], [2, 2, 1]),
+    (2, [[12, 4, Fraction(-35, 2)], [42, 9, Fraction(-57, 2)], [52, 4, Fraction(23, 2)]],
+     [0, 1], [1, 1]),
+    # rank 4 over Q, but the last row is 0 to the digits it has left
+    (2, [[-14, 39, 27, 6], [-12, 57, 41, 19], [14, -38, -18, 8], [-24, 49, 41, 2]],
+     [0, 1, 2], [1, 0, 4]),
+])
+def test_echelon_decisions_at_eight_digits(p, rows, pivots, vals):
+    _, got_pivots, got_vals = prow_echelon(PadicMatrix.from_rational(rows, p, 8))
+    assert (got_pivots, got_vals) == (pivots, vals)
 
 
 # -- polynomial machinery -----------------------------------------------------
