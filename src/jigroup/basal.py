@@ -22,6 +22,8 @@ from .perm import (
     OrderGateExceeded,
     PermGroup,
     SubgroupHandle,
+    _image,
+    _orbits_of,
     conj,
     identity_perm,
     mul,
@@ -220,8 +222,8 @@ class ShadowModel:
 
     def lift_top(self, alpha):
         """The shadow permutation acting as alpha on fibers, trivially inside."""
-        img = list(range(self.group.degree))
         k = len(self.fibers[0])
+        img = list(range(len(self.fibers) * k))
         for i in range(len(self.fibers)):
             for t in range(k):
                 img[self.fibers[i][t]] = self.fibers[alpha[i]][t]
@@ -266,22 +268,6 @@ class ShadowModel:
         return out
 
 
-def _top_core(model, top_handle):
-    """Core of a subgroup of the (small) top group, by element filtering."""
-    tbl = small_table(model.top)
-    h_els = set(tbl.index[e] for e in top_handle.group.elements())
-    core = set(h_els)
-    changed = True
-    while changed:
-        changed = False
-        for g in range(tbl.n):
-            keep = {x for x in core if tbl.conj(x, g) in core}
-            if len(keep) != len(core):
-                core = keep
-                changed = True
-    return frozenset(core)
-
-
 def permji_witness(model, H):
     """A basal family member witnessing that H is not shadow-ji, or None.
 
@@ -296,7 +282,7 @@ def permji_witness(model, H):
         )
     w_handle = model.top_image_handle(H)
     tbl = small_table(model.top)
-    core_els = _top_core(model, w_handle)
+    core_els = tbl.core(frozenset(tbl.index[e] for e in w_handle.group.elements()))
     core_perms = [tbl.elements[i] for i in sorted(core_els)]
     for cert in model.basal_family:
         blocks = cert.supports  # list of frozensets of fiber indices
@@ -312,8 +298,7 @@ def permji_witness(model, H):
             gens_on_blocks.append(
                 tuple(block_of[g[next(iter(blocks[bi]))]] for bi in range(len(blocks)))
             )
-        orbit_count = _orbit_count(len(blocks), gens_on_blocks)
-        if orbit_count < 2:
+        if len(_orbits_of(range(len(blocks)), gens_on_blocks, _image)) < 2:
             continue
         core_trivial = all(
             block_of[c[next(iter(blocks[bi]))]] == bi
@@ -323,25 +308,6 @@ def permji_witness(model, H):
         if core_trivial:
             return cert
     return None
-
-
-def _orbit_count(n, gens):
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    frontier.append(y)
-    return count
 
 
 def shadow_ji_verdict(model, H):

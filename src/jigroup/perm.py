@@ -61,6 +61,38 @@ def conj(p, g):
     return tuple(g[p[gi[i]]] for i in range(len(p)))
 
 
+def _image(point, g):
+    return g[point]
+
+
+def _walk(start, gens, act):
+    """Yield start, then each new image act(x, g) once: the orbit of start
+    under the group that gens generate, since the group is finite."""
+    seen = {start}
+    todo = [start]
+    yield start
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+                yield y
+
+
+def _orbits_of(points, gens, act):
+    """The orbits, as sets, that meet points, in order of their first point."""
+    seen = set()
+    out = []
+    for x in points:
+        if x not in seen:
+            orb = set(_walk(x, gens, act))
+            seen |= orb
+            out.append(orb)
+    return out
+
+
 def perm_order(p):
     seen = [False] * len(p)
     order = 1
@@ -283,29 +315,12 @@ class PermGroup:
     # -- orbits and blocks ---------------------------------------------------
 
     def orbit(self, point):
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for g in self.generators:
-                    img = g[pt]
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return sorted(seen)
+        return sorted(_walk(point, self.generators, _image))
 
     def orbits(self):
         """Orbit partition of the points, cells sorted by least element."""
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            start = min(remaining)
-            orb = self.orbit(start)
-            out.append(tuple(orb))
-            remaining -= set(orb)
-        return out
+        return [tuple(sorted(orb))
+                for orb in _orbits_of(range(self.degree), self.generators, _image)]
 
     def is_transitive(self):
         return self.degree > 0 and len(self.orbit(0)) == self.degree
@@ -530,6 +545,10 @@ def closure_order_bruteforce(gens, gate=ELEMENT_GATE):
     return len(els)
 
 
+def _conj_set(s, g):
+    return frozenset(conj(x, g) for x in s)
+
+
 def relative_ops(G, H, gate=ELEMENT_GATE):
     """Normal closure, core, normalizer, centralizer of H <= G, and Z(G).
 
@@ -546,15 +565,7 @@ def relative_ops(G, H, gate=ELEMENT_GATE):
     g_els = G.elements(gate)
     h_els = set(H.group.elements(gate))
 
-    core = set(h_els)
-    changed = True
-    while changed:
-        changed = False
-        for g in G.generators:
-            keep = {x for x in core if conj(x, g) in core}
-            if len(keep) != len(core):
-                core = keep
-                changed = True
+    core = frozenset.intersection(*_walk(frozenset(h_els), G.generators, _conj_set))
     normalizer = [g for g in g_els if {conj(h, g) for h in h_els} == h_els]
     centralizer = [g for g in g_els if all(conj(h, g) == h for h in H.generators)]
     center = [g for g in g_els if all(mul(g, x) == mul(x, g) for x in G.generators)]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import ratmat as rm
 from .hilbert import quaternion_is_division
-from .perm import LATTICE_GATE, OrderGateExceeded, identity_perm, inv, mul
+from .perm import LATTICE_GATE, OrderGateExceeded, _walk, identity_perm, inv, mul
 from .smallgrp import maximal_subgroups
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
 
@@ -700,32 +700,23 @@ def _blocks_from_pieces(rep, pieces, target, field, p=None, precision=None):
 def _translate_orbit(rep, u_rows):
     """Orbit of a subspace under the group; a system iff the sum is direct."""
     d = rep.dimension
-    seen = {u_rows: None}
-    frontier = [u_rows]
-    while frontier:
-        cur = frontier.pop()
-        for g in rep.gen_images:
-            img = [
-                tuple(sum(v[k] * g[k][j] for k in range(d)) for j in range(d))
-                for v in cur
-            ]
-            canon = rm.row_space_canonical(img)
-            if canon not in seen:
-                if len(seen) > d:
-                    return None
-                seen[canon] = None
-                frontier.append(canon)
-    blocks = sorted(seen)
+
+    def image(rows, g):
+        return rm.row_space_canonical(
+            [tuple(sum(v[k] * g[k][j] for k in range(d)) for j in range(d)) for v in rows]
+        )
+
+    blocks = []
+    for space in _walk(u_rows, rep.gen_images, image):
+        if len(blocks) > d:
+            return None
+        blocks.append(space)
+    blocks.sort()
     total_rows = [v for b in blocks for v in b]
     if sum(len(b) for b in blocks) != d or rm.rank(total_rows) != d:
         return None
     # verify each generator permutes the set
-    for g in rep.gen_images:
-        for b in blocks:
-            img = [
-                tuple(sum(v[k] * g[k][j] for k in range(d)) for j in range(d))
-                for v in b
-            ]
-            if rm.row_space_canonical(img) not in seen:
-                return None
+    seen = set(blocks)
+    if any(image(b, g) not in seen for g in rep.gen_images for b in blocks):
+        return None
     return blocks

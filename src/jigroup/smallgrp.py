@@ -15,6 +15,8 @@ from .perm import (
     LATTICE_GATE,
     OrderGateExceeded,
     SubgroupHandle,
+    _orbits_of,
+    _walk,
     identity_perm,
     mul,
     perm_order,
@@ -39,6 +41,7 @@ class SmallGroupTable:
         for i, row in enumerate(self.table):
             self.inverse[i] = row.index(self.ident)
         self.order_of = [perm_order(e) for e in self.elements]
+        self.gens = tuple(self.index[g] for g in group.generators)
         self._all_subgroups = None
         self._maximal = None
 
@@ -53,33 +56,22 @@ class SmallGroupTable:
 
     def closure(self, gens):
         """Subgroup generated by element indices, as a frozenset of indices."""
-        els = {self.ident}
-        frontier = [self.ident]
-        gens = tuple(set(gens))
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = self.table[a]
-                for g in gens:
-                    c = row[g]
-                    if c not in els:
-                        els.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(els)
+        table = self.table
+        return frozenset(_walk(self.ident, tuple(gens), lambda a, g: table[a][g]))
+
+    def _conj_set(self, s, g):
+        return frozenset(self.conj(i, g) for i in s)
+
+    def core(self, s):
+        """The largest normal subgroup inside s: the meet of its conjugates."""
+        return frozenset.intersection(*_walk(s, self.gens, self._conj_set))
 
     # -- subgroup lattice ----------------------------------------------------
 
     def cyclic_subgroups(self):
         out = {}
         for i in range(self.n):
-            els = [self.ident]
-            j = i
-            while j != self.ident:
-                els.append(j)
-                j = self.table[j][i]
-            key = frozenset(els)
-            out.setdefault(key, i)
+            out.setdefault(self.closure((i,)), i)
         return out  # {subgroup: a generator index}
 
     def all_subgroups(self):
@@ -121,64 +113,29 @@ class SmallGroupTable:
 
     def conjugacy_classes_of_subgroups(self, subgroups):
         """Group the given element-sets into conjugacy classes."""
-        remaining = set(subgroups)
-        classes = []
-        while remaining:
-            s = min(remaining, key=lambda x: (len(x), sorted(x)))
-            orbit = {s}
-            frontier = [s]
-            while frontier:
-                cur = frontier.pop()
-                for g in range(self.n):
-                    img = frozenset(self.conj(i, g) for i in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            classes.append(sorted(orbit, key=lambda x: sorted(x)))
-            remaining -= orbit
+        classes = [
+            sorted(orbit, key=sorted)
+            for orbit in _orbits_of(subgroups, self.gens, self._conj_set)
+        ]
         classes.sort(key=lambda c: (len(c[0]), len(c), sorted(c[0])))
         return classes
 
     def conjugacy_classes(self):
-        """Conjugacy classes of elements; identity class first.
-
-        Each orbit grows by conjugating with the group's generators only,
-        which reaches the whole class because the group is finite.
-        """
-        gens = [self.index[g] for g in self.group.generators]
-        seen = [False] * self.n
-        classes = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            orbit = {i}
-            frontier = [i]
-            seen[i] = True
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self.conj(x, g)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        frontier.append(y)
-            classes.append(sorted(orbit))
+        """Conjugacy classes of elements; identity class first."""
+        classes = [sorted(orbit) for orbit in _orbits_of(range(self.n), self.gens, self.conj)]
         classes.sort(key=lambda c: (c[0] != self.ident, self.order_of[c[0]], c[0]))
         return classes
 
     def is_subgroup_normal(self, s):
-        return all(
-            frozenset(self.conj(i, g) for i in s) == s for g in range(self.n)
-        )
+        return all(self._conj_set(s, g) == s for g in self.gens)
 
     def normal_subgroups(self):
         return [s for s, _ in self.all_subgroups() if self.is_subgroup_normal(s)]
 
     def center(self):
+        table = self.table
         return frozenset(
-            i
-            for i in range(self.n)
-            if all(self.table[i][j] == self.table[j][i] for j in range(self.n))
+            i for i in range(self.n) if all(table[i][g] == table[g][i] for g in self.gens)
         )
 
     def derived_subgroup(self):
@@ -277,15 +234,7 @@ def all_block_systems(group, gate=LATTICE_GATE):
         block = frozenset(tbl.elements[i][0] for i in s)
         if len(block) == group.degree:
             continue
-        blocks = {block}
-        frontier = [block]
-        while frontier:
-            cur = frontier.pop()
-            for g in group.generators:
-                img = frozenset(g[p] for p in cur)
-                if img not in blocks:
-                    blocks.add(img)
-                    frontier.append(img)
+        blocks = _walk(block, group.generators, lambda b, g: frozenset(g[p] for p in b))
         system = tuple(sorted(tuple(sorted(b)) for b in blocks))
         systems.add(system)
     out = sorted(systems, key=lambda sys_: (len(sys_[0]), sys_))
@@ -309,9 +258,8 @@ def recognize_special(group, gate=LATTICE_GATE):
     if n == 1:
         return {"none"}
     orders = tbl.order_of
-    abelian = all(
-        tbl.table[i][j] == tbl.table[j][i] for i in range(n) for j in range(i)
-    )
+    center = tbl.center()
+    abelian = len(center) == n
     cyclic = max(orders) == n
     if cyclic:
         tags.add("cyclic")
@@ -333,7 +281,6 @@ def recognize_special(group, gate=LATTICE_GATE):
             has_cyclic_index2 = any(o == n // 2 for o in orders)
             if len(involutions) == 1 and has_cyclic_index2:
                 tags.add(("generalized_quaternion", n))
-        center = tbl.center()
         if len(center) == p and tbl.derived_subgroup() == center:
             # G/Z elementary abelian <=> every p-th power is central
             # (G/Z abelian already follows from [G,G] = Z)

@@ -33,39 +33,20 @@ def wreath_shadow(fiber_group, top_group, provenance=""):
         raise ValueError("the top group must be transitive")
     n_omega = top_group.degree
     deg_f = fiber_group.degree
-    deg = n_omega * deg_f
-    fibers = [tuple(range(i * deg_f, (i + 1) * deg_f)) for i in range(n_omega)]
-
-    def fiber_perm(g, i):
-        img = list(range(deg))
-        for t in range(deg_f):
-            img[i * deg_f + t] = i * deg_f + g[t]
-        return tuple(img)
-
-    def lift(alpha):
-        img = list(range(deg))
-        for i in range(n_omega):
-            for t in range(deg_f):
-                img[i * deg_f + t] = alpha[i] * deg_f + t
-        return tuple(img)
-
-    gens = [fiber_perm(g, 0) for g in fiber_group.generators]
-    gens += [lift(a) for a in top_group.generators]
-    shadow = PermGroup(gens)
-    expected = fiber_group.order**n_omega * top_group.order
-    assert shadow.order == expected, "wreath shadow order mismatch"
-
-    base_gens = [
-        fiber_perm(g, i) for i in range(n_omega) for g in fiber_group.generators
-    ]
+    base_gens = [g for i in range(n_omega) for g in _fiber_gens(fiber_group, i, n_omega)]
     model = ShadowModel(
-        group=shadow,
+        group=None,  # generated below by the fiber-0 generators and the top lifts
         top=top_group,
-        fibers=fibers,
+        fibers=[tuple(range(i * deg_f, (i + 1) * deg_f)) for i in range(n_omega)],
         base_generators=base_gens,
         fiber_group_order=fiber_group.order,
         provenance=provenance or "wreath shadow",
     )
+    gens = _fiber_gens(fiber_group, 0, n_omega)
+    gens += [model.lift_top(a) for a in top_group.generators]
+    model.group = PermGroup(gens)
+    expected = fiber_group.order**n_omega * top_group.order
+    assert model.group.order == expected, "wreath shadow order mismatch"
     model.basal_family = _block_product_family(model, fiber_group)
     return model
 
@@ -75,29 +56,19 @@ def _block_product_family(model, fiber_group):
     systems = all_block_systems(model.top)
     # include the one-block partition (the base, a single conjugate)
     systems = [tuple([tuple(range(model.top.degree))])] + list(systems)
+    n_omega = model.top.degree
     family = []
     for system in systems:
         blocks = [frozenset(b) for b in system]
-        block0 = next(b for b in blocks if 0 in b)
-        gens = [
-            g
-            for i in sorted(block0)
-            for g in _fiber_gens(model, fiber_group, i)
-        ]
-        handle = SubgroupHandle(model.group, gens, check=False)
-        conjugates = []
-        for b in blocks:
-            conjugates.append(
-                SubgroupHandle(
-                    model.group,
-                    [
-                        g
-                        for i in sorted(b)
-                        for g in _fiber_gens(model, fiber_group, i)
-                    ],
-                    check=False,
-                )
+        conjugates = [
+            SubgroupHandle(
+                model.group,
+                [g for i in sorted(b) for g in _fiber_gens(fiber_group, i, n_omega)],
+                check=False,
             )
+            for b in blocks
+        ]
+        handle = next(h for h, b in zip(conjugates, blocks) if 0 in b)
         closure = SubgroupHandle(model.group, model.base_generators, check=False)
         proof = {
             "style": "disjoint-support product",
@@ -122,12 +93,12 @@ def _block_product_family(model, fiber_group):
     return family
 
 
-def _fiber_gens(model, fiber_group, i):
+def _fiber_gens(fiber_group, i, n_omega):
+    """The generators of fiber_group acting on fiber i of n_omega, fixing the rest."""
     deg_f = fiber_group.degree
-    deg = model.group.degree
     out = []
     for g in fiber_group.generators:
-        img = list(range(deg))
+        img = list(range(n_omega * deg_f))
         for t in range(deg_f):
             img[i * deg_f + t] = i * deg_f + g[t]
         out.append(tuple(img))
