@@ -33,7 +33,7 @@ from .smallgrp import (
     normal_subgroups,
     small_table,
 )
-from .verdicts import JI, NOT_JI, Verdict
+from .verdicts import JI, NOT_JI, CertificateError, Verdict
 
 
 @dataclass
@@ -238,7 +238,8 @@ class ShadowModel:
         out = []
         for i, fib in enumerate(self.fibers):
             images = {point_fiber[perm[pt]] for pt in fib}
-            assert len(images) == 1, "permutation does not respect fibers"
+            if len(images) != 1:
+                raise ValueError("permutation does not respect fibers")
             out.append(images.pop())
         return tuple(out)
 
@@ -263,7 +264,8 @@ class ShadowModel:
         out = []
         for n_handle in normal_subgroups(self.top):
             sub = ShadowSubgroup(self, n_handle, label=f"base x| N (|N|={n_handle.order})")
-            assert n_handle.is_normal_in_parent()
+            if not n_handle.is_normal_in_parent():
+                raise CertificateError("structural normal subgroup is not normal")
             out.append(sub)
         return out
 

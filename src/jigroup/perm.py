@@ -11,6 +11,8 @@ from __future__ import annotations
 import sys
 from math import gcd
 
+from .verdicts import CertificateError
+
 sys.setrecursionlimit(20000)
 
 
@@ -71,8 +73,7 @@ def _walk(start, gens, act):
     seen = {start}
     todo = [start]
     yield start
-    while todo:
-        x = todo.pop()
+    for x in todo:  # breadth first: todo grows while it is read
         for g in gens:
             y = act(x, g)
             if y not in seen:
@@ -270,6 +271,7 @@ class PermGroup:
             self._chain.add_generator(g)
         self._order = self._chain.order()
         self._elements_cache = None
+        self._small_table = None  # set by smallgrp.small_table
 
     @property
     def order(self):
@@ -300,7 +302,8 @@ class PermGroup:
                 reps = [lv.transversal[pt] for pt in sorted(lv.transversal)]
                 out = [mul(e, t) for e in out for t in reps]
             out = sorted(set(out))
-            assert len(out) == self._order, "chain order != enumerated order"
+            if len(out) != self._order:
+                raise CertificateError("chain order != enumerated order")
             self._elements_cache = out
         return list(self._elements_cache)
 
@@ -415,7 +418,8 @@ class PermGroup:
             gens.extend(lv.gens)
         stab = PermGroup(gens or [identity_perm(self.degree)], self.degree)
         expected, rem = divmod(self._order, len(self.orbit(point)))
-        assert rem == 0 and stab.order == expected, "stabilizer order mismatch"
+        if rem or stab.order != expected:
+            raise CertificateError("stabilizer order mismatch")
         return stab
 
     def normal_closure(self, gens):
@@ -581,5 +585,6 @@ def relative_ops(G, H, gate=ELEMENT_GATE):
         "centralizer": handle(sorted(centralizer)),
         "center_of_G": handle(sorted(center)),
     }
-    assert result["core"].is_normal_in_parent(), "core failed normality check"
+    if not result["core"].is_normal_in_parent():
+        raise CertificateError("core failed normality check")
     return result

@@ -21,6 +21,7 @@ from .perm import (
     mul,
     perm_order,
 )
+from .verdicts import CertificateError
 
 
 class SmallGroupTable:
@@ -160,16 +161,13 @@ class SmallGroupTable:
         return e
 
 
-_TABLE_CACHE = {}
-
-
 def small_table(group, gate=LATTICE_GATE):
-    key = (id(group), gate)
-    tbl = _TABLE_CACHE.get(key)
-    if tbl is None:
-        tbl = SmallGroupTable(group, gate)
-        _TABLE_CACHE[key] = tbl
-    return tbl
+    """The table of group, built once and kept on the group."""
+    if group.order > gate:
+        raise OrderGateExceeded("small-group table", group.order, gate)
+    if group._small_table is None:
+        group._small_table = SmallGroupTable(group, gate)
+    return group._small_table
 
 
 def maximal_subgroups(group, gate=LATTICE_GATE):
@@ -239,9 +237,10 @@ def all_block_systems(group, gate=LATTICE_GATE):
         systems.add(system)
     out = sorted(systems, key=lambda sys_: (len(sys_[0]), sys_))
     for system in out:
-        assert group.invariant_partition(system)
-        sizes = {len(b) for b in system}
-        assert len(sizes) == 1
+        if not group.invariant_partition(system):
+            raise CertificateError("block system is not invariant")
+        if len({len(b) for b in system}) != 1:
+            raise CertificateError("blocks of unequal size")
     return out
 
 

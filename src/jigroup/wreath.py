@@ -16,11 +16,13 @@ from . import catalog
 from .basal import BasalCertificate, ShadowModel, ShadowSubgroup, shadow_ji_verdict
 from .perm import PermGroup, SubgroupHandle
 from .smallgrp import all_block_systems, maximal_subgroups_over
+from .verdicts import CertificateError
 
 SIMPLE_FIBERS = {
     "A5": lambda: catalog.alternating(5),
     "PSL27": lambda: catalog.psl27(7),
 }
+PRIMES = (2, 3)  # the primes build_wreath_shadow supports
 
 
 def wreath_shadow(fiber_group, top_group, provenance=""):
@@ -45,8 +47,8 @@ def wreath_shadow(fiber_group, top_group, provenance=""):
     gens = _fiber_gens(fiber_group, 0, n_omega)
     gens += [model.lift_top(a) for a in top_group.generators]
     model.group = PermGroup(gens)
-    expected = fiber_group.order**n_omega * top_group.order
-    assert model.group.order == expected, "wreath shadow order mismatch"
+    if model.group.order != fiber_group.order**n_omega * top_group.order:
+        raise CertificateError("wreath shadow order mismatch")
     model.basal_family = _block_product_family(model, fiber_group)
     return model
 
@@ -126,7 +128,7 @@ def build_wreath_shadow(fiber_tag, p):
     moves.  H = base x| W has index p^2; its unique maximal overgroup is
     base x| V.
     """
-    if p not in (2, 3):
+    if p not in PRIMES:
         raise ValueError("supported primes: 2 and 3")
     if fiber_tag not in SIMPLE_FIBERS:
         raise ValueError(f"supported fibers: {sorted(SIMPLE_FIBERS)}")
@@ -145,23 +147,26 @@ def build_wreath_shadow(fiber_tag, p):
     ]
     t_gens = [translation(e) for e in e_vecs]
     A = PermGroup([t_gens[0], rot])
-    assert A.order == p ** (p + 1), "affine top group has the wrong order"
+    if A.order != p ** (p + 1):
+        raise CertificateError("affine top group has the wrong order")
     model = wreath_shadow(fiber, A, provenance=f"{fiber_tag} wr (V x| C_{p})")
 
     # W: translations by vectors with first coordinate 0 (not rot-invariant)
     w_handle = SubgroupHandle(A, t_gens[1:], check=True)
-    assert w_handle.order == p ** (p - 1)
-    assert not w_handle.is_normal_in_parent(), "W must not be normal in A"
+    if w_handle.order != p ** (p - 1):
+        raise CertificateError("W has the wrong order")
+    if w_handle.is_normal_in_parent():
+        raise CertificateError("W must not be normal in A")
     v_handle = SubgroupHandle(A, t_gens, check=True)
-    assert v_handle.order == p**p
+    if v_handle.order != p**p:
+        raise CertificateError("V has the wrong order")
 
     H = ShadowSubgroup(model, w_handle, label="base x| W")
     M = ShadowSubgroup(model, v_handle, label="base x| V")
     full = ShadowSubgroup(model, SubgroupHandle.full(A), label="shadow group")
     over = maximal_subgroups_over(A, w_handle)
-    assert len(over) == 1 and over[0].same_subgroup(v_handle), (
-        "the maximal subgroup over W is not unique or is not V"
-    )
+    if len(over) != 1 or not over[0].same_subgroup(v_handle):
+        raise CertificateError("the maximal subgroup over W is not unique or is not V")
     return WreathShadow(model, fiber_tag, p, H, M, full)
 
 

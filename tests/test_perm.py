@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from jigroup import catalog
+from jigroup import catalog, fixtures
 from jigroup.perm import (
     PermGroup,
     SubgroupHandle,
@@ -18,6 +18,7 @@ from jigroup.perm import (
     perm_order,
     relative_ops,
 )
+from jigroup.smallgrp import all_subgroups
 
 
 def test_group_from_generators_examples():
@@ -221,6 +222,21 @@ def test_relative_ops_dihedral_reflection():
     H = SubgroupHandle(G, [refl])
     ops = relative_ops(G, H)
     assert ops["core"].order == 1
+
+
+TOPS = dict(fixtures.curated_top_groups())
+
+
+@pytest.mark.parametrize("name", sorted(TOPS))
+def test_relative_ops_core_is_the_meet_of_all_conjugates(name):
+    G = TOPS[name]
+    els = G.elements()
+    for H in all_subgroups(G):
+        h_els = H.element_set()
+        oracle = frozenset.intersection(
+            *(frozenset(conj(h, g) for h in h_els) for g in els)
+        )
+        assert relative_ops(G, H)["core"].element_set() == oracle
 
 
 def test_relative_ops_requires_containment():

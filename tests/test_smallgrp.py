@@ -1,8 +1,11 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jigroup import catalog
+from jigroup import catalog, fixtures
 from jigroup.perm import OrderGateExceeded, SubgroupHandle, identity_perm, mul
 from jigroup.smallgrp import (
     all_block_systems,
@@ -14,6 +17,8 @@ from jigroup.smallgrp import (
     recognize_special,
     small_table,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def bruteforce_subgroups(G):
@@ -157,6 +162,99 @@ def test_extraspecial_structure():
     assert tbl.derived_subgroup() == tbl.center()
     assert tbl.exponent() == 4
     assert len(frattini(E).group.elements()) == 2
+    _check_against_all_element_oracles(tbl)
+
+
+# The former loops, which act by every element of the group; the table
+# acts by the generators only.
+
+
+def _conj_set(tbl, s, g):
+    return frozenset(tbl.conj(i, g) for i in s)
+
+
+def classes_of_subgroups_oracle(tbl, subgroups):
+    remaining = set(subgroups)
+    classes = []
+    while remaining:
+        s = min(remaining, key=lambda x: (len(x), sorted(x)))
+        orbit = {s}
+        frontier = [s]
+        while frontier:
+            cur = frontier.pop()
+            for g in range(tbl.n):
+                img = _conj_set(tbl, cur, g)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        classes.append(sorted(orbit, key=lambda x: sorted(x)))
+        remaining -= orbit
+    classes.sort(key=lambda c: (len(c[0]), len(c), sorted(c[0])))
+    return classes
+
+
+def is_normal_oracle(tbl, s):
+    return all(_conj_set(tbl, s, g) == s for g in range(tbl.n))
+
+
+def center_oracle(tbl):
+    return frozenset(
+        i for i in range(tbl.n)
+        if all(tbl.table[i][j] == tbl.table[j][i] for j in range(tbl.n))
+    )
+
+
+def core_oracle(tbl, s):
+    return frozenset.intersection(*(_conj_set(tbl, s, g) for g in range(tbl.n)))
+
+
+def _check_against_all_element_oracles(tbl):
+    maxim = tbl.maximal_subgroups()
+    assert tbl.conjugacy_classes_of_subgroups(maxim) == classes_of_subgroups_oracle(tbl, maxim)
+    assert tbl.center() == center_oracle(tbl)
+    for s, _ in tbl.all_subgroups():
+        assert tbl.is_subgroup_normal(s) == is_normal_oracle(tbl, s)
+        assert tbl.core(s) == core_oracle(tbl, s)
+
+
+ORACLE_GROUPS = {
+    **dict(fixtures.primitive_corpus()),
+    **dict(fixtures.curated_top_groups()),
+    "Q16": catalog.quaternion(16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_generator_actions_match_all_element_oracles(name):
+    # the extraspecial group of order 128 is checked in test_extraspecial_structure
+    _check_against_all_element_oracles(small_table(ORACLE_GROUPS[name]))
+
+
+def test_table_is_kept_on_the_group():
+    Q = catalog.quaternion(16)
+    tbl = small_table(Q, 4096)
+    assert small_table(Q, 10000) is tbl
+    with pytest.raises(OrderGateExceeded):
+        small_table(Q, 8)
+
+
+def test_block_system_recheck_raises_under_O():
+    script = (
+        "from jigroup import catalog\n"
+        "from jigroup.perm import PermGroup\n"
+        "from jigroup.smallgrp import all_block_systems\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "PermGroup.invariant_partition = lambda self, partition: False\n"
+        "try:\n"
+        "    all_block_systems(catalog.dihedral(4))\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: block system is not invariant")
 
 
 def test_conjugacy_classes_extraspecial():
