@@ -2,7 +2,8 @@
 
 Machine reports are byte-deterministic JSON (sorted keys, no timing); text
 reports carry wall-clock timing.  Exit status is 0 exactly when no claim
-FAILed and no error occurred.
+FAILed and no error occurred; an error exits 2, as one JSON object
+{"error": {"kind", "line", "message"}} in machine mode.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from .basal import maxcor_equivalence_check
 from .chartab import character_table, min_faithful_degree
 from .hilbert import REAL_PLACE, hilbert_symbol
 from .padic import DEFAULT_PRECISION
-from .perm import OrderGateExceeded, PermGroup
-from .profile_io import ProfileError, parse_profile
+from .perm import OrderGateExceeded
+from .profile_io import ProfileError, parse_profile_kind
 from .profiles import (
-    VaProfile,
     maximal_scan,
     quaternionic_type,
     respthm_check,
@@ -29,15 +29,27 @@ from .profiles import (
     validate_va_profile,
 )
 from .verdicts import JI, NOT_JI, CertificateError, Verdict, describe
-from .wreath import WreathShadow, wreath_verdicts
+from .wreath import wreath_verdicts
+
+# error class, machine-report kind, text prefix
+_ERRORS = (
+    (ProfileError, "profile", ""),
+    (CertificateError, "certificate", "certificate: "),
+    (OrderGateExceeded, "order_gate", "order gate: "),
+    (OSError, "io", ""),
+)
+
+
+def _write_json(obj, out):
+    out.write(json.dumps(obj, sort_keys=True, indent=1))
+    out.write("\n")
 
 
 def _print_report(report, mode, t0, out):
     if mode == "machine":
         report = dict(report)
         report["timing_ms"] = None  # deterministic machine output
-        out.write(json.dumps(describe(report), sort_keys=True, indent=1))
-        out.write("\n")
+        _write_json(describe(report), out)
     else:
         _print_text(report, out)
         out.write(f"elapsed: {time.time() - t0:.2f}s\n")
@@ -67,11 +79,13 @@ def _print_text(node, out, indent=0):
     out.write(f"{pad}{describe(node)}\n")
 
 
+def _read_profile(path, kind):
+    with open(path, "rb") as fh:
+        return parse_profile_kind(fh.read(), kind)
+
+
 def _cmd_analyze(args, out):
-    with open(args.file, "rb") as fh:
-        obj = parse_profile(fh.read())
-    if not isinstance(obj, VaProfile):
-        raise SystemExit(f"analyze expects a va profile, got {type(obj).__name__}")
+    obj = _read_profile(args.file, "va")
     if args.precision:
         obj.precision = args.precision
     report = {"command": "analyze", "profile": repr(obj)}
@@ -90,10 +104,7 @@ def _cmd_analyze(args, out):
 
 
 def _cmd_shadow(args, out):
-    with open(args.file, "rb") as fh:
-        obj = parse_profile(fh.read())
-    if not isinstance(obj, WreathShadow):
-        raise SystemExit(f"shadow expects a wreath profile, got {type(obj).__name__}")
+    obj = _read_profile(args.file, "wreath")
     v = wreath_verdicts(obj)
     report = {
         "command": "shadow",
@@ -128,10 +139,7 @@ def _cmd_hilbert(args, out):
 
 
 def _cmd_chartab(args, out):
-    with open(args.file, "rb") as fh:
-        obj = parse_profile(fh.read())
-    if not isinstance(obj, PermGroup):
-        raise SystemExit("chartab expects a permgroup profile")
+    obj = _read_profile(args.file, "permgroup")
     table = character_table(obj, gate=args.order_gate)
     report = {
         "command": "chartab",
@@ -317,18 +325,17 @@ def run_command(argv, out=None):
     }
     try:
         report, status = handlers[args.command](args, out)
-    except ProfileError as exc:
-        out.write(f"error: {exc}\n")
-        return 2, {"error": str(exc)}
-    except CertificateError as exc:
-        out.write(f"error: certificate: {exc}\n")
-        return 2, {"error": f"certificate: {exc}"}
-    except OrderGateExceeded as exc:
-        out.write(f"error: order gate: {exc}\n")
-        return 2, {"error": f"order gate: {exc}"}
-    except FileNotFoundError as exc:
-        out.write(f"error: {exc}\n")
-        return 2, {"error": str(exc)}
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        kind, prefix = next((k, p) for cls, k, p in _ERRORS if isinstance(exc, cls))
+        if args.report == "machine":
+            _write_json({"error": {
+                "kind": kind,
+                "line": getattr(exc, "line_no", None),
+                "message": getattr(exc, "message", str(exc)),
+            }}, out)
+        else:
+            out.write(f"error: {prefix}{exc}\n")
+        return 2, {"error": f"{prefix}{exc}"}
     _print_report(report, args.report, t0, out)
     return status, report
 

@@ -13,9 +13,10 @@ Format (version header required, '#' comments allowed):
 
 Entry tokens: integers, rationals "n/d", p-adic approximations "r:k"
 (residue r known mod p^k), or number-ring coefficient vectors "c0,c1,..."
-against a declared "modulus c0 c1 ... 1" line.  A matrix with a p-adic
-entry is known to the least precision its entries state, and is emitted
-at that precision.  Kinds: va, wreath, permgroup, matrep.
+against a declared "modulus c0 c1 ... 1" line (kind matrep only; there a
+rational entry is a constant).  A matrix with a p-adic entry is known to
+the least precision its entries state, and is emitted at that precision.
+Kinds: va, wreath, permgroup, matrep.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class ProfileError(ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 def _tokenize(text):
@@ -51,8 +53,25 @@ def _tokenize(text):
 
 def parse_profile(text):
     """Parse to exactly one domain object or raise a located ProfileError."""
+    return _build(*_read_fields(text))
+
+
+def parse_profile_kind(text, kind):
+    """parse_profile for one kind; another kind is an error at the kind line."""
+    fields, gens, mats = _read_fields(text)
+    ln, found = fields["kind"]
+    if found != kind:
+        raise ProfileError(ln, f"expected kind {kind}, got {found!r}")
+    return _build(fields, gens, mats)
+
+
+def _read_fields(text):
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise ProfileError(line, f"not UTF-8: byte {text[exc.start]:#04x}")
     lines = _tokenize(text)
     if not lines:
         raise ProfileError(0, "empty profile")
@@ -80,6 +99,10 @@ def parse_profile(text):
             raise ProfileError(ln, f"unknown field {key!r}")
     if "kind" not in fields:
         raise ProfileError(lines[-1][0], "missing kind")
+    return fields, gens, mats
+
+
+def _build(fields, gens, mats):
     kind = fields["kind"][1]
     if kind == "wreath":
         return _parse_wreath(fields)
@@ -104,11 +127,16 @@ def _parse_int(ln, s, what):
 
 
 def _parse_wreath(fields):
-    from .wreath import build_wreath_shadow
+    from .wreath import PRIMES, SIMPLE_FIBERS, build_wreath_shadow
 
-    _, fiber = _require(fields, "fiber", "wreath")
+    ln1, fiber = _require(fields, "fiber", "wreath")
+    if fiber not in SIMPLE_FIBERS:
+        raise ProfileError(ln1, f"fiber must be one of {sorted(SIMPLE_FIBERS)}, got {fiber!r}")
     ln2, prime = _require(fields, "prime", "wreath")
-    return build_wreath_shadow(fiber, _parse_int(ln2, prime, "prime"))
+    p = _parse_int(ln2, prime, "prime")
+    if p not in PRIMES:
+        raise ProfileError(ln2, f"prime must be one of {list(PRIMES)}, got {p}")
+    return build_wreath_shadow(fiber, p)
 
 
 def _parse_group(fields, gens):
@@ -156,7 +184,7 @@ def _parse_entry(ln, token, ring, precision, number_ring):
     if "," in token and number_ring is None:
         raise ProfileError(ln, "coefficient-vector entry without a modulus")
     try:
-        if "," in token:
+        if number_ring is not None:
             return number_ring.element([Fraction(t) for t in token.split(",")])
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -204,6 +232,8 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         entries = [
             _parse_entry(ml, t, ring, precision, number_ring) for t in tokens
         ]
+        if number_ring is not None and kind != "matrep":
+            raise ProfileError(ml, "entries over a modulus belong to kind matrep")
         rows = tuple(tuple(entries[i * d:(i + 1) * d]) for i in range(d))
         caps = [_parse_int(ml, t.partition(":")[2], "precision") for t in tokens if ":" in t]
         if caps and min(caps) < 1:

@@ -329,6 +329,12 @@ def test_certificate_error_is_exit_2(monkeypatch):
     assert status == 2
     assert out.getvalue() == "error: certificate: orthogonality failed at rows 1,0\n"
     assert report == {"error": "certificate: orthogonality failed at rows 1,0"}
+    out = io.StringIO()
+    status, _ = run_command(
+        ["--report", "machine", "chartab", str(DATA / "q16_group.profile")], out)
+    assert status == 2
+    assert json.loads(out.getvalue()) == {"error": {
+        "kind": "certificate", "line": None, "message": "orthogonality failed at rows 1,0"}}
 
 
 @pytest.mark.parametrize("entries, emitted", [
@@ -343,3 +349,69 @@ def test_padic_matrix_emits_at_its_least_entry_precision(entries, emitted):
     out = emit_va_profile(parse_profile(text))
     assert out == text.replace(entries, emitted)
     assert emit_va_profile(parse_profile(out)) == out
+
+
+# argv before the file, the file (text, bytes, or None for a directory),
+# the text-mode prefix and the machine error's kind and line
+ERROR_CASES = {
+    "analyze_wreath_profile": (
+        ["analyze"], (DATA / "wreath_a5_p2.profile").read_text(), "line 2: ", "profile", 2),
+    "shadow_permgroup_profile": (
+        ["shadow"], (DATA / "q16_group.profile").read_text(), "line 2: ", "profile", 2),
+    "chartab_va_profile": (
+        ["chartab"], (DATA / "c3_z3.profile").read_text(), "line 2: ", "profile", 2),
+    "va_coefficient_vector": (
+        ["analyze"],
+        "jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\ndegree 4\n"
+        "gen 1 2 3 0\nmat 0,1\n",
+        "line 8: ", "profile", 8),
+    "va_modulus_with_rational_entry": (
+        ["analyze"],
+        "jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\ndegree 2\n"
+        "gen 1 0\nmat -1\n",
+        "line 8: ", "profile", 8),
+    "wreath_prime_5": (
+        ["shadow"], "jigroup-profile v1\nkind wreath\nfiber A5\nprime 5\n",
+        "line 4: ", "profile", 4),
+    "wreath_fiber_a6": (
+        ["shadow"], "jigroup-profile v1\nkind wreath\nfiber A6\nprime 2\n",
+        "line 3: ", "profile", 3),
+    "not_utf8": (["analyze"], b"jigroup-profile v1\nkind va\n\xff\n", "line 3: ", "profile", 3),
+    "directory": (["analyze"], None, "", "io", None),
+    "missing_header": (["analyze"], "kind va\n", "line 1: ", "profile", 1),
+    "order_gate": (
+        ["--order-gate", "8", "analyze"], (DATA / "q16_va.profile").read_text(),
+        "order gate: ", "order_gate", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_is_a_located_error_and_machine_json(tmp_path, case):
+    argv, content, prefix, kind, line = ERROR_CASES[case]
+    path = tmp_path / "case.profile"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    out = io.StringIO()
+    status, report = run_command([*argv, str(path)], out)
+    assert status == 2
+    assert out.getvalue() == f"error: {report['error']}\n"
+    assert report["error"].startswith(prefix)
+    out = io.StringIO()
+    status, _ = run_command(["--report", "machine", *argv, str(path)], out)
+    assert status == 2
+    error = json.loads(out.getvalue())["error"]
+    assert (error["kind"], error["line"]) == (kind, line)
+    assert report["error"] == prefix + error["message"]
+    assert out.getvalue() == json.dumps({"error": error}, sort_keys=True, indent=1) + "\n"
+
+
+def test_number_ring_matrix_takes_rational_entries_as_constants():
+    text = ("jigroup-profile v1\nkind matrep\ndegree 2\nmodulus 1 0 1\n"
+            "gen 1 0\nmat -1\n")
+    rep = parse_profile(text)
+    assert rep.gen_images == [(((-1, 0),),)]
+    assert rep.faithful
