@@ -567,9 +567,9 @@ def relative_ops(G, H, gate=ELEMENT_GATE):
     if G.order > gate:
         raise OrderGateExceeded("relative_ops", G.order, gate)
     g_els = G.elements(gate)
-    h_els = set(H.group.elements(gate))
+    h_els = frozenset(H.group.elements(gate))
 
-    core = frozenset.intersection(*_walk(frozenset(h_els), G.generators, _conj_set))
+    core = frozenset.intersection(*_walk(h_els, G.generators, _conj_set))
     normalizer = [g for g in g_els if {conj(h, g) for h in h_els} == h_els]
     centralizer = [g for g in g_els if all(conj(h, g) == h for h in H.generators)]
     center = [g for g in g_els if all(mul(g, x) == mul(x, g) for x in G.generators)]

@@ -131,7 +131,8 @@ def _parse_wreath(fields):
 
     ln1, fiber = _require(fields, "fiber", "wreath")
     if fiber not in SIMPLE_FIBERS:
-        raise ProfileError(ln1, f"fiber must be one of {sorted(SIMPLE_FIBERS)}, got {fiber!r}")
+        raise ProfileError(
+            ln1, f"fiber must be one of {sorted(SIMPLE_FIBERS)}, got {fiber!r}")
     ln2, prime = _require(fields, "prime", "wreath")
     p = _parse_int(ln2, prime, "prime")
     if p not in PRIMES:

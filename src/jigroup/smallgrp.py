@@ -123,7 +123,8 @@ class SmallGroupTable:
 
     def conjugacy_classes(self):
         """Conjugacy classes of elements; identity class first."""
-        classes = [sorted(orbit) for orbit in _orbits_of(range(self.n), self.gens, self.conj)]
+        orbits = _orbits_of(range(self.n), self.gens, self.conj)
+        classes = [sorted(orbit) for orbit in orbits]
         classes.sort(key=lambda c: (c[0] != self.ident, self.order_of[c[0]], c[0]))
         return classes
 
