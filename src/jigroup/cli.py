@@ -31,8 +31,27 @@ from .profiles import (
 from .verdicts import JI, NOT_JI, CertificateError, Verdict, describe
 from .wreath import wreath_verdicts
 
+
+class UsageError(ValueError):
+    """A command-line argument that cannot be used.
+
+    parser is the argparse parser that refused the argument list, or None
+    when a command refuses an argument the grammar took.
+    """
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message, self)
+
+
 # error class, machine-report kind, text prefix
 _ERRORS = (
+    (UsageError, "usage", ""),
     (ProfileError, "profile", ""),
     (CertificateError, "certificate", "certificate: "),
     (OrderGateExceeded, "order_gate", "order gate: "),
@@ -131,9 +150,28 @@ def _cmd_shadow(args, out):
     return report, status
 
 
+def _hilbert_entry(name, text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"argument {name}: not a rational number: {text!r}") from None
+    if value == 0:
+        raise UsageError(f"argument {name}: must be nonzero")
+    return value
+
+
 def _cmd_hilbert(args, out):
-    place = REAL_PLACE if args.place in ("real", "oo", "inf") else int(args.place)
-    value = hilbert_symbol(Fraction(args.a), Fraction(args.b), place)
+    a, b = _hilbert_entry("a", args.a), _hilbert_entry("b", args.b)
+    place = args.place
+    if place in ("real", "oo", "inf"):
+        place = REAL_PLACE
+    elif place.isdecimal():
+        place = int(place)
+    try:
+        value = hilbert_symbol(a, b, place)
+    except ValueError:  # a, b are nonzero: the place is neither a prime nor real
+        raise UsageError(
+            f"argument place: not a prime or 'real': {args.place!r}") from None
     return {"command": "hilbert", "a": args.a, "b": args.b,
             "place": str(args.place), "symbol": value}, 0
 
@@ -272,7 +310,7 @@ def _cmd_verify_paper(args, out):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jigroup",
         description="just-infinite decision procedures for lattice profiles "
         "and wreath shadow models",
@@ -310,11 +348,41 @@ def _protect_negative_args(argv):
     return argv
 
 
+def _asks_machine_report(argv):
+    """Whether argv asks for machine reports, read apart from the rest of it."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--report")
+    try:
+        known, _ = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return False
+    return known.report == "machine"
+
+
+def _report_error(exc, mode, out):
+    kind, prefix = next((k, p) for cls, k, p in _ERRORS if isinstance(exc, cls))
+    if mode == "machine":
+        _write_json({"error": {
+            "kind": kind,
+            "line": getattr(exc, "line_no", None),
+            "message": getattr(exc, "message", str(exc)),
+        }}, out)
+    else:
+        out.write(f"error: {prefix}{exc}\n")
+    return 2, {"error": f"{prefix}{exc}"}
+
+
 def run_command(argv, out=None):
     """Dispatch a CLI invocation; returns (exit status, report dict)."""
     out = out or sys.stdout
     parser = _build_parser()
-    args = parser.parse_args(_protect_negative_args(list(argv)))
+    argv = _protect_negative_args(list(argv))
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        if not _asks_machine_report(argv):
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage on stderr, exit 2
+        return _report_error(exc, "machine", out)
     t0 = time.time()
     handlers = {
         "analyze": _cmd_analyze,
@@ -326,16 +394,7 @@ def run_command(argv, out=None):
     try:
         report, status = handlers[args.command](args, out)
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
-        kind, prefix = next((k, p) for cls, k, p in _ERRORS if isinstance(exc, cls))
-        if args.report == "machine":
-            _write_json({"error": {
-                "kind": kind,
-                "line": getattr(exc, "line_no", None),
-                "message": getattr(exc, "message", str(exc)),
-            }}, out)
-        else:
-            out.write(f"error: {prefix}{exc}\n")
-        return 2, {"error": f"{prefix}{exc}"}
+        return _report_error(exc, args.report, out)
     _print_report(report, args.report, t0, out)
     return status, report
 

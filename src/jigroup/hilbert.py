@@ -54,8 +54,10 @@ def hilbert_symbol(a, b, place):
         raise ValueError("hilbert symbol requires nonzero arguments")
     if place == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
+    from sympy import isprime  # on first use, as in chartab
+
     p = place
-    if not (isinstance(p, int) and p >= 2):
+    if not (isinstance(p, int) and isprime(p)):
         raise ValueError(f"not a place: {place!r}")
     alpha, u = _valuation_and_unit(a, p)
     beta, v = _valuation_and_unit(b, p)

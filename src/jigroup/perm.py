@@ -1,15 +1,24 @@
 """Exact finite permutation groups with stabilizer chains.
 
 Permutations are tuples of images on the points 0..n-1, composed left to
-right: (p * q)[i] = q[p[i]].  Groups carry a deterministic Schreier-Sims
-stabilizer chain, so orders and membership tests are exact; no
-randomization is involved anywhere.
+right: (p * q)[i] = q[p[i]].  Groups carry a Schreier-Sims stabilizer
+chain, so orders and membership tests are exact.  The chain is built
+deterministically, except for a group whose order its caller knows and
+proves from above (the wreath shadow, F wr P): its chain is filled from
+random elements of a fixed seed until the orbit sizes multiply to that
+order.  That product is a lower bound for the order at every step, so
+reaching the known order proves the chain complete; the random elements
+change only how fast it gets there (Seress, Permutation Group Algorithms,
+2003, ch. 4).
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 import sys
 from math import gcd
+from operator import itemgetter
 
 from .verdicts import CertificateError
 
@@ -34,6 +43,13 @@ ELEMENT_GATE = 20000
 # Subgroup-lattice work is capped at 2**12 by default.
 LATTICE_GATE = 4096
 
+# The known-order fill: its fixed seed, its product-replacement slots and
+# scramble steps, and the trivial sifts in a row after which it stops.
+_FILL_SEED = 1
+_SLOTS = 10
+_SCRAMBLE = 50
+_STALL = 40
+
 
 def identity_perm(n):
     return tuple(range(n))
@@ -47,7 +63,9 @@ def check_perm(p):
 
 def mul(p, q):
     """Compose left to right: apply p, then q."""
-    return tuple(q[i] for i in p)
+    if len(p) < 2:  # itemgetter takes at least one index, and one gives a bare item
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def inv(p):
@@ -59,8 +77,7 @@ def inv(p):
 
 def conj(p, g):
     """Conjugate p by g: g^-1 * p * g."""
-    gi = inv(g)
-    return tuple(g[p[gi[i]]] for i in range(len(p)))
+    return mul(mul(inv(g), p), g)
 
 
 def _image(point, g):
@@ -123,28 +140,34 @@ def perm_from_cycles(n, *cycs):
 
 
 class _Level:
-    __slots__ = ("beta", "transversal", "gens", "processed")
+    __slots__ = ("beta", "transversal", "inverse", "strong", "processed", "closed")
 
     def __init__(self, beta, n):
+        ident = identity_perm(n)
         self.beta = beta
-        self.transversal = {beta: identity_perm(n)}
-        self.gens = []  # strong generators installed at this level
-        self.processed = set()  # (orbit point, generator) pairs already sifted
+        self.transversal = {beta: ident}  # orbit point -> element taking beta there
+        self.inverse = {beta: ident}  # orbit point -> the inverse of that element
+        self.strong = []  # (serial, generator, its inverse) installed at this level
+        self.processed = set()  # (orbit point, serial) pairs already sifted
+        self.closed = 0  # the orbit is closed under the gens of serial <= this
 
 
 class _Chain:
-    """Mutable deterministic Schreier-Sims chain.
+    """Mutable Schreier-Sims chain.
 
     The generating set of the i-th stabilizer is the union of the gens
-    installed at levels >= i.  After add_generator returns, every Schreier
+    installed at levels >= i, and the orbit sizes multiply to at most the
+    order of the group.  After add_generator returns, every Schreier
     generator of every level sifts to the identity through the levels below
-    it, so the orbit sizes multiply to the exact group order.
+    it, so the product is the exact group order.  fill reaches the same
+    product from a known order instead (see there).
     """
 
     def __init__(self, degree):
         self.degree = degree
         self.levels = []
         self._ident = identity_perm(degree)
+        self._serial = 0
 
     def order(self):
         n = 1
@@ -152,8 +175,8 @@ class _Chain:
             n *= len(lv.transversal)
         return n
 
-    def gens_at(self, idx):
-        return [g for lv in self.levels[idx:] for g in lv.gens]
+    def strong_at(self, idx):
+        return [s for lv in self.levels[idx:] for s in lv.strong]
 
     def strip(self, g, start=0):
         """Sift g through levels >= start; return (residue, stop level)."""
@@ -162,10 +185,10 @@ class _Chain:
             img = g[lv.beta]
             if img == lv.beta:
                 continue
-            t = lv.transversal.get(img)
-            if t is None:
+            t_inv = lv.inverse.get(img)
+            if t_inv is None:
                 return g, idx
-            g = mul(g, inv(t))
+            g = mul(g, t_inv)
         return g, len(self.levels)
 
     def contains(self, g):
@@ -179,11 +202,57 @@ class _Chain:
         if r == self._ident:
             return
         self._install(idx, r)
-        # Downward/upward sweep: process a level completely; a new residue
-        # below sends us down, a finished level sends us up.  Every level at
-        # or above the installation point gains the new generator through
-        # gens_at, so the sweep must reach level 0.
-        i = idx
+        self._sweep(idx)
+
+    def fill(self, gens, target):
+        """Grow the chain from gens to the known order target of <gens>.
+
+        Every generator, then a stream of product-replacement elements from
+        a fixed seed, is sifted and its residue installed.  The orbit sizes
+        multiply to a lower bound for |<gens>| at every step, so reaching
+        target proves |<gens>| >= target; the caller proves the upper
+        bound.  The stream stops after _STALL trivial sifts in a row, also
+        once target is reached: an element of <gens> sifts through an
+        incomplete chain with probability at most 1/2, so a target below
+        the order is passed.  If the order is below target when the stream
+        stops, the deterministic sweep completes the chain.  An order that
+        passes target, or an exact order other than target, raises
+        CertificateError; the stall and the sweep end on every input.
+        """
+        stream = _random_elements(gens, self._ident, random.Random(_FILL_SEED))
+        trivial = 0
+        for g in itertools.chain(gens, stream):
+            if self._sift_in(g):
+                trivial = 0
+                if self.order() > target:
+                    raise CertificateError(
+                        f"chain order passed the known order {target}")
+            else:
+                trivial += 1
+                if trivial == _STALL:
+                    break
+        if self.order() != target:
+            self._sweep(len(self.levels) - 1)
+            if self.order() != target:
+                raise CertificateError(
+                    f"group order {self.order()} != known order {target}")
+
+    def _sift_in(self, g):
+        """Install the residue of g, if any, and close the orbits it extends."""
+        r, idx = self.strip(g)
+        if r == self._ident:
+            return False
+        self._install(idx, r)
+        new = self.levels[idx].strong[-1:]
+        for i in range(idx + 1):  # every level closed before, so only new is new
+            self._close_orbit(i, new)
+        return True
+
+    def _sweep(self, i):
+        """Process levels from i up to 0: a new residue below sends the
+        sweep down to its level, a finished level sends it up.  Every level
+        at or above an installation gains the new generator, so the sweep
+        must reach level 0."""
         while i >= 0:
             if i >= len(self.levels):
                 i -= 1
@@ -198,21 +267,37 @@ class _Chain:
         if idx == len(self.levels):
             beta = next(i for i, j in enumerate(r) if i != j)
             self.levels.append(_Level(beta, self.degree))
-        self.levels[idx].gens.append(r)
-
-    def _close_orbit(self, idx, gens):
         lv = self.levels[idx]
+        self._serial += 1
+        lv.strong.append((self._serial, r, inv(r)))
+
+    def _close_orbit(self, idx, step=None):
+        """Close the orbit of level idx under the gens of levels >= idx.
+
+        The points it was closed on before need only the gens installed
+        since, step (the caller may know them); the points it gains need
+        them all.
+        """
+        lv = self.levels[idx]
+        if step is None:
+            step = [s for s in self.strong_at(idx) if s[0] > lv.closed]
+        strong = None
         frontier = list(lv.transversal)
         while frontier:
             nxt = []
             for pt in frontier:
                 t = lv.transversal[pt]
-                for s in gens:
+                t_inv = lv.inverse[pt]
+                for _, s, s_inv in step:
                     img = s[pt]
                     if img not in lv.transversal:
                         lv.transversal[img] = mul(t, s)
+                        lv.inverse[img] = mul(s_inv, t_inv)
                         nxt.append(img)
+            if nxt and strong is None:
+                strong = step = self.strong_at(idx)
             frontier = nxt
+        lv.closed = self._serial
 
     def _process_level(self, idx):
         """Sift unprocessed Schreier generators of level idx.
@@ -221,17 +306,17 @@ class _Chain:
         jumps there), or None once the level is complete.
         """
         lv = self.levels[idx]
-        gens = self.gens_at(idx)
-        self._close_orbit(idx, gens)
+        self._close_orbit(idx)
+        strong = self.strong_at(idx)
         for pt in sorted(lv.transversal):
             t = lv.transversal[pt]
-            for s in gens:
-                key = (pt, s)
+            for serial, s, _ in strong:
+                key = (pt, serial)
                 if key in lv.processed:
                     continue
                 lv.processed.add(key)
                 ts = mul(t, s)
-                sg = mul(ts, inv(lv.transversal[ts[lv.beta]]))
+                sg = mul(ts, lv.inverse[ts[lv.beta]])
                 if sg == self._ident:
                     continue
                 rr, j = self.strip(sg, idx + 1)
@@ -241,6 +326,25 @@ class _Chain:
         return None
 
 
+def _random_elements(gens, ident, rng):
+    """Endless product replacement with an accumulator: nearly uniform
+    random elements of <gens> (Celler, Leedham-Green, Murray, Niemeyer and
+    O'Brien 1995; Seress 2003, sec. 2.2)."""
+    slots = list(gens) or [ident]
+    while len(slots) < _SLOTS:
+        slots += slots[: _SLOTS - len(slots)]
+    acc = ident
+    for step in itertools.count():
+        i, j = rng.sample(range(len(slots)), 2)
+        if rng.random() < 0.5:
+            slots[i] = mul(slots[i], slots[j])
+        else:
+            slots[i] = mul(slots[j], slots[i])
+        acc = mul(acc, slots[i])
+        if step >= _SCRAMBLE:
+            yield acc
+
+
 class PermGroup:
     """A finite permutation group with exact order and membership.
 
@@ -248,7 +352,7 @@ class PermGroup:
     the stabilizer chain holds strong generators internally.
     """
 
-    def __init__(self, generators, degree=None, _base_hint=None):
+    def __init__(self, generators, degree=None, _base_hint=None, _known_order=None):
         gens = [tuple(g) for g in generators]
         if degree is None:
             if not gens:
@@ -267,8 +371,11 @@ class PermGroup:
         if _base_hint:
             for beta in _base_hint:
                 self._chain.levels.append(_Level(beta, degree))
-        for g in self.generators:
-            self._chain.add_generator(g)
+        if _known_order is None:
+            for g in self.generators:
+                self._chain.add_generator(g)
+        else:  # the caller proves |<generators>| <= _known_order
+            self._chain.fill(self.generators, _known_order)
         self._order = self._chain.order()
         self._elements_cache = None
         self._small_table = None  # set by smallgrp.small_table
@@ -412,10 +519,7 @@ class PermGroup:
     def point_stabilizer(self, point):
         """The stabilizer of a point, as a PermGroup."""
         rebuilt = PermGroup(self.generators, self.degree, _base_hint=[point])
-        levels = rebuilt._chain.levels
-        gens = []
-        for lv in levels[1:]:
-            gens.extend(lv.gens)
+        gens = [s for _, s, _ in rebuilt._chain.strong_at(1)]
         stab = PermGroup(gens or [identity_perm(self.degree)], self.degree)
         expected, rem = divmod(self._order, len(self.orbit(point)))
         if rem or stab.order != expected:

@@ -60,6 +60,31 @@ class SmallGroupTable:
         table = self.table
         return frozenset(_walk(self.ident, tuple(gens), lambda a, g: table[a][g]))
 
+    def join(self, s, gens, c):
+        """<s, c> for the subgroup s that gens generate, as a frozenset.
+
+        The walk starts from the elements of s: s is closed under gens, so
+        its elements need only c, and each element the walk adds needs
+        every generator.
+        """
+        table = self.table
+        out = set(s)
+        todo = []
+        for x in s:
+            y = table[x][c]
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+        gens = gens + (c,)
+        for x in todo:  # todo grows while it is read
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in out:
+                    out.add(y)
+                    todo.append(y)
+        return frozenset(out)
+
     def _conj_set(self, s, g):
         return frozenset(self.conj(i, g) for i in s)
 
@@ -89,7 +114,7 @@ class SmallGroupTable:
             for c, cgen in cyc.items():
                 if c <= s:
                     continue
-                t = self.closure(gens + (cgen,))
+                t = self.join(s, gens, cgen)
                 if t not in subs:
                     tg = gens + (cgen,)
                     subs[t] = tg

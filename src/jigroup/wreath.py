@@ -46,11 +46,30 @@ def wreath_shadow(fiber_group, top_group, provenance=""):
     )
     gens = _fiber_gens(fiber_group, 0, n_omega)
     gens += [model.lift_top(a) for a in top_group.generators]
-    model.group = PermGroup(gens)
-    if model.group.order != fiber_group.order**n_omega * top_group.order:
-        raise CertificateError("wreath shadow order mismatch")
+    # |F wr P| bounds the order from above, the chain from below
+    _check_in_wreath(gens, fiber_group, top_group)
+    model.group = PermGroup(
+        gens, _known_order=fiber_group.order**n_omega * top_group.order)
     model.basal_family = _block_product_family(model, fiber_group)
     return model
+
+
+def _check_in_wreath(gens, fiber_group, top_group):
+    """Raise CertificateError unless every gen lies in F wr P: it maps each
+    fiber onto a fiber by an element of F, and the fibers by an element of P.
+    Those permutations form a group of order |F|^|Omega| * |P|."""
+    deg_f = fiber_group.degree
+    points = list(range(deg_f))
+    for g in gens:
+        top = []
+        for i in range(top_group.degree):
+            j = g[i * deg_f] // deg_f
+            local = tuple(x - j * deg_f for x in g[i * deg_f:(i + 1) * deg_f])
+            if sorted(local) != points or local not in fiber_group:
+                raise CertificateError(f"generator maps fiber {i} outside F")
+            top.append(j)
+        if top not in top_group:
+            raise CertificateError("generator permutes the fibers outside P")
 
 
 def _block_product_family(model, fiber_group):

@@ -27,6 +27,12 @@ def test_zero_inputs_rejected():
         quaternion_is_division(1, 0, "Q")
 
 
+@pytest.mark.parametrize("place", [4, 1, 0, -3, 9, "5", 2.0])
+def test_non_places_rejected(place):
+    with pytest.raises(ValueError, match="not a place"):
+        hilbert_symbol(3, 2, place)
+
+
 def test_symmetry_small_grid():
     vals = [Fraction(v) for v in (-5, -2, -1, 1, 2, 3, 5, Fraction(1, 2))]
     for p in (2, 3, 5, 7):

@@ -120,6 +120,62 @@ def test_cli_hilbert():
     assert report["symbol"] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["3", "2", "4"], "argument place: not a prime or 'real': '4'"),
+    (["3", "2", "x"], "argument place: not a prime or 'real': 'x'"),
+    (["3", "2", "-5"], "argument place: not a prime or 'real': '-5'"),
+    (["a", "1", "2"], "argument a: not a rational number: 'a'"),
+    (["1", "1/0", "2"], "argument b: not a rational number: '1/0'"),
+    (["1", "0", "2"], "argument b: must be nonzero"),
+])
+def test_cli_hilbert_bad_argument_is_a_usage_error(argv, message):
+    out = io.StringIO()
+    status, report = run_command(["hilbert", *argv], out)
+    assert status == 2
+    assert out.getvalue() == f"error: {message}\n"
+    assert report == {"error": message}
+    out = io.StringIO()
+    status, _ = run_command(["--report", "machine", "hilbert", *argv], out)
+    assert status == 2
+    assert json.loads(out.getvalue()) == {
+        "error": {"kind": "usage", "line": None, "message": message}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "the following arguments are required: file"),
+    (["--precision", "x", "analyze", "f"], "argument --precision: invalid int value: 'x'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+     "(choose from 'analyze', 'shadow', 'hilbert', 'chartab', 'verify-paper')"),
+    (["verify-paper", "1", "2"], "unrecognized arguments: 2"),
+])
+def test_argument_error_is_json_in_machine_mode(argv, message, capsys):
+    for report_args in (["--report", "machine"], ["--report=machine"]):
+        out = io.StringIO()
+        status, report = run_command([*report_args, *argv], out)
+        assert status == 2
+        assert out.getvalue() == json.dumps(
+            {"error": {"kind": "usage", "line": None, "message": message}},
+            sort_keys=True, indent=1) + "\n"
+        assert report == {"error": message}
+        assert capsys.readouterr() == ("", "")
+
+
+def test_argument_error_keeps_argparse_usage_in_text_mode(capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run_command(["analyze"], out)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: jigroup analyze [-h] file\n"
+        "jigroup analyze: error: the following arguments are required: file\n")
+    with pytest.raises(SystemExit):  # an unusable --report is text mode
+        run_command(["--report", "json", "analyze", "f"], out)
+    assert "invalid choice: 'json'" in capsys.readouterr().err
+
+
 def test_cli_analyze_c3(tmp_path):
     f = tmp_path / "c3.profile"
     f.write_text(emit_va_profile(fixtures.c3_rank2_profile()))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from jigroup import catalog, fixtures
+from jigroup import catalog, fixtures, perm
 from jigroup.perm import (
     PermGroup,
     SubgroupHandle,
@@ -19,6 +19,7 @@ from jigroup.perm import (
     relative_ops,
 )
 from jigroup.smallgrp import all_subgroups
+from jigroup.verdicts import CertificateError
 
 
 def test_group_from_generators_examples():
@@ -275,3 +276,98 @@ def test_conjugation_convention():
     p = perm_from_cycles(5, (0, 1))
     g = perm_from_cycles(5, (0, 2), (1, 3))
     assert conj(p, g) == perm_from_cycles(5, (2, 3))
+
+
+# -- the product kernel and the known-order chain ----------------------------
+
+
+def _mul_by_generator(p, q):
+    return tuple(q[i] for i in p)
+
+
+def _inv_by_loop(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def _conj_by_generator(p, g):
+    gi = _inv_by_loop(g)
+    return tuple(g[p[gi[i]]] for i in range(len(p)))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 189])
+def test_product_kernel_matches_the_generator_forms(degree):
+    rng = random.Random(degree)
+    perms = []
+    for _ in range(6):
+        p = list(range(degree))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    perms.append(identity_perm(degree))
+    for p in perms:
+        assert inv(p) == _inv_by_loop(p)
+        for q in perms:
+            assert mul(p, q) == _mul_by_generator(p, q)
+            assert type(mul(p, q)) is tuple
+            assert conj(p, q) == _conj_by_generator(p, q)
+    # a list on the right still gives a tuple
+    assert mul(perms[0], list(perms[1])) == _mul_by_generator(perms[0], perms[1])
+
+
+@pytest.mark.parametrize("name", ["S6", "PSL27", "Q16", "extraspecial128"])
+def test_known_order_chain_matches_the_deterministic_chain(name):
+    G = {
+        "S6": catalog.symmetric(6),
+        "PSL27": catalog.psl27(8),
+        "Q16": catalog.quaternion(16),
+        "extraspecial128": catalog.extraspecial_128(),
+    }[name]
+    K = PermGroup(G.generators, _known_order=G.order)
+    assert K.order == G.order
+    assert K.elements() == G.elements()
+
+
+@pytest.mark.parametrize("factor", [2, 0.5])
+def test_known_order_chain_refuses_a_wrong_order(factor):
+    G = catalog.psl27(8)
+    with pytest.raises(CertificateError):
+        PermGroup(G.generators, _known_order=int(G.order * factor))
+
+
+def test_known_order_chain_refuses_each_order_it_passes_on_the_way(monkeypatch):
+    # a fill that stopped on reaching its target would accept each of these
+    G = catalog.symmetric(6)
+    passed = []
+    sift_in = perm._Chain._sift_in
+    monkeypatch.setattr(perm._Chain, "_sift_in",
+                        lambda chain, g: sift_in(chain, g) and not passed.append(chain.order()))
+    PermGroup(G.generators, _known_order=G.order)
+    monkeypatch.undo()
+    below = sorted(set(passed) - {G.order})
+    assert below
+    for target in below:
+        with pytest.raises(CertificateError, match="passed the known order"):
+            PermGroup(G.generators, _known_order=target)
+
+
+def test_known_order_chain_completes_a_stalled_fill_by_the_sweep(monkeypatch):
+    G = catalog.symmetric(6)
+    monkeypatch.setattr(perm, "_STALL", 1)
+    swept = []
+    sweep = perm._Chain._sweep
+    monkeypatch.setattr(perm._Chain, "_sweep",
+                        lambda chain, i: swept.append(chain.order()) or sweep(chain, i))
+    K = PermGroup(G.generators, _known_order=G.order)
+    assert swept and swept[0] < G.order  # the fill stalled below the target
+    assert K.order == G.order
+    assert K.elements() == G.elements()
+    with pytest.raises(CertificateError):
+        PermGroup(G.generators, _known_order=2 * G.order)
+
+
+def test_known_order_chain_of_the_trivial_group():
+    assert PermGroup([], degree=3, _known_order=1).order == 1
+    with pytest.raises(CertificateError):
+        PermGroup([], degree=3, _known_order=2)

@@ -165,6 +165,39 @@ def test_extraspecial_structure():
     _check_against_all_element_oracles(tbl)
 
 
+def _subgroups_by_closure(tbl):
+    """The former lattice loop: every join <s, c> closed from the identity."""
+    cyc = tbl.cyclic_subgroups()
+    subs = {frozenset([tbl.ident]): ()}
+    for s, g in cyc.items():
+        subs.setdefault(s, (g,))
+    worklist = list(subs.items())
+    while worklist:
+        s, gens = worklist.pop()
+        for c, cgen in cyc.items():
+            if c <= s:
+                continue
+            t = tbl.closure(gens + (cgen,))
+            if t not in subs:
+                subs[t] = gens + (cgen,)
+                worklist.append((t, gens + (cgen,)))
+    return sorted(subs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+@pytest.mark.parametrize("name", ["Q16", "D30", "S4", "affine_p3"])
+def test_lattice_joins_match_closure_from_the_identity(name):
+    from jigroup.wreath import build_wreath_shadow
+
+    G = {
+        "Q16": lambda: catalog.quaternion(16),
+        "D30": lambda: catalog.dihedral(15),
+        "S4": lambda: catalog.symmetric(4),
+        "affine_p3": lambda: build_wreath_shadow("A5", 3).model.top,
+    }[name]()
+    tbl = small_table(G)
+    assert tbl.all_subgroups() == _subgroups_by_closure(tbl)
+
+
 # The former loops, which act by every element of the group; the table
 # acts by the generators only.
 
