@@ -18,11 +18,17 @@ from jigroup.cli import run_command
 DATA = Path(jigroup.__file__).parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# Z_p profiles with rational entries for the rational route's splits:
+# the field split (c3_z7), the quaternion split (q8_z3) and division (q8_z2).
+
 CASES = {
     "analyze_c3_z3": ["analyze", DATA / "c3_z3.profile"],
     "analyze_pro2_dihedral": ["analyze", DATA / "pro2_dihedral.profile"],
     "analyze_q16_va": ["analyze", DATA / "q16_va.profile"],
     "analyze_q16_va_prec256": ["--precision", "256", "analyze", DATA / "q16_va.profile"],
+    "analyze_c3_z7": ["analyze", GOLDEN / "c3_z7.profile"],
+    "analyze_q8_z3": ["analyze", GOLDEN / "q8_z3.profile"],
+    "analyze_q8_z2": ["analyze", GOLDEN / "q8_z2.profile"],
     "shadow_wreath_a5_p2": ["shadow", DATA / "wreath_a5_p2.profile"],
     "chartab_q16_group": ["chartab", DATA / "q16_group.profile"],
     "chartab_extraspecial128_group": ["chartab", DATA / "extraspecial128_group.profile"],
