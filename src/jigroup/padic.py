@@ -23,7 +23,7 @@ from math import gcd
 
 from . import ratmat as rm
 from .hilbert import _valuation_and_unit, hilbert_symbol
-from .rep import anticommuting, commutation_rows
+from .rep import commutation_rows
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
 
 DEFAULT_PRECISION = 64
@@ -178,13 +178,6 @@ class PadicMatrix:
         if not x:
             raise PrecisionExhausted(f"valuation undecidable: element is 0 mod p^{self.cap}")
         return _vp(x, self.p) + self.val
-
-    def unit_class(self, m):
-        """The unit part of a nonzero 1x1 matrix, mod m."""
-        v = self.valuation()
-        if self.p ** (self.cap - v) < m:
-            raise PrecisionExhausted("not enough digits for the unit class")
-        return self.rows[0][0] // self.p ** (v - self.val) % m
 
     def residues(self, k):
         """The entries as ints mod p^k; they must be integral, and k <= cap."""
@@ -582,9 +575,8 @@ def newton_polygon_slopes(f, p):
 def qp_factor_count(f, p):
     """Number of irreducible factors of a squarefree integer polynomial over Q_p.
 
-    Methods, in order: squarefree reduction mod p (Hensel count); Eisenstein
-    after a shift x -> x+c with |c| <= p; Newton polygon segment count as a
-    lower bound with factor_count unknown.
+    Methods, in order: the residue certificate of `_residue_report`; the
+    Newton polygon segment count as a lower bound with factor_count unknown.
     """
     f = tuple(int(c) for c in f)
     if not f or f[-1] == 0:
@@ -594,21 +586,9 @@ def qp_factor_count(f, p):
         raise ValueError("polynomial is not squarefree over Q")
     if len(f) <= 2:
         return QpFactorReport(f, p, 1 if len(f) == 2 else 0, "trivial", {})
-    if f[-1] % p == 0:
-        # a unit leading coefficient is needed for the mod-p route; fall
-        # through to shifts / polygon
-        pass
-    else:
-        fbar = _fp_trim(list(f), p)
-        if len(fbar) == len(f) and fp_is_squarefree(fbar, p):
-            facs = fp_factor_squarefree_monic(fbar, p)
-            return QpFactorReport(
-                f, p, len(facs), "squarefree_hensel", {"factors": facs}
-            )
-    for c in range(-p, p + 1):
-        shifted = _int_shift_poly(f, c)
-        if _is_eisenstein(shifted, p):
-            return QpFactorReport(f, p, 1, "eisenstein_shift", {"shift": c})
+    report = _residue_report(f, p)
+    if report is not None:
+        return report
     slopes = newton_polygon_slopes(f, p)
     return QpFactorReport(
         f,
@@ -617,6 +597,27 @@ def qp_factor_count(f, p):
         "newton_polygon_bound",
         {"segment_count": len(slopes), "lower_bound": len(slopes)},
     )
+
+
+def _residue_report(f, p):
+    """The Q_p factor count of an integer polynomial of degree >= 2 read off
+    its residues, or None.
+
+    Squarefree reduction mod p with a unit leading coefficient: one factor
+    over Q_p per factor mod p (Hensel).  Otherwise Eisenstein after a shift
+    x -> x + c, c = -p, ..., p in that order: irreducible.  Only f mod p^2
+    is read, so residues mod p^k, k >= 2, give the count of any lift.
+    """
+    f = tuple(f)
+    if f[-1] % p:
+        fbar = _fp_trim(list(f), p)
+        if fp_is_squarefree(fbar, p):
+            facs = fp_factor_squarefree_monic(fbar, p)
+            return QpFactorReport(f, p, len(facs), "squarefree_hensel", {"factors": facs})
+    for c in range(-p, p + 1):
+        if _is_eisenstein(_int_shift_poly(f, c), p):
+            return QpFactorReport(f, p, 1, "eisenstein_shift", {"shift": c})
+    return None
 
 
 def fp_factor_squarefree_monic(fbar, p):
@@ -674,25 +675,6 @@ class QuadExt:
             raise PrecisionExhausted(
                 "quadratic extension is neither unramified nor Eisenstein"
             )
-
-    @classmethod
-    def from_center_minpoly(cls, p, m, work_digits):
-        """Build E from a monic integer quadratic irreducible over Q_p.
-
-        Returns (ext, shift) where gamma = w - shift for the original root w.
-        """
-        m = tuple(int(c) for c in m)
-        assert len(m) == 3 and m[2] == 1
-        mbar = _fp_trim(list(m), p)
-        if len(mbar) == 3 and fp_is_squarefree(mbar, p) and not any(
-            _poly_eval_mod(mbar, r, p) == 0 for r in range(p)
-        ):
-            return cls(p, m, work_digits), 0
-        for s in range(-p, p + 1):
-            shifted = _int_shift_poly(m, s)
-            if _is_eisenstein(shifted, p):
-                return cls(p, shifted, work_digits), s
-        raise PrecisionExhausted("no Eisenstein model for the quadratic center")
 
     # elements: pairs of ints mod self.mod
     def one(self):
@@ -923,81 +905,6 @@ def _conic_newton(ext, a, b, sol, start_prec, target_pi_prec):
     return x, y, z
 
 
-# -- exact quaternion structure over a quadratic center --------------------------
-
-
-def quaternion_over_center(comm_basis, center_gen, center_minpoly):
-    """Split an 8-dim rational algebra with center F = Q(w) as a quaternion.
-
-    Returns (a_pair, b_pair, i_mat, j_mat) with i^2 = a0 + a1 w, j^2 = b0 +
-    b1 w, ij = -ji; or ('zero_divisor', matrix) if one shows up on the way.
-    All arithmetic is exact rational.
-    """
-    d = len(comm_basis[0])
-    W = center_gen
-    ident = rm.identity(d)
-
-    def f_span_coords(x):
-        # solve x = c0 I + c1 W
-        rows = [
-            tuple(q for row in m for q in row) for m in (ident, W)
-        ]
-        vec = tuple(q for row in x for q in row)
-        return rm.solve(rm.mat_transpose(rows), vec)
-
-    # pick x outside F = span(I, W)
-    x = None
-    for cand in comm_basis:
-        rows = [tuple(q for row in m for q in row) for m in (ident, W, cand)]
-        if rm.rank(rows) == 3:
-            x = cand
-            break
-    assert x is not None, "algebra equals its center"
-    # minimal polynomial of x over F: x^2 = alpha x + beta W x + gamma I + delta W
-    x2 = rm.mat_mul(x, x)
-    basis4 = (x, rm.mat_mul(W, x), ident, W)
-    rows = [tuple(q for row in m for q in row) for m in basis4]
-    vec = tuple(q for row in x2 for q in row)
-    sol = rm.solve(rm.mat_transpose(rows), vec)
-    if sol is None:
-        raise CertificateError("element is not quadratic over the center")
-    alpha, beta, gamma, delta = sol
-    # i = x - t/2 with t = alpha + beta w
-    half_t = rm.mat_add(
-        rm.mat_scale(ident, alpha / 2), rm.mat_scale(W, beta / 2)
-    )
-    i_mat = rm.mat_sub(x, half_t)
-    i_sq = rm.mat_mul(i_mat, i_mat)
-    a_pair = f_span_coords(i_sq)
-    if a_pair is None:
-        raise CertificateError("i^2 is not central")
-    if all(c == 0 for c in a_pair):
-        return ("zero_divisor", i_mat)
-    for j_mat in anticommuting(i_mat, comm_basis):
-        j_sq = rm.mat_mul(j_mat, j_mat)
-        b_pair = f_span_coords(j_sq)
-        if b_pair is None:
-            continue
-        if all(c == 0 for c in b_pair):
-            return ("zero_divisor", j_mat)
-        span = [
-            tuple(q for row in m for q in row)
-            for m in (
-                ident,
-                W,
-                i_mat,
-                rm.mat_mul(W, i_mat),
-                j_mat,
-                rm.mat_mul(W, j_mat),
-                rm.mat_mul(i_mat, j_mat),
-                rm.mat_mul(W, rm.mat_mul(i_mat, j_mat)),
-            )
-        ]
-        if rm.rank(span) == 8:
-            return (a_pair, b_pair, i_mat, j_mat)
-    raise AssertionError("no quaternion pair over the center")
-
-
 # -- approx commutants and minimal polynomials -----------------------------------
 
 
@@ -1054,7 +961,11 @@ def _newton_idempotent(e, target_slack):
 
 def qp_poly_status_approx(coeffs, p):
     """('irreducible', how) / ('factors_mod_p', fbar_factors) / ('unknown', why)
-    for a monic approx polynomial over Z_p, given as a single row."""
+    for a monic approx polynomial over Z_p, given as a single row.
+
+    The residue certificate of `_residue_report` on the residues mod p^cap,
+    then a single-slope Newton polygon.
+    """
     n = coeffs.ncols - 1
     if n == 1:
         return ("irreducible", "linear")
@@ -1064,16 +975,12 @@ def qp_poly_status_approx(coeffs, p):
     if coeffs.min_valuation() < 0:
         return ("unknown", "non-integral coefficients")
     res = coeffs.residues(kmin)[0]
-    fbar = _fp_trim(res, p)
-    if len(fbar) == n + 1 and fp_is_squarefree(fbar, p):
-        facs = fp_factor_squarefree_monic(fbar, p)
-        if len(facs) == 1:
-            return ("irreducible", "irreducible mod p")
-        return ("factors_mod_p", facs)
-    # Eisenstein shifts on residues (valuations certified up to kmin digits)
-    for s in range(-p, p + 1):
-        if _is_eisenstein(_int_shift_poly(tuple(res), s), p):
-            return ("irreducible", f"eisenstein shift {s}")
+    report = _residue_report(res, p)
+    if report is not None and report.method == "eisenstein_shift":
+        return ("irreducible", f"eisenstein shift {report.detail['shift']}")
+    if report is not None:
+        facs = report.detail["factors"]
+        return ("irreducible", "irreducible mod p") if len(facs) == 1 else ("factors_mod_p", facs)
     # single-slope Newton polygon with full denominator
     v0 = _vp(res[0], p) if res[0] else kmin
     if res[0] and gcd(v0, n) == 1:
@@ -1149,24 +1056,15 @@ def _lift_idempotent(facs, a_mat_p, p, prec, target_slack):
     return e
 
 
-def _split_from_field_generator(a_mat_p, minpoly_rational, p, prec):
-    """('irreducible', report) or ('idempotent', e) or ('unknown', report).
-
-    a_mat_p: approx matrix with the given (exact rational, monic, squarefree)
-    minimal polynomial; splits the etale algebra Q_p[a] when the report is
-    constructive (mod-p squarefree factorization + idempotent Newton).
-    """
-    c, g = _int_model(minpoly_rational)
-    report = qp_factor_count(g, p)
-    if report.factor_count == 1:
-        return ("irreducible", report)
-    if report.method == "squarefree_hensel":
-        ca = a_mat_p.scale(PadicMatrix(p, prec, [[c]]))
-        e = _lift_idempotent(report.detail["factors"], ca, p, prec, prec - 4)
-        if e is None:
-            raise PrecisionExhausted("field-split idempotent degenerated")
-        return ("idempotent", e)
-    return ("unknown", report)
+def _rational_field_split(a, c, facs, gens_p, p, prec):
+    """The split of Q_p[a] for an exact commutant element a whose minimal
+    polynomial, scaled to an integer model by x -> c x, factors as `facs`
+    mod p: the idempotent lifted from c a, and its two invariant pieces."""
+    ca = PadicMatrix.from_rational(a, p, prec).scale(PadicMatrix(p, prec, [[c]]))
+    e = _lift_idempotent(facs, ca, p, prec, prec - 4)
+    if e is None:
+        raise PrecisionExhausted("field-split idempotent degenerated")
+    return ("split", {"pieces": _pieces_from_projector(gens_p, e, p)})
 
 
 def _pieces_from_projector(gen_images_p, q_mat, p):
@@ -1194,70 +1092,62 @@ def _pieces_from_projector(gen_images_p, q_mat, p):
 
 def _qp_analyze(rep, p, prec, seed=0):
     """('irreducible', info) | ('split', {'pieces': [...]}) |
-    ('split_exact', {'pieces': [...rational rows...]}) | ('unknown', why)."""
-    from .rep import algebra_structure, commutant, decompose_over_Q, irreducible_over_Q
+    ('split_exact', {'pieces': [...rational rows...]}) | ('unknown', why).
 
-    if rep.ring == "Q":
-        verdict = irreducible_over_Q(rep, seed)
-        if verdict.status == REDUCIBLE:
-            pieces = decompose_over_Q(rep, seed)
-            return ("split_exact", {"pieces": pieces, "note": "reducible over Q"})
-        comm = commutant(rep)
-        st = algebra_structure(comm, seed)
-        gens_p = [PadicMatrix.from_rational(g, p, prec) for g in rep.gen_images]
-        if st.kind == "scalars":
-            return ("irreducible", {"certificate": "scalar commutant"})
-        if st.kind == "field":
-            a = st.data["generator"]
-            a_p = PadicMatrix.from_rational(a, p, prec)
-            kind, payload = _split_from_field_generator(
-                a_p, st.data["minpoly"], p, prec
-            )
-            if kind == "irreducible":
-                return (
-                    "irreducible",
-                    {"certificate": "commutant field inert", "report": payload},
-                )
-            if kind == "idempotent":
-                return ("split", {"pieces": _pieces_from_projector(gens_p, payload, p)})
-            return ("unknown", f"field factor count not certified: {payload.method}")
-        if st.kind == "quaternion_over_Q":
-            a, b = st.data["a"], st.data["b"]
-            if hilbert_symbol(a, b, p) == -1:
-                return (
-                    "irreducible",
-                    {"certificate": "division quaternion", "symbol": -1,
-                     "params": (a, b)},
-                )
-            q = _quaternion_zero_divisor_qp(st, p, prec)
-            return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
-        if st.kind == "cyclic_algebra":
-            return _qp_analyze_quadratic_center(rep, st, comm, p, prec)
-        return ("unknown", f"global commutant kind {st.kind}")
-    return _qp_analyze_approx(rep, p, prec, seed)
+    An exact rep reads the commutant analysis of the Q decider.
+    """
+    from .rep import commutant_analysis, decompose_over_Q
+
+    if rep.ring != "Q":
+        return _qp_analyze_approx(rep, p, prec, seed)
+    st, verdict = commutant_analysis(rep, seed)
+    if verdict.status == REDUCIBLE:
+        pieces = decompose_over_Q(rep, seed)
+        return ("split_exact", {"pieces": pieces, "note": "reducible over Q"})
+    gens_p = [PadicMatrix.from_rational(g, p, prec) for g in rep.gen_images]
+    if st.kind == "scalars":
+        return ("irreducible", {"certificate": "scalar commutant"})
+    if st.kind == "field":
+        c, g = _int_model(st.data["minpoly"])
+        report = qp_factor_count(g, p)
+        if report.factor_count == 1:
+            return ("irreducible", {"certificate": "commutant field inert", "report": report})
+        if report.factor_count is None:
+            return ("unknown", f"field factor count not certified: {report.method}")
+        return _rational_field_split(st.data["generator"], c, report.detail["factors"],
+                                     gens_p, p, prec)
+    if st.kind == "quaternion_over_Q":
+        a, b = st.data["a"], st.data["b"]
+        a_int, i_scale = _normalize_qp_square(a, p)
+        b_int, j_scale = _normalize_qp_square(b, p)
+        i_p = PadicMatrix.from_rational(rm.mat_scale(st.data["i"], i_scale), p, prec)
+        j_p = PadicMatrix.from_rational(rm.mat_scale(st.data["j"], j_scale), p, prec)
+        kind, info = _quaternion_step(a_int, b_int, i_p, j_p, gens_p, p, prec, prec)
+        if kind == "irreducible":
+            info["params"] = (a, b)
+        return kind, info
+    if st.kind == "cyclic_algebra":
+        return _qp_analyze_quadratic_center(st, gens_p, p, prec)
+    return ("unknown", f"global commutant kind {st.kind}")
 
 
-def _quaternion_zero_divisor_qp(st, p, prec):
-    """Zero divisor of a Q_p-split quaternion commutant, as approx matrix."""
-    a, b = Fraction(st.data["a"]), Fraction(st.data["b"])
-    i_m, j_m = st.data["i"], st.data["j"]
-    # normalize a, b to integers with v_p in {0, 1} by square scalings
-    a_int, i_scale = _normalize_qp_square(a, p)
-    b_int, j_scale = _normalize_qp_square(b, p)
-    sol = conic_solve_qp(a_int, b_int, p, prec)
+def _quaternion_step(a, b, i_p, j_p, gens_p, p, prec, conic_prec):
+    """Division or split over Q_p of a quaternion commutant: i^2 = a, j^2 = b,
+    ij = -ji, with a, b integers of valuation 0 or 1 and i_p, j_p approx.
+
+    A -1 Hilbert symbol certifies division.  Otherwise a point (x, y, z) of
+    z^2 = a x^2 + b y^2 to conic_prec digits gives the zero divisor
+    z + x i + y j, and the two invariant pieces it cuts out.
+    """
+    if hilbert_symbol(a, b, p) == -1:
+        return ("irreducible", {"certificate": "division quaternion", "symbol": -1})
+    sol = conic_solve_qp(a, b, p, conic_prec)
     if sol is None:
         raise CertificateError("split symbol but insoluble conic")
-    i_p = PadicMatrix.from_rational(rm.mat_scale(i_m, i_scale), p, prec)
-    j_p = PadicMatrix.from_rational(rm.mat_scale(j_m, j_scale), p, prec)
-    return _conic_zero_divisor(sol, i_p, j_p, p, prec)
-
-
-def _conic_zero_divisor(sol, i_p, j_p, p, prec):
-    """z + x*i + y*j for a conic point (x, y, z): a zero divisor when
-    z^2 = a x^2 + b y^2 with i^2 = a, j^2 = b, ij = -ji."""
     x, y, z = (PadicMatrix(p, prec, [[c]]) for c in sol)
     ident = PadicMatrix.identity(len(i_p), p, prec)
-    return ident.scale(z) + (i_p.scale(x) + j_p.scale(y))
+    q = ident.scale(z) + (i_p.scale(x) + j_p.scale(y))
+    return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
 
 
 def _normalize_qp_square(q, p):
@@ -1273,27 +1163,21 @@ def _normalize_qp_square(q, p):
     return t, s
 
 
-def _qp_analyze_quadratic_center(rep, st, comm, p, prec):
+def _qp_analyze_quadratic_center(st, gens_p, p, prec):
+    """A quaternion commutant over a quadratic center F = Q(w): split by the
+    center when F splits at p, else by a conic point over E = F (x) Q_p."""
     m = st.data["center_minpoly"]
     wmat = st.data["center_generator"]
     c, m_int = _int_model(m)
-    gens_p = [PadicMatrix.from_rational(g, p, prec) for g in rep.gen_images]
     report = qp_factor_count(m_int, p)
-    if report.factor_count and report.factor_count >= 2:
-        w_p = PadicMatrix.from_rational(wmat, p, prec)
-        kind, payload = _split_from_field_generator(w_p, m, p, prec)
-        if kind != "idempotent":
-            raise CertificateError(f"split center gave {kind}, not an idempotent")
-        return ("split", {"pieces": _pieces_from_projector(gens_p, payload, p)})
-    if report.factor_count != 1:
+    if report.factor_count is None:
         return ("unknown", "center factor count not certified")
-    # center inert: exact quaternion structure over F = Q(w)
-    quat = quaternion_over_center(comm, wmat, m)
-    if quat[0] == "zero_divisor":
-        q = PadicMatrix.from_rational(quat[1], p, prec)
-        return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
-    a_pair, b_pair, i_mat, j_mat = quat
-    ext, shift = QuadExt.from_center_minpoly(p, m_int, prec + 24)
+    if report.factor_count >= 2:
+        return _rational_field_split(wmat, c, report.detail["factors"], gens_p, p, prec)
+    a_pair, b_pair, i_mat, j_mat = (st.data[k] for k in ("a", "b", "i", "j"))
+    # E from the unramified generator or the Eisenstein shift that certified it
+    shift = report.detail.get("shift", 0)
+    ext = QuadExt(p, _int_shift_poly(m_int, shift), prec + 24)
     gamma_mat = rm.mat_sub(rm.mat_scale(wmat, c),
                            rm.mat_scale(rm.identity(len(wmat)), shift))
     # express a = a0 + a1 w in the gamma basis: w = (gamma + shift)/c
@@ -1506,28 +1390,21 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     if dim == 4:
         quat = _approx_quaternion(comm, p, prec)
         if quat is not None:
-            a_val, a_cls, b_val, b_cls, i_p, j_p, a_appr, b_appr = quat
-            if hilbert_symbol(p**a_val * a_cls, p**b_val * b_cls, p) == -1:
-                return (
-                    "irreducible",
-                    {"certificate": "division quaternion", "symbol": -1},
-                )
-            k = min(prec, a_appr.cap)
-            a_int = a_appr.residues(k)[0][0]
-            b_int = b_appr.residues(min(prec, b_appr.cap))[0][0]
-            sol = conic_solve_qp(a_int, b_int, p, k - 2)
-            if sol is None:
-                raise CertificateError("split symbol but insoluble conic")
-            q = _conic_zero_divisor(sol, i_p, j_p, p, prec)
-            return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
+            a, b, i_p, j_p = quat
+            k = min(prec, a.cap, b.cap)
+            # the conic search reads up to 5 digits, and Newton lifts to k - 2
+            if k < 7:
+                raise PrecisionExhausted("not enough digits for the quaternion step")
+            a_int, b_int = (x.residues(k)[0][0] for x in (a, b))
+            return _quaternion_step(a_int, b_int, i_p, j_p, gens_p, p, prec, k - 2)
     return ("unknown", f"approx commutant of dimension {dim} not classified")
 
 
 def _approx_quaternion(comm, p, prec):
-    """(v(a), a mod 8 class, v(b), ..., i, j, a, b) for an approx quaternion."""
+    """(a, b, i, j) for an approx quaternion commutant: i^2 = a, j^2 = b,
+    ij = -ji, with a and b (1x1) of valuation 0 or 1."""
     d = len(comm[0])
     ident = PadicMatrix.identity(d, p, prec)
-    cls_mod = 8 if p == 2 else p
     for x in comm:
         mp = pminimal_polynomial(x)
         if mp.ncols - 1 != 2:
@@ -1554,8 +1431,7 @@ def _approx_quaternion(comm, p, prec):
             k2 = b.valuation() // 2
             j_p = j_p.scale(Fraction(p) ** -k2)
             b = b.scale(Fraction(p) ** (-2 * k2))
-            return (a.valuation(), a.unit_class(cls_mod), b.valuation(),
-                    b.unit_class(cls_mod), i_p, j_p, a, b)
+            return a, b, i_p, j_p
     return None
 
 

@@ -3,10 +3,11 @@
 The homomorphism property is verified by closing the generator images over
 the whole group (order-gated), which also yields the element-to-matrix map
 used for restrictions.  Irreducibility over Q is decided through the
-commutant: reducible iff a nontrivial idempotent (or other zero divisor)
-turns up; scalar, field, and quaternion commutants carry exact division
-certificates, the 8-dimensional quadratic-center case carries a sampled
-certificate with an explicit trial count.
+commutant, analysed once per (rep, seed): reducible iff a nontrivial
+idempotent (or other zero divisor) turns up; scalar, field, and quaternion
+commutants carry exact division certificates, the 8-dimensional
+quadratic-center case carries a sampled certificate with an explicit trial
+count.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _in_row_space(canon_rows, vec):
 
 @dataclass
 class AlgebraStructure:
-    kind: str  # scalars | field | quaternion_over_Q | cyclic_algebra | split | unknown
+    kind: str  # scalars | field | quaternion_over_Q | cyclic_algebra | split[_nilpotent] | unknown
     basis: tuple
     data: dict
 
@@ -241,9 +242,10 @@ def algebra_structure(comm_basis, seed=0):
     """Classify a multiplicatively closed matrix algebra (a commutant).
 
     Deterministic: the sampler runs on a fixed seed.  Kinds:
-      scalars, field(minpoly), split(idempotent), quaternion_over_Q(a, b),
-      cyclic_algebra(center_minpoly, ...) for dimension 8 over a quadratic
-      center, unknown(trials) otherwise.
+      scalars, field(minpoly), split(idempotent), split_nilpotent(nilpotent),
+      quaternion_over_Q(a, b), cyclic_algebra(center_minpoly, a, b) for a
+      quaternion algebra over a quadratic center (a, b as pairs over the
+      center generator), unknown(trials) otherwise.
     """
     dim = len(comm_basis)
     d = len(comm_basis[0])
@@ -293,18 +295,21 @@ def algebra_structure(comm_basis, seed=0):
                 comm_basis,
                 {"a": a_param, "b": b_param, "i": i_m, "j": j_m},
             )
-    if len(center) == 2:
+    if dim == 8 and len(center) == 2:
         zgen = _noncentral_scalar_part(center, d)
         mp = rm.minimal_polynomial(zgen)
         if rm.poly_deg(mp) == 2 and rm.poly_is_irreducible_q(mp):
+            quat = quaternion_over_center(comm_basis, zgen)
+            if quat[0] == "zero_divisor":
+                return AlgebraStructure(
+                    "split_nilpotent", comm_basis, {"nilpotent": quat[1]}
+                )
+            a_pair, b_pair, i_m, j_m = quat
             return AlgebraStructure(
                 "cyclic_algebra",
                 comm_basis,
-                {
-                    "center_minpoly": mp,
-                    "center_generator": zgen,
-                    "trials": SAMPLE_BUDGET,
-                },
+                {"center_minpoly": mp, "center_generator": zgen,
+                 "a": a_pair, "b": b_pair, "i": i_m, "j": j_m},
             )
     return AlgebraStructure("unknown", comm_basis, {"trials": SAMPLE_BUDGET})
 
@@ -391,6 +396,78 @@ def anticommuting(i_m, basis):
             yield j_m
 
 
+def quaternion_over_center(comm_basis, center_gen):
+    """Split an 8-dim rational algebra with center F = Q(w) as a quaternion.
+
+    Returns (a_pair, b_pair, i_mat, j_mat) with i^2 = a0 + a1 w, j^2 = b0 +
+    b1 w, ij = -ji; or ('zero_divisor', matrix) if one shows up on the way.
+    All arithmetic is exact rational.
+    """
+    d = len(comm_basis[0])
+    W = center_gen
+    ident = rm.identity(d)
+
+    def f_span_coords(x):
+        # solve x = c0 I + c1 W
+        rows = [
+            tuple(q for row in m for q in row) for m in (ident, W)
+        ]
+        vec = tuple(q for row in x for q in row)
+        return rm.solve(rm.mat_transpose(rows), vec)
+
+    # pick x outside F = span(I, W)
+    x = None
+    for cand in comm_basis:
+        rows = [tuple(q for row in m for q in row) for m in (ident, W, cand)]
+        if rm.rank(rows) == 3:
+            x = cand
+            break
+    assert x is not None, "algebra equals its center"
+    # minimal polynomial of x over F: x^2 = alpha x + beta W x + gamma I + delta W
+    x2 = rm.mat_mul(x, x)
+    basis4 = (x, rm.mat_mul(W, x), ident, W)
+    rows = [tuple(q for row in m for q in row) for m in basis4]
+    vec = tuple(q for row in x2 for q in row)
+    sol = rm.solve(rm.mat_transpose(rows), vec)
+    if sol is None:
+        raise CertificateError("element is not quadratic over the center")
+    alpha, beta, gamma, delta = sol
+    # i = x - t/2 with t = alpha + beta w
+    half_t = rm.mat_add(
+        rm.mat_scale(ident, alpha / 2), rm.mat_scale(W, beta / 2)
+    )
+    i_mat = rm.mat_sub(x, half_t)
+    i_sq = rm.mat_mul(i_mat, i_mat)
+    a_pair = f_span_coords(i_sq)
+    if a_pair is None:
+        raise CertificateError("i^2 is not central")
+    if all(c == 0 for c in a_pair):
+        return ("zero_divisor", i_mat)
+    for j_mat in anticommuting(i_mat, comm_basis):
+        j_sq = rm.mat_mul(j_mat, j_mat)
+        b_pair = f_span_coords(j_sq)
+        if b_pair is None:
+            continue
+        if all(c == 0 for c in b_pair):
+            return ("zero_divisor", j_mat)
+        span = [
+            tuple(q for row in m for q in row)
+            for m in (
+                ident,
+                W,
+                i_mat,
+                rm.mat_mul(W, i_mat),
+                j_mat,
+                rm.mat_mul(W, j_mat),
+                rm.mat_mul(i_mat, j_mat),
+                rm.mat_mul(W, rm.mat_mul(i_mat, j_mat)),
+            )
+        ]
+        if rm.rank(span) == 8:
+            return (a_pair, b_pair, i_mat, j_mat)
+    raise AssertionError("no quaternion pair over the center")
+
+
 def invariant_subspace_from_zero_divisor(rep, z):
     """Row space of a commutant zero divisor: invariant under v -> v rho(g).
 
@@ -416,6 +493,19 @@ def _verify_invariant(rep, basis_rows):
                 raise CertificateError("subspace is not invariant")
 
 
+def commutant_analysis(rep, seed=0):
+    """(algebra structure of the commutant, verdict over Q), once per (rep, seed).
+
+    Both the Q decider and the Q_p decider read this one analysis; it is
+    cached on the rep (everything here is immutable).
+    """
+    cache = rep.__dict__.setdefault("_analysis_cache", {})
+    if seed not in cache:
+        st = algebra_structure(commutant(rep), seed)
+        cache[seed] = (st, _verdict_over_Q(rep, st))
+    return cache[seed]
+
+
 def irreducible_over_Q(rep, seed=0):
     """Verdict: reducible (invariant subspace), irreducible (division
     certificate), or unknown.
@@ -425,20 +515,11 @@ def irreducible_over_Q(rep, seed=0):
     trial budget recorded (the certificate is probabilistic, everything else
     about the verdict is exact).
     """
-    cache = getattr(rep, "_irr_q_cache", None)
-    if cache is None:
-        cache = rep._irr_q_cache = {}
-    if seed not in cache:
-        cache[seed] = _irreducible_over_Q_uncached(rep, seed)
-    return cache[seed]
+    return commutant_analysis(rep, seed)[1]
 
 
-def _irreducible_over_Q_uncached(rep, seed):
-    comm = commutant(rep)
-    st = algebra_structure(comm, seed)
-    if st.kind == "scalars":
-        return Verdict(IRREDUCIBLE, {"certificate": st}, "schur-commutant")
-    if st.kind == "field":
+def _verdict_over_Q(rep, st):
+    if st.kind in ("scalars", "field"):
         return Verdict(IRREDUCIBLE, {"certificate": st}, "schur-commutant")
     if st.kind == "split":
         w = invariant_subspace_from_zero_divisor(rep, st.data["idempotent"])
@@ -466,11 +547,7 @@ def _irreducible_over_Q_uncached(rep, seed):
     if st.kind == "cyclic_algebra":
         return Verdict(
             IRREDUCIBLE,
-            {
-                "certificate": st,
-                "division": "sampled",
-                "trials": st.data["trials"],
-            },
+            {"certificate": st, "division": "sampled", "trials": SAMPLE_BUDGET},
             "sampled-division",
         )
     return Verdict(UNKNOWN, {"certificate": st}, "sampled-inconclusive")
