@@ -495,7 +495,8 @@ def _fp_bezout(g, h, p):
         t0, t1 = t1, _fp_trim(
             [(a - b) % p for a, b in _zip_pad(t0, _fp_mul(q, t1, p))], p
         )
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise CertificateError("Bezout factors are not coprime mod p")
     inv = pow(r0[0], p - 2, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
@@ -656,7 +657,8 @@ class QuadExt:
     def __init__(self, p, quad, work_digits):
         # quad = (C, B, 1): gamma^2 + B gamma + C = 0
         c, b, lead = quad
-        assert lead == 1
+        if lead != 1:
+            raise ValueError("QuadExt needs a monic quadratic (C, B, 1)")
         self.p = p
         self.B = int(b)
         self.C = int(c)
@@ -739,10 +741,12 @@ class QuadExt:
         p = self.p
         a0, a1 = x
         if not self.ramified:
-            assert a0 % p == 0 and a1 % p == 0
+            if a0 % p or a1 % p:
+                raise CertificateError("div_pi of a unit")
             return (a0 // p % self.mod, a1 // p % self.mod)
         # pi * (y0 + y1 pi) = -C y1 + (y0 - B y1) pi = a0 + a1 pi
-        assert a0 % p == 0
+        if a0 % p:
+            raise CertificateError("div_pi of a unit")
         cu = self.C // p
         y1 = (-(a0 // p) * pow(cu, -1, self.mod)) % self.mod
         y0 = (a1 + self.B * y1) % self.mod
@@ -759,7 +763,8 @@ class QuadExt:
         # conjugate: a0 + a1*gamma -> (a0 - B a1) - a1 gamma; N = x * conj(x)
         conj = ((a0 - self.B * a1) % self.mod, (-a1) % self.mod)
         n = self.mul(x, conj)
-        assert n[1] % self.mod == 0, "norm not rational"
+        if n[1] % self.mod:
+            raise CertificateError("norm not rational")
         n0 = n[0]
         if n0 % self.p == 0:
             raise PrecisionExhausted("inverting a non-unit")
@@ -829,7 +834,8 @@ def conic_solve_ext(ext, a, b, target_pi_prec):
     no hit proves local insolubility.  Returns (x, y, z) to target precision.
     """
     va, vb = ext.val(a, 2), ext.val(b, 2)
-    assert va <= 1 and vb <= 1
+    if va > 1 or vb > 1:
+        raise ValueError("conic coefficients need valuation 0 or 1")
     K = 2 * ext.v2() + 1 + 2 * max(va, vb)
     residues = ext.pi_digits(K)
     sq_all = {}
@@ -1249,7 +1255,8 @@ def _normalize_ext_square(ext, pair_fracs, p):
 
     k = 0
     v = val_pair()
-    assert v < 10**9, "zero center coefficient"
+    if v >= 10**9:
+        raise ValueError("zero center coefficient")
     while v >= 2:
         div_pi2()
         k += 1

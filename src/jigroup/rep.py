@@ -5,9 +5,8 @@ the whole group (order-gated), which also yields the element-to-matrix map
 used for restrictions.  Irreducibility over Q is decided through the
 commutant, analysed once per (rep, seed): reducible iff a nontrivial
 idempotent (or other zero divisor) turns up; scalar, field, and quaternion
-commutants carry exact division certificates, the 8-dimensional
-quadratic-center case carries a sampled certificate with an explicit trial
-count.
+commutants carry exact division certificates, and a quaternion algebra
+over a real quadratic center is division when it ramifies at a real place.
 """
 
 from __future__ import annotations
@@ -422,7 +421,8 @@ def quaternion_over_center(comm_basis, center_gen):
         if rm.rank(rows) == 3:
             x = cand
             break
-    assert x is not None, "algebra equals its center"
+    if x is None:
+        raise ValueError("algebra equals its center")
     # minimal polynomial of x over F: x^2 = alpha x + beta W x + gamma I + delta W
     x2 = rm.mat_mul(x, x)
     basis4 = (x, rm.mat_mul(W, x), ident, W)
@@ -465,7 +465,7 @@ def quaternion_over_center(comm_basis, center_gen):
         ]
         if rm.rank(span) == 8:
             return (a_pair, b_pair, i_mat, j_mat)
-    raise AssertionError("no quaternion pair over the center")
+    raise CertificateError("no quaternion pair over the center")
 
 
 def invariant_subspace_from_zero_divisor(rep, z):
@@ -510,10 +510,10 @@ def irreducible_over_Q(rep, seed=0):
     """Verdict: reducible (invariant subspace), irreducible (division
     certificate), or unknown.
 
-    Exact for scalar, field, and quaternion commutants; the 8-dimensional
-    quadratic-center commutant gets a sampled division certificate with the
-    trial budget recorded (the certificate is probabilistic, everything else
-    about the verdict is exact).
+    Exact throughout: scalar, field, and quaternion commutants over Q carry
+    division certificates; a quaternion commutant over a quadratic center is
+    irreducible when both its parameters are negative at a real place of the
+    center, reducible when a zero divisor turns up, and unknown otherwise.
     """
     return commutant_analysis(rep, seed)[1]
 
@@ -545,12 +545,36 @@ def _verdict_over_Q(rep, st):
             return Verdict(REDUCIBLE, {"subspace": w}, "quaternion-split")
         return Verdict(UNKNOWN, {"certificate": st}, "quaternion-split-unwitnessed")
     if st.kind == "cyclic_algebra":
-        return Verdict(
-            IRREDUCIBLE,
-            {"certificate": st, "division": "sampled", "trials": SAMPLE_BUDGET},
-            "sampled-division",
-        )
+        if _ramified_at_a_real_place(st.data["center_minpoly"], st.data["a"], st.data["b"]):
+            return Verdict(
+                IRREDUCIBLE,
+                {"certificate": st, "division": True},
+                "quaternion-real-place",
+            )
+        return Verdict(UNKNOWN, {"certificate": st}, "quaternion-over-center-undecided")
     return Verdict(UNKNOWN, {"certificate": st}, "sampled-inconclusive")
+
+
+def _ramified_at_a_real_place(center_minpoly, a_pair, b_pair):
+    """Whether a = a0 + a1 w and b = b0 + b1 w are both negative at one real
+    embedding of Q(w), w^2 + c1 w + c0 = 0; then (a, b) is a division algebra
+    (Reiner, Maximal Orders, 1975, section 32).  Exact: at w = -c1/2 +- sqrt(D)/2
+    the value u + v sqrt(D) is compared through u^2 and v^2 D.
+    """
+    c0, c1 = Fraction(center_minpoly[0]), Fraction(center_minpoly[1])
+    disc = c1 * c1 - 4 * c0
+    if disc <= 0:
+        return False
+
+    def sign(pair, root_sign):
+        u = pair[0] - pair[1] * c1 / 2
+        v = root_sign * pair[1] / 2
+        if u * v >= 0:
+            return (u > 0) - (u < 0) or (v > 0) - (v < 0)
+        # opposite signs; disc is not a square, so u^2 != v^2 disc
+        return (u > 0) - (u < 0) if u * u > v * v * disc else (v > 0) - (v < 0)
+
+    return any(sign(a_pair, s) < 0 and sign(b_pair, s) < 0 for s in (1, -1))
 
 
 def _quaternion_zero_divisor(st, bound=40):

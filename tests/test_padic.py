@@ -1,6 +1,8 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -9,12 +11,17 @@ from jigroup import catalog
 from jigroup.padic import (
     PadicMatrix,
     PrecisionExhausted,
+    _int_shift_poly,
+    _is_eisenstein,
     conic_solve_qp,
+    fp_factor_squarefree_monic,
+    fp_is_squarefree,
     irreducible_over_Qp,
     newton_polygon_slopes,
     padic_split,
     prow_echelon,
     qp_factor_count,
+    qp_poly_status_approx,
 )
 from jigroup.rep import rep_from_data
 from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
@@ -124,6 +131,62 @@ def test_qp_factor_count_newton_polygon_fallback():
     assert rep.method == "newton_polygon_bound"
     assert rep.factor_count is None
     assert rep.detail["lower_bound"] >= 1
+
+
+def oracle_qp_poly_status_approx(coeffs, p):
+    """The former stand-alone certificate for approx polynomials: its own
+    mod-p squarefree count, Eisenstein shifts and single-slope polygon."""
+    n = coeffs.ncols - 1
+    if n == 1:
+        return ("irreducible", "linear")
+    kmin = coeffs.cap
+    if kmin < 2:
+        raise PrecisionExhausted("not enough digits for reduction tests")
+    if coeffs.min_valuation() < 0:
+        return ("unknown", "non-integral coefficients")
+    res = coeffs.residues(kmin)[0]
+    fbar = [c % p for c in res]
+    while fbar and fbar[-1] == 0:
+        fbar.pop()
+    if len(fbar) == n + 1 and fp_is_squarefree(fbar, p):
+        facs = fp_factor_squarefree_monic(fbar, p)
+        if len(facs) == 1:
+            return ("irreducible", "irreducible mod p")
+        return ("factors_mod_p", facs)
+    for s in range(-p, p + 1):
+        if _is_eisenstein(_int_shift_poly(tuple(res), s), p):
+            return ("irreducible", f"eisenstein shift {s}")
+    v0 = _vp(res[0], p) if res[0] else kmin
+    if res[0] and gcd(v0, n) == 1:
+        for i in range(1, n):
+            vi = _vp(res[i], p) if res[i] else kmin
+            if Fraction(vi) < Fraction(v0) * (n - i) / n:
+                break
+        else:
+            return ("irreducible", "single newton slope")
+    return ("unknown", "no certificate applies")
+
+
+def test_qp_poly_status_approx_matches_former_certificate():
+    rng = random.Random(9)
+    seen = set()
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for cap in range(2, 9):
+                for _ in range(25):
+                    # small multiples of p make Eisenstein shapes and single
+                    # slopes common; a few leading coefficients are not units
+                    coeffs = [rng.choice([rng.randrange(p**cap), p * rng.randrange(4),
+                                          p * p * rng.randrange(4)]) for _ in range(n)]
+                    coeffs.append(1 if rng.random() < 0.8 else rng.randrange(p**cap))
+                    val = -1 if rng.random() < 0.05 else 0
+                    row = PadicMatrix(p, cap, [coeffs], val)
+                    want = oracle_qp_poly_status_approx(row, p)
+                    assert qp_poly_status_approx(row, p) == want, (p, coeffs, cap)
+                    seen.add(want[1] if want[0] != "factors_mod_p" else want[0])
+    assert {"linear", "irreducible mod p", "factors_mod_p", "eisenstein shift -2",
+            "single newton slope", "no certificate applies",
+            "non-integral coefficients"} <= seen, seen
 
 
 def test_newton_polygon_slopes():
@@ -302,3 +365,31 @@ def test_insoluble_conic_after_split_symbol_raises_under_O():
                           text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected: split symbol but insoluble conic")
+
+
+def test_padic_checks_raise_under_O():
+    # witness re-checks raise CertificateError and argument preconditions
+    # ValueError, also when asserts are off
+    script = (
+        "from jigroup.padic import (QuadExt, _ZpRing, _fp_bezout,\n"
+        "    _normalize_ext_square, conic_solve_ext)\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "checks = [\n"
+        "    lambda: QuadExt(3, (1, 0, 2), 8),\n"
+        "    lambda: conic_solve_ext(_ZpRing(3, 8), 9, 1, 6),\n"
+        "    lambda: _normalize_ext_square(QuadExt(2, (1, 1, 1), 8), (0, 0), 2),\n"
+        "    lambda: _fp_bezout([0, 1], [0, 1], 3),\n"
+        "    lambda: QuadExt(2, (1, 1, 1), 8).div_pi((1, 0)),\n"
+        "    lambda: QuadExt(2, (-2, 0, 1), 8).div_pi((1, 0)),\n"
+        "]\n"
+        "for check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except (ValueError, CertificateError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 3 + ["CertificateError"] * 3

@@ -1,5 +1,7 @@
 """Extension-field arithmetic and additional p-adic engine paths."""
 
+from fractions import Fraction
+
 import pytest
 
 from jigroup import catalog, fixtures
@@ -10,8 +12,9 @@ from jigroup.padic import (
     irreducible_over_Qp,
     padic_split,
 )
-from jigroup.rep import rep_from_data
-from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
+from jigroup.profiles import VaProfile, va_just_infinite
+from jigroup.rep import irreducible_over_Q, rep_from_data
+from jigroup.verdicts import IRREDUCIBLE, JI, REDUCIBLE
 
 
 def test_quadext_ramified_basics():
@@ -132,8 +135,6 @@ def test_padic_split_preserves_unit_determinants():
 
 
 def test_normalize_ext_square_ramified():
-    from fractions import Fraction
-
     from jigroup.padic import _normalize_ext_square
 
     ext = QuadExt(2, (-2, 0, 1), 24)  # gamma^2 = 2
@@ -147,8 +148,6 @@ def test_normalize_ext_square_ramified():
 
 
 def test_normalize_ext_square_unramified():
-    from fractions import Fraction
-
     from jigroup.padic import _normalize_ext_square
 
     ext = QuadExt(2, (1, 1, 1), 24)  # unramified: uniformizer is 2 itself
@@ -160,13 +159,12 @@ def test_normalize_ext_square_unramified():
     assert k == 1 and pair == (2, 1)  # (8 + 4 gamma)/4 = 2 + gamma, v_E = 0
 
 
-def test_padic_split_inert_quadratic_center_rescaled_lattice():
-    # rho_H (x) rho_C3 of Q8 x C3: the commutant is the quaternion algebra
-    # (-1, -1) over the centre Q(sqrt -3), which is inert at 5.  Conjugating
-    # by diag(1, 1, 25, 1, ...) makes the quaternion square b carry 5^-4, so
-    # the unramified normalization must scale by pi^2 = 25 per step.
-    from fractions import Fraction
+def q8c3_rep(scale=1):
+    """rho_H (x) rho_C3 of Q8 x C3 on Q^8, conjugated by diag(1, 1, scale, 1, ...).
 
+    The commutant is the quaternion algebra (-1, -1) over the centre
+    Q(sqrt -3), which splits it: -1 = w + w^2 with w a cube root of unity.
+    """
     from jigroup.perm import PermGroup
 
     def kron(a, b):
@@ -179,13 +177,47 @@ def test_padic_split_inert_quadratic_center_rescaled_lattice():
     j_m = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
     i2 = [[1, 0], [0, 1]]
     i4 = [[int(a == b) for b in range(4)] for a in range(4)]
-    scale = [Fraction(25 if k == 2 else 1) for k in range(8)]
+    diag = [Fraction(scale if k == 2 else 1) for k in range(8)]
 
     def conj(m):
-        return [[m[a][b] * scale[b] / scale[a] for b in range(8)]
+        return [[m[a][b] * diag[b] / diag[a] for b in range(8)]
                 for a in range(8)]
 
     gens = [kron(i_m, i2), kron(j_m, i2), kron(i4, [[0, -1], [1, -1]])]
-    rep = rep_from_data(group, [conj(m) for m in gens])
-    pieces = padic_split(rep, 5, 32)
-    assert sorted(s.dimension for s in pieces) == [4, 4]
+    return rep_from_data(group, [conj(m) for m in gens])
+
+
+def test_padic_split_inert_quadratic_center_rescaled_lattice():
+    # The centre Q(sqrt -3) is inert at 5 and ramified at 3.  Conjugating by
+    # diag(1, 1, p^2, 1, ...) makes the quaternion square b carry p^-4, so
+    # the normalization scales by pi^2 per step: p^2 when unramified, and
+    # through _gamma_multiply when ramified.
+    for p, scale in ((5, 25), (3, 9)):
+        pieces = padic_split(q8c3_rep(scale), p, 32)
+        assert sorted(s.dimension for s in pieces) == [4, 4], p
+
+
+@pytest.mark.parametrize("scale", [1, 3, 9, Fraction(1, 3)])
+def test_q8c3_split_commutant_is_never_irreducible_over_Q(scale):
+    # (-1, -1) over Q(sqrt -3) splits; no real place certifies division
+    rep = q8c3_rep(scale)
+    assert irreducible_over_Q(rep).status != IRREDUCIBLE
+    profile = VaProfile("Z", 8, rep)
+    assert va_just_infinite(profile).status != JI
+
+
+def test_real_place_ramification_is_exact():
+    from jigroup.rep import _ramified_at_a_real_place
+
+    sqrt2 = (Fraction(-2), Fraction(0), Fraction(1))  # w^2 = 2
+    minus_one = (Fraction(-1), Fraction(0))
+    assert _ramified_at_a_real_place(sqrt2, minus_one, minus_one)
+    # sqrt 2 < 0 at w = -sqrt 2, where -1 < 0 too
+    assert _ramified_at_a_real_place(sqrt2, (0, 1), minus_one)
+    # 1 + sqrt 2 is negative only at w = -sqrt 2, 1 - sqrt 2 only at +sqrt 2
+    assert not _ramified_at_a_real_place(sqrt2, (1, 1), (1, -1))
+    assert _ramified_at_a_real_place(sqrt2, (1, 1), (Fraction(7, 5), 1))
+    # 3 - 2 sqrt 2 > 0 at both places: 9 > 8
+    assert not _ramified_at_a_real_place(sqrt2, (3, -2), minus_one)
+    # an imaginary centre has no real place
+    assert not _ramified_at_a_real_place((Fraction(3, 4), 0, 1), minus_one, minus_one)

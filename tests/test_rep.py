@@ -208,6 +208,27 @@ def test_restrict():
     assert len(res.element_map) == 4
 
 
+def test_one_algebra_structure_per_rep_and_seed(monkeypatch):
+    # the Q decider and the Q_p decider share one commutant analysis
+    from jigroup.fixtures import q16_integral_rep
+    from jigroup.padic import padic_split
+
+    calls = []
+
+    def counted(comm_basis, seed=0):
+        calls.append(seed)
+        return algebra_structure(comm_basis, seed)
+
+    monkeypatch.setattr(rep_module, "algebra_structure", counted)
+    rep8 = q16_integral_rep()
+    assert irreducible_over_Q(rep8).status == IRREDUCIBLE
+    assert sorted(s.dimension for s in padic_split(rep8, 2)) == [4, 4]
+    assert irreducible_over_Q(rep8).status == IRREDUCIBLE
+    assert calls == [0]
+    irreducible_over_Q(rep8, seed=1)
+    assert calls == [0, 1]
+
+
 def test_quaternion_zero_divisor_split_algebra():
     # (1, 1) is M_2(Q): i = diag(1, -1), j = swap, ij = -ji
     i_m = rm.mat([[1, 0], [0, -1]])
