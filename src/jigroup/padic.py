@@ -982,11 +982,12 @@ def qp_poly_status_approx(coeffs, p):
         return ("unknown", "non-integral coefficients")
     res = coeffs.residues(kmin)[0]
     report = _residue_report(res, p)
-    if report is not None and report.method == "eisenstein_shift":
-        return ("irreducible", f"eisenstein shift {report.detail['shift']}")
     if report is not None:
-        facs = report.detail["factors"]
-        return ("irreducible", "irreducible mod p") if len(facs) == 1 else ("factors_mod_p", facs)
+        if report.method == "eisenstein_shift":
+            return ("irreducible", f"eisenstein shift {report.detail['shift']}")
+        if report.factor_count == 1:
+            return ("irreducible", "irreducible mod p")
+        return ("factors_mod_p", report.detail["factors"])
     # single-slope Newton polygon with full denominator
     v0 = _vp(res[0], p) if res[0] else kmin
     if res[0] and gcd(v0, n) == 1:
