@@ -567,8 +567,8 @@ def _ramified_at_a_real_place(center_minpoly, a_pair, b_pair):
         return False
 
     def sign(pair, root_sign):
-        u = pair[0] - pair[1] * c1 / 2
-        v = root_sign * pair[1] / 2
+        x0, x1 = map(Fraction, pair)
+        u, v = x0 - x1 * c1 / 2, root_sign * x1 / 2
         if u * v >= 0:
             return (u > 0) - (u < 0) or (v > 0) - (v < 0)
         # opposite signs; disc is not a square, so u^2 != v^2 disc
