@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .perm import PermGroup, perm_from_cycles, identity_perm
+from .verdicts import CertificateError
 
 
 def cyclic(n, degree=None):
@@ -95,7 +96,8 @@ def _metacyclic_regular(n, twist, s_sq):
     rule folds s through r via the twist.  Requires twist^2 = 1 mod n.
     """
     twist %= n
-    assert (twist * twist) % n == 1, "twist must be an involution mod n"
+    if (twist * twist) % n != 1:
+        raise ValueError("twist must be an involution mod n")
 
     def multiply(a, b):
         i1, j1 = a
@@ -140,9 +142,7 @@ def psl27(degree=7):
         a = matperm([[0, 0, 1], [1, 0, 1], [0, 1, 0]])  # order 7 companion-ish
         b = matperm([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
         G = PermGroup([a, b])
-        assert G.order == 168
-        return G
-    if degree == 8:
+    elif degree == 8:
         # points: 0..6 = F_7, 7 = infinity; x -> x+1 and x -> -1/x
         shift = tuple(list((i + 1) % 7 for i in range(7)) + [7])
         imgs = []
@@ -154,9 +154,11 @@ def psl27(degree=7):
         imgs.append(0)
         neg_inv = tuple(imgs)
         G = PermGroup([shift, neg_inv])
-        assert G.order == 168
-        return G
-    raise ValueError("psl27 is provided at degree 7 or 8")
+    else:
+        raise ValueError("psl27 is provided at degree 7 or 8")
+    if G.order != 168:
+        raise CertificateError("PSL(2,7) has the wrong order")
+    return G
 
 
 def extraspecial_128():
@@ -175,7 +177,8 @@ def extraspecial_128():
                 img[4 * k + i] = 4 * k + g[i]
             gens3.append(tuple(img))
     P = PermGroup(gens3)
-    assert P.order == 512
+    if P.order != 512:
+        raise CertificateError("D8 x D8 x D8 has the wrong order")
     z = perm_from_cycles(4, (0, 2), (1, 3))  # central rotation r^2 of D8
 
     def embed(g, k):
@@ -192,7 +195,8 @@ def extraspecial_128():
     for a in (identity_perm(deg), n1):
         for b in (identity_perm(deg), n2):
             n_els.add(mul(a, b))
-    assert len(n_els) == 4
+    if len(n_els) != 4:
+        raise CertificateError("the identified centers do not have order 4")
 
     p_els = P.elements(gate=600)
     coset_of = {}
@@ -205,12 +209,14 @@ def extraspecial_128():
         cosets.append(cs)
         for m in cs:
             coset_of[m] = ci
-    assert len(cosets) == 128
+    if len(cosets) != 128:
+        raise CertificateError("the center quotient does not have 128 cosets")
 
     def left_mult_perm(g):
         # gN acted by x: (x g)N; use representative-independence of cosets
         return tuple(coset_of[mul(g, next(iter(cosets[c])))] for c in range(128))
 
     E = PermGroup([left_mult_perm(g) for g in gens3])
-    assert E.order == 128
+    if E.order != 128:
+        raise CertificateError("the extraspecial group has the wrong order")
     return E

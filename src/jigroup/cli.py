@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -400,7 +401,15 @@ def run_command(argv, out=None):
 
 
 def main():
-    status, _ = run_command(sys.argv[1:])
+    try:
+        status, _ = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: an io error.  Point stdout at devnull so
+        # the flush at exit cannot fail again (Python docs, signal module,
+        # "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
     raise SystemExit(status)
 
 

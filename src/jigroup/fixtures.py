@@ -18,6 +18,7 @@ from .chartab import character_table, min_faithful_degree
 from .padic import DEFAULT_PRECISION, padic_split
 from .profiles import VaProfile, validate_va_profile
 from .rep import rep_from_data
+from .verdicts import CertificateError
 from .wreath import build_wreath_shadow, wreath_shadow
 
 # the degree-8 figure for the double cover of Alt(8) is cited reference
@@ -50,7 +51,8 @@ def q16_integral_rep():
     y_mat[6][2] = 1
     y_mat[7][1] = 1
     rep = rep_from_data(G, [x_mat, y_mat])
-    assert rep.faithful
+    if not rep.faithful:
+        raise CertificateError("the Q16 representation is not faithful")
     return rep
 
 
@@ -58,11 +60,13 @@ def quaternionic_profile(precision=DEFAULT_PRECISION):
     """The Example-2 profile: a 4-dim 2-adic constituent of the 8-dim rep."""
     rep8 = q16_integral_rep()
     pieces = padic_split(rep8, 2, precision)
-    assert sorted(s.dimension for s in pieces) == [4, 4]
+    if sorted(s.dimension for s in pieces) != [4, 4]:
+        raise CertificateError("the Q16 lattice does not split 2-adically as [4, 4]")
     constituent = pieces[0]
     profile = VaProfile(("Zp", 2), 4, constituent, precision)
     check = validate_va_profile(profile)
-    assert check["valid"], check
+    if not check["valid"]:
+        raise CertificateError(f"the Example-2 profile is not valid: {check}")
     return profile, rep8, pieces
 
 
@@ -149,7 +153,8 @@ def z2_profile_sd16():
         [0, 1, 0, 0],
     ]
     rep = rep_from_data(catalog.semidihedral16(), [r, s])
-    assert rep.faithful
+    if not rep.faithful:
+        raise CertificateError("the SD16 representation is not faithful")
     return VaProfile(("Zp", 2), 4, rep)
 
 
@@ -219,7 +224,8 @@ def _frobenius20():
     five = perm_from_cycles(5, (0, 1, 2, 3, 4))
     double = tuple((2 * i) % 5 for i in range(5))  # x -> 2x mod 5
     F = PermGroup([five, double])
-    assert F.order == 20
+    if F.order != 20:
+        raise CertificateError("F20 has the wrong order")
     return F
 
 
@@ -262,7 +268,8 @@ def primitive_corpus():
     ]
     for name, g in groups:
         _, primitive = g.minimal_block_systems()
-        assert primitive, f"{name} is not primitive"
+        if not primitive:
+            raise CertificateError(f"{name} is not primitive")
     return groups
 
 
@@ -273,7 +280,8 @@ def _frobenius(p, k, mult):
     cyc = tuple((i + 1) % p for i in range(p))
     m = tuple((mult * i) % p for i in range(p))
     G = PermGroup([cyc, m])
-    assert G.order == p * k
+    if G.order != p * k:
+        raise CertificateError(f"the Frobenius group of order {p * k} has the wrong order")
     return G
 
 
@@ -310,5 +318,6 @@ def _agl18():
     trans = tuple(idx[add(v, one)] for v in els)
     scale = tuple(idx[mul(v, t)] for v in els)
     G = PermGroup([trans, scale])
-    assert G.order == 56
+    if G.order != 56:
+        raise CertificateError("AGL(1,8) has the wrong order")
     return G

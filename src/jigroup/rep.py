@@ -7,6 +7,8 @@ commutant, analysed once per (rep, seed): reducible iff a nontrivial
 idempotent (or other zero divisor) turns up; scalar, field, and quaternion
 commutants carry exact division certificates, and a quaternion algebra
 over a real quadratic center is division when it ramifies at a real place.
+One step, `quaternion_pair`, builds the quaternion generators i, j (or a
+zero divisor) over the center Q and over a quadratic center alike.
 """
 
 from __future__ import annotations
@@ -166,25 +168,12 @@ def commutation_rows(mats, zero):
 
 
 def _verify_commutant(rep, basis):
-    d = rep.dimension
-    span_rows = [tuple(x for row in b for x in row) for b in basis]
-    canon = rm.row_space_canonical(span_rows)
-    ident_vec = tuple(x for row in rm.identity(d) for x in row)
-    if not _in_row_space(canon, ident_vec):
+    canon = rm.row_space_canonical([_flat(b) for b in basis])
+    if rm.row_space_canonical(list(canon) + [_flat(rm.identity(rep.dimension))]) != canon:
         raise CertificateError("commutant missing the identity")
-    for a in basis:
-        for b in basis:
-            prod = rm.mat_mul(a, b)
-            vec = tuple(x for row in prod for x in row)
-            if not _in_row_space(canon, vec):
-                raise CertificateError("commutant not closed under product")
-
-
-def _in_row_space(canon_rows, vec):
-    if not canon_rows:
-        return all(x == 0 for x in vec)
-    stacked = rm.row_space_canonical(list(canon_rows) + [vec])
-    return stacked == canon_rows
+    products = [_flat(rm.mat_mul(a, b)) for a in basis for b in basis]
+    if rm.row_space_canonical(list(canon) + products) != canon:
+        raise CertificateError("commutant not closed under product")
 
 
 @dataclass
@@ -201,14 +190,22 @@ class AlgebraStructure:
         return out
 
 
-def _sample_element(basis, rng, spread=5):
-    coeffs = [Fraction(rng.randint(-spread, spread)) for _ in basis]
-    d = len(basis[0])
-    acc = rm.zeros(d, d)
-    for c, b in zip(coeffs, basis):
+def _flat(m):
+    """The entries of a matrix as one row, row by row."""
+    return tuple(x for row in m for x in row)
+
+
+def _combination(coeffs, mats):
+    """sum c m over the nonzero coefficients."""
+    acc = rm.zeros(len(mats[0]), len(mats[0]))
+    for c, m in zip(coeffs, mats):
         if c:
-            acc = rm.mat_add(acc, rm.mat_scale(b, c))
+            acc = rm.mat_add(acc, rm.mat_scale(m, c))
     return acc
+
+
+def _sample_element(basis, rng, spread=5):
+    return _combination([Fraction(rng.randint(-spread, spread)) for _ in basis], basis)
 
 
 def _idempotent_from_minpoly(a, facs):
@@ -283,33 +280,25 @@ def algebra_structure(comm_basis, seed=0):
             "split_nilpotent", comm_basis, {"nilpotent": nilpotent_witness}
         )
     center = algebra_center(comm_basis)
+    ident = rm.identity(d)
     if dim == 4 and len(center) == 1:
-        quat = _quaternion_structure(comm_basis, seed)
-        if quat is not None:
-            if isinstance(quat, AlgebraStructure):
-                return quat
-            a_param, b_param, i_m, j_m = quat
-            return AlgebraStructure(
-                "quaternion_over_Q",
-                comm_basis,
-                {"a": a_param, "b": b_param, "i": i_m, "j": j_m},
-            )
+        rng = random.Random(seed + 1)
+        for _ in range(SAMPLE_BUDGET):
+            x = _sample_element(comm_basis, rng)
+            pair = quaternion_pair(comm_basis, (ident,), x)
+            if pair is not None:
+                return _structure_from_pair(comm_basis, pair)
     if dim == 8 and len(center) == 2:
         zgen = _noncentral_scalar_part(center, d)
         mp = rm.minimal_polynomial(zgen)
         if rm.poly_deg(mp) == 2 and rm.poly_is_irreducible_q(mp):
-            quat = quaternion_over_center(comm_basis, zgen)
-            if quat[0] == "zero_divisor":
-                return AlgebraStructure(
-                    "split_nilpotent", comm_basis, {"nilpotent": quat[1]}
-                )
-            a_pair, b_pair, i_m, j_m = quat
-            return AlgebraStructure(
-                "cyclic_algebra",
-                comm_basis,
-                {"center_minpoly": mp, "center_generator": zgen,
-                 "a": a_pair, "b": b_pair, "i": i_m, "j": j_m},
-            )
+            x = next(c for c in comm_basis
+                     if rm.rank([_flat(m) for m in (ident, zgen, c)]) == 3)
+            pair = quaternion_pair(comm_basis, (ident, zgen), x)
+            if pair is None:
+                raise CertificateError("no quaternion pair over the center")
+            return _structure_from_pair(comm_basis, pair, center_minpoly=mp,
+                                        center_generator=zgen)
     return AlgebraStructure("unknown", comm_basis, {"trials": SAMPLE_BUDGET})
 
 
@@ -335,137 +324,65 @@ def _noncentral_scalar_part(center_basis, d):
     raise AssertionError("center is scalar only")
 
 
-def _quaternion_structure(basis, seed):
-    """Standard generators of a 4-dim central simple algebra over Q.
-
-    Returns (a, b, i, j) with i^2 = a, j^2 = b, ij = -ji; or a split
-    structure if a zero divisor appears; or None if generation fails.
-    """
-    d = len(basis[0])
-    rng = random.Random(seed + 1)
-    for _ in range(SAMPLE_BUDGET):
-        x = _sample_element(basis, rng)
-        mp = rm.minimal_polynomial(x)
-        if rm.poly_deg(mp) != 2:
-            continue
-        # i = x - tr/2 (trace from minpoly x^2 - t x + n)
-        t = -mp[1]
-        i_m = rm.mat_sub(x, rm.mat_scale(rm.identity(d), t / 2))
-        sq = rm.mat_mul(i_m, i_m)
-        a_param = sq[0][0]
-        if sq != rm.mat_scale(rm.identity(d), a_param) or a_param == 0:
-            continue
-        for j_m in anticommuting(i_m, basis):
-            sqj = rm.mat_mul(j_m, j_m)
-            b_param = sqj[0][0]
-            if sqj != rm.mat_scale(rm.identity(d), b_param):
-                continue
-            if b_param == 0:
-                return AlgebraStructure(
-                    "split_nilpotent", basis, {"nilpotent": j_m}
-                )
-            span = [
-                tuple(x for row in m for x in row)
-                for m in (
-                    rm.identity(d),
-                    i_m,
-                    j_m,
-                    rm.mat_mul(i_m, j_m),
-                )
-            ]
-            if rm.rank(span) == 4:
-                return a_param, b_param, i_m, j_m
-    return None
-
-
 def anticommuting(i_m, basis):
     """Nonzero j = sum c_b b with i j + j i = 0, one per vector of the
     nullspace of y -> iy + yi on the span of basis, in nullspace order."""
-    d = len(i_m)
-    rows = []
-    for bb in basis:
-        m = rm.mat_add(rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))
-        rows.append(tuple(x for row in m for x in row))
+    rows = [_flat(rm.mat_add(rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))) for bb in basis]
     for v in rm.nullspace(rm.mat_transpose(rows)):
-        j_m = rm.zeros(d, d)
-        for c, bb in zip(v, basis):
-            if c:
-                j_m = rm.mat_add(j_m, rm.mat_scale(bb, c))
-        if any(x != 0 for row in j_m for x in row):
+        j_m = _combination(v, basis)
+        if any(_flat(j_m)):
             yield j_m
 
 
-def quaternion_over_center(comm_basis, center_gen):
-    """Split an 8-dim rational algebra with center F = Q(w) as a quaternion.
+def quaternion_pair(basis, center, x):
+    """Standard generators i, j of a quaternion algebra over its center F.
 
-    Returns (a_pair, b_pair, i_mat, j_mat) with i^2 = a0 + a1 w, j^2 = b0 +
-    b1 w, ij = -ji; or ('zero_divisor', matrix) if one shows up on the way.
-    All arithmetic is exact rational.
+    basis spans the algebra, center is (I,) for F = Q or (I, W) for F = Q(W),
+    and x lies outside F.  i = x - t/2 with x^2 = t x + n over F; j is the
+    first anticommuting element with j^2 in F for which the products
+    c {1, i, j, ij} (c in center) span the algebra.  Returns (a, b, i, j)
+    with i^2 = a and j^2 = b as coordinate tuples over center; (z,) for a
+    zero divisor z met on the way (i^2 = 0 or j^2 = 0); None when x is in F
+    or not quadratic over it, or no j fits.
     """
-    d = len(comm_basis[0])
-    W = center_gen
-    ident = rm.identity(d)
+    def coords(m, over):
+        return rm.solve(rm.mat_transpose([_flat(c) for c in over]), _flat(m))
 
-    def f_span_coords(x):
-        # solve x = c0 I + c1 W
-        rows = [
-            tuple(q for row in m for q in row) for m in (ident, W)
-        ]
-        vec = tuple(q for row in x for q in row)
-        return rm.solve(rm.mat_transpose(rows), vec)
-
-    # pick x outside F = span(I, W)
-    x = None
-    for cand in comm_basis:
-        rows = [tuple(q for row in m for q in row) for m in (ident, W, cand)]
-        if rm.rank(rows) == 3:
-            x = cand
-            break
-    if x is None:
-        raise ValueError("algebra equals its center")
-    # minimal polynomial of x over F: x^2 = alpha x + beta W x + gamma I + delta W
-    x2 = rm.mat_mul(x, x)
-    basis4 = (x, rm.mat_mul(W, x), ident, W)
-    rows = [tuple(q for row in m for q in row) for m in basis4]
-    vec = tuple(q for row in x2 for q in row)
-    sol = rm.solve(rm.mat_transpose(rows), vec)
-    if sol is None:
-        raise CertificateError("element is not quadratic over the center")
-    alpha, beta, gamma, delta = sol
-    # i = x - t/2 with t = alpha + beta w
-    half_t = rm.mat_add(
-        rm.mat_scale(ident, alpha / 2), rm.mat_scale(W, beta / 2)
-    )
-    i_mat = rm.mat_sub(x, half_t)
-    i_sq = rm.mat_mul(i_mat, i_mat)
-    a_pair = f_span_coords(i_sq)
-    if a_pair is None:
-        raise CertificateError("i^2 is not central")
-    if all(c == 0 for c in a_pair):
-        return ("zero_divisor", i_mat)
-    for j_mat in anticommuting(i_mat, comm_basis):
-        j_sq = rm.mat_mul(j_mat, j_mat)
-        b_pair = f_span_coords(j_sq)
-        if b_pair is None:
+    over = [rm.mat_mul(c, x) for c in center] + list(center)
+    t_n = coords(rm.mat_mul(x, x), over)
+    if t_n is None or rm.rank([_flat(m) for m in over]) < len(over):
+        return None
+    i_m = rm.mat_sub(x, _combination([c / 2 for c in t_n[: len(center)]], center))
+    a = coords(rm.mat_mul(i_m, i_m), center)
+    if a is None:
+        return None
+    if not any(a):
+        return (i_m,)
+    for j_m in anticommuting(i_m, basis):
+        b = coords(rm.mat_mul(j_m, j_m), center)
+        if b is None:
             continue
-        if all(c == 0 for c in b_pair):
-            return ("zero_divisor", j_mat)
-        span = [
-            tuple(q for row in m for q in row)
-            for m in (
-                ident,
-                W,
-                i_mat,
-                rm.mat_mul(W, i_mat),
-                j_mat,
-                rm.mat_mul(W, j_mat),
-                rm.mat_mul(i_mat, j_mat),
-                rm.mat_mul(W, rm.mat_mul(i_mat, j_mat)),
-            )
-        ]
-        if rm.rank(span) == 8:
-            return (a_pair, b_pair, i_mat, j_mat)
-    raise CertificateError("no quaternion pair over the center")
+        if not any(b):
+            return (j_m,)
+        span = [_flat(rm.mat_mul(c, m))
+                for m in (rm.identity(len(x)), i_m, j_m, rm.mat_mul(i_m, j_m)) for c in center]
+        if rm.rank(span) == 4 * len(center):
+            return a, b, i_m, j_m
+    return None
+
+
+def _structure_from_pair(basis, pair, **center):
+    """The AlgebraStructure of a quaternion_pair result: split_nilpotent for
+    a zero divisor, quaternion_over_Q (rational a, b) over the center Q, and
+    cyclic_algebra (center data first) over a quadratic center."""
+    if len(pair) == 1:
+        return AlgebraStructure("split_nilpotent", basis, {"nilpotent": pair[0]})
+    a, b, i_m, j_m = pair
+    if len(a) == 1:
+        return AlgebraStructure("quaternion_over_Q", basis,
+                                {"a": a[0], "b": b[0], "i": i_m, "j": j_m})
+    return AlgebraStructure("cyclic_algebra", basis,
+                            {**center, "a": a, "b": b, "i": i_m, "j": j_m})
 
 
 def invariant_subspace_from_zero_divisor(rep, z):
@@ -483,14 +400,9 @@ def invariant_subspace_from_zero_divisor(rep, z):
 
 def _verify_invariant(rep, basis_rows):
     canon = rm.row_space_canonical(basis_rows)
-    for g in rep.gen_images:
-        for v in basis_rows:
-            img = tuple(
-                sum(v[k] * g[k][j] for k in range(len(v)))
-                for j in range(len(v))
-            )
-            if not _in_row_space(canon, img):
-                raise CertificateError("subspace is not invariant")
+    images = [v for g in rep.gen_images for v in rm.mat_mul(basis_rows, g)]
+    if rm.row_space_canonical(list(canon) + images) != canon:
+        raise CertificateError("subspace is not invariant")
 
 
 def commutant_analysis(rep, seed=0):
@@ -616,15 +528,7 @@ def decompose_over_Q(rep, seed=0, _depth=0):
     for sub in (w, comp):
         sub_rep, lift = _subspace_restriction(rep, sub)
         pieces = decompose_over_Q(sub_rep, seed, _depth + 1)
-        for piece in pieces:
-            rows = [
-                tuple(
-                    sum(v[k] * lift[k][j] for k in range(len(lift)))
-                    for j in range(d)
-                )
-                for v in piece
-            ]
-            out.append(rm.row_space_canonical(rows))
+        out.extend(rm.row_space_canonical(rm.mat_mul(piece, lift)) for piece in pieces)
     if sum(len(q) for q in out) != d:
         raise CertificateError("constituents do not fill the space")
     return out
@@ -678,14 +582,12 @@ def _subspace_restriction(rep, rows):
 
     Returns (restricted MatRep, canonical lift basis).
     """
-    d = rep.dimension
     rows = rm.row_space_canonical(rows)
     rt = rm.mat_transpose(rows)
 
     def restricted(g):
         coords = []
-        for v in rows:
-            img = tuple(sum(v[t] * g[t][j] for t in range(d)) for j in range(d))
+        for img in rm.mat_mul(rows, g):
             sol = rm.solve(rt, img)
             if sol is None:
                 raise CertificateError("subspace not invariant in restriction")
@@ -803,9 +705,7 @@ def _translate_orbit(rep, u_rows):
     d = rep.dimension
 
     def image(rows, g):
-        return rm.row_space_canonical(
-            [tuple(sum(v[k] * g[k][j] for k in range(d)) for j in range(d)) for v in rows]
-        )
+        return rm.row_space_canonical(rm.mat_mul(rows, g))
 
     blocks = []
     for space in _walk(u_rows, rep.gen_images, image):

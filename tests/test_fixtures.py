@@ -1,9 +1,14 @@
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jigroup import fixtures
+from jigroup import catalog, fixtures
 from jigroup.cli import run_command
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_paper_examples_1():
@@ -76,3 +81,27 @@ def test_primitive_corpus_members_are_primitive():
     for name, G in fixtures.primitive_corpus():
         _, primitive = G.minimal_block_systems()
         assert primitive, name
+
+
+def test_corrupted_construction_raises_certificate_error_under_O():
+    # PSL(2,7) built from its first generator alone has order 7, not 168
+    script = (
+        "from jigroup import catalog\n"
+        "from jigroup.perm import PermGroup\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "catalog.PermGroup = lambda gens: PermGroup(gens[:1])\n"
+        "try:\n"
+        "    catalog.psl27(7)\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: PSL(2,7) has the wrong order\n"
+
+
+def test_metacyclic_twist_must_be_an_involution():
+    with pytest.raises(ValueError, match="involution"):
+        catalog._metacyclic_regular(8, 2, 0)

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -391,6 +393,20 @@ def test_certificate_error_is_exit_2(monkeypatch):
     assert status == 2
     assert json.loads(out.getvalue()) == {"error": {
         "kind": "certificate", "line": None, "message": "orthogonality failed at rows 1,0"}}
+
+
+def test_closed_stdout_is_an_io_error_exit_2():
+    # the reader closes the pipe before the report is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jigroup.cli", "--report", "machine", "analyze",
+         str(DATA / "c3_z3.profile")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(DATA.parent.parent)})
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 @pytest.mark.parametrize("entries, emitted", [

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,16 +9,21 @@ import pytest
 from jigroup import catalog, ratmat as rm
 from jigroup import rep as rep_module
 from jigroup.rep import (
+    SAMPLE_BUDGET,
     AlgebraStructure,
     RelationViolation,
     UncertifiedSplit,
+    _noncentral_scalar_part,
     _quaternion_zero_divisor,
+    _sample_element,
     algebra_center,
     algebra_structure,
+    anticommuting,
     commutant,
     decompose_over_Q,
     irreducible_over_Q,
     matrix_block_system,
+    quaternion_pair,
     rep_from_data,
 )
 from jigroup.smallgrp import maximal_subgroups
@@ -277,3 +283,102 @@ def test_non_invariant_subspace_rejected_under_O():
                           text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected: subspace is not invariant\n"
+
+
+def _flat(m):
+    return tuple(x for row in m for x in row)
+
+
+def _oracle_pair_over_Q(basis, seed):
+    """The quaternion builder for the center Q before the fold (slow oracle):
+    sampled x with a quadratic minimal polynomial, i = x - t/2, then the
+    first anticommuting j with scalar square whose span is 4-dimensional.
+    A zero divisor j comes back as (j,); a sample with i^2 = 0 is skipped."""
+    d = len(basis[0])
+    rng = random.Random(seed + 1)
+    for _ in range(SAMPLE_BUDGET):
+        x = _sample_element(basis, rng)
+        mp = rm.minimal_polynomial(x)
+        if rm.poly_deg(mp) != 2:
+            continue
+        i_m = rm.mat_sub(x, rm.mat_scale(rm.identity(d), -mp[1] / 2))
+        sq = rm.mat_mul(i_m, i_m)
+        if sq != rm.mat_scale(rm.identity(d), sq[0][0]) or sq[0][0] == 0:
+            continue
+        for j_m in anticommuting(i_m, basis):
+            sqj = rm.mat_mul(j_m, j_m)
+            if sqj != rm.mat_scale(rm.identity(d), sqj[0][0]):
+                continue
+            if sqj[0][0] == 0:
+                return (j_m,)
+            span = [_flat(m) for m in (rm.identity(d), i_m, j_m, rm.mat_mul(i_m, j_m))]
+            if rm.rank(span) == 4:
+                return sq[0][0], sqj[0][0], i_m, j_m
+    return None
+
+
+def _oracle_pair_over_center(basis, w):
+    """The quaternion builder for a quadratic center Q(w) before the fold
+    (slow oracle): x the first basis element outside span(I, w)."""
+    ident = rm.identity(len(w))
+
+    def coords(m, over):
+        return rm.solve(rm.mat_transpose([_flat(c) for c in over]), _flat(m))
+
+    x = next(c for c in basis if rm.rank([_flat(m) for m in (ident, w, c)]) == 3)
+    alpha, beta, _, _ = coords(rm.mat_mul(x, x), (x, rm.mat_mul(w, x), ident, w))
+    i_m = rm.mat_sub(x, rm.mat_add(rm.mat_scale(ident, alpha / 2), rm.mat_scale(w, beta / 2)))
+    a_pair = coords(rm.mat_mul(i_m, i_m), (ident, w))
+    if not any(a_pair):
+        return (i_m,)
+    for j_m in anticommuting(i_m, basis):
+        b_pair = coords(rm.mat_mul(j_m, j_m), (ident, w))
+        if b_pair is None:
+            continue
+        if not any(b_pair):
+            return (j_m,)
+        ij = rm.mat_mul(i_m, j_m)
+        span = [_flat(m) for m in (ident, w, i_m, rm.mat_mul(w, i_m), j_m,
+                                   rm.mat_mul(w, j_m), ij, rm.mat_mul(w, ij))]
+        if rm.rank(span) == 8:
+            return a_pair, b_pair, i_m, j_m
+    return None
+
+
+def _pair_of(st):
+    return tuple(st.data[k] for k in ("a", "b", "i", "j"))
+
+
+def test_quaternion_pair_matches_the_builders_it_replaced():
+    from test_padic_ext import q8c3_rep
+
+    from jigroup.fixtures import q16_integral_rep
+
+    q8 = commutant(q8_quaternion_rep())
+    q16 = commutant(q16_integral_rep())
+    q16_pair = _oracle_pair_over_center(q16, _noncentral_scalar_part(algebra_center(q16), 8))
+    for seed in range(8):
+        st = algebra_structure(q8, seed)
+        assert st.kind == "quaternion_over_Q"
+        assert _pair_of(st) == _oracle_pair_over_Q(q8, seed)
+        st = algebra_structure(q16, seed)
+        assert st.kind == "cyclic_algebra"
+        assert _pair_of(st) == q16_pair
+    # Q8 x C3: the pair does not depend on the seed, and only seed 0 reaches
+    # it (the other seeds sample an idempotent of M_2(Q(sqrt -3)) first)
+    q8c3 = commutant(q8c3_rep())
+    st = algebra_structure(q8c3, 0)
+    assert st.kind == "cyclic_algebra"
+    assert _pair_of(st) == _oracle_pair_over_center(
+        q8c3, _noncentral_scalar_part(algebra_center(q8c3), 8))
+
+
+def test_quaternion_pair_on_the_matrix_units():
+    units = tuple(rm.mat([[int((r, c) == (i, j)) for j in range(2)] for i in range(2)])
+                  for r in range(2) for c in range(2))
+    ident = rm.identity(2)
+    e12 = units[1]
+    assert quaternion_pair(units, (ident,), e12) == (e12,)  # i^2 = 0
+    # i = diag(1, -1), i^2 = 1; the first anticommuting j is E12, j^2 = 0
+    assert quaternion_pair(units, (ident,), rm.mat([[1, 0], [0, -1]])) == (e12,)
+    assert quaternion_pair(units, (ident,), ident) is None  # x in the center
