@@ -175,10 +175,10 @@ def basal_from_intersections(G, K, gate=ELEMENT_GATE):
                 info["J"] = combo
                 info["contained_in_conjugate"] = True
                 return check.certificate, info
-        raise AssertionError(
+        raise CertificateError(
             "model violation: no maximal-size intersection is basal"
         )
-    raise AssertionError("all intersections trivial; K itself nontrivial?")
+    raise CertificateError("all intersections trivial; K itself nontrivial?")
 
 
 # -- shadow models -----------------------------------------------------------

@@ -17,6 +17,7 @@ from .cyclotomic import CycloContext
 from .perm import LATTICE_GATE
 from .smallgrp import small_table
 from .verdicts import CertificateError
+from .zpoly import isprime, primefactors
 
 
 class CharacterTable:
@@ -80,11 +81,6 @@ class CharacterTable:
 
 
 def _smallest_modulus(order, exponent):
-    # sympy is imported on first use: loaded at module import, its ~30 MB
-    # would sit under the compile of the larger modules of the package and
-    # raise the peak RSS of a CLI run by about 3 MB.
-    from sympy import isprime
-
     l = 2 * order + 1
     while True:
         if l % exponent == 1 and isprime(l):
@@ -321,14 +317,12 @@ def _int_sqrt_exact(d2):
 
 def _element_of_order(l, e):
     """A fixed element of multiplicative order e in F_l (l = 1 mod e)."""
-    from sympy import primefactors
-
     qs = primefactors(e)
     for g in range(2, l):
         x = pow(g, (l - 1) // e, l)
         if x != 1 and all(pow(x, e // q, l) != 1 for q in qs):
             return x
-    raise AssertionError("no element of the required order")
+    raise CertificateError("no element of the required order")
 
 
 def min_faithful_degree(group, gate=LATTICE_GATE, table=None):
@@ -358,4 +352,4 @@ def min_faithful_degree(group, gate=LATTICE_GATE, table=None):
                 best[nstate] = ncost
                 heapq.heappush(heap, (ncost, counter, nstate))
                 counter += 1
-    raise AssertionError("no faithful character collection found")
+    raise CertificateError("no faithful character collection found")

@@ -317,7 +317,7 @@ def _build_parser():
         "and wreath shadow models",
     )
     parser.add_argument("--precision", type=int, default=0,
-                        help="p-adic working precision (digits)")
+                        help="p-adic working precision (digits; 0 for the default)")
     parser.add_argument("--order-gate", type=int, default=4096,
                         help="order gate for exhaustive subgroup work")
     parser.add_argument("--report", choices=("text", "machine"), default="text")
@@ -380,6 +380,8 @@ def run_command(argv, out=None):
     argv = _protect_negative_args(list(argv))
     try:
         args = parser.parse_args(argv)
+        if args.precision < 0:
+            parser.error(f"argument --precision: must be at least 0, got {args.precision}")
     except UsageError as exc:
         if not _asks_machine_report(argv):
             argparse.ArgumentParser.error(exc.parser, str(exc))  # usage on stderr, exit 2

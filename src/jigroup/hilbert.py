@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .zpoly import isprime, primefactors
+
 REAL_PLACE = "real"
 
 
@@ -54,8 +56,6 @@ def hilbert_symbol(a, b, place):
         raise ValueError("hilbert symbol requires nonzero arguments")
     if place == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    from sympy import isprime  # on first use, as in chartab
-
     p = place
     if not (isinstance(p, int) and isprime(p)):
         raise ValueError(f"not a place: {place!r}")
@@ -132,8 +132,6 @@ def quaternion_is_division(a, b, field):
     if isinstance(field, tuple) and field[0] == "Qp":
         return hilbert_symbol(a, b, field[1]) == -1
     if field == "Q":
-        from sympy import primefactors  # on first use, as in chartab
-
         support = primefactors(a.numerator * a.denominator * b.numerator * b.denominator)
         places = [REAL_PLACE] + sorted(set(support) | {2})
         return any(hilbert_symbol(a, b, pl) == -1 for pl in places)

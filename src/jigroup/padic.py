@@ -25,6 +25,7 @@ from . import ratmat as rm
 from .hilbert import _valuation_and_unit, hilbert_symbol
 from .rep import commutation_rows
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
+from .zpoly import _fp_bezout, _fp_mul, _fp_trim, fp_factor_squarefree_monic, fp_is_squarefree
 
 DEFAULT_PRECISION = 64
 
@@ -345,191 +346,11 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
     return PadicMatrix(p, cap, [[x // p**k for x in row] for row in ech], k - s), pivots, vals
 
 
-# -- F_p[x] machinery (exact integers) ----------------------------------------
-
-
-def _fp_trim(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_mul(f, g, p):
-    return _fp_trim(_int_poly_mul(f, g), p)
-
-
-def _fp_gcd(f, g, p):
-    f, g = _fp_trim(list(f), p), _fp_trim(list(g), p)
-    while g:
-        f, g = g, _int_poly_divmod_mod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _fp_pow_mod(base, e, mod, p):
-    out = [1]
-    base = _int_poly_divmod_mod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            out = _int_poly_divmod_mod(_fp_mul(out, base, p), mod, p)[1]
-        base = _int_poly_divmod_mod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return out
-
-
-def _fp_deriv(f, p):
-    return _fp_trim([i * c % p for i, c in enumerate(f)][1:], p)
-
-
-def fp_is_squarefree(f, p):
-    return len(_fp_gcd(f, _fp_deriv(f, p), p)) == 1
-
-
-def _fp_factor_squarefree(f, p):
-    """Factor a squarefree monic poly over F_p into irreducibles."""
-    out = []
-    # distinct-degree decomposition
-    work = list(f)
-    d = 1
-    x = [0, 1]
-    while len(work) - 1 >= 2 * d:
-        h = _fp_pow_mod(x, p**d, work, p)
-        h_minus_x = _fp_trim(
-            [
-                (h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)
-                for i in range(max(len(h), len(x)))
-            ],
-            p,
-        )
-        g = _fp_gcd(work, h_minus_x, p)
-        if len(g) > 1:
-            out.extend((fac, d) for fac in _fp_equal_degree(g, d, p))
-            work = _int_poly_divmod_mod(work, g, p)[0]
-        d += 1
-    if len(work) > 1:
-        out.append((work, len(work) - 1))
-    return [ _fp_trim(fac, p) for fac, _ in out ]
-
-
-def _fp_equal_degree(f, d, p):
-    """Split a product of degree-d irreducibles (deterministic search)."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    # try gcds with translates of the splitting polynomial
-    if p == 2:
-        # trace polynomial T(x) = x + x^2 + x^4 + ... over shifted arguments
-        for c in range(2**6):
-            base = _poly_from_int_bits(c)
-            tr = [0]
-            cur = base
-            for _ in range(d):
-                tr = _fp_trim(
-                    [
-                        (tr[i] if i < len(tr) else 0) + (cur[i] if i < len(cur) else 0)
-                        for i in range(max(len(tr), len(cur)))
-                    ],
-                    p,
-                )
-                cur = _int_poly_divmod_mod(_fp_mul(cur, cur, p), f, p)[1]
-            g = _fp_gcd(f, tr, p)
-            if 1 < len(g) < len(f):
-                return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                    _int_poly_divmod_mod(f, g, p)[0], d, p
-                )
-        raise AssertionError("equal-degree splitting failed (p=2)")
-    e = (p**d - 1) // 2
-    for c in range(p * 4 + 1):
-        base = [c % p, 1]
-        h = _fp_pow_mod(base, e, f, p)
-        h[0] = (h[0] - 1) % p
-        g = _fp_gcd(f, _fp_trim(h, p), p)
-        if 1 < len(g) < len(f):
-            return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                _int_poly_divmod_mod(f, g, p)[0], d, p
-            )
-    raise AssertionError("equal-degree splitting failed")
-
-
-def _poly_from_int_bits(c):
-    out = []
-    while c:
-        out.append(c & 1)
-        c >>= 1
-    return out or [0]
-
-
-
-# -- integer polynomials mod p^k --------------------------------------------------
-
-
-def _int_poly_divmod_mod(f, g, mod):
-    """(quot, rem) of f by g over Z/mod; g must have a unit leading coeff."""
-    f = _int_trim([c % mod for c in f])
-    g = _int_trim([c % mod for c in g])
-    lead_inv = pow(g[-1], -1, mod)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] * lead_inv % mod
-        k = len(f) - len(g)
-        q[k] = c
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % mod
-        f = _int_trim(f)
-    return _int_trim(q), f
-
-
-def _fp_bezout(g, h, p):
-    r0, r1 = _fp_trim(list(g), p), _fp_trim(list(h), p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _int_poly_divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_trim(
-            [(a - b) % p for a, b in _zip_pad(s0, _fp_mul(q, s1, p))], p
-        )
-        t0, t1 = t1, _fp_trim(
-            [(a - b) % p for a, b in _zip_pad(t0, _fp_mul(q, t1, p))], p
-        )
-    if len(r0) != 1:
-        raise CertificateError("Bezout factors are not coprime mod p")
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _int_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _int_poly_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _int_trim(out)
-
-
 def _poly_eval_mod(g, x, mod):
     acc = 0
     for c in reversed(g):
         acc = (acc * x + c) % mod
     return acc
-
 
 
 # -- qp_factor_count ------------------------------------------------------------
@@ -619,12 +440,6 @@ def _residue_report(f, p):
         if _is_eisenstein(_int_shift_poly(f, c), p):
             return QpFactorReport(f, p, 1, "eisenstein_shift", {"shift": c})
     return None
-
-
-def fp_factor_squarefree_monic(fbar, p):
-    inv = pow(fbar[-1], p - 2, p)
-    monic = [c * inv % p for c in fbar]
-    return _fp_factor_squarefree(monic, p)
 
 
 def _int_shift_poly(f, c):

@@ -552,7 +552,7 @@ def _cell_containing(blocks, pt):
     for bl in blocks:
         if pt in bl:
             return bl
-    raise AssertionError
+    raise CertificateError(f"point {pt} lies in no block")
 
 
 class SubgroupHandle:

@@ -24,13 +24,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from sympy import isprime
-
 from .padic import DEFAULT_PRECISION, PadicMatrix
 from .perm import LATTICE_GATE, PermGroup, check_perm, identity_perm
 from .profiles import VaProfile
 from .ratmat import NumberRing
 from .rep import MatRep, RelationViolation, close_over_group, rep_from_data
+from .zpoly import isprime
 
 FORMAT_HEADER = "jigroup-profile v1"
 
@@ -203,6 +202,8 @@ def _parse_matrix_kind(kind, fields, gens, mats):
     if "precision" in fields:
         pl, ps = fields["precision"]
         precision = _parse_int(pl, ps, "precision")
+        if precision < 1:
+            raise ProfileError(pl, f"precision must be at least 1, got {precision}")
     number_ring = None
     if "modulus" in fields:
         ml, ms = fields["modulus"]

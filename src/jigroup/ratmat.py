@@ -2,8 +2,8 @@
 
 Matrices are tuples of tuples of Fraction; polynomials are coefficient
 tuples, lowest degree first, with exact gcd / division / factorization
-(factorization over Q delegates to sympy).  rref and minimal_polynomial
-work on integer rows internally and return Fractions.
+(factorization over Q is Zassenhaus's, in `zpoly`).  rref and
+minimal_polynomial work on integer rows internally and return Fractions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
+from .verdicts import CertificateError
+from .zpoly import factor_q
 
 _ZERO = Fraction(0)
 
@@ -326,27 +327,13 @@ def poly_is_squarefree(p):
     return poly_deg(poly_gcd(p, poly_deriv(p))) == 0
 
 
-_X = sympy.Symbol("x")
-
-
 def poly_factor_q(p):
-    """Irreducible factorization over Q via sympy: list of (factor, mult).
+    """Irreducible factorization over Q: list of (factor, mult).
 
-    Factors are monic coefficient tuples, lowest degree first.
+    Factors are monic coefficient tuples, lowest degree first, sorted by
+    (degree, coefficients).
     """
-    p = poly_trim(p)
-    if poly_deg(p) <= 0:
-        return []
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * _X**i
-               for i, c in enumerate(p))
-    _, factors = sympy.factor_list(sympy.Poly(expr, _X, domain="QQ"))
-    out = []
-    for fac, mult in factors:
-        coeffs = fac.all_coeffs()[::-1]
-        tup = poly_trim(Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-                        for c in coeffs)
-        tup = poly_scale(tup, 1 / tup[-1])
-        out.append((tup, int(mult)))
+    out = [(poly_trim(Fraction(c, g[-1]) for c in g), m) for g, m in factor_q(p)]
     out.sort(key=lambda fm: (poly_deg(fm[0]), fm[0]))
     return out
 
@@ -397,7 +384,7 @@ def minimal_polynomial(m):
             [sum(x * y for x, y in zip(row, col)) for col in n_cols]
             for row in power
         ]
-    raise AssertionError("minimal polynomial search exceeded dimension")
+    raise CertificateError("minimal polynomial search exceeded dimension")
 
 
 class NumberRing:

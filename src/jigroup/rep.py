@@ -321,7 +321,7 @@ def _noncentral_scalar_part(center_basis, d):
         cand = rm.mat_sub(c, rm.mat_scale(rm.identity(d), tr / d))
         if any(any(x != 0 for x in row) for row in cand):
             return cand
-    raise AssertionError("center is scalar only")
+    raise CertificateError("center is scalar only")
 
 
 def anticommuting(i_m, basis):

@@ -146,6 +146,8 @@ def test_cli_hilbert_bad_argument_is_a_usage_error(argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["analyze"], "the following arguments are required: file"),
     (["--precision", "x", "analyze", "f"], "argument --precision: invalid int value: 'x'"),
+    (["--precision", "-3", "analyze", str(DATA / "pro2_dihedral.profile")],
+     "argument --precision: must be at least 0, got -3"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
      "(choose from 'analyze', 'shadow', 'hilbert', 'chartab', 'verify-paper')"),
     (["verify-paper", "1", "2"], "unrecognized arguments: 2"),
@@ -395,6 +397,31 @@ def test_certificate_error_is_exit_2(monkeypatch):
         "kind": "certificate", "line": None, "message": "orthogonality failed at rows 1,0"}}
 
 
+def test_failed_guard_is_a_certificate_error_in_machine_mode(monkeypatch):
+    from jigroup.chartab import CharacterTable
+
+    # no character has a proper kernel, so no collection is faithful
+    monkeypatch.setattr(CharacterTable, "kernel_classes",
+                        lambda table, i: frozenset(range(table.n_classes)))
+    out = io.StringIO()
+    status, _ = run_command(
+        ["--report", "machine", "chartab", str(DATA / "q16_group.profile")], out)
+    assert status == 2
+    assert json.loads(out.getvalue()) == {"error": {
+        "kind": "certificate", "line": None,
+        "message": "no faithful character collection found"}}
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy costs about 0.4 s of start-up; it is a test oracle only
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jigroup.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": str(DATA.parent.parent)},
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_closed_stdout_is_an_io_error_exit_2():
     # the reader closes the pipe before the report is written
     proc = subprocess.Popen(
@@ -451,6 +478,14 @@ ERROR_CASES = {
     "not_utf8": (["analyze"], b"jigroup-profile v1\nkind va\n\xff\n", "line 3: ", "profile", 3),
     "directory": (["analyze"], None, "", "io", None),
     "missing_header": (["analyze"], "kind va\n", "line 1: ", "profile", 1),
+    "va_precision_negative": (
+        ["analyze"],
+        (DATA / "pro2_dihedral.profile").read_text().replace("precision 64", "precision -1"),
+        "line 5: ", "profile", 5),
+    "va_precision_zero": (
+        ["analyze"],
+        (DATA / "pro2_dihedral.profile").read_text().replace("precision 64", "precision 0"),
+        "line 5: ", "profile", 5),
     "order_gate": (
         ["--order-gate", "8", "analyze"], (DATA / "q16_va.profile").read_text(),
         "order gate: ", "order_gate", None),

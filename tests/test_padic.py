@@ -371,8 +371,8 @@ def test_padic_checks_raise_under_O():
     # witness re-checks raise CertificateError and argument preconditions
     # ValueError, also when asserts are off
     script = (
-        "from jigroup.padic import (QuadExt, _ZpRing, _fp_bezout,\n"
-        "    _normalize_ext_square, conic_solve_ext)\n"
+        "from jigroup.padic import QuadExt, _ZpRing, _normalize_ext_square, conic_solve_ext\n"
+        "from jigroup.zpoly import _fp_bezout\n"
         "from jigroup.verdicts import CertificateError\n"
         "assert False, 'asserts are on'\n"
         "checks = [\n"
