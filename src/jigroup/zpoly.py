@@ -463,10 +463,11 @@ def _factor_squarefree(f):
         return [f]
     lead = f[-1]
     for p in _primes():
-        if lead % p == 0 or not fp_is_squarefree(_fp_trim(f, p), p):
+        fbar = _fp_trim(f, p)
+        if lead % p == 0 or not fp_is_squarefree(fbar, p):
             continue
         try:
-            modular = fp_factor_squarefree_monic(_fp_trim(f, p), p)
+            modular = fp_factor_squarefree_monic(fbar, p)
         except CertificateError:  # no split found at p: take the next good prime
             continue
         break
