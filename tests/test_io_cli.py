@@ -146,11 +146,11 @@ def test_cli_hilbert_bad_argument_is_a_usage_error(argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["analyze"], "the following arguments are required: file"),
     (["--precision", "x", "analyze", "f"], "argument --precision: invalid int value: 'x'"),
-    (["--precision", "-3", "analyze", str(DATA / "pro2_dihedral.profile")],
-     "argument --precision: must be at least 0, got -3"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
      "(choose from 'analyze', 'shadow', 'hilbert', 'chartab', 'verify-paper')"),
     (["verify-paper", "1", "2"], "unrecognized arguments: 2"),
+    (["--precision", "-3", "analyze", str(DATA / "pro2_dihedral.profile")],
+     "argument --precision: must be at least 0, got -3"),
 ])
 def test_argument_error_is_json_in_machine_mode(argv, message, capsys):
     for report_args in (["--report", "machine"], ["--report=machine"]):
