@@ -1,7 +1,9 @@
 """Exact character tables of small groups via the Burnside-Dixon method.
 
-Eigenvalue work runs over a prime field F_l with l = 1 mod exponent(G) and
-l >= 2|G|+1, then lifts to exact cyclotomic values; the returned table is
+Eigenvalue work runs on Python ints over a prime field F_l with l = 1 mod
+exponent(G) and l >= 2|G|+1: sparse class matrices, common eigenspaces split
+as reduced echelon blocks, characteristic polynomials from the Hessenberg
+form.  The values lift to exact cyclotomic values; the returned table is
 verified against row orthogonality and the degree sum before it is handed
 out, both checks exact.  A failed check raises CertificateError.
 """
@@ -10,8 +12,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-
-import numpy as np
+from collections import Counter
+from math import isqrt
 
 from .cyclotomic import CycloContext
 from .perm import LATTICE_GATE
@@ -89,23 +91,24 @@ def _smallest_modulus(order, exponent):
 
 
 def _rref_mod(a, l):
-    """Reduced row echelon form of a over F_l, and its pivot columns."""
-    a = a % l
-    rows, cols = a.shape
+    """Reduced row echelon form of a (a list of int rows) over F_l, and its pivots."""
+    a = [[x % l for x in row] for row in a]
+    rows, cols = len(a), len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if not len(nz):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
             continue
-        piv = r + int(nz[0])
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), l - 2, l)) % l
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], l - 2, l)
+        prow = a[r] = [x * inv % l for x in a[r]]
         for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % l
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [(x - f * y) % l for x, y in zip(a[i], prow)]
         pivots.append(c)
         r += 1
     return a, pivots
@@ -114,17 +117,39 @@ def _rref_mod(a, l):
 def _nullspace_mod(mat, l):
     """Basis of the right nullspace of mat over F_l (rows are vectors)."""
     a, pivots = _rref_mod(mat, l)
-    cols = a.shape[1]
+    cols = len(a[0])
     basis = []
     for f in range(cols):
         if f in pivots:
             continue
-        v = np.zeros(cols, dtype=np.int64)
+        v = [0] * cols
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-a[i, f]) % l
+        for row, c in zip(a, pivots):
+            v[c] = -row[f] % l
         basis.append(v)
     return basis
+
+
+def _mat_mul_mod(a, b, l):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) % l for col in cols] for row in a]
+
+
+def _times_class_matrix(rows, mat, l):
+    """rows @ M mod l for a class matrix M stored as sparse columns."""
+    return [[sum(v[j] * c for j, c in col) % l for col in mat] for v in rows]
+
+
+def _restriction(block, pivots, target, l):
+    """The a with a @ block = target, for a block in reduced echelon form.
+
+    Coordinates in the row space are the entries at the pivot columns; a row
+    of target outside the row space raises CertificateError.
+    """
+    a = [[row[c] for c in pivots] for row in target]
+    if _mat_mul_mod(a, block, l) != target:
+        raise CertificateError("inconsistent restriction solve")
+    return a
 
 
 def character_table(group, gate=LATTICE_GATE):
@@ -142,73 +167,54 @@ def character_table(group, gate=LATTICE_GATE):
     exponent = tbl.exponent()
     l = _smallest_modulus(order, exponent)
 
-    # class multiplication matrices M_i[j][k] = #{(x,y) in C_i x C_j : xy = rep_k}
-    mats = []
+    # class multiplication matrices M_i[j][k] = a_ijk = #{(x,y) in C_i x C_j : xy = rep_k},
+    # by column: mats[i][k] holds the pairs (j, a_ijk) with a_ijk != 0, at most |C_i|
+    # of them; eigen-rows w satisfy w @ M_i = omega_i w
+    mats = [
+        [tuple(Counter(class_of[tbl.table[tbl.inverse[x]][zk]] for x in classes[i]).items())
+         for zk in reps]
+        for i in range(r)
+    ]
     inv_class = [class_of[tbl.inverse[reps[c]]] for c in range(r)]
-    for i in range(r):
-        m = np.zeros((r, r), dtype=np.int64)
-        for k in range(r):
-            zk = reps[k]
-            for x in classes[i]:
-                y = tbl.table[tbl.inverse[x]][zk]
-                m[class_of[y], k] += 1
-        # m[j][k] = a_ijk; eigen-rows w satisfy w @ m = omega_i w
-        mats.append(m)
-    # Simultaneous eigenvectors over F_l via recursive splitting.
-    blocks = [np.eye(r, dtype=np.int64)]  # each block: rows span a subspace
+    size_inv = [pow(c, l - 2, l) for c in sizes]
+    # Simultaneous eigenvectors over F_l via recursive splitting; a block is a
+    # subspace in reduced echelon form, with its pivot columns.
+    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
 
-    def split(block, m):
-        rows = block.shape[0]
+    def split(block, pivots, m):
+        rows = len(block)
         if rows == 1:
-            return [block]
-        # restriction of m to the subspace: solve block @ m = a @ block
-        bm = (block @ m) % l
-        a = _solve_left(block, bm, l)
+            return [(block, pivots)]
+        a = _restriction(block, pivots, _times_class_matrix(block, m, l), l)
         evs = _eigenvalues_mod(a, l)
         if len(evs) == 1:
-            return [block]
+            return [(block, pivots)]
         out = []
         for lam in evs:
-            shifted = (a - lam * np.eye(rows, dtype=np.int64)) % l
-            null = _nullspace_mod(shifted.T, l)
-            if null:
-                sub = (np.array(null, dtype=np.int64) @ block) % l
-                out.append(sub)
-        if sum(b.shape[0] for b in out) != rows:
+            shifted_t = [[a[j][i] - (lam if i == j else 0) for j in range(rows)]
+                         for i in range(rows)]
+            null = _nullspace_mod(shifted_t, l)
+            out.append(_rref_mod(_mat_mul_mod(null, block, l), l))
+        if sum(len(b) for b, _ in out) != rows:
             raise CertificateError("eigenspaces do not split the block")
         return out
 
-    for m in mats:
-        new_blocks = []
-        for b in blocks:
-            new_blocks.extend(split(b, m))
-        blocks = new_blocks
-        if all(b.shape[0] == 1 for b in blocks):
+    for m in mats[1:]:  # M_0 is the identity and splits nothing
+        if all(len(b) == 1 for b, _ in blocks):
             break
-    if any(b.shape[0] != 1 for b in blocks):
+        blocks = [piece for b, piv in blocks for piece in split(b, piv, m)]
+    if any(len(b) != 1 for b, _ in blocks):
         raise CertificateError("class algebra failed to split")
 
-    # each block is one character: eigenvalues w_i = |C_i| chi(g_i)/chi(1)
+    # each block is one character: eigenvalues w_i = |C_i| chi(g_i)/chi(1); the
+    # block row v is 1 at its pivot k, so w_i is entry k of v @ M_i
     chars_mod = []
-    for b in blocks:
-        v = b[0] % l
-        omegas = []
-        for m in mats:
-            mv = (v @ m) % l
-            k = int(np.nonzero(v)[0][0])
-            lam = (int(mv[k]) * pow(int(v[k]), l - 2, l)) % l
-            omegas.append(lam)
+    for ([v], [k]) in blocks:
+        omegas = [sum(v[j] * c for j, c in m[k]) % l for m in mats]
         # 1/d^2 = (1/|G|) sum_i w_i w_{i*} / |C_i|
-        s = 0
-        for i in range(r):
-            s += omegas[i] * omegas[inv_class[i]] * pow(sizes[i], l - 2, l)
-        s %= l
-        d2 = (pow(int(s), l - 2, l) * order) % l
-        d = _int_sqrt_exact(d2)
-        values_mod = [
-            (d * omegas[i] * pow(sizes[i], l - 2, l)) % l for i in range(r)
-        ]
-        chars_mod.append((d, values_mod))
+        s = sum(w * omegas[inv_class[i]] * size_inv[i] for i, w in enumerate(omegas)) % l
+        d = _int_sqrt_exact(pow(s, l - 2, l) * order % l)
+        chars_mod.append((d, [d * w * size_inv[i] % l for i, w in enumerate(omegas)]))
     chars_mod.sort(key=lambda t: (t[0], t[1]))
 
     # lift to cyclotomics: chi(g) = sum_s m_s zeta^s with multiplicities m_s
@@ -229,9 +235,7 @@ def character_table(group, gate=LATTICE_GATE):
             powers_mod = [vmod[c] for c in power_class[j]]
             mults = []
             for s in range(exponent):
-                acc = 0
-                for u, x in enumerate(powers_mod):
-                    acc += x * root_pows[(-s * u) % exponent]
+                acc = sum(x * root_pows[-s * u % exponent] for u, x in enumerate(powers_mod))
                 m_s = (acc * e_inv) % l
                 if m_s > d:
                     raise CertificateError("character multiplicity out of range")
@@ -247,23 +251,9 @@ def character_table(group, gate=LATTICE_GATE):
     return table
 
 
-def _solve_left(block, target, l):
-    """Solve a @ block = target over F_l (block has full row rank)."""
-    bt, tt = block.T % l, target.T % l
-    n = bt.shape[1]
-    aug, pivots = _rref_mod(np.concatenate([bt, tt], axis=1), l)
-    x = np.zeros((n, tt.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        if c < n:
-            x[c] = aug[i, n:]
-    if not np.array_equal((bt @ x) % l, tt):
-        raise CertificateError("inconsistent restriction solve")
-    return x.T
-
-
 def _eigenvalues_mod(a, l):
     """All eigenvalues of a over F_l by scanning roots of the char poly."""
-    n = a.shape[0]
+    n = len(a)
     cp = _charpoly_mod(a, l)
     out = []
     for lam in range(l):
@@ -278,37 +268,47 @@ def _eigenvalues_mod(a, l):
 
 
 def _charpoly_mod(a, l):
-    """Characteristic polynomial mod l via Newton's identities, low degree first.
+    """Characteristic polynomial of a over F_l, low degree first.
 
-    Requires l > n so the 1/k divisions exist.  The powers of a run in int64:
-    an entry of a product of two reduced n x n matrices is at most
-    n (l-1)^2, which must stay below 2^63.
+    a is brought to upper Hessenberg form h by similarity; the characteristic
+    polynomials p_m of the leading m x m blocks of h then satisfy
+    p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i
+    (0-based indices; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).  O(n^3) operations, for any l.
     """
-    n = a.shape[0]
-    if n * (l - 1) ** 2 >= 2**63:
-        raise OverflowError(f"int64 powers mod {l} of a {n} x {n} matrix could overflow")
-    am = (a % l).astype(np.int64)
-    inv_cache = [pow(k, l - 2, l) for k in range(1, n + 1)]
-    p = []  # power sums trace(A^k)
-    mk = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        mk = (am @ mk) % l
-        p.append(int(np.trace(mk)) % l)
-    e = [1]  # elementary symmetric functions of the eigenvalues
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += ((-1) ** (i - 1)) * e[k - i] * p[i - 1]
-        e.append((acc * inv_cache[k - 1]) % l)
-    cp = [0] * (n + 1)
-    for k in range(n + 1):
-        cp[n - k] = ((-1) ** k * e[k]) % l
-    return cp
+    n = len(a)
+    h = [[x % l for x in row] for row in a]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], l - 2, l)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % l
+            if u:  # row i -= u row m, then column m += u column i
+                h[i] = [(x - u * y) % l for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % l
+    polys = [[1]]
+    for m in range(n):
+        p = [0] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] -= h[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % l
+            coef = t * h[i][m]
+            for k, c in enumerate(polys[i]):
+                p[k] -= coef * c
+        polys.append([c % l for c in p])
+    return polys[n]
 
 
 def _int_sqrt_exact(d2):
-    from math import isqrt
-
     d = isqrt(d2)
     if d * d != d2:
         raise CertificateError("degree recovery failed; modulus too small")

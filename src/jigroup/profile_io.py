@@ -114,7 +114,7 @@ def _build(fields, gens, mats):
 
 def _require(fields, key, kind):
     if key not in fields:
-        raise ProfileError(0, f"kind {kind} requires field {key!r}")
+        raise ProfileError(fields["kind"][0], f"kind {kind} requires field {key!r}")
     return fields[key]
 
 

@@ -176,9 +176,19 @@ class SmallGroupTable:
         return self.closure(comms)
 
     def handle(self, els):
-        """Wrap an element index set as a SubgroupHandle of the parent."""
-        gens = [self.elements[i] for i in sorted(els) if i != self.ident]
-        return SubgroupHandle(self.group, gens, check=False)
+        """Wrap a subgroup, as an element index set, as a SubgroupHandle of the parent.
+
+        The generators are the elements of els, in index order, that lie
+        outside the subgroup the earlier generators generate.
+        """
+        gens, sub = (), frozenset([self.ident])
+        for i in sorted(els):
+            if i not in sub:
+                sub = self.join(sub, gens, i)
+                gens += (i,)
+        if sub != els:
+            raise CertificateError("handle elements are not a subgroup")
+        return SubgroupHandle(self.group, [self.elements[i] for i in gens], check=False)
 
     def exponent(self):
         e = 1

@@ -18,7 +18,7 @@ Polynomials are int lists, lowest degree first, with no trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import gcd, isqrt, lcm
 
 from .verdicts import CertificateError
@@ -228,41 +228,31 @@ def _fp_factor_squarefree(f, p):
 
 
 def _fp_equal_degree(f, d, p):
-    """Split a product of degree-d irreducibles (deterministic search).
+    """Split a product of distinct degree-d irreducibles (deterministic search).
 
-    Raises CertificateError when no tried base splits f: for small p there
-    are only p linear bases x + c.
+    Each base b gives the factor gcd(f, b^((p^d - 1)/2) - 1), or for p = 2
+    gcd(f, b + b^2 + b^4 + ... + b^(2^(d-1))).  The bases are x + c for odd
+    p, or the 64 polynomials of degree < 6 for p = 2, and then every other
+    polynomial of degree < deg f, read off the base-p digits of 0, 1, 2, ...
+    By the Chinese remainder theorem some b of degree < deg f is a square
+    (trace 0) modulo one irreducible factor and not modulo another, so the
+    search ends unless f is not such a product.
     """
     n = len(f) - 1
     if n == d:
         return [f]
-    # try gcds with translates of the splitting polynomial
-    if p == 2:
-        # trace polynomial T(x) = x + x^2 + x^4 + ... over shifted arguments
-        for c in range(2**6):
-            base = _poly_from_int_bits(c)
-            tr = [0]
-            cur = base
-            for _ in range(d):
-                tr = _fp_trim(
-                    [
-                        (tr[i] if i < len(tr) else 0) + (cur[i] if i < len(cur) else 0)
-                        for i in range(max(len(tr), len(cur)))
-                    ],
-                    p,
-                )
-                cur = _int_poly_divmod_mod(_fp_mul(cur, cur, p), f, p)[1]
-            g = _fp_gcd(f, tr, p)
-            if 1 < len(g) < len(f):
-                return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                    _int_poly_divmod_mod(f, g, p)[0], d, p
-                )
-        raise CertificateError("equal-degree splitting failed (p=2)")
+    first = range(64) if p == 2 else range(p, 2 * p)
     e = (p**d - 1) // 2
-    for c in range(p * 4 + 1):
-        base = [c % p, 1]
-        h = _fp_pow_mod(base, e, f, p)
-        h[0] = (h[0] - 1) % p
+    for c in chain(first, (c for c in range(1, p**n) if c not in first)):
+        base = _poly_from_digits(c, p)
+        if p == 2:
+            h, cur = [0], base
+            for _ in range(d):
+                h = _fp_trim([a + b for a, b in _zip_pad(h, cur)], p)
+                cur = _int_poly_divmod_mod(_fp_mul(cur, cur, p), f, p)[1]
+        else:
+            h = _fp_pow_mod(base, e, f, p)
+            h[0] = (h[0] - 1) % p
         g = _fp_gcd(f, _fp_trim(h, p), p)
         if 1 < len(g) < len(f):
             return _fp_equal_degree(g, d, p) + _fp_equal_degree(
@@ -271,11 +261,12 @@ def _fp_equal_degree(f, d, p):
     raise CertificateError("equal-degree splitting failed")
 
 
-def _poly_from_int_bits(c):
+def _poly_from_digits(c, p):
+    """The polynomial over F_p whose coefficients are the base-p digits of c."""
     out = []
     while c:
-        out.append(c & 1)
-        c >>= 1
+        c, r = divmod(c, p)
+        out.append(r)
     return out or [0]
 
 
@@ -466,10 +457,7 @@ def _factor_squarefree(f):
         fbar = _fp_trim(f, p)
         if lead % p == 0 or not fp_is_squarefree(fbar, p):
             continue
-        try:
-            modular = fp_factor_squarefree_monic(fbar, p)
-        except CertificateError:  # no split found at p: take the next good prime
-            continue
+        modular = fp_factor_squarefree_monic(fbar, p)
         break
     if len(modular) == 1:
         return [f]

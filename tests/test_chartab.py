@@ -11,9 +11,11 @@ import numpy as np
 from jigroup import catalog
 from jigroup.chartab import (
     CharacterTable,
+    _charpoly_mod,
     _nullspace_mod,
+    _restriction,
     _rref_mod,
-    _solve_left,
+    _times_class_matrix,
     character_table,
     min_faithful_degree,
 )
@@ -461,6 +463,38 @@ def _random_mod(rng, rows, cols, l, rank=None):
     return (_random_mod(rng, rows, rank, l) @ _random_mod(rng, rank, cols, l)) % l
 
 
+def oracle_charpoly_mod(a, l):
+    """The former Newton-identity loop: power sums trace(A^k), low degree first."""
+    n = a.shape[0]
+    am = a % l
+    p = []
+    mk = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        mk = (am @ mk) % l
+        p.append(int(np.trace(mk)) % l)
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        e.append(acc * pow(k, l - 2, l) % l)
+    return [(-1) ** k * e[k] % l for k in range(n, -1, -1)]
+
+
+def oracle_class_matrix(tbl, classes, i):
+    """M_i[j][k] = #{(x, y) in C_i x C_j : xy = rep_k}, by every pair."""
+    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
+    m = [[0] * len(classes) for _ in classes]
+    for k, cls in enumerate(classes):
+        for x in classes[i]:
+            for y in range(tbl.n):
+                if tbl.table[x][y] == cls[0]:
+                    m[class_of[y]][k] += 1
+    return m
+
+
+def _sparse_columns(m):
+    return [tuple((j, row[k]) for j, row in enumerate(m) if row[k]) for k in range(len(m))]
+
+
 @pytest.mark.parametrize("l", [7, 97, 257, 7681])
 def test_rref_and_nullspace_mod_match_former_loops(l):
     rng = random.Random(l)
@@ -469,28 +503,60 @@ def test_rref_and_nullspace_mod_match_former_loops(l):
         mat = _random_mod(rng, rows, cols, l, rng.choice([None, 1, 2, min(rows, cols)]))
         if rng.random() < 0.2:
             mat[rng.randrange(rows)] = 0
-        reduced, pivots = _rref_mod(mat, l)
-        assert (reduced.tolist(), pivots) == oracle_rref_mod(mat, l)
-        got, want = _nullspace_mod(mat, l), oracle_nullspace_mod(mat, l)
-        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        assert _rref_mod(mat.tolist(), l) == oracle_rref_mod(mat, l)
+        got, want = _nullspace_mod(mat.tolist(), l), oracle_nullspace_mod(mat, l)
+        assert got == [v.tolist() for v in want]
+
+
+@pytest.mark.parametrize("l", [7, 97, 257, 7681])
+def test_charpoly_mod_matches_former_newton_loop(l):
+    # Newton's identities divide by 1..n, so the oracle needs n < l
+    rng = random.Random(3 * l)
+    for _ in range(150):
+        n = rng.randint(1, min(l - 1, 12))
+        a = _random_mod(rng, n, n, l, rng.choice([None, None, 1, n // 2 or 1]))
+        if rng.random() < 0.3:  # zero subdiagonal entries exercise the skipped pivots
+            a = np.triu(a, -rng.randint(0, 1))
+        if rng.random() < 0.03:
+            a[:] = 0
+        assert _charpoly_mod(a.tolist(), l) == oracle_charpoly_mod(a, l)
 
 
 @pytest.mark.parametrize("l", [7, 97, 257, 7681])
 def test_solve_left_matches_former_loop(l):
+    # the left solve a @ block = target is now read off an echelon block's pivots
     rng = random.Random(-l)
     for _ in range(40):
         cols = rng.randint(1, 7)
-        block = _random_mod(rng, rng.randint(1, cols), cols, l)
-        if len(oracle_rref_mod(block, l)[1]) < block.shape[0]:
-            continue  # the solve needs full row rank
-        a = _random_mod(rng, block.shape[0], block.shape[0], l)
-        target = (a @ block) % l
-        assert _solve_left(block, target, l).tolist() == a.tolist()
-        assert oracle_solve_left(block, target, l).tolist() == a.tolist()
-        if block.shape[0] < cols:  # a target outside the row space
+        block, pivots = _rref_mod(_random_mod(rng, rng.randint(1, cols), cols, l).tolist(), l)
+        if len(pivots) < len(block):
+            continue  # a block is a basis: full row rank
+        a = _random_mod(rng, len(block), len(block), l)
+        target = (a @ np.array(block)) % l
+        assert _restriction(block, pivots, target.tolist(), l) == a.tolist()
+        assert oracle_solve_left(np.array(block), target, l).tolist() == a.tolist()
+        if len(block) < cols:  # a target outside the row space
             bad = target.copy()
             bad[0] = (bad[0] + _random_mod(rng, 1, cols, l)[0]) % l
-            if len(oracle_rref_mod(np.vstack([block, bad[:1]]), l)[1]) > block.shape[0]:
-                for solve in (_solve_left, oracle_solve_left):
-                    with pytest.raises(CertificateError):
-                        solve(block, bad, l)
+            if len(oracle_rref_mod(np.vstack([block, bad[:1]]), l)[1]) > len(block):
+                with pytest.raises(CertificateError, match="inconsistent restriction"):
+                    _restriction(block, pivots, bad.tolist(), l)
+                with pytest.raises(CertificateError):
+                    oracle_solve_left(np.array(block), bad, l)
+
+
+@pytest.mark.parametrize("group", [catalog.symmetric(3), catalog.quaternion(8),
+                                   catalog.dihedral(5)])
+def test_block_that_a_class_matrix_moves_raises(group):
+    # a class matrix preserves the span of its eigen-rows and no random line
+    tbl = small_table(group)
+    classes = tbl.conjugacy_classes()
+    r, l, rng = len(classes), 97, random.Random(len(classes))
+    for i in range(1, r):
+        m = _sparse_columns(oracle_class_matrix(tbl, classes, i))
+        whole = [[int(j == k) for k in range(r)] for j in range(r)]
+        a = _restriction(whole, list(range(r)), _times_class_matrix(whole, m, l), l)
+        assert a == [[x % l for x in row] for row in oracle_class_matrix(tbl, classes, i)]
+        line, pivots = _rref_mod([[rng.randrange(1, l) for _ in range(r)]], l)
+        with pytest.raises(CertificateError, match="inconsistent restriction"):
+            _restriction(line, pivots, _times_class_matrix(line, m, l), l)

@@ -422,6 +422,16 @@ def test_cli_import_leaves_sympy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # the mod-l character-table solve runs on Python ints; numpy is a test oracle
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jigroup.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": str(DATA.parent.parent)},
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_closed_stdout_is_an_io_error_exit_2():
     # the reader closes the pipe before the report is written
     proc = subprocess.Popen(

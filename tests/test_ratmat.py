@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from jigroup import ratmat as rm
 
@@ -158,3 +159,74 @@ def test_mat_inv_matches_fraction_gauss_jordan(kind):
         assert rm.mat_mul(m, got) == rm.identity(d)
         inverted += 1
     assert inverted or kind in ("nilpotent", "rank_deficient")
+
+
+# -- sympy Matrix as the oracle, on matrices of every rank ----------------------
+
+X = sympy.Symbol("x")
+
+
+def _fractions(m):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows))
+
+
+def matrix_of_rank(rng, r, c, k):
+    """A random r x c rational matrix of rank at most k, as a product r x k by k x c."""
+    u, v = random_rows(rng, r, k), random_rows(rng, k, c)
+    return [tuple(sum(u[i][t] * v[t][j] for t in range(k)) for j in range(c))
+            for i in range(r)]
+
+
+def sympy_minimal_polynomial(rows):
+    """The least annihilating product of the charpoly's irreducible factors."""
+    m = sympy.Matrix(rows)
+    _, factors = sympy.factor_list(m.charpoly(X).as_expr(), X)
+
+    def annihilates(exps):
+        poly = sympy.Poly(sympy.prod(f**e for (f, _), e in zip(factors, exps)), X)
+        value = sympy.zeros(m.rows)
+        for coeff in poly.all_coeffs():
+            value = value * m + coeff * sympy.eye(m.rows)
+        return value.is_zero_matrix
+
+    exps = [e for _, e in factors]
+    for i in range(len(exps)):
+        while exps[i] > 1 and annihilates(exps[:i] + [exps[i] - 1] + exps[i + 1:]):
+            exps[i] -= 1
+    poly = sympy.Poly(sympy.prod(f**e for (f, _), e in zip(factors, exps)), X).monic()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_nullspace_and_rank_match_sympy_at_every_rank(seed):
+    rng = random.Random(f"sympy-{seed}")
+    for _ in range(12):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        for k in range(min(r, c) + 1):
+            rows = matrix_of_rank(rng, r, c, k)
+            m = sympy.Matrix(rows)
+            reduced, pivots = m.rref()
+            assert rm.rref(rows) == (_fractions(reduced)[:len(pivots)], list(pivots))
+            assert rm.rank(rows) == m.rank() <= k
+            assert rm.nullspace(rows) == tuple(_fractions(v.T)[0] for v in m.nullspace())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_polynomial_and_inverse_match_sympy_at_every_rank(seed):
+    rng = random.Random(f"sympy-square-{seed}")
+    for _ in range(8):
+        d = rng.randint(1, 5)
+        # every rank, then a nilpotent matrix for minimal polynomials with powers
+        for k in range(d + 2):
+            rows = matrix_of_rank(rng, d, d, k) if k <= d else random_square(rng, d, "nilpotent")
+            if rng.random() < 0.5:  # a shift gives repeated and nonzero eigenvalues
+                s = Fraction(rng.randint(-3, 3))
+                rows = [tuple(x + (s if i == j else 0) for j, x in enumerate(row))
+                        for i, row in enumerate(rows)]
+            assert rm.minimal_polynomial(rows) == sympy_minimal_polynomial(rows)
+            m = sympy.Matrix(rows)
+            if m.rank() < d:
+                with pytest.raises(ZeroDivisionError):
+                    rm.mat_inv(rm.mat(rows))
+            else:
+                assert rm.mat_inv(rm.mat(rows)) == _fractions(m.inv())

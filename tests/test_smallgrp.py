@@ -1,3 +1,4 @@
+import io
 import itertools
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from jigroup.smallgrp import (
     recognize_special,
     small_table,
 )
+from jigroup.verdicts import CertificateError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -295,3 +297,49 @@ def test_conjugacy_classes_extraspecial():
     classes = tbl.conjugacy_classes()
     assert len(classes) == 65
     assert sorted(len(c) for c in classes) == [1, 1] + [2] * 63
+
+
+@pytest.mark.parametrize("group", [catalog.symmetric(4), catalog.quaternion(16),
+                                   catalog.dihedral(6), catalog.elementary_abelian(2, 4)])
+def test_handles_keep_their_elements_from_a_small_generating_set(group):
+    tbl = small_table(group)
+    for s, _ in tbl.all_subgroups():
+        h = tbl.handle(s)
+        assert h.order == len(s)
+        assert h.element_set() == {tbl.elements[i] for i in s}
+        # each generator lies outside the subgroup of the ones before it, so
+        # it at least doubles that subgroup
+        assert 2 ** len(h.generators) <= len(s)
+        sub = tbl.closure(())
+        for g in h.generators:
+            assert tbl.index[g] not in sub
+            sub = tbl.closure(sub | {tbl.index[g]})
+    # an elementary abelian 2^k needs exactly k generators, and the whole
+    # group is no longer generated by all 15 of its nonidentity elements
+    if group.order == 16 and tbl.exponent() == 2:
+        assert len(tbl.handle(frozenset(range(16))).generators) == 4
+
+
+
+def test_handle_of_a_non_subgroup_raises():
+    tbl = small_table(catalog.symmetric(3))
+    t, c = (next(i for i in range(tbl.n) if tbl.order_of[i] == k) for k in (2, 3))
+    with pytest.raises(CertificateError, match="not a subgroup"):
+        tbl.handle(frozenset([tbl.ident, t, c]))
+
+
+@pytest.mark.parametrize("p,lifts", [(2, 30), (3, 59)])
+def test_wreath_shadow_lifts_only_handle_generators(p, lifts, monkeypatch, tmp_path):
+    # with every nonidentity element as a generator there were 51 and 619 lifts
+    from jigroup import basal
+    from jigroup.cli import run_command
+
+    calls = []
+    lift = basal.ShadowModel.lift_top
+    monkeypatch.setattr(basal.ShadowModel, "lift_top",
+                        lambda self, a: calls.append(a) or lift(self, a))
+    f = tmp_path / "w.profile"
+    f.write_text(f"jigroup-profile v1\nkind wreath\nfiber A5\nprime {p}\n")
+    status, report = run_command(["shadow", str(f)], io.StringIO())
+    assert status == 0 and report["H_index"] == p * p
+    assert len(calls) == lifts

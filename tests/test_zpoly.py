@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from jigroup import padic
 from jigroup import ratmat as rm
 from jigroup import zpoly
-from jigroup.verdicts import CertificateError
 
 X = sympy.Symbol("x")
 
@@ -69,14 +69,55 @@ def test_poly_factor_q_matches_sympy_where_recombination_is_forced(f):
     assert rm.poly_factor_q(f) == _sympy_factor_q(f)
 
 
-def test_failed_split_mod_p_moves_to_the_next_prime():
-    # 2 and 3 divide the leading coefficient, so 5 is the least good prime;
-    # mod 5 the polynomial is a product of two irreducible cubics that the
-    # linear bases x + c of the equal-degree search do not separate.
-    f = [1, 3, 4, 3, 4, 3, 6]
-    with pytest.raises(CertificateError):
-        zpoly.fp_factor_squarefree_monic(zpoly._fp_trim(f, 5), 5)
+# (x^3 + x^2 + 3x + 4)(x^3 + 2x^2 + 4x + 4): no linear base x + c splits it mod 5
+SEXTIC_MOD_5 = [1, 3, 4, 3, 4, 3, 6]
+
+
+def test_split_mod_p_where_no_linear_base_splits():
+    # 2 and 3 divide the leading coefficient, so 5 is the least good prime
+    f = SEXTIC_MOD_5
+    factors = zpoly.fp_factor_squarefree_monic(zpoly._fp_trim(f, 5), 5)
+    assert sorted(factors) == [[4, 3, 1, 1], [4, 4, 2, 1]]
     assert rm.poly_factor_q(rm.poly_trim(f)) == _sympy_factor_q(rm.poly_trim(f))
+    assert padic.qp_factor_count([4, 3, 1, 1], 5).factor_count == 1
+    product = rm.poly_mul([4, 3, 1, 1], [4, 4, 2, 1])
+    assert padic.qp_factor_count([int(c) for c in product], 5).factor_count == 2
+
+
+def _mul_mod(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _monic_irreducibles(d, p):
+    """Monic degree-d polynomials over F_p with no monic factor of degree 1..d/2."""
+    def monics(k):
+        for c in range(p**k):
+            yield [c // p**i % p for i in range(k)] + [1]
+
+    def divides(g, f):
+        f = list(f)
+        for k in range(len(f) - len(g), -1, -1):
+            q = f[k + len(g) - 1]
+            for j, b in enumerate(g):
+                f[k + j] = (f[k + j] - q * b) % p
+        return not any(f)
+
+    return [f for f in monics(d)
+            if not any(divides(g, f) for k in range(1, d // 2 + 1) for g in monics(k))]
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_equal_degree_split_of_every_product_of_two_irreducibles(p, d):
+    irreducibles = _monic_irreducibles(d, p)
+    pairs = [(g, h) for i, g in enumerate(irreducibles) for h in irreducibles[i + 1:]]
+    assert len(pairs) == {(2, 3): 1, (2, 4): 3, (2, 5): 15, (3, 2): 3, (3, 3): 28,
+                          (5, 2): 45, (5, 3): 780}[p, d]
+    for g, h in pairs:
+        assert sorted(zpoly._fp_equal_degree(_mul_mod(g, h, p), d, p)) == sorted([g, h])
 
 
 STRONG_PSEUDOPRIMES = [
