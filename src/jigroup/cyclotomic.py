@@ -94,11 +94,6 @@ class CycloContext:
     def is_rational(self, a):
         return all(x == 0 for x in a[1:])
 
-    def rational_value(self, a):
-        if not self.is_rational(a):
-            raise ValueError("value is not rational")
-        return a[0]
-
     def from_root_multiplicities(self, mults):
         """sum over s of mults[s] * zeta^s, for an integer sequence of any length.
 

@@ -78,45 +78,6 @@ def hilbert_symbol(a, b, place):
     return -1 if exponent % 2 else 1
 
 
-def solubility_oracle(a, b, p):
-    """Brute-force mod-p^K decision of z^2 = a x^2 + b y^2 (Hensel-aware).
-
-    Scales a, b by squares to integers with v_p in {0,1}; then searches all
-    primitive triples mod p^K with K = 2 v_p(2) + 1 + 2 max(v_p(a), v_p(b)).
-    Sound: a primitive root of the form mod p^K has a unit variable whose
-    partial derivative 2*c*w has valuation at most (K-1)/2, which is the
-    Hensel margin needed to lift.  Complete: a p-adic solution scales to a
-    primitive integral one and reduces mod p^K.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("oracle requires nonzero arguments")
-    av, au = _valuation_and_unit(a, p)
-    bv, bu = _valuation_and_unit(b, p)
-    # modulo squares: a ~ p^(v mod 2) * num * den with num/den prime to p
-    av %= 2
-    bv %= 2
-    ai = au.numerator * au.denominator
-    bi = bu.numerator * bu.denominator
-    e = 1 if p == 2 else 0
-    K = 2 * e + 1 + 2 * max(av, bv)
-    mod = p**K
-    aa = (p**av * ai) % mod
-    bb = (p**bv * bi) % mod
-    all_squares = {z * z % mod for z in range(mod)}
-    unit_squares = {z * z % mod for z in range(mod) if z % p}
-    for x in range(mod):
-        ax2 = aa * x * x % mod
-        for y in range(mod):
-            rhs = (ax2 + bb * y * y) % mod
-            if x % p or y % p:
-                if rhs in all_squares:
-                    return True
-            elif rhs in unit_squares:
-                return True
-    return False
-
-
 def quaternion_is_division(a, b, field):
     """Is the quaternion algebra (a, b) a division algebra over the field?
 

@@ -567,11 +567,6 @@ class QuadExt:
         y0 = (a1 + self.B * y1) % self.mod
         return (y0, y1)
 
-    def mul_pi(self, x):
-        if not self.ramified:
-            return ((x[0] * self.p) % self.mod, (x[1] * self.p) % self.mod)
-        return ((-self.C * x[1]) % self.mod, (x[0] - self.B * x[1]) % self.mod)
-
     def inv_unit(self, x):
         """Inverse of a v_E = 0 element (via the conjugate / norm)."""
         a0, a1 = x
@@ -742,7 +737,7 @@ def commutant_approx(gen_images_p, p, prec):
     """
     d = len(gen_images_p[0])
     val = min(g.val for g in gen_images_p)
-    rows = commutation_rows([g._at(val) for g in gen_images_p], 0)
+    rows = commutation_rows([g._at(val) for g in gen_images_p])
     cap = min([prec] + [g.cap for g in gen_images_p])
     vecs = PadicMatrix(p, cap, rows, val).nullspace()
     return [PadicMatrix(p, vecs.cap, [row], vecs.val).square(d).normalized()
@@ -942,8 +937,10 @@ def _qp_analyze(rep, p, prec, seed=0):
         a, b = st.data["a"], st.data["b"]
         a_int, i_scale = _normalize_qp_square(a, p)
         b_int, j_scale = _normalize_qp_square(b, p)
-        i_p = PadicMatrix.from_rational(rm.mat_scale(st.data["i"], i_scale), p, prec)
-        j_p = PadicMatrix.from_rational(rm.mat_scale(st.data["j"], j_scale), p, prec)
+        i_p = PadicMatrix.from_rational(rm.mat_combination((i_scale,), (st.data["i"],)),
+                                        p, prec)
+        j_p = PadicMatrix.from_rational(rm.mat_combination((j_scale,), (st.data["j"],)),
+                                        p, prec)
         kind, info = _quaternion_step(a_int, b_int, i_p, j_p, gens_p, p, prec, prec)
         if kind == "irreducible":
             info["params"] = (a, b)
@@ -1000,8 +997,7 @@ def _qp_analyze_quadratic_center(st, gens_p, p, prec):
     # E from the unramified generator or the Eisenstein shift that certified it
     shift = report.detail.get("shift", 0)
     ext = QuadExt(p, _int_shift_poly(m_int, shift), prec + 24)
-    gamma_mat = rm.mat_sub(rm.mat_scale(wmat, c),
-                           rm.mat_scale(rm.identity(len(wmat)), shift))
+    gamma_mat = rm.mat_combination((c, -shift), (wmat, rm.identity(len(wmat))))
     # express a = a0 + a1 w in the gamma basis: w = (gamma + shift)/c
     def to_gamma_pair(pair):
         a0, a1 = Fraction(pair[0]), Fraction(pair[1])
@@ -1022,7 +1018,7 @@ def _qp_analyze_quadratic_center(st, gens_p, p, prec):
     x, y, z = sol
     d = len(i_mat)
     # the uniformizer as an exact rational matrix: gamma if ramified, else p
-    pi_mat = gamma_mat if ext.ramified else rm.mat_scale(rm.identity(d), p)
+    pi_mat = gamma_mat if ext.ramified else rm.mat_combination((p,), (rm.identity(d),))
     i_use = _apply_gamma_scale(i_mat, pi_mat, i_adj, p, prec)
     j_use = _apply_gamma_scale(j_mat, pi_mat, j_adj, p, prec)
     q = _ext_coeff_matrix(z, gamma_mat, p, prec) + (

@@ -352,7 +352,7 @@ class PermGroup:
     the stabilizer chain holds strong generators internally.
     """
 
-    def __init__(self, generators, degree=None, _base_hint=None, _known_order=None):
+    def __init__(self, generators, degree=None, _known_order=None):
         gens = [tuple(g) for g in generators]
         if degree is None:
             if not gens:
@@ -368,9 +368,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in gens if g != ident)
         self._chain = _Chain(degree)
-        if _base_hint:
-            for beta in _base_hint:
-                self._chain.levels.append(_Level(beta, degree))
         if _known_order is None:
             for g in self.generators:
                 self._chain.add_generator(g)
@@ -413,14 +410,6 @@ class PermGroup:
                 raise CertificateError("chain order != enumerated order")
             self._elements_cache = out
         return list(self._elements_cache)
-
-    def random_element(self, rng):
-        """Uniform random element (independent transversal choices)."""
-        g = identity_perm(self.degree)
-        for lv in reversed(self._chain.levels):
-            pts = sorted(lv.transversal)
-            g = mul(g, lv.transversal[pts[rng.randrange(len(pts))]])
-        return g
 
     # -- orbits and blocks ---------------------------------------------------
 
@@ -515,16 +504,6 @@ class PermGroup:
         return True
 
     # -- derived groups ------------------------------------------------------
-
-    def point_stabilizer(self, point):
-        """The stabilizer of a point, as a PermGroup."""
-        rebuilt = PermGroup(self.generators, self.degree, _base_hint=[point])
-        gens = [s for _, s, _ in rebuilt._chain.strong_at(1)]
-        stab = PermGroup(gens or [identity_perm(self.degree)], self.degree)
-        expected, rem = divmod(self._order, len(self.orbit(point)))
-        if rem or stab.order != expected:
-            raise CertificateError("stabilizer order mismatch")
-        return stab
 
     def normal_closure(self, gens):
         """Normal closure of <gens> in this group, as a PermGroup."""
@@ -631,26 +610,6 @@ def orbits(group):
 
 def minimal_blocks(group):
     return group.minimal_block_systems()
-
-
-def closure_order_bruteforce(gens, gate=ELEMENT_GATE):
-    """Exhaustive multiplicative closure; independent order oracle for tests."""
-    gens = [tuple(g) for g in gens]
-    n = len(gens[0])
-    els = {identity_perm(n)}
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-                    if len(els) > gate:
-                        raise OrderGateExceeded("closure oracle", len(els), gate)
-        frontier = nxt
-    return len(els)
 
 
 def _conj_set(s, g):

@@ -73,7 +73,8 @@ def _read_fields(text):
             raise ProfileError(line, f"not UTF-8: byte {text[exc.start]:#04x}")
     lines = _tokenize(text)
     if not lines:
-        raise ProfileError(0, "empty profile")
+        # nothing but blank lines and comments: the header is missing at line 1
+        raise ProfileError(1, "empty profile")
     ln0, header = lines[0]
     if header != FORMAT_HEADER:
         if header.startswith("jigroup-profile"):

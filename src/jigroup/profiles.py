@@ -18,7 +18,7 @@ from .hilbert import _valuation_and_unit
 from .padic import DEFAULT_PRECISION, PadicMatrix, irreducible_over_Qp
 from .perm import SubgroupHandle
 from .rep import MatRep, irreducible_over_Q, matrix_block_system
-from .smallgrp import all_subgroups, maximal_subgroups, recognize_special
+from .smallgrp import maximal_subgroups, recognize_special
 from .verdicts import (
     HJI,
     HYPOTHESIS_FAILED,
@@ -288,16 +288,3 @@ def respthm_check(g_profile, h_profile, seed=0):
         )
     return Verdict(HJI, {"trace": trace}, "hereditary-checker")
 
-
-def full_lattice_scan(profile, seed=0):
-    """subgroup_ji over every subgroup class of Q (small Q only)."""
-    out = []
-    for handle in all_subgroups(profile.Q):
-        out.append(
-            {
-                "order": handle.order,
-                "index": profile.Q.order // handle.order,
-                "verdict": subgroup_ji(profile, handle, seed),
-            }
-        )
-    return out

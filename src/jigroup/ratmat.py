@@ -2,14 +2,18 @@
 
 Matrices are tuples of tuples of Fraction; polynomials are coefficient
 tuples, lowest degree first, with exact gcd / division / factorization
-(factorization over Q is Zassenhaus's, in `zpoly`).  rref and
-minimal_polynomial work on integer rows internally and return Fractions.
+(factorization over Q is Zassenhaus's, in `zpoly`).  The matrix kernels
+(products, linear combinations, polynomials of a matrix, rref and
+minimal_polynomial) clear each operand to an integer matrix over one
+common denominator, work on Python ints, and form one Fraction per
+nonzero entry of the result.  Fractions go in and Fractions come out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .verdicts import CertificateError
 from .zpoly import factor_q
@@ -35,24 +39,69 @@ def zeros(r, c):
     return tuple((Fraction(0),) * c for _ in range(r))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _cleared(a):
+    """(integer rows, den) with a = rows / den; den is the lcm of the
+    entries' denominators (int entries count as denominator 1)."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    if den == 1:
+        return [[x.numerator for x in row] for row in a], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def integer_multiple(a):
+    """The least positive multiple of a with integer entries, as lists of
+    ints: it has the row space, the nullspace and the commutant of a."""
+    return _cleared(a)[0]
 
 
-def mat_scale(a, c):
-    c = F(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def _int_mul(a, b):
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _uncleared(rows, den):
+    """The Fraction matrix rows / den, with the shared zero for zero entries."""
+    if den == 1:
+        return tuple(tuple(Fraction(x) if x else _ZERO for x in row) for row in rows)
+    return tuple(
+        tuple(Fraction(x, den) if x else _ZERO for x in row) for row in rows
+    )
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    ia, da = _cleared(a)
+    ib, db = _cleared(b)
+    return _uncleared(_int_mul(ia, ib), da * db)
+
+
+def _combine(terms, shape):
+    """sum c * rows / den over (c, rows, den) terms, c a nonzero int or Fraction,
+    on the common denominator of the c / den."""
+    r, c = shape
+    if not terms:
+        return zeros(r, c)
+    dens = [k.denominator * den for k, _, den in terms]
+    common = lcm(*dens)
+    scales = [k.numerator * (common // d) for (k, _, _), d in zip(terms, dens)]
+    out = [
+        [sum(map(mul, scales, entries)) for entries in zip(*rows_i)]
+        for rows_i in zip(*(rows for _, rows, _ in terms))
+    ]
+    return _uncleared(out, common)
+
+
+def mat_combination(coeffs, mats):
+    """sum c * m over the coefficients and matrices, exactly.
+
+    Zero coefficients are skipped; an empty or all-zero combination is the
+    zero matrix of the shape of mats[0].
+    """
+    if not mats:
+        raise ValueError("mat_combination needs at least one matrix")
+    shape = (len(mats[0]), len(mats[0][0]) if mats[0] else 0)
+    terms = [(k, *_cleared(m)) for k, m in zip(coeffs, mats) if k]
+    return _combine(terms, shape)
 
 
 def mat_trace(a):
@@ -78,23 +127,24 @@ def mat_inv(a):
 
 
 def mat_det(a):
-    d = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) of the cleared integer matrix: every division is exact."""
+    m, den = _cleared(a)
+    d = len(m)
+    sign, prev = 1, 1
     for c in range(d):
-        piv = next((r for r in range(c, d) if m[r][c] != 0), None)
+        piv = next((r for r in range(c, d) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return _ZERO
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        prow, p = m[c], m[c][c]
         for r in range(c + 1, d):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+            f = m[r][c]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], prow)]
+        prev = p
+    return Fraction(sign * prev, den**d)
 
 
 def _primitive(v):
@@ -105,12 +155,7 @@ def _primitive(v):
 
 def _integer_rows(rows):
     """Each rational row scaled to a primitive integer vector (same row space)."""
-    out = []
-    for row in rows:
-        row = [F(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        out.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    return out
+    return [_primitive(_cleared((row,))[0][0]) for row in rows]
 
 
 def _eliminate(target, pivot_row, c):
@@ -202,15 +247,8 @@ def row_space_intersection(u_rows, v_rows):
     for i in range(n):
         row = [u[i] for u in u_rows] + [-v[i] for v in v_rows]
         rows.append(tuple(row))
-    base = nullspace(rows)
-    out = []
-    for w in base:
-        vec = [Fraction(0)] * n
-        for a, u in zip(w[: len(u_rows)], u_rows):
-            if a:
-                for i in range(n):
-                    vec[i] += a * u[i]
-        out.append(tuple(vec))
+    u_mats = [(u,) for u in u_rows]
+    out = [mat_combination(w[: len(u_rows)], u_mats)[0] for w in nullspace(rows)]
     return row_space_canonical(out)
 
 
@@ -315,12 +353,18 @@ def poly_deriv(p):
 
 
 def poly_eval_mat(p, m):
-    d = len(m)
-    acc = zeros(d, d)
-    for c in reversed(p):
-        acc = mat_mul(acc, m)
-        acc = mat_add(acc, mat_scale(identity(d), c))
-    return acc
+    """p(m) for a square matrix m, as the combination of the integer powers
+    of den * m."""
+    n, den = _cleared(m)
+    d = len(n)
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    terms = []
+    for k, c in enumerate(p):
+        if k:
+            power = _int_mul(power, n)
+        if c:
+            terms.append((c, power, den**k))
+    return _combine(terms, (d, d))
 
 
 def poly_is_squarefree(p):
@@ -355,12 +399,8 @@ def minimal_polynomial(m):
     first power that reduces to zero gives q(N) = 0 with q of least degree,
     and the minimal polynomial of M is q(den*x) / den^k, made monic.
     """
-    m = [[F(x) for x in row] for row in m]
-    d = len(m)
-    den = lcm(*(x.denominator for row in m for x in row))
-    n_cols = list(zip(*(
-        [x.numerator * (den // x.denominator) for x in row] for row in m
-    )))
+    n, den = _cleared(m)
+    d = len(n)
     basis = []  # (pivot column, reduced power, its combination of powers)
     power = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(d + 1):
@@ -380,10 +420,7 @@ def minimal_polynomial(m):
                 Fraction(q, lead * den ** (k - i)) for i, q in enumerate(comb)
             )
         basis.append((next(j for j, x in enumerate(vec) if x), vec, comb))
-        power = [
-            [sum(x * y for x, y in zip(row, col)) for col in n_cols]
-            for row in power
-        ]
+        power = _int_mul(power, n)
     raise CertificateError("minimal polynomial search exceeded dimension")
 
 

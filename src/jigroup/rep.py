@@ -139,7 +139,8 @@ def commutant(rep):
             for r in range(d)
             for c in range(d)
         )
-    basis_vecs = rm.nullspace(commutation_rows(rep.gen_images, Fraction(0)))
+    basis_vecs = rm.nullspace(
+        commutation_rows([rm.integer_multiple(g) for g in rep.gen_images]))
     basis = tuple(
         rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)])
         for v in basis_vecs
@@ -149,17 +150,18 @@ def commutant(rep):
     return basis
 
 
-def commutation_rows(mats, zero):
+def commutation_rows(mats):
     """Rows of X g - g X = 0 for each g in mats, linear in the d^2 entries of X.
 
-    zero is the zero of the entries' scalar type.
+    The matrices have integer entries (integer multiples of rational ones
+    have the same commutant), so the rows are integer rows.
     """
     d = len(mats[0])
     rows = []
     for g in mats:
         for i in range(d):
             for j in range(d):
-                row = [zero] * (d * d)
+                row = [0] * (d * d)
                 for k in range(d):
                     row[i * d + k] += g[k][j]
                     row[k * d + j] -= g[i][k]
@@ -171,7 +173,9 @@ def _verify_commutant(rep, basis):
     canon = rm.row_space_canonical([_flat(b) for b in basis])
     if rm.row_space_canonical(list(canon) + [_flat(rm.identity(rep.dimension))]) != canon:
         raise CertificateError("commutant missing the identity")
-    products = [_flat(rm.mat_mul(a, b)) for a in basis for b in basis]
+    # products of integer multiples span the same space as the products
+    ints = [rm.integer_multiple(b) for b in basis]
+    products = [_flat(rm.mat_mul(a, b)) for a in ints for b in ints]
     if rm.row_space_canonical(list(canon) + products) != canon:
         raise CertificateError("commutant not closed under product")
 
@@ -195,17 +199,8 @@ def _flat(m):
     return tuple(x for row in m for x in row)
 
 
-def _combination(coeffs, mats):
-    """sum c m over the nonzero coefficients."""
-    acc = rm.zeros(len(mats[0]), len(mats[0]))
-    for c, m in zip(coeffs, mats):
-        if c:
-            acc = rm.mat_add(acc, rm.mat_scale(m, c))
-    return acc
-
-
 def _sample_element(basis, rng, spread=5):
-    return _combination([Fraction(rng.randint(-spread, spread)) for _ in basis], basis)
+    return rm.mat_combination([rng.randint(-spread, spread) for _ in basis], basis)
 
 
 def _idempotent_from_minpoly(a, facs):
@@ -307,7 +302,7 @@ def algebra_center(basis):
     d = len(basis[0])
     # centralizer of the algebra in M_d, then intersect with the algebra span
     alg_rows = [tuple(x for row in b for x in row) for b in basis]
-    ker = rm.nullspace(commutation_rows(basis, Fraction(0)))
+    ker = rm.nullspace(commutation_rows([rm.integer_multiple(b) for b in basis]))
     inter = rm.row_space_intersection(ker, alg_rows)
     return tuple(
         rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)]) for v in inter
@@ -318,7 +313,7 @@ def _noncentral_scalar_part(center_basis, d):
     """A center generator with zero trace (so its minpoly is clean)."""
     for c in center_basis:
         tr = rm.mat_trace(c)
-        cand = rm.mat_sub(c, rm.mat_scale(rm.identity(d), tr / d))
+        cand = rm.mat_combination((1, -tr / d), (c, rm.identity(d)))
         if any(any(x != 0 for x in row) for row in cand):
             return cand
     raise CertificateError("center is scalar only")
@@ -327,9 +322,10 @@ def _noncentral_scalar_part(center_basis, d):
 def anticommuting(i_m, basis):
     """Nonzero j = sum c_b b with i j + j i = 0, one per vector of the
     nullspace of y -> iy + yi on the span of basis, in nullspace order."""
-    rows = [_flat(rm.mat_add(rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))) for bb in basis]
+    rows = [_flat(rm.mat_combination((1, 1), (rm.mat_mul(i_m, bb), rm.mat_mul(bb, i_m))))
+            for bb in basis]
     for v in rm.nullspace(rm.mat_transpose(rows)):
-        j_m = _combination(v, basis)
+        j_m = rm.mat_combination(v, basis)
         if any(_flat(j_m)):
             yield j_m
 
@@ -352,7 +348,7 @@ def quaternion_pair(basis, center, x):
     t_n = coords(rm.mat_mul(x, x), over)
     if t_n is None or rm.rank([_flat(m) for m in over]) < len(over):
         return None
-    i_m = rm.mat_sub(x, _combination([c / 2 for c in t_n[: len(center)]], center))
+    i_m = rm.mat_combination([1] + [-c / 2 for c in t_n[: len(center)]], [x, *center])
     a = coords(rm.mat_mul(i_m, i_m), center)
     if a is None:
         return None
@@ -500,9 +496,7 @@ def _quaternion_zero_divisor(st, bound=40):
                 if (x, y, z) == (0, 0, 0):
                     continue
                 if Fraction(z * z) == a * x * x + b * y * y:
-                    q = rm.mat_scale(rm.identity(d), z)
-                    q = rm.mat_sub(q, rm.mat_scale(i_m, x))
-                    q = rm.mat_sub(q, rm.mat_scale(j_m, y))
+                    q = rm.mat_combination((z, -x, -y), (rm.identity(d), i_m, j_m))
                     if any(any(c != 0 for c in row) for row in q):
                         return q
     return None
@@ -562,11 +556,11 @@ def _invariant_complement(rep, w_rows):
         ),
         m,
     )
-    acc = rm.zeros(d, d)
     emap = rep.element_map
-    for perm, g in emap.items():
-        acc = rm.mat_add(acc, rm.mat_mul(rm.mat_mul(g, proj0), emap[inv(perm)]))
-    proj = rm.mat_scale(acc, Fraction(1, rep.group.order))
+    conjugates = [rm.mat_mul(rm.mat_mul(g, proj0), emap[inv(perm)])
+                  for perm, g in emap.items()]
+    proj = rm.mat_combination([Fraction(1, rep.group.order)] * len(conjugates),
+                              conjugates)
     if rm.mat_mul(proj, proj) != proj:
         raise CertificateError("averaged projector is not idempotent")
     # complement = kernel of the averaged projection (row vectors v with v P = 0)

@@ -16,7 +16,7 @@ from jigroup.basal import (
     permji_witness,
     shadow_ji_verdict,
 )
-from jigroup.hilbert import REAL_PLACE, hilbert_symbol, solubility_oracle
+from jigroup.hilbert import REAL_PLACE, hilbert_symbol
 from jigroup.profiles import (
     lgm_oracle,
     maximal_scan,
@@ -35,6 +35,9 @@ from jigroup.smallgrp import (
 from jigroup.verdicts import HJI, HYPOTHESIS_FAILED, JI, NOT_JI
 from jigroup.wreath import build_wreath_shadow, wreath_verdicts
 
+import corpora
+from oracles import solubility_oracle
+
 
 def _report(n, label, seconds, bound=None):
     budget = f" < {bound}s" if bound else ""
@@ -51,7 +54,7 @@ def example2():
 
 @pytest.fixture(scope="module")
 def shadow_corpus():
-    return fixtures.shadow_corpus()
+    return corpora.shadow_corpus()
 
 
 def test_criterion_1_example2_reproduction(example2):
@@ -182,7 +185,7 @@ def test_criterion_4_theorem1_property_suite(shadow_corpus):
 def test_criterion_5_frattini_suite():
     t0 = time.monotonic()
     n_checked = 0
-    for name, G in fixtures.primitive_corpus():
+    for name, G in corpora.primitive_corpus():
         for H in normal_subgroups(G):
             if H.order == 1:
                 continue
@@ -232,13 +235,13 @@ def test_criterion_7_hilbert_oracle_equivalence():
 
 def test_criterion_8_hereditary_checker(example2):
     t0 = time.monotonic()
-    v = respthm_check(fixtures.pro2_dihedral_profile(),
-                      fixtures.pro2_dihedral_profile())
+    v = respthm_check(corpora.pro2_dihedral_profile(),
+                      corpora.pro2_dihedral_profile())
     assert v.status == HJI
     v = respthm_check(example2["profile"], example2["profile"])
     assert v.status == HYPOTHESIS_FAILED
     assert v.witness["failed_conditions"] == ["iii"]
-    v = respthm_check(fixtures.c3_rank2_profile(), fixtures.c3_rank2_profile())
+    v = respthm_check(corpora.c3_rank2_profile(), corpora.c3_rank2_profile())
     assert v.status == HYPOTHESIS_FAILED
     assert "ii" in v.witness["failed_conditions"]
     elapsed = time.monotonic() - t0
@@ -270,7 +273,7 @@ def test_criterion_9_numerical_robustness(example2):
         profile = example2["profile"]
         statuses = [va_just_infinite(profile, seed).status]
         statuses += [r["verdict"].status for r in maximal_scan(profile, seed)]
-        statuses.append(va_just_infinite(fixtures.c3_rank2_profile(), seed).status)
+        statuses.append(va_just_infinite(corpora.c3_rank2_profile(), seed).status)
         seed_runs[seed] = statuses
     assert seed_runs[0] == seed_runs[1]
     elapsed = time.monotonic() - t0

@@ -8,6 +8,8 @@ import pytest
 from jigroup import catalog, fixtures
 from jigroup.cli import run_command
 
+import corpora
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -67,7 +69,7 @@ def test_verify_paper_2_cli():
 
 
 def test_shadow_corpus_orders():
-    corpus = fixtures.shadow_corpus(fibers=("A5",))
+    corpus = corpora.shadow_corpus(fibers=("A5",))
     by_name = dict(corpus)
     assert by_name["A5-wr-C2"].group.order == 60**2 * 2
     assert by_name["A5-wr-S3"].group.order == 60**3 * 6
@@ -78,7 +80,7 @@ def test_shadow_corpus_orders():
 
 
 def test_primitive_corpus_members_are_primitive():
-    for name, G in fixtures.primitive_corpus():
+    for name, G in corpora.primitive_corpus():
         _, primitive = G.minimal_block_systems()
         assert primitive, name
 

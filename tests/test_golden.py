@@ -54,3 +54,27 @@ def test_golden_machine_report(case):
     expected = json.loads((GOLDEN / "status.json").read_text())
     assert status == expected[case]
     assert stdout == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_verify_paper_all_splits_example_2_once(monkeypatch):
+    """`verify-paper all` builds the Example-2 bundle once for targets 2 and
+    leethm, and its claims are those of the four golden targets in order."""
+    from jigroup import fixtures
+
+    splits = []
+    real_split = fixtures.padic_split
+
+    def counting_split(*args, **kwargs):
+        splits.append(args)
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "padic_split", counting_split)
+    status, stdout = _run(["verify-paper", "all"])
+    assert status == 0
+    assert len(splits) == 1
+    claims = []
+    for target in ("1", "2", "3", "leethm"):
+        claims += json.loads((GOLDEN / f"verify_paper_{target}.out").read_text())["claims"]
+    report = json.loads(stdout)
+    assert report["claims"] == claims
+    assert report["targets"] == ["1", "2", "3", "leethm"]

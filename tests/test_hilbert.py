@@ -7,8 +7,9 @@ from jigroup.hilbert import (
     REAL_PLACE,
     hilbert_symbol,
     quaternion_is_division,
-    solubility_oracle,
 )
+
+from oracles import solubility_oracle
 
 
 def test_trivial_cases():

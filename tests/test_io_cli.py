@@ -17,6 +17,8 @@ from jigroup.profile_io import (
 )
 from jigroup.profiles import VaProfile
 
+import corpora
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "jigroup" / "data"
 
 
@@ -63,9 +65,9 @@ def test_parse_unknown_field_located():
 
 def test_roundtrip_va_profiles():
     for profile in (
-        fixtures.c3_rank2_profile(),
-        fixtures.pro2_dihedral_profile(),
-        fixtures.c3_rank2_profile_over_Z(),
+        corpora.c3_rank2_profile(),
+        corpora.pro2_dihedral_profile(),
+        corpora.c3_rank2_profile_over_Z(),
     ):
         text = emit_va_profile(profile)
         again = parse_profile(text)
@@ -182,7 +184,7 @@ def test_argument_error_keeps_argparse_usage_in_text_mode(capsys):
 
 def test_cli_analyze_c3(tmp_path):
     f = tmp_path / "c3.profile"
-    f.write_text(emit_va_profile(fixtures.c3_rank2_profile()))
+    f.write_text(emit_va_profile(corpora.c3_rank2_profile()))
     out = io.StringIO()
     status, report = run_command(["analyze", str(f)], out)
     assert status == 0
@@ -192,7 +194,7 @@ def test_cli_analyze_c3(tmp_path):
 
 def test_cli_machine_report_deterministic(tmp_path):
     f = tmp_path / "c3.profile"
-    f.write_text(emit_va_profile(fixtures.c3_rank2_profile()))
+    f.write_text(emit_va_profile(corpora.c3_rank2_profile()))
     outputs = []
     for _ in range(2):
         out = io.StringIO()
@@ -205,7 +207,7 @@ def test_cli_machine_report_deterministic(tmp_path):
 
 def test_cli_seed_does_not_change_verdicts(tmp_path):
     f = tmp_path / "c3.profile"
-    f.write_text(emit_va_profile(fixtures.c3_rank2_profile()))
+    f.write_text(emit_va_profile(corpora.c3_rank2_profile()))
     reports = []
     for seed in ("0", "1"):
         out = io.StringIO()
@@ -264,7 +266,7 @@ def test_cli_verify_paper_machine_stdout_is_json(target):
 
 def test_cli_analyze_pro2_dihedral_reaches_hji(tmp_path):
     f = tmp_path / "d.profile"
-    f.write_text(emit_va_profile(fixtures.pro2_dihedral_profile()))
+    f.write_text(emit_va_profile(corpora.pro2_dihedral_profile()))
     out = io.StringIO()
     status, report = run_command(["analyze", str(f)], out)
     assert status == 0
@@ -488,6 +490,9 @@ ERROR_CASES = {
     "not_utf8": (["analyze"], b"jigroup-profile v1\nkind va\n\xff\n", "line 3: ", "profile", 3),
     "directory": (["analyze"], None, "", "io", None),
     "missing_header": (["analyze"], "kind va\n", "line 1: ", "profile", 1),
+    "empty_file": (["analyze"], "", "line 1: ", "profile", 1),
+    "blank_and_comment_lines": (
+        ["analyze"], "\n   \n# jigroup-profile v1\n\n", "line 1: ", "profile", 1),
     "va_precision_negative": (
         ["analyze"],
         (DATA / "pro2_dihedral.profile").read_text().replace("precision 64", "precision -1"),

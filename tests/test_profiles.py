@@ -4,7 +4,6 @@ from jigroup import catalog, fixtures
 from jigroup.perm import SubgroupHandle
 from jigroup.profiles import (
     VaProfile,
-    full_lattice_scan,
     lgm_oracle,
     maximal_scan,
     quaternionic_type,
@@ -17,6 +16,9 @@ from jigroup.rep import rep_from_data
 from jigroup.smallgrp import maximal_subgroups
 from jigroup.verdicts import HJI, HYPOTHESIS_FAILED, JI, NOT_JI
 
+import corpora
+from oracles import full_lattice_scan
+
 
 @pytest.fixture(scope="module")
 def q16_profile():
@@ -25,7 +27,7 @@ def q16_profile():
 
 
 def test_validate_c3_over_Z():
-    profile = fixtures.c3_rank2_profile_over_Z()
+    profile = corpora.c3_rank2_profile_over_Z()
     assert validate_va_profile(profile)["valid"]
 
 
@@ -70,7 +72,7 @@ def test_validate_padic_integrality(q16_profile):
 
 
 def test_va_just_infinite_c3_z3():
-    profile = fixtures.c3_rank2_profile()
+    profile = corpora.c3_rank2_profile()
     assert va_just_infinite(profile).status == JI
 
 
@@ -104,7 +106,7 @@ def test_subgroup_ji_index4_not_ji(q16_profile):
 
 
 def test_subgroup_ji_trivial_rank1():
-    profile = fixtures.pro2_dihedral_profile()
+    profile = corpora.pro2_dihedral_profile()
     triv = SubgroupHandle.trivial(profile.Q)
     assert subgroup_ji(profile, triv).status == JI
 
@@ -116,7 +118,7 @@ def test_maximal_scan_q16(q16_profile):
 
 
 def test_maximal_scan_c3_profile():
-    profile = fixtures.c3_rank2_profile()
+    profile = corpora.c3_rank2_profile()
     rows = maximal_scan(profile)
     assert len(rows) == 1
     assert rows[0]["order"] == 1  # the lattice row
@@ -135,7 +137,7 @@ def test_quaternionic_type(q16_profile):
 
 
 def test_quaternionic_type_rejects_c3():
-    ok, evidence = quaternionic_type(fixtures.c3_rank2_profile())
+    ok, evidence = quaternionic_type(corpora.c3_rank2_profile())
     assert not ok
     assert not evidence["rank_is_4"]
 
@@ -149,7 +151,7 @@ def test_quaternionic_type_rejects_presplit_8dim():
 
 
 def test_lgm_oracle_c3_at_3():
-    report = lgm_oracle(fixtures.c3_rank2_profile())
+    report = lgm_oracle(corpora.c3_rank2_profile())
     assert report["flag"] == "CONSISTENT"
     assert report["primitivity"] == "primitive"
     assert report["classified_case"] == "C_p in dimension p-1"
@@ -169,7 +171,7 @@ def test_lgm_oracle_q8_imprimitive():
 
 
 def test_respthm_pro2_dihedral():
-    profile = fixtures.pro2_dihedral_profile()
+    profile = corpora.pro2_dihedral_profile()
     v = respthm_check(profile, profile)
     assert v.status == HJI
 
@@ -181,7 +183,7 @@ def test_respthm_quaternionic_fails_iii(q16_profile):
 
 
 def test_respthm_c3_fails_ii():
-    profile = fixtures.c3_rank2_profile()
+    profile = corpora.c3_rank2_profile()
     v = respthm_check(profile, profile)
     assert v.status == HYPOTHESIS_FAILED
     assert "ii" in v.witness["failed_conditions"]
@@ -189,8 +191,8 @@ def test_respthm_c3_fails_ii():
 
 def test_respthm_never_hji_with_bad_row(q16_profile):
     # consistency property: any hji verdict has all-ji maximal rows
-    for profile in (fixtures.pro2_dihedral_profile(), q16_profile,
-                    fixtures.c3_rank2_profile()):
+    for profile in (corpora.pro2_dihedral_profile(), q16_profile,
+                    corpora.c3_rank2_profile()):
         v = respthm_check(profile, profile)
         if v.status == HJI:
             rows = maximal_scan(profile)

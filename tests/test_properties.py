@@ -12,8 +12,11 @@ from jigroup import catalog
 from jigroup import ratmat as rm
 from jigroup.hilbert import REAL_PLACE, _valuation_and_unit, hilbert_symbol
 from jigroup.padic import PadicMatrix, PrecisionExhausted, qp_factor_count
-from jigroup.perm import PermGroup, closure_order_bruteforce
+from jigroup.perm import PermGroup
 from jigroup.ratmat import poly_is_squarefree, poly_trim
+
+import corpora
+from oracles import closure_order_bruteforce
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30)
@@ -263,10 +266,9 @@ def test_modp_spinning_consistency():
 
 
 def test_va_equals_subgroup_ji_at_full_group():
-    from jigroup import fixtures
     from jigroup.perm import SubgroupHandle
     from jigroup.profiles import subgroup_ji, va_just_infinite
 
-    for profile in (fixtures.c3_rank2_profile(), fixtures.pro2_dihedral_profile()):
+    for profile in (corpora.c3_rank2_profile(), corpora.pro2_dihedral_profile()):
         full = SubgroupHandle.full(profile.Q)
         assert va_just_infinite(profile).status == subgroup_ji(profile, full).status

@@ -1,5 +1,6 @@
 """The integer kernels of ratmat against slow, obviously correct oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -225,8 +226,208 @@ def test_minimal_polynomial_and_inverse_match_sympy_at_every_rank(seed):
                         for i, row in enumerate(rows)]
             assert rm.minimal_polynomial(rows) == sympy_minimal_polynomial(rows)
             m = sympy.Matrix(rows)
+            det = m.det()
+            assert rm.mat_det(rows) == Fraction(int(det.p), int(det.q))
             if m.rank() < d:
                 with pytest.raises(ZeroDivisionError):
                     rm.mat_inv(rm.mat(rows))
             else:
                 assert rm.mat_inv(rm.mat(rows)) == _fractions(m.inv())
+
+
+# -- products and linear combinations against the former Fraction loops -------
+
+
+def oracle_mat_mul(a, b):
+    """The former Fraction mat_mul: one Fraction product and sum per term."""
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def oracle_mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def oracle_mat_scale(a, c):
+    return tuple(tuple(Fraction(c) * x for x in row) for row in a)
+
+
+def oracle_combination(coeffs, mats):
+    """The former add/scale chain (rep._combination), for any shape."""
+    acc = rm.zeros(len(mats[0]), len(mats[0][0]) if mats[0] else 0)
+    for c, m in zip(coeffs, mats):
+        if c:
+            acc = oracle_mat_add(acc, oracle_mat_scale(m, c))
+    return acc
+
+
+def oracle_poly_eval_mat(p, m):
+    """The former Horner loop on Fraction matrices."""
+    d = len(m)
+    acc = rm.zeros(d, d)
+    for c in reversed(p):
+        acc = oracle_mat_mul(acc, m)
+        acc = oracle_mat_add(acc, oracle_mat_scale(rm.identity(d), c))
+    return acc
+
+
+def oracle_mat_det(a):
+    """The former Fraction Gaussian elimination."""
+    d = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(d):
+        piv = next((r for r in range(c, d) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, d):
+            if m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+ENTRY_KINDS = ("int", "small", "wide")
+
+
+def random_entry(rng, kind):
+    """A Python int, a small rational, or one with a denominator up to 10^6;
+    signs mixed, zero about a third of the time."""
+    if rng.random() < 0.3:
+        return 0 if kind == "int" else Fraction(0)
+    if kind == "int":
+        return rng.randint(-60, 60)
+    if kind == "small":
+        return random_rational(rng, density=1.0)
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def random_matrix(rng, r, c, kind):
+    """An r x c matrix whose rows are sometimes zero, and which is sometimes
+    the zero matrix."""
+    if rng.random() < 0.1:
+        return tuple((0,) * c for _ in range(r))
+    return tuple(
+        (0,) * c if rng.random() < 0.2 else tuple(random_entry(rng, kind) for _ in range(c))
+        for _ in range(r)
+    )
+
+
+def _all_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_mat_mul_matches_former_loop(kind):
+    rng = random.Random("mul-" + kind)
+    for _ in range(150):
+        r, k, c = (rng.randint(0, 5) for _ in range(3))
+        a, b = random_matrix(rng, r, k, kind), random_matrix(rng, k, c, kind)
+        got = rm.mat_mul(a, b)
+        assert got == oracle_mat_mul(a, b)
+        # a matrix with no rows has no column count: then the rows are empty
+        assert len(got) == r and all(len(row) == (c if k else 0) for row in got)
+        assert _all_fractions(got)
+
+
+def test_mat_mul_of_int_matrices_has_fraction_entries():
+    got = rm.mat_mul(((1, 2), (0, -3)), ((4,), (5,)))
+    assert got == ((14,), (-15,))
+    assert _all_fractions(got)
+    assert _all_fractions(rm.mat_mul(((0, 0),), ((0,), (0,))))
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_mat_combination_matches_former_chain(kind):
+    rng = random.Random("comb-" + kind)
+    for _ in range(150):
+        r, c, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 5)
+        mats = [random_matrix(rng, r, c, kind) for _ in range(n)]
+        shape = rng.random()
+        if shape < 0.15:
+            coeffs = []
+        elif shape < 0.3:
+            coeffs = [0] * n
+        else:
+            coeffs = [random_entry(rng, rng.choice(ENTRY_KINDS)) for _ in range(n)]
+        got = rm.mat_combination(coeffs, mats)
+        assert got == oracle_combination(coeffs, mats)
+        assert len(got) == r and all(len(row) == c for row in got)
+        assert _all_fractions(got)
+
+
+def test_mat_combination_needs_a_matrix():
+    with pytest.raises(ValueError):
+        rm.mat_combination([], [])
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_poly_eval_mat_matches_former_horner(kind):
+    rng = random.Random("eval-" + kind)
+    for _ in range(80):
+        d = rng.randint(0, 5)
+        m = random_matrix(rng, d, d, kind)
+        p = [random_entry(rng, rng.choice(ENTRY_KINDS)) for _ in range(rng.randint(0, 6))]
+        got = rm.poly_eval_mat(p, m)
+        assert got == oracle_poly_eval_mat(p, m)
+        assert _all_fractions(got)
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_mat_det_matches_former_elimination(kind):
+    rng = random.Random("det-" + kind)
+    for _ in range(100):
+        d = rng.randint(0, 6)
+        m = random_matrix(rng, d, d, kind)
+        if d > 1 and rng.random() < 0.2:  # a dependent last row
+            m = m[:-1] + (tuple(x - 2 * y for x, y in zip(m[0], m[1])),)
+        got = rm.mat_det(m)
+        assert got == oracle_mat_det(m)
+        assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_integer_multiple_is_the_least_one(kind):
+    rng = random.Random("int-" + kind)
+    for _ in range(60):
+        m = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), kind)
+        ints = rm.integer_multiple(m)
+        assert all(type(x) is int for row in ints for x in row)
+        den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+        assert ints == [[int(x * den) for x in row] for row in m]
+
+
+def oracle_row_space_intersection(u_rows, v_rows):
+    """The former Fraction accumulation over the nullspace coordinates."""
+    u_rows = [r for r in u_rows if any(x != 0 for x in r)]
+    v_rows = [r for r in v_rows if any(x != 0 for x in r)]
+    if not u_rows or not v_rows:
+        return ()
+    n = len(u_rows[0])
+    rows = [tuple([u[i] for u in u_rows] + [-v[i] for v in v_rows]) for i in range(n)]
+    out = []
+    for w in rm.nullspace(rows):
+        vec = [Fraction(0)] * n
+        for a, u in zip(w[: len(u_rows)], u_rows):
+            for i in range(n):
+                vec[i] += a * u[i]
+        out.append(tuple(vec))
+    return rm.row_space_canonical(out)
+
+
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_row_space_intersection_matches_former_loop(kind):
+    rng = random.Random("meet-" + kind)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        u = random_matrix(rng, rng.randint(0, 5), n, kind)
+        v = random_matrix(rng, rng.randint(0, 5), n, kind)
+        if u and v and rng.random() < 0.5:  # force a common vector
+            v = v[:-1] + (tuple(x + 3 * y for x, y in zip(u[0], u[-1])),)
+        assert rm.row_space_intersection(u, v) == oracle_row_space_intersection(u, v)

@@ -239,7 +239,7 @@ def test_quaternion_zero_divisor_split_algebra():
     # (1, 1) is M_2(Q): i = diag(1, -1), j = swap, ij = -ji
     i_m = rm.mat([[1, 0], [0, -1]])
     j_m = rm.mat([[0, 1], [1, 0]])
-    assert rm.mat_mul(i_m, j_m) == rm.mat_scale(rm.mat_mul(j_m, i_m), -1)
+    assert rm.mat_mul(i_m, j_m) == rm.mat_combination((-1,), (rm.mat_mul(j_m, i_m),))
     st = AlgebraStructure("quaternion_over_Q", (), {"a": Fraction(1), "b": Fraction(1),
                                                    "i": i_m, "j": j_m})
     zd = _quaternion_zero_divisor(st)
@@ -301,13 +301,13 @@ def _oracle_pair_over_Q(basis, seed):
         mp = rm.minimal_polynomial(x)
         if rm.poly_deg(mp) != 2:
             continue
-        i_m = rm.mat_sub(x, rm.mat_scale(rm.identity(d), -mp[1] / 2))
+        i_m = rm.mat_combination((1, mp[1] / 2), (x, rm.identity(d)))
         sq = rm.mat_mul(i_m, i_m)
-        if sq != rm.mat_scale(rm.identity(d), sq[0][0]) or sq[0][0] == 0:
+        if sq != rm.mat_combination((sq[0][0],), (rm.identity(d),)) or sq[0][0] == 0:
             continue
         for j_m in anticommuting(i_m, basis):
             sqj = rm.mat_mul(j_m, j_m)
-            if sqj != rm.mat_scale(rm.identity(d), sqj[0][0]):
+            if sqj != rm.mat_combination((sqj[0][0],), (rm.identity(d),)):
                 continue
             if sqj[0][0] == 0:
                 return (j_m,)
@@ -327,7 +327,7 @@ def _oracle_pair_over_center(basis, w):
 
     x = next(c for c in basis if rm.rank([_flat(m) for m in (ident, w, c)]) == 3)
     alpha, beta, _, _ = coords(rm.mat_mul(x, x), (x, rm.mat_mul(w, x), ident, w))
-    i_m = rm.mat_sub(x, rm.mat_add(rm.mat_scale(ident, alpha / 2), rm.mat_scale(w, beta / 2)))
+    i_m = rm.mat_combination((1, -alpha / 2, -beta / 2), (x, ident, w))
     a_pair = coords(rm.mat_mul(i_m, i_m), (ident, w))
     if not any(a_pair):
         return (i_m,)

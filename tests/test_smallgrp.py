@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from jigroup import catalog, fixtures
+from jigroup import catalog
 from jigroup.perm import OrderGateExceeded, SubgroupHandle, identity_perm, mul
 from jigroup.smallgrp import (
     all_block_systems,
@@ -19,6 +19,8 @@ from jigroup.smallgrp import (
     small_table,
 )
 from jigroup.verdicts import CertificateError
+
+import corpora
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -253,8 +255,8 @@ def _check_against_all_element_oracles(tbl):
 
 
 ORACLE_GROUPS = {
-    **dict(fixtures.primitive_corpus()),
-    **dict(fixtures.curated_top_groups()),
+    **dict(corpora.primitive_corpus()),
+    **dict(corpora.curated_top_groups()),
     "Q16": catalog.quaternion(16),
 }
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from jigroup import fixtures, wreath
+from jigroup import wreath
 from jigroup.basal import (
     ShadowSubgroup,
     maxcor_equivalence_check,
@@ -25,11 +25,14 @@ from jigroup.smallgrp import all_subgroups, maximal_subgroups_over
 from jigroup.verdicts import JI, CertificateError
 from jigroup.wreath import build_wreath_shadow, wreath_verdicts
 
+import corpora
+from oracles import random_element
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(scope="module")
 def corpus():
-    return fixtures.shadow_corpus()
+    return corpora.shadow_corpus()
 
 
 def _nonnormal_disagreements(model):
@@ -145,7 +148,7 @@ def _exhaustive_normal_subgroups(G, gate=10000):
 def test_structural_normals_complete_for_smallest_model():
     # A5 wr C2 has order 7200: cross-check the structural enumeration
     # against the exhaustive class-closure oracle
-    model = fixtures.shadow_corpus(fibers=("A5",))[0][1]
+    model = corpora.shadow_corpus(fibers=("A5",))[0][1]
     assert model.group.order == 7200
     oracle = _exhaustive_normal_subgroups(model.group)
     structural = model.normal_subgroups_structural()
@@ -184,7 +187,7 @@ def test_known_order_chain_agrees_with_deterministic_chain(p):
     exact = PermGroup(known.generators)
     assert known.order == exact.order == 60 ** (p**p) * p ** (p + 1)
     rng = random.Random(p)
-    members = [G.random_element(rng) for G in (known, exact) for _ in range(10)]
+    members = [random_element(G, rng) for G in (known, exact) for _ in range(10)]
     for g in members:
         assert g in known and g in exact
     for bad in _outside_members(model):
