@@ -162,61 +162,21 @@ def psl27(degree=7):
 
 
 def extraspecial_128():
-    """The central product of three dihedral groups of order 8 (order 2^7).
+    """The extraspecial group 2^(1+6)_+ of order 128, the central product
+    D8 o D8 o D8, on the 16 signed basis vectors +-e_v, v in F_2^3.
 
-    Built as (D8 x D8 x D8)/N with N identifying the three centers, acting
-    faithfully on the 128 cosets of N.
+    The i-th D8 is generated by the flip e_v -> e_(v + u_i) and the sign
+    e_v -> (-1)^(v_i) e_v, which anticommute; the three copies share the
+    centre {1, -1}.
     """
-    d8 = dihedral(4)
-    deg = 12
-    gens3 = []
-    for k in range(3):
-        for g in d8.generators:
-            img = list(range(deg))
-            for i in range(4):
-                img[4 * k + i] = 4 * k + g[i]
-            gens3.append(tuple(img))
-    P = PermGroup(gens3)
-    if P.order != 512:
-        raise CertificateError("D8 x D8 x D8 has the wrong order")
-    z = perm_from_cycles(4, (0, 2), (1, 3))  # central rotation r^2 of D8
-
-    def embed(g, k):
-        img = list(range(deg))
-        for i in range(4):
-            img[4 * k + i] = 4 * k + g[i]
-        return tuple(img)
-
-    from .perm import mul
-
-    n1 = mul(embed(z, 0), embed(z, 1))
-    n2 = mul(embed(z, 0), embed(z, 2))
-    n_els = set()
-    for a in (identity_perm(deg), n1):
-        for b in (identity_perm(deg), n2):
-            n_els.add(mul(a, b))
-    if len(n_els) != 4:
-        raise CertificateError("the identified centers do not have order 4")
-
-    p_els = P.elements(gate=600)
-    coset_of = {}
-    cosets = []
-    for e in p_els:
-        if e in coset_of:
-            continue
-        cs = frozenset(mul(x, e) for x in n_els)
-        ci = len(cosets)
-        cosets.append(cs)
-        for m in cs:
-            coset_of[m] = ci
-    if len(cosets) != 128:
-        raise CertificateError("the center quotient does not have 128 cosets")
-
-    def left_mult_perm(g):
-        # gN acted by x: (x g)N; use representative-independence of cosets
-        return tuple(coset_of[mul(g, next(iter(cosets[c])))] for c in range(128))
-
-    E = PermGroup([left_mult_perm(g) for g in gens3])
+    vecs = list(product(range(2), repeat=3))
+    points = [(s, v) for s in range(2) for v in vecs]  # (s, v) is (-1)^s e_v
+    idx = {pt: k for k, pt in enumerate(points)}
+    gens = []
+    for i in range(3):
+        gens.append(tuple(idx[s, v[:i] + (1 - v[i],) + v[i + 1:]] for s, v in points))
+        gens.append(tuple(idx[s ^ v[i], v] for s, v in points))
+    E = PermGroup(gens)
     if E.order != 128:
         raise CertificateError("the extraspecial group has the wrong order")
     return E

@@ -6,9 +6,10 @@ dimension 8 (left multiplication on Z[zeta_8] + Z[zeta_8] y with y^2 = -1
 and conjugation acting as the Galois twist), split 2-adically into two
 4-dimensional lattice constituents of quaternionic type.
 Example 3: the extraspecial central product of three dihedral groups of
-order 8; its smallest faithful characteristic-0 degree is computed, while
-the matching degree for the double cover of Alt(8) is carried as cited
-reference data only.
+order 8, acting on the 16 signed basis vectors of Q^8 (see
+catalog.extraspecial_128); its smallest faithful characteristic-0 degree is
+computed, while the matching degree for the double cover of Alt(8) is
+carried as cited reference data only.
 """
 
 from __future__ import annotations

@@ -424,37 +424,51 @@ class PermGroup:
     def is_transitive(self):
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
+    def block_systems(self):
+        """Every block system except the one-block one, singletons included,
+        sorted by block size and then by system.
+
+        A system is a tuple of blocks (tuples of points), the block of 0
+        first.  A block containing 0 is the join of the blocks atk(0, b) of
+        its points b, and the join of two blocks is the Atkinson closure of
+        their union, so the systems are one walk from the singletons over
+        the layer of systems atk(0, b) (Seress, Permutation Group
+        Algorithms, 2003, sec. 5.5).  Raises on intransitive input.
+        """
+        def join(system, cell):
+            return self._atkinson_blocks(system[0] + cell[0])
+
+        singletons = tuple((i,) for i in range(self.degree))
+        out = sorted((s for s in _walk(singletons, self._layer(), join) if len(s) > 1),
+                     key=lambda s: (len(s[0]), s))
+        for system in out:
+            if not self.invariant_partition(system):
+                raise CertificateError("block system is not invariant")
+            if len({len(b) for b in system}) != 1:
+                raise CertificateError("blocks of unequal size")
+        return out
+
     def minimal_block_systems(self):
         """Minimal nontrivial block systems, plus a primitivity flag.
 
-        Returns (systems, primitive) where each system is a tuple of blocks
-        (tuples of points).  Raises on intransitive input.
+        Returns (systems, primitive), each system as in block_systems.
+        Raises on intransitive input.
         """
-        if not self.is_transitive():
-            raise ValueError("block systems are defined for transitive groups only")
-        n = self.degree
-        if n == 1:
-            return [], True
-        candidates = {}
-        for b in range(1, n):
-            blocks = self._atkinson_blocks(0, b)
-            size = len(_cell_containing(blocks, 0))
-            if size == n or size == 1:
-                continue
-            key = tuple(sorted(tuple(sorted(bl)) for bl in blocks))
-            candidates[key] = blocks
-        systems = list(candidates)
-        minimal = []
-        for key_i in systems:
-            blk_i = set(_cell_containing(key_i, 0))
-            if not any(
-                set(_cell_containing(key_j, 0)) < blk_i for key_j in systems
-            ):
-                minimal.append(key_i)
+        layer = [s for s in self._layer() if len(s) > 1]
+        minimal = [s for s in layer if not any(set(t[0]) < set(s[0]) for t in layer)]
         return sorted(minimal), not minimal
 
-    def _atkinson_blocks(self, a, b):
-        """Finest G-invariant partition joining a and b (Atkinson's algorithm)."""
+    def _layer(self):
+        """The distinct systems atk(0, b), b = 1..n-1: each is the finest
+        with 0 and b in one block."""
+        if not self.is_transitive():
+            raise ValueError("block systems are defined for transitive groups only")
+        return list(dict.fromkeys(self._atkinson_blocks((0, b))
+                                  for b in range(1, self.degree)))
+
+    def _atkinson_blocks(self, points):
+        """Finest G-invariant partition with points in one cell (Atkinson's
+        algorithm), as a tuple of sorted cells in order of their least point."""
         parent = list(range(self.degree))
 
         def find(x):
@@ -472,10 +486,8 @@ class PermGroup:
             parent[ry] = rx
             return ry  # the representative merged away
 
-        queue = []
-        first = union(a, b)
-        if first is not None:
-            queue.append(first)
+        first, *rest = points
+        queue = [q for q in (union(first, x) for x in rest) if q is not None]
         while queue:
             q = queue.pop()
             leader = find(q)
@@ -483,10 +495,10 @@ class PermGroup:
                 loser = union(find(g[q]), find(g[leader]))
                 if loser is not None:
                     queue.append(loser)
-        cells = {}
+        cells = {}  # a root is the least point of its cell
         for i in range(self.degree):
             cells.setdefault(find(i), []).append(i)
-        return [tuple(c) for c in cells.values()]
+        return tuple(map(tuple, cells.values()))
 
     def invariant_partition(self, partition):
         """Check that a partition of the points is G-invariant."""
@@ -525,13 +537,6 @@ class PermGroup:
                     closure_gens.append(c)
                     queue.append(c)
         return PermGroup(closure_gens or [identity_perm(self.degree)], self.degree)
-
-
-def _cell_containing(blocks, pt):
-    for bl in blocks:
-        if pt in bl:
-            return bl
-    raise CertificateError(f"point {pt} lies in no block")
 
 
 class SubgroupHandle:

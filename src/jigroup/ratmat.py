@@ -97,11 +97,21 @@ def mat_combination(coeffs, mats):
     Zero coefficients are skipped; an empty or all-zero combination is the
     zero matrix of the shape of mats[0].
     """
+    return combiner(mats)(coeffs)
+
+
+def combiner(mats):
+    """The map coeffs -> mat_combination(coeffs, mats), with each matrix
+    cleared once: for a basis that many combinations share."""
     if not mats:
         raise ValueError("mat_combination needs at least one matrix")
     shape = (len(mats[0]), len(mats[0][0]) if mats[0] else 0)
-    terms = [(k, *_cleared(m)) for k, m in zip(coeffs, mats) if k]
-    return _combine(terms, shape)
+    cleared = [_cleared(m) for m in mats]
+
+    def combine(coeffs):
+        return _combine([(k, *c) for k, c in zip(coeffs, cleared) if k], shape)
+
+    return combine
 
 
 def mat_trace(a):

@@ -199,8 +199,9 @@ def _flat(m):
     return tuple(x for row in m for x in row)
 
 
-def _sample_element(basis, rng, spread=5):
-    return rm.mat_combination([rng.randint(-spread, spread) for _ in basis], basis)
+def _sample_element(combine, dim, rng, spread=5):
+    """A random combination of the dim matrices of a basis, through its rm.combiner."""
+    return combine([rng.randint(-spread, spread) for _ in range(dim)])
 
 
 def _idempotent_from_minpoly(a, facs):
@@ -242,13 +243,14 @@ def algebra_structure(comm_basis, seed=0):
     d = len(comm_basis[0])
     if dim == 1:
         return AlgebraStructure("scalars", comm_basis, {})
+    combine = rm.combiner(comm_basis)
     rng = random.Random(seed)
     nilpotent_witness = None
     for trial in range(SAMPLE_BUDGET):
         a = (
             comm_basis[trial]
             if trial < dim
-            else _sample_element(comm_basis, rng)
+            else _sample_element(combine, dim, rng)
         )
         mp = rm.minimal_polynomial(a)
         if rm.poly_deg(mp) < 1:
@@ -279,7 +281,7 @@ def algebra_structure(comm_basis, seed=0):
     if dim == 4 and len(center) == 1:
         rng = random.Random(seed + 1)
         for _ in range(SAMPLE_BUDGET):
-            x = _sample_element(comm_basis, rng)
+            x = _sample_element(combine, dim, rng)
             pair = quaternion_pair(comm_basis, (ident,), x)
             if pair is not None:
                 return _structure_from_pair(comm_basis, pair)
@@ -656,7 +658,7 @@ def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
                 {"maximal_order": M.order, "reason": "restriction irreducible"}
             )
             continue
-        system = _blocks_from_pieces(rep, pieces, target, field, p, precision)
+        system = _blocks_from_pieces(rep, pieces, target)
         if system is not None:
             return Verdict(
                 "imprimitive",
@@ -677,7 +679,7 @@ def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
     return Verdict("primitive", {"per_maximal": certificate}, "block-system-scan")
 
 
-def _blocks_from_pieces(rep, pieces, target, field, p=None, precision=None):
+def _blocks_from_pieces(rep, pieces, target):
     from itertools import combinations
 
     dims = [len(q) for q in pieces]

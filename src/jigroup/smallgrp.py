@@ -249,37 +249,6 @@ def maximal_subgroups_over(group, handle, gate=LATTICE_GATE):
     return [tbl.handle(s) for s in tbl.maximal_subgroups() if want <= s]
 
 
-def all_block_systems(group, gate=LATTICE_GATE):
-    """Every invariant partition with >= 2 cells of a transitive group.
-
-    Blocks are orbits of subgroups between a point stabilizer and the group,
-    so this is exact and exhaustive.  Includes the singleton partition.
-    """
-    if not group.is_transitive():
-        raise ValueError("block systems require a transitive group")
-    tbl = small_table(group, gate)
-    stab0 = frozenset(
-        i for i, e in enumerate(tbl.elements) if e[0] == 0
-    )
-    systems = set()
-    for s, _ in tbl.all_subgroups():
-        if not stab0 <= s:
-            continue
-        block = frozenset(tbl.elements[i][0] for i in s)
-        if len(block) == group.degree:
-            continue
-        blocks = _walk(block, group.generators, lambda b, g: frozenset(g[p] for p in b))
-        system = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        systems.add(system)
-    out = sorted(systems, key=lambda sys_: (len(sys_[0]), sys_))
-    for system in out:
-        if not group.invariant_partition(system):
-            raise CertificateError("block system is not invariant")
-        if len({len(b) for b in system}) != 1:
-            raise CertificateError("blocks of unequal size")
-    return out
-
-
 def recognize_special(group, gate=LATTICE_GATE):
     """Structural tags: cyclic, elementary_abelian, p_group(p),
     generalized_quaternion(2^n), extraspecial, or none.

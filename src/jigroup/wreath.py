@@ -15,7 +15,7 @@ from itertools import product
 from . import catalog
 from .basal import BasalCertificate, ShadowModel, ShadowSubgroup, shadow_ji_verdict
 from .perm import PermGroup, SubgroupHandle
-from .smallgrp import all_block_systems, maximal_subgroups_over
+from .smallgrp import maximal_subgroups_over
 from .verdicts import CertificateError
 
 SIMPLE_FIBERS = {
@@ -74,7 +74,7 @@ def _check_in_wreath(gens, fiber_group, top_group):
 
 def _block_product_family(model, fiber_group):
     """Basal certificates for the block products, coarsest first."""
-    systems = all_block_systems(model.top)
+    systems = model.top.block_systems()
     # include the one-block partition (the base, a single conjugate)
     systems = [tuple([tuple(range(model.top.degree))])] + list(systems)
     n_omega = model.top.degree

@@ -7,16 +7,20 @@ needs.
 
 from fractions import Fraction
 
+from jigroup import catalog
 from jigroup.hilbert import _valuation_and_unit
 from jigroup.perm import (
     ELEMENT_GATE,
+    LATTICE_GATE,
     OrderGateExceeded,
     PermGroup,
+    _walk,
     identity_perm,
     mul,
+    perm_from_cycles,
 )
 from jigroup.profiles import subgroup_ji
-from jigroup.smallgrp import all_subgroups
+from jigroup.smallgrp import all_subgroups, small_table
 
 # -- permutation groups -------------------------------------------------------------
 
@@ -56,6 +60,66 @@ def random_element(G, rng):
         pts = sorted(lv.transversal)
         g = mul(g, lv.transversal[pts[rng.randrange(len(pts))]])
     return g
+
+
+def all_block_systems(group, gate=LATTICE_GATE):
+    """Every block system with >= 2 blocks of a transitive group, from the
+    subgroup lattice: the blocks containing 0 are the orbits of 0 under the
+    subgroups between its stabilizer and the group.  Sorted as
+    PermGroup.block_systems sorts them."""
+    if not group.is_transitive():
+        raise ValueError("block systems require a transitive group")
+    tbl = small_table(group, gate)
+    stab0 = frozenset(i for i, e in enumerate(tbl.elements) if e[0] == 0)
+    systems = set()
+    for s, _ in tbl.all_subgroups():
+        if not stab0 <= s:
+            continue
+        block = frozenset(tbl.elements[i][0] for i in s)
+        if len(block) == group.degree:
+            continue
+        blocks = _walk(block, group.generators, lambda b, g: frozenset(g[p] for p in b))
+        systems.add(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    return sorted(systems, key=lambda system: (len(system[0]), system))
+
+
+def extraspecial_128_on_cosets():
+    """The former Example-3 builder: D8 x D8 x D8 on 12 points, modulo the
+    subgroup N that identifies the three centres, acting on the 128 cosets
+    of N.  The shipped extraspecial128_group.profile is this group."""
+    deg = 12
+
+    def embed(g, k):
+        img = list(range(deg))
+        for i in range(4):
+            img[4 * k + i] = 4 * k + g[i]
+        return tuple(img)
+
+    gens3 = [embed(g, k) for k in range(3) for g in catalog.dihedral(4).generators]
+    P = PermGroup(gens3)
+    assert P.order == 512
+    z = perm_from_cycles(4, (0, 2), (1, 3))  # the central rotation r^2 of D8
+    n1 = mul(embed(z, 0), embed(z, 1))
+    n2 = mul(embed(z, 0), embed(z, 2))
+    ident = identity_perm(deg)
+    n_els = {mul(a, b) for a in (ident, n1) for b in (ident, n2)}
+    assert len(n_els) == 4
+    coset_of = {}
+    cosets = []
+    for e in P.elements(gate=600):
+        if e not in coset_of:
+            cs = frozenset(mul(x, e) for x in n_els)
+            for m in cs:
+                coset_of[m] = len(cosets)
+            cosets.append(cs)
+    assert len(cosets) == 128
+
+    def left_mult_perm(g):  # gN -> (xg)N does not depend on the representative
+        return tuple(coset_of[mul(g, next(iter(cosets[c])))] for c in range(128))
+
+    E = PermGroup([left_mult_perm(g) for g in gens3])
+    assert E.order == 128
+    return E
 
 
 # -- profiles -------------------------------------------------------------------------

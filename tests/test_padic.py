@@ -393,3 +393,49 @@ def test_padic_checks_raise_under_O():
                           text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 3 + ["CertificateError"] * 3
+
+
+# -- the approx route's quaternion step ---------------------------------------------
+
+# Q8 by rho_H on Z3^4 with 3-adic entries known to 40 digits: the approx route
+Q8_RHO_H_Z3_APPROX = """jigroup-profile v1
+kind va
+ring Z3
+rank 4
+precision 40
+degree 8
+gen 1 2 3 0 7 4 5 6
+gen 4 5 6 7 2 3 0 1
+mat 0:40 -1:40 0:40 0:40 1:40 0:40 0:40 0:40 0:40 0:40 0:40 -1:40 0:40 0:40 1:40 0:40
+mat 0:40 0:40 -1:40 0:40 0:40 0:40 0:40 1:40 1:40 0:40 0:40 0:40 0:40 -1:40 0:40 0:40
+"""
+
+
+def test_approx_route_splits_a_quaternion_commutant_at_3(monkeypatch):
+    """With the sampled minimal polynomials and the spin search both made
+    silent, the approx route reaches its quaternion step: (-1, -1) splits
+    over Q_3, and the two pieces are invariant planes."""
+    from jigroup import padic
+    from jigroup.hilbert import hilbert_symbol
+    from jigroup.profile_io import parse_profile_kind
+
+    rep = parse_profile_kind(Q8_RHO_H_Z3_APPROX, "va").action
+    assert rep.ring == ("Zp", 3)
+    assert hilbert_symbol(-1, -1, 3) == 1
+    reached = []
+    real_quaternion = padic._approx_quaternion
+    monkeypatch.setattr(padic, "qp_poly_status_approx", lambda coeffs, p: ("unknown", "patched"))
+    monkeypatch.setattr(padic, "_spin_split", lambda *args, **kwargs: None)
+    monkeypatch.setattr(padic, "_approx_quaternion",
+                        lambda *args: reached.append(args) or real_quaternion(*args))
+    kind, info = padic._qp_analyze(rep, 3, 40)
+    assert reached
+    assert kind == "split"
+    pieces = info["pieces"]
+    assert [len(rows) for rows in pieces] == [2, 2]
+    floor = 20
+    assert PadicMatrix.stack(pieces).rank(floor) == 4
+    for rows in pieces:
+        assert rows.rank(floor) == 2
+        for g in rep.gen_images:
+            assert PadicMatrix.stack([rows, rows * g]).rank(floor) == 2

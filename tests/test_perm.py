@@ -21,7 +21,12 @@ from jigroup.smallgrp import all_subgroups
 from jigroup.verdicts import CertificateError
 
 import corpora
-from oracles import closure_order_bruteforce, point_stabilizer, random_element
+from oracles import (
+    all_block_systems,
+    closure_order_bruteforce,
+    point_stabilizer,
+    random_element,
+)
 
 
 def test_group_from_generators_examples():
@@ -165,6 +170,57 @@ def test_minimal_blocks_against_partition_oracle(G):
     )
     assert systems == minimal_oracle
     assert primitive == (not nontrivial)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [catalog.cyclic(4), catalog.symmetric(4), catalog.dihedral(4), catalog.cyclic(6),
+     catalog.alternating(4), catalog.dihedral(6), catalog.klein_four(), catalog.cyclic(5),
+     catalog.symmetric(3), PermGroup([identity_perm(1)], 1)],
+)
+def test_block_systems_against_partition_oracle(G):
+    oracle = [p for p in _all_invariant_partitions(G) if len(p) > 1]
+    assert G.block_systems() == sorted(oracle, key=lambda p: (len(p[0]), p))
+
+
+def _block_system_corpus():
+    from jigroup.wreath import build_wreath_shadow
+
+    return {
+        "C4": lambda: catalog.cyclic(4),
+        "S4": lambda: catalog.symmetric(4),
+        "D8": lambda: catalog.dihedral(4),
+        "V4": catalog.klein_four,
+        "C12": lambda: catalog.cyclic(12),
+        "D12": lambda: catalog.dihedral(6),
+        "Q16-regular": lambda: catalog.quaternion(16),
+        "SD16-regular": catalog.semidihedral16,
+        "PSL27@7": lambda: catalog.psl27(7),
+        "PSL27@8": lambda: catalog.psl27(8),
+        "C2^3-regular": lambda: catalog.elementary_abelian(2, 3),
+        "D30": lambda: catalog.dihedral(15),
+        "wreath-top-p2": lambda: build_wreath_shadow("A5", 2).model.top,
+        "wreath-top-p3": lambda: build_wreath_shadow("A5", 3).model.top,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_block_system_corpus()))
+def test_block_systems_match_the_lattice_oracle(name):
+    G = _block_system_corpus()[name]()
+    systems = G.block_systems()
+    assert systems == all_block_systems(G)
+    # the minimal systems are the ones whose block of 0 holds no smaller block
+    nontrivial = systems[1:]  # the singletons come first
+    assert G.minimal_block_systems() == (
+        sorted(s for s in nontrivial
+               if not any(set(t[0]) < set(s[0]) for t in nontrivial)),
+        not nontrivial)
+
+
+@pytest.mark.parametrize("name, G", corpora.primitive_corpus())
+def test_primitive_corpus_has_only_the_singleton_system(name, G):
+    assert G.minimal_block_systems() == ([], True)
+    assert G.block_systems() == [tuple((i,) for i in range(G.degree))]
 
 
 def test_minimal_blocks_spec_examples():

@@ -362,6 +362,18 @@ def test_mat_combination_matches_former_chain(kind):
         assert _all_fractions(got)
 
 
+@pytest.mark.parametrize("kind", ENTRY_KINDS)
+def test_one_combiner_serves_many_combinations(kind):
+    rng = random.Random("combiner-" + kind)
+    for _ in range(20):
+        r, c, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 5)
+        mats = [random_matrix(rng, r, c, kind) for _ in range(n)]
+        combine = rm.combiner(mats)
+        for _ in range(8):
+            coeffs = [random_entry(rng, rng.choice(ENTRY_KINDS)) for _ in range(n)]
+            assert combine(coeffs) == oracle_combination(coeffs, mats)
+
+
 def test_mat_combination_needs_a_matrix():
     with pytest.raises(ValueError):
         rm.mat_combination([], [])

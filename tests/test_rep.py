@@ -102,6 +102,21 @@ def test_commutant_trivial_group_full_matrix_algebra():
     assert len(commutant(rep)) == 4
 
 
+def test_sampler_clears_the_basis_once_and_keeps_its_samples(monkeypatch):
+    basis = commutant(q8_quaternion_rep())
+    want = []
+    rng = random.Random(0)
+    for _ in range(64):
+        want.append(rm.mat_combination([rng.randint(-5, 5) for _ in basis], basis))
+    cleared = []
+    real = rm._cleared
+    monkeypatch.setattr(rm, "_cleared", lambda a: cleared.append(a) or real(a))
+    combine = rm.combiner(basis)
+    rng = random.Random(0)
+    assert [_sample_element(combine, len(basis), rng) for _ in range(64)] == want
+    assert cleared == list(basis)
+
+
 def test_algebra_structure_scalars():
     st = algebra_structure(commutant(d8_natural_rep()))
     assert st.kind == "scalars"
@@ -297,7 +312,7 @@ def _oracle_pair_over_Q(basis, seed):
     d = len(basis[0])
     rng = random.Random(seed + 1)
     for _ in range(SAMPLE_BUDGET):
-        x = _sample_element(basis, rng)
+        x = _sample_element(rm.combiner(basis), len(basis), rng)
         mp = rm.minimal_polynomial(x)
         if rm.poly_deg(mp) != 2:
             continue

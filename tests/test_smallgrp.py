@@ -9,7 +9,6 @@ import pytest
 from jigroup import catalog
 from jigroup.perm import OrderGateExceeded, SubgroupHandle, identity_perm, mul
 from jigroup.smallgrp import (
-    all_block_systems,
     all_subgroups,
     frattini,
     maximal_subgroups,
@@ -119,26 +118,26 @@ def test_maximal_subgroups_over():
 
 
 def test_all_block_systems_c4():
-    systems = all_block_systems(catalog.cyclic(4))
+    systems = catalog.cyclic(4).block_systems()
     assert ((0,), (1,), (2,), (3,)) in systems
     assert ((0, 2), (1, 3)) in systems
     assert len(systems) == 2
 
 
 def test_all_block_systems_s4_primitive():
-    systems = all_block_systems(catalog.symmetric(4))
+    systems = catalog.symmetric(4).block_systems()
     assert systems == [((0,), (1,), (2,), (3,))]
 
 
 def test_all_block_systems_d8():
-    systems = all_block_systems(catalog.dihedral(4))
+    systems = catalog.dihedral(4).block_systems()
     assert ((0, 2), (1, 3)) in systems
     assert len(systems) == 2
 
 
 def test_all_block_systems_regular_v4():
     # regular Klein four-group: three block systems of size 2 plus singletons
-    systems = all_block_systems(catalog.klein_four())
+    systems = catalog.klein_four().block_systems()
     assert len(systems) == 4
 
 
@@ -167,6 +166,42 @@ def test_extraspecial_structure():
     assert tbl.exponent() == 4
     assert len(frattini(E).group.elements()) == 2
     _check_against_all_element_oracles(tbl)
+
+
+def _extraspecial_invariants(E):
+    from jigroup.chartab import character_table, min_faithful_degree
+
+    tbl = small_table(E)
+    table = character_table(E)
+    return {
+        "order": E.order,
+        "center": len(tbl.center()),
+        "derived_is_center": tbl.derived_subgroup() == tbl.center(),
+        "exponent": tbl.exponent(),
+        "order_at_most_2": sum(o <= 2 for o in tbl.order_of),
+        "classes": len(tbl.conjugacy_classes()),
+        "degrees": sorted(table.degrees),
+        "min_faithful_degree": min_faithful_degree(E, table=table),
+        "tags": recognize_special(E),
+    }
+
+
+def test_extraspecial_on_signed_vectors_matches_the_coset_build():
+    from jigroup.profile_io import emit_permgroup
+    from oracles import extraspecial_128_on_cosets
+
+    E = catalog.extraspecial_128()
+    assert E.degree == 16
+    old = extraspecial_128_on_cosets()
+    shipped = Path(__file__).resolve().parent.parent / "src/jigroup/data/extraspecial128_group.profile"
+    assert emit_permgroup(old) == shipped.read_text()
+    invariants = _extraspecial_invariants(E)
+    assert invariants == _extraspecial_invariants(old)
+    assert invariants["order_at_most_2"] == 72  # the + type; the - type has 40
+    assert invariants["classes"] == 65
+    assert invariants["degrees"] == [1] * 64 + [8]
+    assert invariants["min_faithful_degree"] == 8
+    assert "extraspecial" in invariants["tags"]
 
 
 def _subgroups_by_closure(tbl):
@@ -279,12 +314,11 @@ def test_block_system_recheck_raises_under_O():
     script = (
         "from jigroup import catalog\n"
         "from jigroup.perm import PermGroup\n"
-        "from jigroup.smallgrp import all_block_systems\n"
         "from jigroup.verdicts import CertificateError\n"
         "assert False, 'asserts are on'\n"
         "PermGroup.invariant_partition = lambda self, partition: False\n"
         "try:\n"
-        "    all_block_systems(catalog.dihedral(4))\n"
+        "    catalog.dihedral(4).block_systems()\n"
         "except CertificateError as exc:\n"
         "    print('rejected:', exc)\n"
     )
