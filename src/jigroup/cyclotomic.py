@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .verdicts import CertificateError
+from .zpoly import exact_quo
 
 
 @lru_cache(maxsize=None)
@@ -21,21 +22,10 @@ def cyclotomic_poly(e):
     poly = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_poly(d)))
+            poly = exact_quo(poly, cyclotomic_poly(d))
+            if poly is None:
+                raise CertificateError("non-exact polynomial division")
     return tuple(poly)
-
-
-def _polydiv_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    if any(num):
-        raise CertificateError("non-exact polynomial division")
-    return out
 
 
 class CycloContext:

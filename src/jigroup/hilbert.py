@@ -1,10 +1,10 @@
 """Hilbert symbols and quaternion-algebra division tests, exact over Q.
 
-Closed formulas at every place (odd p, p = 2, the real place), plus an
-independent brute-force local solubility oracle used by the test suite:
-z^2 = a x^2 + b y^2 has a nontrivial p-adic solution iff it has a primitive
-solution mod p^K for K = 2 v_p(2) + 1 + 2 max(v_p(a), v_p(b)); a primitive
-solution at that depth always carries enough Hensel margin to lift.
+Closed formulas at every place (odd p, p = 2, the real place).  The test
+suite checks them against a brute-force local solubility oracle, kept in
+`tests/oracles.py`: z^2 = a x^2 + b y^2 has a nontrivial p-adic solution
+iff it has a primitive solution mod p^K for K = 2 v_p(2) + 1 +
+2 max(v_p(a), v_p(b)).
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import ratmat as rm
+from . import zpoly
 from .hilbert import _valuation_and_unit, hilbert_symbol
 from .rep import commutation_rows
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
-from .zpoly import _fp_bezout, _fp_mul, _fp_trim, fp_factor_squarefree_monic, fp_is_squarefree
 
 DEFAULT_PRECISION = 64
 
@@ -346,13 +346,6 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
     return PadicMatrix(p, cap, [[x // p**k for x in row] for row in ech], k - s), pivots, vals
 
 
-def _poly_eval_mod(g, x, mod):
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % mod
-    return acc
-
-
 # -- qp_factor_count ------------------------------------------------------------
 
 
@@ -403,8 +396,7 @@ def qp_factor_count(f, p):
     f = tuple(int(c) for c in f)
     if not f or f[-1] == 0:
         raise ValueError("polynomial must have a nonzero leading coefficient")
-    fr = rm.poly_trim(f)
-    if not rm.poly_is_squarefree(fr):
+    if not zpoly.is_squarefree(f):
         raise ValueError("polynomial is not squarefree over Q")
     if len(f) <= 2:
         return QpFactorReport(f, p, 1 if len(f) == 2 else 0, "trivial", {})
@@ -432,9 +424,9 @@ def _residue_report(f, p):
     """
     f = tuple(f)
     if f[-1] % p:
-        fbar = _fp_trim(list(f), p)
-        if fp_is_squarefree(fbar, p):
-            facs = fp_factor_squarefree_monic(fbar, p)
+        fbar = zpoly.trim(f, p)
+        if zpoly.is_squarefree(fbar, p):
+            facs = zpoly.fp_factor_squarefree_monic(fbar, p)
             return QpFactorReport(f, p, len(facs), "squarefree_hensel", {"factors": facs})
     for c in range(-p, p + 1):
         if _is_eisenstein(_int_shift_poly(f, c), p):
@@ -479,10 +471,9 @@ class QuadExt:
         self.C = int(c)
         self.W = work_digits
         self.mod = p**work_digits
-        disc_poly = [self.C % p, self.B % p, 1]
-        if fp_is_squarefree(disc_poly, p) and not any(
-            _poly_eval_mod(disc_poly, r, p) == 0 for r in range(p)
-        ):
+        quad_p = zpoly.trim([self.C, self.B, 1], p)
+        if (zpoly.is_squarefree(quad_p, p)
+                and len(zpoly.fp_factor_squarefree_monic(quad_p, p)) == 1):
             self.ramified = False
             self.e = 1
         elif self.B % p == 0 and self.C % p == 0 and self.C % (p * p) != 0:
@@ -798,16 +789,12 @@ def qp_poly_status_approx(coeffs, p):
         if report.factor_count == 1:
             return ("irreducible", "irreducible mod p")
         return ("factors_mod_p", report.detail["factors"])
-    # single-slope Newton polygon with full denominator
-    v0 = _vp(res[0], p) if res[0] else kmin
-    if res[0] and gcd(v0, n) == 1:
-        ok = True
-        for i in range(1, n):
-            vi = _vp(res[i], p) if res[i] else kmin
-            if Fraction(vi) < Fraction(v0) * (n - i) / n:
-                ok = False
-                break
-        if ok:
+    # single-slope Newton polygon with full denominator, of the monic reading
+    # of the residues; a zero residue has valuation at least the cap, above
+    # the segment from (0, v(res[0])) to (n, 0)
+    if res[0]:
+        slopes = newton_polygon_slopes(list(res[:n]) + [1], p)
+        if len(slopes) == 1 and slopes[0].denominator == n:
             return ("irreducible", "single newton slope")
     return ("unknown", "no certificate applies")
 
@@ -835,8 +822,6 @@ class ApproxSplitNeeded(RuntimeError):
 
 def _int_model(f):
     """Monic rational poly f -> (c, g) with g(y) = c^deg * f(y/c) integer monic."""
-    from math import lcm
-
     n = len(f) - 1
     c = 1
     for q in f:
@@ -864,9 +849,9 @@ def _lift_idempotent(facs, a_mat_p, p, prec, target_slack):
     """
     h0 = [1]
     for f in facs[1:]:
-        h0 = _fp_mul(h0, f, p)
-    _, v0 = _fp_bezout(facs[0], h0, p)
-    e0 = _matrix_poly_approx(_fp_mul(v0, h0, p), a_mat_p, prec)
+        h0 = zpoly.mul(h0, f, p)
+    _, v0 = zpoly.bezout(facs[0], h0, p)
+    e0 = _matrix_poly_approx(zpoly.mul(v0, h0, p), a_mat_p, prec)
     e = _newton_idempotent(e0, target_slack)
     if e.is_zero() or (e - PadicMatrix.identity(len(e), p, 4)).is_zero():
         return None

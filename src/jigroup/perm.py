@@ -436,6 +436,8 @@ class PermGroup:
         Algorithms, 2003, sec. 5.5).  Raises on intransitive input.
         """
         def join(system, cell):
+            if set(cell[0]) <= set(system[0]):
+                return system  # the finer system adds nothing
             return self._atkinson_blocks(system[0] + cell[0])
 
         singletons = tuple((i,) for i in range(self.degree))

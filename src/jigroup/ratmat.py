@@ -1,8 +1,10 @@
-"""Exact rational matrices and polynomials.
+"""Exact rational matrices, and polynomials over Q as matrix invariants.
 
-Matrices are tuples of tuples of Fraction; polynomials are coefficient
-tuples, lowest degree first, with exact gcd / division / factorization
-(factorization over Q is Zassenhaus's, in `zpoly`).  The matrix kernels
+Matrices are tuples of tuples of Fraction; polynomials are Fraction
+coefficient tuples, lowest degree first.  Here live the polynomial of a
+matrix, the minimal polynomial and the factorization over Q as monic
+tuples; the polynomial arithmetic itself (division, gcd, Bezout,
+Zassenhaus's factorization) is in `zpoly`.  The matrix kernels
 (products, linear combinations, polynomials of a matrix, rref and
 minimal_polynomial) clear each operand to an integer matrix over one
 common denominator, work on Python ints, and form one Fraction per
@@ -15,8 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from . import zpoly
 from .verdicts import CertificateError
-from .zpoly import factor_q
 
 _ZERO = Fraction(0)
 
@@ -282,84 +284,11 @@ def solve(a_rows, b_vec):
 
 
 def poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(F(x) for x in p)
+    return tuple(F(x) for x in zpoly.trim(p))
 
 
 def poly_deg(p):
     return len(p) - 1
-
-
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return poly_trim(x - y for x, y in zip(p, q))
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_scale(p, c):
-    c = F(c)
-    return poly_trim(c * x for x in p)
-
-
-def poly_divmod(p, q):
-    p = list(poly_trim(p))
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        out[k] = c
-        for j, qq in enumerate(q):
-            p[k + j] -= c * qq
-        while p and p[-1] == 0:
-            p.pop()
-    return poly_trim(out), poly_trim(p)
-
-
-def poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        p = poly_scale(p, 1 / p[-1])
-    return p
-
-
-def poly_xgcd(p, q):
-    """Extended gcd: (g, u, v) with u p + v q = g, g monic."""
-    r0, r1 = poly_trim(p), poly_trim(q)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        qq, rr = poly_divmod(r0, r1)
-        r0, r1 = r1, rr
-        s0, s1 = s1, poly_sub(s0, poly_mul(qq, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(qq, t1))
-    if r0:
-        c = 1 / r0[-1]
-        r0, s0, t0 = poly_scale(r0, c), poly_scale(s0, c), poly_scale(t0, c)
-    return r0, s0, t0
-
-
-def poly_deriv(p):
-    return poly_trim(i * c for i, c in enumerate(p) if i > 0)
 
 
 def poly_eval_mat(p, m):
@@ -377,17 +306,13 @@ def poly_eval_mat(p, m):
     return _combine(terms, (d, d))
 
 
-def poly_is_squarefree(p):
-    return poly_deg(poly_gcd(p, poly_deriv(p))) == 0
-
-
 def poly_factor_q(p):
     """Irreducible factorization over Q: list of (factor, mult).
 
     Factors are monic coefficient tuples, lowest degree first, sorted by
     (degree, coefficients).
     """
-    out = [(poly_trim(Fraction(c, g[-1]) for c in g), m) for g, m in factor_q(p)]
+    out = [(poly_trim(Fraction(c, g[-1]) for c in g), m) for g, m in zpoly.factor_q(p)]
     out.sort(key=lambda fm: (poly_deg(fm[0]), fm[0]))
     return out
 
@@ -454,15 +379,12 @@ class NumberRing:
     def element(self, coeffs):
         coeffs = [F(c) for c in coeffs]
         if len(coeffs) > self.degree:
-            _, coeffs = poly_divmod(coeffs, self.modulus)
-            coeffs = list(coeffs)
+            coeffs = zpoly.quo_rem(coeffs, self.modulus)[1]
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         return tuple(coeffs[: self.degree])
 
     def mul(self, a, b):
-        prod = poly_mul(a, b)
-        _, rem = poly_divmod(prod, self.modulus)
-        return self.element(rem)
+        return self.element(zpoly.mul(a, b))
 
     def mult_matrix(self, a):
         """Multiplication-by-a as a rational matrix on the power basis."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat as rm
+from . import zpoly
 from .hilbert import quaternion_is_division
 from .perm import LATTICE_GATE, OrderGateExceeded, _walk, identity_perm, inv, mul
 from .smallgrp import maximal_subgroups
@@ -207,24 +208,22 @@ def _sample_element(combine, dim, rng, spread=5):
 def _idempotent_from_minpoly(a, facs):
     """CRT idempotent from a coprime factorization of the minimal polynomial.
 
-    facs: list of (factor, mult).  Returns e = h(a) with e^2 = e, projecting
-    onto the first primary component; None if only one distinct factor.
+    facs: list of (factor, mult).  Returns e = h(a) with e^2 = e, which is 0
+    on the first primary component and 1 on the others, so it projects onto
+    the sum of the others along the first; None if only one distinct factor.
     """
     if len(facs) < 2:
         return None
-    f1 = rm.poly_trim(facs[0][0])
-    for _ in range(facs[0][1] - 1):
-        f1 = rm.poly_mul(f1, facs[0][0])
-    rest = (Fraction(1),)
+    f1 = [1]
+    for _ in range(facs[0][1]):
+        f1 = zpoly.mul(f1, facs[0][0])
+    rest = [1]
     for fac, mult in facs[1:]:
         for _ in range(mult):
-            rest = rm.poly_mul(rest, fac)
-    g, u, v = rm.poly_xgcd(f1, rest)
-    if rm.poly_deg(g) != 0 or g[0] != 1:
-        raise CertificateError("factors are not coprime")
+            rest = zpoly.mul(rest, fac)
+    u, _ = zpoly.bezout(f1, rest)
     # e = u*f1 evaluated at a satisfies e = 0 mod f1-part, 1 mod rest-part
-    e_poly = rm.poly_mul(u, f1)
-    e = rm.poly_eval_mat(e_poly, a)
+    e = rm.poly_eval_mat(zpoly.mul(u, f1), a)
     if rm.mat_mul(e, e) != e:
         raise CertificateError("CRT idempotent check failed")
     return e

@@ -1,7 +1,13 @@
 """Exact integer algebra in the standard library: prime tests, prime
-factors, polynomials over F_p and Z/p^k, and factorization over Q.
+factors, polynomial arithmetic, and factorization over Q.
 
-Polynomials are int lists, lowest degree first, with no trailing zeros.
+This is the package's one polynomial module.  Polynomials are coefficient
+lists, lowest degree first, with no trailing zeros.  Addition,
+multiplication, derivative, division with remainder, the monic gcd, Bezout
+coefficients and the squarefree test each have one implementation, which
+takes the coefficient ring as `mod`: None for Q, else Z/mod.  The Z[x]
+helpers of Zassenhaus (exact quotient, pseudo-remainder, primitive gcd)
+are kept apart.
 
 - `isprime`: trial division, then Miller-Rabin on the prime bases 2..41,
   which is deterministic below 3.3e24 (Sorenson and Webster, 2017); above
@@ -18,7 +24,7 @@ Polynomials are int lists, lowest degree first, with no trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, zip_longest
 from math import gcd, isqrt, lcm
 
 from .verdicts import CertificateError
@@ -152,53 +158,121 @@ def _primes():
     return (q for q in count(2) if isprime(q))
 
 
-# -- F_p[x] ------------------------------------------------------------------------
+# -- arithmetic over Q and Z/m -----------------------------------------------------
+#
+# Each operation takes the coefficient ring as `mod`: None for Q (Fraction
+# coefficients; ints are taken as rationals), else Z/mod (ints, reduced into
+# [0, mod)).  Only the inverse of a leading coefficient and the reduction
+# depend on it.  Division, gcd and Bezout need unit leading coefficients,
+# so over Z/mod they are meant for a prime mod, or a monic divisor.
 
 
-def _fp_trim(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
+def trim(f, mod=None):
+    """f as a list without trailing zeros, reduced mod `mod` unless it is None."""
+    f = list(f) if mod is None else [c % mod for c in f]
+    while f and not f[-1]:
         f.pop()
     return f
 
 
-def _fp_mul(f, g, p):
-    return _fp_trim(_int_poly_mul(f, g), p)
+def _unit_inverse(c, mod):
+    return 1 / Fraction(c) if mod is None else pow(c, -1, mod)
 
 
-def _fp_gcd(f, g, p):
-    f, g = _fp_trim(list(f), p), _fp_trim(list(g), p)
+def add(f, g, mod=None):
+    return trim([a + b for a, b in zip_longest(f, g, fillvalue=0)], mod)
+
+
+def sub(f, g, mod=None):
+    return trim([a - b for a, b in zip_longest(f, g, fillvalue=0)], mod)
+
+
+def mul(f, g, mod=None):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return trim(out, mod)
+
+
+def deriv(f, mod=None):
+    return trim([i * c for i, c in enumerate(f)][1:], mod)
+
+
+def monic(f, mod=None):
+    """f divided by its leading coefficient ([] for the zero polynomial)."""
+    if not f:
+        return []
+    inv = _unit_inverse(f[-1], mod)
+    return trim([c * inv for c in f], mod)
+
+
+def quo_rem(f, g, mod=None):
+    """(quotient, remainder) of f by g; g's leading coefficient must be a unit."""
+    f, g = trim(f, mod), trim(g, mod)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = _unit_inverse(g[-1], mod)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g):
+        c = f[-1] * inv if mod is None else f[-1] * inv % mod
+        k = len(f) - len(g)
+        q[k] = c
+        for j, b in enumerate(g, k):
+            f[j] -= c * b
+        f = trim(f, mod)
+    return trim(q), f
+
+
+def monic_gcd(f, g, mod=None):
+    """The monic gcd of f and g ([] when both are zero)."""
+    f, g = trim(f, mod), trim(g, mod)
     while g:
-        f, g = g, _int_poly_divmod_mod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
+        f, g = g, quo_rem(f, g, mod)[1]
+    return monic(f, mod)
 
 
-def _fp_pow_mod(base, e, mod, p):
+def bezout(f, g, mod=None):
+    """(s, t) with s f + t g = 1; raises CertificateError when the gcd of f
+    and g is not 1."""
+    r0, r1 = trim(f, mod), trim(g, mod)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = quo_rem(r0, r1, mod)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, mod), mod)
+        t0, t1 = t1, sub(t0, mul(q, t1, mod), mod)
+    if len(r0) != 1:
+        raise CertificateError("Bezout factors are not coprime")
+    inv = _unit_inverse(r0[0], mod)
+    return trim([c * inv for c in s0], mod), trim([c * inv for c in t0], mod)
+
+
+def is_squarefree(f, mod=None):
+    return len(monic_gcd(f, deriv(f, mod), mod)) == 1
+
+
+# -- factoring over F_p ------------------------------------------------------------
+
+
+def _fp_pow_mod(base, e, modulus, p):
+    """base^e modulo the polynomial `modulus`, over F_p."""
     out = [1]
-    base = _int_poly_divmod_mod(base, mod, p)[1]
+    base = quo_rem(base, modulus, p)[1]
     while e:
         if e & 1:
-            out = _int_poly_divmod_mod(_fp_mul(out, base, p), mod, p)[1]
-        base = _int_poly_divmod_mod(_fp_mul(base, base, p), mod, p)[1]
+            out = quo_rem(mul(out, base, p), modulus, p)[1]
+        base = quo_rem(mul(base, base, p), modulus, p)[1]
         e >>= 1
     return out
 
 
-def _fp_deriv(f, p):
-    return _fp_trim([i * c % p for i, c in enumerate(f)][1:], p)
-
-
-def fp_is_squarefree(f, p):
-    return len(_fp_gcd(f, _fp_deriv(f, p), p)) == 1
-
-
 def fp_factor_squarefree_monic(fbar, p):
-    inv = pow(fbar[-1], p - 2, p)
-    monic = [c * inv % p for c in fbar]
-    return _fp_factor_squarefree(monic, p)
+    return _fp_factor_squarefree(monic(fbar, p), p)
 
 
 def _fp_factor_squarefree(f, p):
@@ -209,22 +283,14 @@ def _fp_factor_squarefree(f, p):
     d = 1
     x = [0, 1]
     while len(work) - 1 >= 2 * d:
-        h = _fp_pow_mod(x, p**d, work, p)
-        h_minus_x = _fp_trim(
-            [
-                (h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)
-                for i in range(max(len(h), len(x)))
-            ],
-            p,
-        )
-        g = _fp_gcd(work, h_minus_x, p)
+        g = monic_gcd(work, sub(_fp_pow_mod(x, p**d, work, p), x, p), p)
         if len(g) > 1:
-            out.extend((fac, d) for fac in _fp_equal_degree(g, d, p))
-            work = _int_poly_divmod_mod(work, g, p)[0]
+            out.extend(_fp_equal_degree(g, d, p))
+            work = quo_rem(work, g, p)[0]
         d += 1
     if len(work) > 1:
-        out.append((work, len(work) - 1))
-    return [ _fp_trim(fac, p) for fac, _ in out ]
+        out.append(work)
+    return out
 
 
 def _fp_equal_degree(f, d, p):
@@ -246,18 +312,15 @@ def _fp_equal_degree(f, d, p):
     for c in chain(first, (c for c in range(1, p**n) if c not in first)):
         base = _poly_from_digits(c, p)
         if p == 2:
-            h, cur = [0], base
+            h, cur = [], base
             for _ in range(d):
-                h = _fp_trim([a + b for a, b in _zip_pad(h, cur)], p)
-                cur = _int_poly_divmod_mod(_fp_mul(cur, cur, p), f, p)[1]
+                h = add(h, cur, p)
+                cur = quo_rem(mul(cur, cur, p), f, p)[1]
         else:
-            h = _fp_pow_mod(base, e, f, p)
-            h[0] = (h[0] - 1) % p
-        g = _fp_gcd(f, _fp_trim(h, p), p)
+            h = sub(_fp_pow_mod(base, e, f, p), [1], p)
+        g = monic_gcd(f, h, p)
         if 1 < len(g) < len(f):
-            return _fp_equal_degree(g, d, p) + _fp_equal_degree(
-                _int_poly_divmod_mod(f, g, p)[0], d, p
-            )
+            return _fp_equal_degree(g, d, p) + _fp_equal_degree(quo_rem(f, g, p)[0], d, p)
     raise CertificateError("equal-degree splitting failed")
 
 
@@ -270,81 +333,7 @@ def _poly_from_digits(c, p):
     return out or [0]
 
 
-def _fp_bezout(g, h, p):
-    r0, r1 = _fp_trim(list(g), p), _fp_trim(list(h), p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _int_poly_divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_trim(
-            [(a - b) % p for a, b in _zip_pad(s0, _fp_mul(q, s1, p))], p
-        )
-        t0, t1 = t1, _fp_trim(
-            [(a - b) % p for a, b in _zip_pad(t0, _fp_mul(q, t1, p))], p
-        )
-    if len(r0) != 1:
-        raise CertificateError("Bezout factors are not coprime mod p")
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-# -- Z[x] and (Z/m)[x] -------------------------------------------------------------
-
-
-def _int_poly_divmod_mod(f, g, mod):
-    """(quot, rem) of f by g over Z/mod; g must have a unit leading coeff."""
-    f = _int_trim([c % mod for c in f])
-    g = _int_trim([c % mod for c in g])
-    lead_inv = pow(g[-1], -1, mod)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] * lead_inv % mod
-        k = len(f) - len(g)
-        q[k] = c
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % mod
-        f = _int_trim(f)
-    return _int_trim(q), f
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _int_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _int_poly_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _int_trim(out)
-
-
-def _int_add(f, g):
-    return _int_trim(a + b for a, b in _zip_pad(list(f), list(g)))
-
-
-def _int_sub(f, g):
-    return _int_trim(a - b for a, b in _zip_pad(list(f), list(g)))
-
-
-def _int_deriv(f):
-    return [i * c for i, c in enumerate(f)][1:]
-
-
-def _mod_trim(f, mod):
-    return _int_trim(c % mod for c in f)
+# -- Z[x] --------------------------------------------------------------------------
 
 
 def _primitive(f):
@@ -356,7 +345,7 @@ def _primitive(f):
     return [a // c for a in f]
 
 
-def _exact_quo(f, g):
+def exact_quo(f, g):
     """f / g if g divides f in Z[x], else None."""
     f = list(f)
     if len(f) < len(g):
@@ -379,7 +368,7 @@ def _pseudo_rem(f, g):
         f = [g[-1] * a for a in f]
         for j, b in enumerate(g):
             f[k + j] -= c * b
-        f = _int_trim(f)
+        f = trim(f)
     return f
 
 
@@ -397,16 +386,16 @@ def _squarefree_parts(f):
     """Yun: [(g, i)] with f = +-prod g^i, each g primitive, squarefree and of
     positive degree, pairwise coprime; f primitive of positive degree."""
     out = []
-    df = _int_deriv(f)
+    df = deriv(f)
     a = _primitive_gcd(f, df)
-    b, c = _exact_quo(f, a), _exact_quo(df, a)
+    b, c = exact_quo(f, a), exact_quo(df, a)
     i = 1
     while len(b) > 1:
-        d = _int_sub(c, _int_deriv(b))
+        d = sub(c, deriv(b))
         a = _primitive_gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
-        b, c = _exact_quo(b, a), _exact_quo(d, a)
+        b, c = exact_quo(b, a), exact_quo(d, a)
         i += 1
     return out
 
@@ -414,15 +403,14 @@ def _squarefree_parts(f):
 def _hensel_step(f, g, h, s, t, mod):
     """From f = g h and s g + t h = 1 mod m, the same mod `mod`, a power of
     p from m to m^2; h monic (von zur Gathen and Gerhard, Algorithm 15.10)."""
-    mul = _int_poly_mul
-    e = _mod_trim(_int_sub(f, mul(g, h)), mod)
-    q, r = _int_poly_divmod_mod(mul(s, e), h, mod)
-    g = _mod_trim(_int_add(_int_add(g, mul(t, e)), mul(q, g)), mod)
-    h = _mod_trim(_int_add(h, r), mod)
-    b = _mod_trim(_int_sub(_int_add(mul(s, g), mul(t, h)), [1]), mod)
-    c, d = _int_poly_divmod_mod(mul(s, b), h, mod)
-    s = _mod_trim(_int_sub(s, d), mod)
-    t = _mod_trim(_int_sub(_int_sub(t, mul(t, b)), mul(c, g)), mod)
+    e = sub(f, mul(g, h), mod)
+    q, r = quo_rem(mul(s, e), h, mod)
+    g = add(add(g, mul(t, e)), mul(q, g), mod)
+    h = add(h, r, mod)
+    b = sub(add(mul(s, g), mul(t, h)), [1], mod)
+    c, d = quo_rem(mul(s, b), h, mod)
+    s = sub(s, d, mod)
+    t = sub(sub(t, mul(t, b)), mul(c, g), mod)
     return g, h, s, t
 
 
@@ -431,16 +419,15 @@ def _hensel_lift(f, facs, p, pk):
     f = lc(f) * prod(facs) mod p (von zur Gathen and Gerhard, Algorithm
     15.17: split the factors in two halves, lift the pair, recurse)."""
     if len(facs) == 1:
-        inv = pow(f[-1], -1, pk)
-        return [_mod_trim([c * inv for c in f], pk)]
+        return [monic(f, pk)]
     half = len(facs) // 2
     g = [f[-1] % p]
     for fac in facs[:half]:
-        g = _fp_mul(g, fac, p)
+        g = mul(g, fac, p)
     h = [1]
     for fac in facs[half:]:
-        h = _fp_mul(h, fac, p)
-    s, t = _fp_bezout(g, h, p)
+        h = mul(h, fac, p)
+    s, t = bezout(g, h, p)
     m = p
     while m < pk:
         m = min(m * m, pk)
@@ -454,8 +441,8 @@ def _factor_squarefree(f):
         return [f]
     lead = f[-1]
     for p in _primes():
-        fbar = _fp_trim(f, p)
-        if lead % p == 0 or not fp_is_squarefree(fbar, p):
+        fbar = trim(f, p)
+        if lead % p == 0 or not is_squarefree(fbar, p):
             continue
         modular = fp_factor_squarefree_monic(fbar, p)
         break
@@ -474,9 +461,9 @@ def _factor_squarefree(f):
         for subset in combinations(range(len(lifted)), s):
             g = [f[-1]]
             for i in subset:
-                g = _mod_trim(_int_poly_mul(g, lifted[i]), pk)
+                g = mul(g, lifted[i], pk)
             g = _primitive([c - pk if 2 * c > pk else c for c in g])
-            q = _exact_quo(f, g)
+            q = exact_quo(f, g)
             if q is not None:
                 out.append(g)
                 f = q
@@ -494,7 +481,7 @@ def factor_q(coeffs):
     each g a primitive int list with positive leading coefficient; [] for a
     constant.
     """
-    coeffs = _int_trim(Fraction(c) for c in coeffs)
+    coeffs = trim(Fraction(c) for c in coeffs)
     if len(coeffs) < 2:
         return []
     den = lcm(*(c.denominator for c in coeffs))

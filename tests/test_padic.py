@@ -14,8 +14,6 @@ from jigroup.padic import (
     _int_shift_poly,
     _is_eisenstein,
     conic_solve_qp,
-    fp_factor_squarefree_monic,
-    fp_is_squarefree,
     irreducible_over_Qp,
     newton_polygon_slopes,
     padic_split,
@@ -25,6 +23,7 @@ from jigroup.padic import (
 )
 from jigroup.rep import rep_from_data
 from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
+from jigroup.zpoly import fp_factor_squarefree_monic, is_squarefree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,7 +147,7 @@ def oracle_qp_poly_status_approx(coeffs, p):
     fbar = [c % p for c in res]
     while fbar and fbar[-1] == 0:
         fbar.pop()
-    if len(fbar) == n + 1 and fp_is_squarefree(fbar, p):
+    if len(fbar) == n + 1 and is_squarefree(fbar, p):
         facs = fp_factor_squarefree_monic(fbar, p)
         if len(facs) == 1:
             return ("irreducible", "irreducible mod p")
@@ -372,14 +371,14 @@ def test_padic_checks_raise_under_O():
     # ValueError, also when asserts are off
     script = (
         "from jigroup.padic import QuadExt, _ZpRing, _normalize_ext_square, conic_solve_ext\n"
-        "from jigroup.zpoly import _fp_bezout\n"
+        "from jigroup.zpoly import bezout\n"
         "from jigroup.verdicts import CertificateError\n"
         "assert False, 'asserts are on'\n"
         "checks = [\n"
         "    lambda: QuadExt(3, (1, 0, 2), 8),\n"
         "    lambda: conic_solve_ext(_ZpRing(3, 8), 9, 1, 6),\n"
         "    lambda: _normalize_ext_square(QuadExt(2, (1, 1, 1), 8), (0, 0), 2),\n"
-        "    lambda: _fp_bezout([0, 1], [0, 1], 3),\n"
+        "    lambda: bezout([0, 1], [0, 1], 3),\n"
         "    lambda: QuadExt(2, (1, 1, 1), 8).div_pi((1, 0)),\n"
         "    lambda: QuadExt(2, (-2, 0, 1), 8).div_pi((1, 0)),\n"
         "]\n"

@@ -217,6 +217,31 @@ def test_block_systems_match_the_lattice_oracle(name):
         not nontrivial)
 
 
+def test_block_systems_skip_joins_with_a_finer_layer_system():
+    # C3^3 regular: 27 systems; a join whose layer block of 0 already lies in
+    # the visited block of 0 is the visited system, with no Atkinson run
+    G = catalog.elementary_abelian(3, 3)
+    atkinson = G._atkinson_blocks
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return atkinson(points)
+
+    G._atkinson_blocks = counted
+    systems = G.block_systems()
+    runs = len(calls)
+    del G._atkinson_blocks
+    # the walk with one Atkinson run per (visited system, layer system) pair
+    layer = G._layer()
+    singletons = tuple((i,) for i in range(G.degree))
+    visited = list(perm._walk(singletons, layer, lambda s, c: atkinson(s[0] + c[0])))
+    assert systems == sorted((s for s in visited if len(s) > 1),
+                             key=lambda s: (len(s[0]), s))
+    assert systems == all_block_systems(G)
+    assert runs < (G.degree - 1) + len(visited) * len(layer)
+
+
 @pytest.mark.parametrize("name, G", corpora.primitive_corpus())
 def test_primitive_corpus_has_only_the_singleton_system(name, G):
     assert G.minimal_block_systems() == ([], True)

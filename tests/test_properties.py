@@ -13,7 +13,8 @@ from jigroup import ratmat as rm
 from jigroup.hilbert import REAL_PLACE, _valuation_and_unit, hilbert_symbol
 from jigroup.padic import PadicMatrix, PrecisionExhausted, qp_factor_count
 from jigroup.perm import PermGroup
-from jigroup.ratmat import poly_is_squarefree, poly_trim
+from jigroup.ratmat import poly_trim
+from jigroup.zpoly import is_squarefree
 
 import corpora
 from oracles import closure_order_bruteforce
@@ -201,7 +202,7 @@ def _fp_factor_count_oracle(f, p):
 @settings(max_examples=300, deadline=None)
 def test_qp_factor_count_against_trial_division(coeffs, p):
     f = poly_trim(coeffs)
-    if len(f) < 3 or not poly_is_squarefree(f):
+    if len(f) < 3 or not is_squarefree(f):
         return
     fi = tuple(int(c) for c in f)
     report = qp_factor_count(fi, p)

@@ -66,7 +66,7 @@ def oracle_minimal_polynomial(m):
             v[f] = Fraction(1)
             for i, c in enumerate(pivots):
                 v[c] = -reduced[i][f]
-            return rm.poly_scale(rm.poly_trim(v), 1 / v[f])
+            return rm.poly_trim(x / v[f] for x in v)
         powers.append(rm.mat_mul(powers[-1], m))
 
 

@@ -2,8 +2,10 @@
 
 No `assert` statement: `python -O` drops it, so a check must raise.  No
 `numpy` or `sympy` import, at module level or inside a function: both are
-test oracles only.  The subprocess import test sees only the modules that
-an import loads; this one sees every line.
+test oracles only.  No module but `zpoly` imports or reads an underscore
+name of `zpoly`: the polynomial arithmetic is public there and nowhere
+else.  The subprocess import test sees only the modules that an import
+loads; this one sees every line.
 """
 
 import ast
@@ -27,6 +29,16 @@ def _imported_roots(node):
     return set()
 
 
+def _private_zpoly_names(node):
+    """Underscore names of zpoly that node imports or reads as zpoly._name."""
+    if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "zpoly":
+        return [alias.name for alias in node.names if alias.name.startswith("_")]
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "zpoly" and node.attr.startswith("_")):
+        return [node.attr]
+    return []
+
+
 def _violations(source, name="<source>"):
     out = []
     for node in ast.walk(ast.parse(source, name)):
@@ -34,6 +46,9 @@ def _violations(source, name="<source>"):
             out.append((node.lineno, "assert statement"))
         for root in sorted(_imported_roots(node) & ORACLE_ONLY):
             out.append((node.lineno, f"imports {root}"))
+        if name != "zpoly.py":
+            for private in _private_zpoly_names(node):
+                out.append((node.lineno, f"uses zpoly.{private}"))
     return [f"{name}:{line}: {what}" for line, what in sorted(out)]
 
 
@@ -65,3 +80,19 @@ def test_the_rules_see_nested_asserts_and_imports():
         "<source>:7: imports sympy",
         "<source>:10: imports sympy",
     ]
+
+
+def test_the_rules_see_private_zpoly_names():
+    source = (
+        "from . import zpoly\n"
+        "from .zpoly import factor_q, _fp_bezout\n"
+        "from jigroup.zpoly import _exact_quo as quo\n"
+        "def f(g):\n"
+        "    return zpoly.mul(g, g), zpoly._primitive(g)\n"
+    )
+    assert _violations(source) == [
+        "<source>:2: uses zpoly._fp_bezout",
+        "<source>:3: uses zpoly._exact_quo",
+        "<source>:5: uses zpoly._primitive",
+    ]
+    assert _violations(source, "zpoly.py") == []

@@ -9,6 +9,7 @@ import sympy
 from jigroup import padic
 from jigroup import ratmat as rm
 from jigroup import zpoly
+from jigroup.verdicts import CertificateError
 
 X = sympy.Symbol("x")
 
@@ -38,7 +39,7 @@ def _random_product(rng):
         g = _random_factor(rng)
         for _ in range(rng.choice([1, 1, 2, 3])):
             if rm.poly_deg(f) + len(g) - 1 <= 8:
-                f = rm.poly_mul(f, g)
+                f = zpoly.mul(f, g)
     return f
 
 
@@ -48,8 +49,8 @@ FORCED_RECOMBINATION = [
     (1, 0, 0, 0, 1),  # x^4 + 1 splits mod every prime
     (1, 0, -10, 0, 1),  # x +- sqrt2 +- sqrt3
     SWINNERTON_DYER_3,
-    rm.poly_mul((1, 0, 0, 0, 1), (1, 0, -10, 0, 1)),
-    rm.poly_mul((1, 0, -10, 0, 1), rm.poly_mul((1, 0, -10, 0, 1), (-3, 0, 4))),
+    zpoly.mul((1, 0, 0, 0, 1), (1, 0, -10, 0, 1)),
+    zpoly.mul((1, 0, -10, 0, 1), zpoly.mul((1, 0, -10, 0, 1), (-3, 0, 4))),
     (0, 0, 0, Fraction(1, 3)),
     (Fraction(7, 2),),
 ]
@@ -76,11 +77,11 @@ SEXTIC_MOD_5 = [1, 3, 4, 3, 4, 3, 6]
 def test_split_mod_p_where_no_linear_base_splits():
     # 2 and 3 divide the leading coefficient, so 5 is the least good prime
     f = SEXTIC_MOD_5
-    factors = zpoly.fp_factor_squarefree_monic(zpoly._fp_trim(f, 5), 5)
+    factors = zpoly.fp_factor_squarefree_monic(zpoly.trim(f, 5), 5)
     assert sorted(factors) == [[4, 3, 1, 1], [4, 4, 2, 1]]
     assert rm.poly_factor_q(rm.poly_trim(f)) == _sympy_factor_q(rm.poly_trim(f))
     assert padic.qp_factor_count([4, 3, 1, 1], 5).factor_count == 1
-    product = rm.poly_mul([4, 3, 1, 1], [4, 4, 2, 1])
+    product = zpoly.mul([4, 3, 1, 1], [4, 4, 2, 1])
     assert padic.qp_factor_count([int(c) for c in product], 5).factor_count == 2
 
 
@@ -153,3 +154,96 @@ def test_primefactors_matches_sympy():
     numbers += STRONG_PSEUDOPRIMES
     for n in numbers:
         assert zpoly.primefactors(n) == sympy.primefactors(n), n
+
+
+# -- the shared arithmetic over Q, F_p and Z/p^k --------------------------------------
+
+
+def _to_sympy(f, p=None):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, f)]
+    if p is None:
+        return sympy.Poly(coeffs[::-1] or [0], X, domain="QQ")
+    return sympy.Poly(coeffs[::-1] or [0], X, modulus=p)
+
+
+def _from_sympy(poly, p=None):
+    if p is None:
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, poly.all_coeffs())]
+    else:
+        coeffs = [int(c) % p for c in poly.all_coeffs()]
+    return zpoly.trim(coeffs[::-1])
+
+
+def _random_poly(rng, p, degree):
+    if p is None:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)] + [
+            Fraction(rng.choice([1, -1, 2, 3, -5]), rng.randint(1, 4))]
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def _random_pairs(rng, p, count):
+    """(f, g) pairs, g nonzero; about half share a common factor."""
+    for _ in range(count):
+        f = _random_poly(rng, p, rng.randint(0, 6))
+        g = _random_poly(rng, p, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            common = _random_poly(rng, p, rng.randint(1, 2))
+            f, g = zpoly.mul(f, common, p), zpoly.mul(g, common, p)
+        if rng.random() < 0.3:
+            f = zpoly.mul(f, zpoly.mul(g, g, p), p)  # repeated factors
+        yield f, g
+
+
+RINGS = [None, 2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("p", RINGS, ids=lambda p: "Q" if p is None else f"F{p}")
+def test_division_gcd_and_squarefree_match_sympy(p):
+    rng = random.Random(p or 0)
+    for f, g in _random_pairs(rng, p, 150):
+        q, r = zpoly.quo_rem(f, g, p)
+        want_q, want_r = _to_sympy(f, p).div(_to_sympy(g, p))
+        assert (q, r) == (_from_sympy(want_q, p), _from_sympy(want_r, p)), (f, g)
+        want_gcd = _to_sympy(f, p).gcd(_to_sympy(g, p)).monic()
+        assert zpoly.monic_gcd(f, g, p) == _from_sympy(want_gcd, p), (f, g)
+        # sympy's Poly.is_sqf calls (x + 1)^2 over F_2 squarefree: read the
+        # multiplicities of its factorization instead
+        squarefree = all(m == 1 for _, m in _to_sympy(f, p).factor_list()[1])
+        assert zpoly.is_squarefree(f, p) == squarefree, f
+
+
+@pytest.mark.parametrize("p", RINGS, ids=lambda p: "Q" if p is None else f"F{p}")
+def test_bezout_matches_sympy_and_rejects_a_common_factor(p):
+    rng = random.Random(p or 0)
+    coprime = 0
+    for f, g in _random_pairs(rng, p, 150):
+        f = f or [1]
+        want_s, want_t, h = _to_sympy(f, p).gcdex(_to_sympy(g, p))
+        if _from_sympy(h, p) == [1]:
+            coprime += 1
+            assert zpoly.bezout(f, g, p) == (_from_sympy(want_s, p), _from_sympy(want_t, p))
+        else:
+            with pytest.raises(CertificateError):
+                zpoly.bezout(f, g, p)
+    assert 20 < coprime < 130
+    with pytest.raises(CertificateError):
+        zpoly.bezout([0, 1], [0, 1], p)
+
+
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 4), (5, 3)])
+def test_division_over_z_mod_prime_powers(p, k):
+    # a monic divisor divides over Z, so the residues of sympy's quotient and
+    # remainder are the ones mod p^k; a unit leading coefficient is checked
+    # by q g + r = f with deg r < deg g
+    rng = random.Random(p)
+    m = p**k
+    for _ in range(200):
+        f = [rng.randrange(-m, m) for _ in range(rng.randint(0, 8))]
+        g = [rng.randrange(-m, m) for _ in range(rng.randint(0, 4))] + [1]
+        q, r = zpoly.quo_rem(f, g, m)
+        want_q, want_r = _to_sympy(f).div(_to_sympy(g))
+        assert (q, r) == (zpoly.trim(_from_sympy(want_q), m), zpoly.trim(_from_sympy(want_r), m))
+        g[-1] = rng.choice([u for u in range(1, m) if u % p])
+        q, r = zpoly.quo_rem(f, g, m)
+        assert len(r) < len(g)
+        assert zpoly.add(zpoly.mul(q, g), r, m) == zpoly.trim(f, m)
