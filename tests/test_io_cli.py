@@ -284,6 +284,19 @@ def test_cli_chartab_order_gate(tmp_path):
     assert "order gate" in report["error"]
 
 
+def test_cli_chartab_over_gate_machine_error_is_pinned():
+    out = io.StringIO()
+    status, _ = run_command(["--report", "machine", "--order-gate", "100", "chartab",
+                             str(DATA / "extraspecial128_group.profile")], out)
+    assert status == 2
+    body = {"error": {"kind": "order_gate", "line": None,
+                      "message": "small-group table: group order 128 exceeds gate 100"}}
+    assert out.getvalue() == json.dumps(body, sort_keys=True, indent=1) + "\n"
+    assert out.getvalue() == (
+        '{\n "error": {\n  "kind": "order_gate",\n  "line": null,\n'
+        '  "message": "small-group table: group order 128 exceeds gate 100"\n }\n}\n')
+
+
 def test_cli_shadow_p3(tmp_path):
     from jigroup.profile_io import emit_wreath
 
