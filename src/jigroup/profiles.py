@@ -90,7 +90,7 @@ def validate_va_profile(profile):
                 failures.append(
                     {"condition": "integrality", "generator": gi, "entries": bad}
                 )
-            detv = _det_valuation(mat_g, p, profile.precision)
+            detv = _det_valuation(mat_g, p)
             if detv != 0:
                 failures.append(
                     {"condition": "unit_determinant", "generator": gi,
@@ -104,7 +104,7 @@ def _entry_valuation(x, p):
     return _valuation_and_unit(q, p)[0] if q else 0
 
 
-def _det_valuation(mat_g, p, prec):
+def _det_valuation(mat_g, p):
     if isinstance(mat_g, PadicMatrix):
         return mat_g.det_valuation()
     det = rm.mat_det(mat_g)
@@ -214,9 +214,7 @@ def lgm_oracle(profile, seed=0):
     irr = _irreducibility(profile, profile.action, seed)
     if irr.status != IRREDUCIBLE:
         raise ValueError("lgm_oracle expects an irreducible action")
-    block = matrix_block_system(
-        profile.action, field="Qp", seed=seed, p=p, precision=profile.precision
-    )
+    block = matrix_block_system(profile.action, seed, p=p, precision=profile.precision)
     report = {
         "primitivity": block.status,
         "blocks": block.witness if block.status == "imprimitive" else None,

@@ -506,7 +506,7 @@ def _quaternion_zero_divisor(st, bound=40):
 # -- matrix imprimitivity ------------------------------------------------------
 
 
-def decompose_over_Q(rep, seed=0, _depth=0):
+def decompose_over_Q(rep, seed=0):
     """Split a rational rep into irreducible invariant subspaces (row bases).
 
     Returns a list of canonical row bases whose direct sum is the space.
@@ -522,7 +522,7 @@ def decompose_over_Q(rep, seed=0, _depth=0):
     out = []
     for sub in (w, comp):
         sub_rep, lift = _subspace_restriction(rep, sub)
-        pieces = decompose_over_Q(sub_rep, seed, _depth + 1)
+        pieces = decompose_over_Q(sub_rep, seed)
         out.extend(rm.row_space_canonical(rm.mat_mul(piece, lift)) for piece in pieces)
     if sum(len(q) for q in out) != d:
         raise CertificateError("constituents do not fill the space")
@@ -598,25 +598,23 @@ def _subspace_restriction(rep, rows):
     return new_rep, rows
 
 
-def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
+def matrix_block_system(rep, seed=0, p=None, precision=None):
     """Decomposition into subspaces permuted by the group, or a primitivity
-    certificate.
+    certificate, over Q, or over Q_p when the prime p is given.
 
     Requires an irreducible rep (reducible input raises).  For each maximal
     subgroup class M of index m dividing the dimension, the restriction to M
     is split into constituents; sums of constituents of dimension dim/m are
     tested as block candidates by translating them around the group.
     """
-    if field == "Q":
-        verdict = irreducible_over_Q(rep, seed)
-        if verdict.status == REDUCIBLE:
-            raise ValueError("matrix_block_system requires an irreducible rep")
-    else:
-        from .padic import irreducible_over_Qp
+    from .padic import ApproxSplitNeeded, decompose_over_Qp, irreducible_over_Qp
 
-        verdict = irreducible_over_Qp(rep, p, precision)
-        if verdict.status == REDUCIBLE:
-            raise ValueError("matrix_block_system requires an irreducible rep")
+    if p is None:
+        verdict = irreducible_over_Q(rep, seed)
+    else:
+        verdict = irreducible_over_Qp(rep, p, precision, seed)
+    if verdict.status == REDUCIBLE:
+        raise ValueError("matrix_block_system requires an irreducible rep")
     d = rep.dimension
     certificate = []
     incomplete = False
@@ -629,29 +627,26 @@ def matrix_block_system(rep, field="Q", seed=0, p=None, precision=None):
             continue
         target = d // m_index
         res = rep.restrict(M)
-        if field == "Q":
-            try:
+        try:
+            if p is None:
                 pieces = decompose_over_Q(res, seed)
-            except UncertifiedSplit:
-                certificate.append(
-                    {"maximal_order": M.order, "reason": "restriction split unknown"}
-                )
-                incomplete = True
-                continue
-        else:
-            from .padic import ApproxSplitNeeded, decompose_over_Qp
-
-            try:
-                pieces = decompose_over_Qp(res, p, precision)
-            except ApproxSplitNeeded:
-                certificate.append(
-                    {
-                        "maximal_order": M.order,
-                        "reason": "restriction splits p-adically; not constructed",
-                    }
-                )
-                incomplete = True
-                continue
+            else:
+                pieces = decompose_over_Qp(res, p, precision, seed)
+        except UncertifiedSplit:
+            certificate.append(
+                {"maximal_order": M.order, "reason": "restriction split unknown"}
+            )
+            incomplete = True
+            continue
+        except ApproxSplitNeeded:
+            certificate.append(
+                {
+                    "maximal_order": M.order,
+                    "reason": "restriction splits p-adically; not constructed",
+                }
+            )
+            incomplete = True
+            continue
         if len(pieces) == 1:
             certificate.append(
                 {"maximal_order": M.order, "reason": "restriction irreducible"}

@@ -119,7 +119,7 @@ def test_block_dimensions_equal_and_divide():
 
     for profile in (fixtures.z2_profile_q8(), fixtures.z2_profile_c8(),
                     fixtures.z2_profile_sd16()):
-        v = matrix_block_system(profile.action, field="Qp", p=2, precision=64)
+        v = matrix_block_system(profile.action, p=2, precision=64)
         assert v.status == "imprimitive"
         blocks = v.witness["blocks"]
         dims = {len(b) for b in blocks}

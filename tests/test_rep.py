@@ -221,6 +221,31 @@ def test_block_system_rejects_reducible():
         matrix_block_system(c2_diag_rep())
 
 
+def test_block_system_scans_over_Qp_with_the_seed_exactly_when_p_is_given(monkeypatch):
+    from jigroup import padic
+
+    seen = []
+    for name in ("irreducible_over_Qp", "decompose_over_Qp"):
+        def spy(rep, p, precision=None, seed=0, name=name, real=getattr(padic, name)):
+            seen.append((name, p, seed))
+            return real(rep, p, precision, seed)
+
+        monkeypatch.setattr(padic, name, spy)
+    rep = q8_quaternion_rep()
+    assert matrix_block_system(rep, seed=5).status == "imprimitive"
+    assert seen == []
+    assert matrix_block_system(rep, seed=5, p=2).status == "imprimitive"
+    assert {name for name, _, _ in seen} == {"irreducible_over_Qp", "decompose_over_Qp"}
+    assert {(p, seed) for _, p, seed in seen} == {(2, 5)}
+    # Q8 splits over Q_3, where (-1, -1) splits
+    with pytest.raises(ValueError, match="requires an irreducible rep"):
+        matrix_block_system(rep, p=3)
+    # the field is no longer a separate argument, so it cannot contradict p
+    for field in ("Qp", "R", "Q"):
+        with pytest.raises(TypeError, match="field"):
+            matrix_block_system(rep, field=field, p=2)
+
+
 def test_restrict():
     rep = q8_quaternion_rep()
     M = maximal_subgroups(rep.group)[0]
