@@ -30,8 +30,6 @@ from .perm import (
     PermGroup,
     SubgroupHandle,
     group_from_generators,
-    minimal_blocks,
-    orbits,
     relative_ops,
 )
 from .profiles import (
@@ -92,8 +90,6 @@ __all__ = [
     "maximal_scan",
     "maximal_subgroups",
     "min_faithful_degree",
-    "minimal_blocks",
-    "orbits",
     "padic_split",
     "paper_examples",
     "parse_profile",

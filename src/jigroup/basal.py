@@ -25,14 +25,11 @@ from .perm import (
     _image,
     _orbits_of,
     conj,
+    core,
     identity_perm,
     mul,
 )
-from .smallgrp import (
-    maximal_subgroups_over,
-    normal_subgroups,
-    small_table,
-)
+from .smallgrp import maximal_subgroups_over, normal_subgroups
 from .verdicts import JI, NOT_JI, CertificateError, Verdict
 
 
@@ -283,9 +280,7 @@ def permji_witness(model, H):
             "permji_witness expects a subgroup containing the base"
         )
     w_handle = model.top_image_handle(H)
-    tbl = small_table(model.top)
-    core_els = tbl.core(frozenset(tbl.index[e] for e in w_handle.group.elements()))
-    core_perms = [tbl.elements[i] for i in sorted(core_els)]
+    core_perms = core(model.top, w_handle.group.elements())
     for cert in model.basal_family:
         blocks = cert.supports  # list of frozensets of fiber indices
         if len(blocks) < 2:

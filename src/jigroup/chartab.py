@@ -1,5 +1,9 @@
 """Exact character tables of small groups via the Burnside-Dixon method.
 
+The table reads permutations only: the element list of the group, its
+conjugacy classes from the conjugation walk, the products of one class
+with the class representatives (Schneider's variant of Dixon's method,
+J. Symbolic Comput. 9, 1990), and the powers of the representatives.
 Eigenvalue work runs on Python ints over a prime field F_l with l = 1 mod
 exponent(G) and l >= 2|G|+1: sparse class matrices, common eigenspaces split
 as reduced echelon blocks, characteristic polynomials from the Hessenberg
@@ -13,11 +17,11 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import Counter
-from math import isqrt
+from math import isqrt, lcm
 
 from .cyclotomic import CycloContext
-from .perm import LATTICE_GATE
-from .smallgrp import small_table
+from .perm import (LATTICE_GATE, OrderGateExceeded, _orbits_of, conj, identity_perm, inv,
+                   mul, perm_order)
 from .verdicts import CertificateError
 from .zpoly import isprime, primefactors
 
@@ -152,30 +156,59 @@ def _restriction(block, pivots, target, l):
     return a
 
 
+def _classes(group, elements):
+    """Conjugacy classes as sorted lists of indices into the sorted elements,
+    by element order and then least index: the identity class comes first."""
+    index = {e: i for i, e in enumerate(elements)}
+    classes = [sorted(index[x] for x in orbit)
+               for orbit in _orbits_of(elements, group.generators, conj)]
+    classes.sort(key=lambda c: (perm_order(elements[c[0]]), c[0]))
+    return classes
+
+
+def _class_matrices(members, class_of, inv_class):
+    """Class matrices M_i[j][k] = a_ijk = #{(x, y) in C_i x C_j : xy = z_k}, z_k the
+    representative members[k][0], by column: mats[i][k] holds the pairs (j, a_ijk)
+    with a_ijk != 0.  As x runs over C_i, w = x^-1 runs over the class of inverses
+    C_i*, so a_ijk = #{w in C_i* : w z_k in C_j} and no element is inverted."""
+    return [
+        [tuple(Counter(class_of[mul(w, cls[0])] for w in members[inv_class[i]]).items())
+         for cls in members]
+        for i in range(len(members))
+    ]
+
+
+def _power_classes(reps, class_of, exponent):
+    """power_class[j][u]: the class of z_j^u for u < exponent."""
+    out = []
+    for z in reps:
+        row, x = [], identity_perm(len(z))
+        for _ in range(exponent):
+            row.append(class_of[x])
+            x = mul(x, z)
+        out.append(row)
+    return out
+
+
 def character_table(group, gate=LATTICE_GATE):
-    """Burnside-Dixon character table with exact cyclotomic values."""
-    tbl = small_table(group, gate)
-    order = tbl.n
-    classes = tbl.conjugacy_classes()
+    """Burnside-Dixon character table with exact cyclotomic values; its classes
+    are lists of indices into `group.elements()`."""
+    if group.order > gate:  # the wording machine reports have always carried
+        raise OrderGateExceeded("small-group table", group.order, gate)
+    elements = group.elements(gate)
+    order = len(elements)
+    classes = _classes(group, elements)
     r = len(classes)
     sizes = [len(c) for c in classes]
-    class_of = [0] * order
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
-    reps = [cls[0] for cls in classes]
-    exponent = tbl.exponent()
+    members = [[elements[x] for x in cls] for cls in classes]
+    reps = [m[0] for m in members]
+    class_of = {x: ci for ci, m in enumerate(members) for x in m}
+    inv_class = [class_of[inv(z)] for z in reps]
+    exponent = lcm(*map(perm_order, reps))
     l = _smallest_modulus(order, exponent)
 
-    # class multiplication matrices M_i[j][k] = a_ijk = #{(x,y) in C_i x C_j : xy = rep_k},
-    # by column: mats[i][k] holds the pairs (j, a_ijk) with a_ijk != 0, at most |C_i|
-    # of them; eigen-rows w satisfy w @ M_i = omega_i w
-    mats = [
-        [tuple(Counter(class_of[tbl.table[tbl.inverse[x]][zk]] for x in classes[i]).items())
-         for zk in reps]
-        for i in range(r)
-    ]
-    inv_class = [class_of[tbl.inverse[reps[c]]] for c in range(r)]
+    # eigen-rows w of the class matrices satisfy w @ M_i = omega_i w
+    mats = _class_matrices(members, class_of, inv_class)
     size_inv = [pow(c, l - 2, l) for c in sizes]
     # Simultaneous eigenvectors over F_l via recursive splitting; a block is a
     # subspace in reduced echelon form, with its pivot columns.
@@ -222,10 +255,7 @@ def character_table(group, gate=LATTICE_GATE):
     t_root = _element_of_order(l, exponent)
     # t_root has order exactly `exponent`, so its powers repeat with that period
     root_pows = [pow(t_root, k, l) for k in range(exponent)]
-    power_class = [
-        [class_of[tbl.power(reps[j], u)] for u in range(exponent)]
-        for j in range(r)
-    ]
+    power_class = _power_classes(reps, class_of, exponent)
     e_inv = pow(exponent, l - 2, l)
     values = []
     degrees = []

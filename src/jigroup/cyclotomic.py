@@ -81,9 +81,6 @@ class CycloContext:
             poly[-i % self.e] = ai
         return self.from_root_multiplicities(poly)
 
-    def is_rational(self, a):
-        return all(x == 0 for x in a[1:])
-
     def from_root_multiplicities(self, mults):
         """sum over s of mults[s] * zeta^s, for an integer sequence of any length.
 

@@ -375,7 +375,6 @@ class PermGroup:
             self._chain.fill(self.generators, _known_order)
         self._order = self._chain.order()
         self._elements_cache = None
-        self._small_table = None  # set by smallgrp.small_table
 
     @property
     def order(self):
@@ -611,16 +610,19 @@ def group_from_generators(gens):
     return PermGroup(gens)
 
 
-def orbits(group):
-    return group.orbits()
-
-
-def minimal_blocks(group):
-    return group.minimal_block_systems()
-
-
 def _conj_set(s, g):
     return frozenset(conj(x, g) for x in s)
+
+
+def core(G, elements):
+    """The largest normal subgroup of G inside the subgroup with these
+    elements, as a frozenset: the meet of its conjugates."""
+    return frozenset.intersection(*_walk(frozenset(elements), G.generators, _conj_set))
+
+
+def center(G, gate=ELEMENT_GATE):
+    """Z(G): the elements of G that commute with its generators, in element order."""
+    return [g for g in G.elements(gate) if all(mul(g, x) == mul(x, g) for x in G.generators)]
 
 
 def relative_ops(G, H, gate=ELEMENT_GATE):
@@ -639,10 +641,8 @@ def relative_ops(G, H, gate=ELEMENT_GATE):
     g_els = G.elements(gate)
     h_els = frozenset(H.group.elements(gate))
 
-    core = frozenset.intersection(*_walk(h_els, G.generators, _conj_set))
     normalizer = [g for g in g_els if {conj(h, g) for h in h_els} == h_els]
     centralizer = [g for g in g_els if all(conj(h, g) == h for h in H.generators)]
-    center = [g for g in g_els if all(mul(g, x) == mul(x, g) for x in G.generators)]
 
     def handle(els):
         gens = [e for e in els if e != ident]
@@ -650,10 +650,10 @@ def relative_ops(G, H, gate=ELEMENT_GATE):
 
     result = {
         "normal_closure": SubgroupHandle(G, ncl.generators, check=False),
-        "core": handle(sorted(core)),
+        "core": handle(sorted(core(G, h_els))),
         "normalizer": handle(sorted(normalizer)),
         "centralizer": handle(sorted(centralizer)),
-        "center_of_G": handle(sorted(center)),
+        "center_of_G": handle(center(G, gate)),
     }
     if not result["core"].is_normal_in_parent():
         raise CertificateError("core failed normality check")

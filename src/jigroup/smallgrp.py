@@ -1,15 +1,20 @@
 """Exhaustive machinery for small groups: lattices, maximals, Frattini.
 
 All operations here enumerate elements, so they are gated at 2**12 by
-default (the worked fixtures are far below that).  Subgroups are
-element index sets over a cached multiplication table; the lattice is the
+default (the worked fixtures are far below that).  The subgroup lattice
+reads a multiplication table over the element list, built once per group
+and kept here: subgroups are element index sets, and the lattice is the
 closure of the cyclic subgroups under pairwise join, which reaches every
-subgroup of a finite group.
+subgroup of a finite group.  `recognize_special` reads permutations
+instead: element orders, the centre and the normal closure of the
+generator commutators.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import itertools
+import weakref
+from functools import reduce
 
 from .perm import (
     LATTICE_GATE,
@@ -17,11 +22,16 @@ from .perm import (
     SubgroupHandle,
     _orbits_of,
     _walk,
+    center,
     identity_perm,
+    inv,
     mul,
     perm_order,
 )
 from .verdicts import CertificateError
+
+# The table of each group, for as long as the group lives.
+_TABLES = weakref.WeakKeyDictionary()
 
 
 class SmallGroupTable:
@@ -30,7 +40,8 @@ class SmallGroupTable:
     def __init__(self, group, gate=LATTICE_GATE):
         if group.order > gate:
             raise OrderGateExceeded("small-group table", group.order, gate)
-        self.group = group
+        # _TABLES keeps the table, so a strong reference would keep the group
+        self._group = weakref.ref(group)
         self.elements = group.elements(gate=gate)
         self.n = len(self.elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -41,16 +52,9 @@ class SmallGroupTable:
         self.inverse = [0] * self.n
         for i, row in enumerate(self.table):
             self.inverse[i] = row.index(self.ident)
-        self.order_of = [perm_order(e) for e in self.elements]
         self.gens = tuple(self.index[g] for g in group.generators)
         self._all_subgroups = None
         self._maximal = None
-
-    def power(self, i, k):
-        out = self.ident
-        for _ in range(k):
-            out = self.table[out][i]
-        return out
 
     def conj(self, i, g):
         return self.table[self.table[self.inverse[g]][i]][g]
@@ -87,10 +91,6 @@ class SmallGroupTable:
 
     def _conj_set(self, s, g):
         return frozenset(self.conj(i, g) for i in s)
-
-    def core(self, s):
-        """The largest normal subgroup inside s: the meet of its conjugates."""
-        return frozenset.intersection(*_walk(s, self.gens, self._conj_set))
 
     # -- subgroup lattice ----------------------------------------------------
 
@@ -146,34 +146,11 @@ class SmallGroupTable:
         classes.sort(key=lambda c: (len(c[0]), len(c), sorted(c[0])))
         return classes
 
-    def conjugacy_classes(self):
-        """Conjugacy classes of elements; identity class first."""
-        orbits = _orbits_of(range(self.n), self.gens, self.conj)
-        classes = [sorted(orbit) for orbit in orbits]
-        classes.sort(key=lambda c: (c[0] != self.ident, self.order_of[c[0]], c[0]))
-        return classes
-
     def is_subgroup_normal(self, s):
         return all(self._conj_set(s, g) == s for g in self.gens)
 
     def normal_subgroups(self):
         return [s for s, _ in self.all_subgroups() if self.is_subgroup_normal(s)]
-
-    def center(self):
-        table = self.table
-        return frozenset(
-            i for i in range(self.n) if all(table[i][g] == table[g][i] for g in self.gens)
-        )
-
-    def derived_subgroup(self):
-        comms = set()
-        for i in range(self.n):
-            for j in range(self.n):
-                c = self.table[
-                    self.table[self.inverse[i]][self.inverse[j]]
-                ][self.table[i][j]]
-                comms.add(c)
-        return self.closure(comms)
 
     def handle(self, els):
         """Wrap a subgroup, as an element index set, as a SubgroupHandle of the parent.
@@ -188,22 +165,17 @@ class SmallGroupTable:
                 gens += (i,)
         if sub != els:
             raise CertificateError("handle elements are not a subgroup")
-        return SubgroupHandle(self.group, [self.elements[i] for i in gens], check=False)
-
-    def exponent(self):
-        e = 1
-        for o in self.order_of:
-            e = e // gcd(e, o) * o
-        return e
+        return SubgroupHandle(self._group(), [self.elements[i] for i in gens], check=False)
 
 
 def small_table(group, gate=LATTICE_GATE):
-    """The table of group, built once and kept on the group."""
+    """The table of group, built once and kept while the group lives."""
     if group.order > gate:
         raise OrderGateExceeded("small-group table", group.order, gate)
-    if group._small_table is None:
-        group._small_table = SmallGroupTable(group, gate)
-    return group._small_table
+    tbl = _TABLES.get(group)
+    if tbl is None:
+        tbl = _TABLES[group] = SmallGroupTable(group, gate)
+    return tbl
 
 
 def maximal_subgroups(group, gate=LATTICE_GATE):
@@ -256,14 +228,14 @@ def recognize_special(group, gate=LATTICE_GATE):
     Generalized quaternion means: a noncyclic 2-group with a unique
     involution and a cyclic subgroup of index 2.
     """
-    tbl = small_table(group, gate)
-    n = tbl.n
+    elements = group.elements(gate)
+    n = len(elements)
     tags = set()
     if n == 1:
         return {"none"}
-    orders = tbl.order_of
-    center = tbl.center()
-    abelian = len(center) == n
+    orders = [perm_order(e) for e in elements]
+    centre = center(group, gate)
+    abelian = len(centre) == n
     cyclic = max(orders) == n
     if cyclic:
         tags.add("cyclic")
@@ -281,14 +253,20 @@ def recognize_special(group, gate=LATTICE_GATE):
         if abelian and all(o in (1, p) for o in orders):
             tags.add("elementary_abelian")
         if p == 2 and not cyclic and n >= 8:
-            involutions = [i for i in range(n) if orders[i] == 2]
+            involutions = orders.count(2)
             has_cyclic_index2 = any(o == n // 2 for o in orders)
-            if len(involutions) == 1 and has_cyclic_index2:
+            if involutions == 1 and has_cyclic_index2:
                 tags.add(("generalized_quaternion", n))
-        if len(center) == p and tbl.derived_subgroup() == center:
+        if len(centre) == p:
+            # [G, G] is the normal closure of the generator commutators
+            derived = group.normal_closure(
+                mul(mul(inv(a), inv(b)), mul(a, b))
+                for a, b in itertools.combinations(group.generators, 2))
             # G/Z elementary abelian <=> every p-th power is central
             # (G/Z abelian already follows from [G,G] = Z)
-            if all(tbl.power(i, p) in center for i in range(n)):
+            central = set(centre)
+            if (derived.order == p and all(z in derived for z in centre)
+                    and all(reduce(mul, (e,) * p) in central for e in elements)):
                 tags.add("extraspecial")
     if not tags:
         tags.add("none")

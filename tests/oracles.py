@@ -5,7 +5,9 @@ it, or gives the tests a way into a structure that the program itself never
 needs.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from jigroup import catalog
 from jigroup.hilbert import _valuation_and_unit
@@ -14,10 +16,12 @@ from jigroup.perm import (
     LATTICE_GATE,
     OrderGateExceeded,
     PermGroup,
+    _orbits_of,
     _walk,
     identity_perm,
     mul,
     perm_from_cycles,
+    perm_order,
 )
 from jigroup.profiles import subgroup_ji
 from jigroup.smallgrp import all_subgroups, small_table
@@ -122,6 +126,109 @@ def extraspecial_128_on_cosets():
     return E
 
 
+# -- the multiplication table -------------------------------------------------------
+# The character table and the structure tags once read these from the table
+# of the subgroup lattice; they now read permutations.
+
+
+def table_conjugacy_classes(tbl):
+    """Conjugacy classes as sorted element index lists; identity class first."""
+    order_of = [perm_order(e) for e in tbl.elements]
+    classes = [sorted(orbit) for orbit in _orbits_of(range(tbl.n), tbl.gens, tbl.conj)]
+    classes.sort(key=lambda c: (c[0] != tbl.ident, order_of[c[0]], c[0]))
+    return classes
+
+
+def table_class_matrices(tbl, classes):
+    """mats[i][k]: {j: a_ijk} with a_ijk = #{x in C_i : x^-1 rep_k in C_j} != 0."""
+    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
+    return [
+        [dict(Counter(class_of[tbl.table[tbl.inverse[x]][zk[0]]] for x in classes[i]))
+         for zk in classes]
+        for i in range(len(classes))
+    ]
+
+
+def table_power(tbl, i, k):
+    out = tbl.ident
+    for _ in range(k):
+        out = tbl.table[out][i]
+    return out
+
+
+def table_power_classes(tbl, classes, exponent):
+    """power_class[j][u]: the class of rep_j^u for u < exponent."""
+    class_of = {x: c for c, cls in enumerate(classes) for x in cls}
+    return [[class_of[table_power(tbl, cls[0], u)] for u in range(exponent)]
+            for cls in classes]
+
+
+def table_exponent(tbl):
+    e = 1
+    for x in tbl.elements:
+        o = perm_order(x)
+        e = e // gcd(e, o) * o
+    return e
+
+
+def table_center(tbl):
+    table = tbl.table
+    return frozenset(
+        i for i in range(tbl.n) if all(table[i][g] == table[g][i] for g in tbl.gens)
+    )
+
+
+def table_derived_subgroup(tbl):
+    """The closure of every commutator of two elements."""
+    t, inverse = tbl.table, tbl.inverse
+    comms = {t[t[inverse[i]][inverse[j]]][t[i][j]] for i in range(tbl.n) for j in range(tbl.n)}
+    return tbl.closure(comms)
+
+
+def table_recognize_special(group, gate=LATTICE_GATE):
+    """The structural tags of smallgrp.recognize_special, from the table."""
+    tbl = small_table(group, gate)
+    n = tbl.n
+    if n == 1:
+        return {"none"}
+    tags = set()
+    orders = [perm_order(e) for e in tbl.elements]
+    center = table_center(tbl)
+    cyclic = max(orders) == n
+    if cyclic:
+        tags.add("cyclic")
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    m = n
+    while m % p == 0:
+        m //= p
+    if m == 1:
+        tags.add(("p_group", p))
+        if len(center) == n and all(o in (1, p) for o in orders):
+            tags.add("elementary_abelian")
+        if (p == 2 and not cyclic and n >= 8 and orders.count(2) == 1
+                and n // 2 in orders):
+            tags.add(("generalized_quaternion", n))
+        if (len(center) == p and table_derived_subgroup(tbl) == center
+                and all(table_power(tbl, i, p) in center for i in range(n))):
+            tags.add("extraspecial")
+    return tags or {"none"}
+
+
+# -- cyclotomic values ----------------------------------------------------------------
+
+
+def is_rational(a):
+    """Whether a cyclotomic element, in the power basis, is a rational number."""
+    return all(x == 0 for x in a[1:])
+
+
+def rational_value(ctx, a):
+    """The rational number a cyclotomic element of CycloContext ctx equals."""
+    if not is_rational(a):
+        raise ValueError("value is not rational")
+    return a[0]
+
+
 # -- profiles -------------------------------------------------------------------------
 
 
@@ -184,10 +291,3 @@ def mul_pi(ext, x):
     if not ext.ramified:
         return ((x[0] * ext.p) % ext.mod, (x[1] * ext.p) % ext.mod)
     return ((-ext.C * x[1]) % ext.mod, (x[0] - ext.B * x[1]) % ext.mod)
-
-
-def rational_value(ctx, a):
-    """The rational number a cyclotomic element of CycloContext ctx equals."""
-    if not ctx.is_rational(a):
-        raise ValueError("value is not rational")
-    return a[0]

@@ -320,6 +320,7 @@ def test_relative_ops_core_is_the_meet_of_all_conjugates(name):
         oracle = frozenset.intersection(
             *(frozenset(conj(h, g) for h in h_els) for g in els)
         )
+        assert perm.core(G, h_els) == oracle
         assert relative_ops(G, H)["core"].element_set() == oracle
 
 

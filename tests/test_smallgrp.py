@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from jigroup import catalog
-from jigroup.perm import OrderGateExceeded, SubgroupHandle, identity_perm, mul
+from jigroup.perm import (
+    OrderGateExceeded,
+    SubgroupHandle,
+    center,
+    core,
+    identity_perm,
+    mul,
+    perm_order,
+)
 from jigroup.smallgrp import (
     all_subgroups,
     frattini,
@@ -20,6 +28,15 @@ from jigroup.smallgrp import (
 from jigroup.verdicts import CertificateError
 
 import corpora
+from oracles import (
+    table_center,
+    table_class_matrices,
+    table_conjugacy_classes,
+    table_derived_subgroup,
+    table_exponent,
+    table_power_classes,
+    table_recognize_special,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -161,11 +178,11 @@ def test_recognize_special():
 def test_extraspecial_structure():
     E = catalog.extraspecial_128()
     tbl = small_table(E)
-    assert len(tbl.center()) == 2
-    assert tbl.derived_subgroup() == tbl.center()
-    assert tbl.exponent() == 4
+    assert len(center(E)) == len(table_center(tbl)) == 2
+    assert table_derived_subgroup(tbl) == table_center(tbl)
+    assert table_exponent(tbl) == 4
     assert len(frattini(E).group.elements()) == 2
-    _check_against_all_element_oracles(tbl)
+    _check_against_all_element_oracles(E)
 
 
 def _extraspecial_invariants(E):
@@ -175,11 +192,11 @@ def _extraspecial_invariants(E):
     table = character_table(E)
     return {
         "order": E.order,
-        "center": len(tbl.center()),
-        "derived_is_center": tbl.derived_subgroup() == tbl.center(),
-        "exponent": tbl.exponent(),
-        "order_at_most_2": sum(o <= 2 for o in tbl.order_of),
-        "classes": len(tbl.conjugacy_classes()),
+        "center": len(table_center(tbl)),
+        "derived_is_center": table_derived_subgroup(tbl) == table_center(tbl),
+        "exponent": table_exponent(tbl),
+        "order_at_most_2": sum(perm_order(e) <= 2 for e in tbl.elements),
+        "classes": table.n_classes,
         "degrees": sorted(table.degrees),
         "min_faithful_degree": min_faithful_degree(E, table=table),
         "tags": recognize_special(E),
@@ -280,13 +297,15 @@ def core_oracle(tbl, s):
     return frozenset.intersection(*(_conj_set(tbl, s, g) for g in range(tbl.n)))
 
 
-def _check_against_all_element_oracles(tbl):
+def _check_against_all_element_oracles(group):
+    tbl = small_table(group)
     maxim = tbl.maximal_subgroups()
     assert tbl.conjugacy_classes_of_subgroups(maxim) == classes_of_subgroups_oracle(tbl, maxim)
-    assert tbl.center() == center_oracle(tbl)
+    assert {tbl.index[z] for z in center(group)} == center_oracle(tbl)
     for s, _ in tbl.all_subgroups():
         assert tbl.is_subgroup_normal(s) == is_normal_oracle(tbl, s)
-        assert tbl.core(s) == core_oracle(tbl, s)
+        assert core(group, [tbl.elements[i] for i in s]) == {
+            tbl.elements[i] for i in core_oracle(tbl, s)}
 
 
 ORACLE_GROUPS = {
@@ -299,7 +318,57 @@ ORACLE_GROUPS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_generator_actions_match_all_element_oracles(name):
     # the extraspecial group of order 128 is checked in test_extraspecial_structure
-    _check_against_all_element_oracles(small_table(ORACLE_GROUPS[name]))
+    _check_against_all_element_oracles(ORACLE_GROUPS[name])
+
+
+CLASS_GROUPS = {
+    **ORACLE_GROUPS,
+    "D30": catalog.dihedral(30),
+    "S6": catalog.symmetric(6),
+    "extraspecial128": catalog.extraspecial_128(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
+def test_class_data_and_tags_match_the_table_oracles(name, monkeypatch):
+    # character_table and recognize_special read permutations; the table of
+    # the subgroup lattice gives the same classes, class matrices, power
+    # classes, exponent and tags
+    from jigroup import chartab
+
+    group = CLASS_GROUPS[name]
+    seen = {}
+    for fn in ("_class_matrices", "_power_classes"):
+        monkeypatch.setattr(chartab, fn, lambda *args, fn=fn, real=getattr(chartab, fn):
+                            seen.setdefault(fn, real(*args)))
+    ct = chartab.character_table(group)
+    tbl = small_table(group)
+    classes = table_conjugacy_classes(tbl)
+    exponent = table_exponent(tbl)
+    assert ct.classes == classes and ct.ctx.e == exponent
+    mats = [[dict(col) for col in m] for m in seen["_class_matrices"]]
+    assert mats == table_class_matrices(tbl, classes)
+    assert seen["_power_classes"] == table_power_classes(tbl, classes, exponent)
+    assert recognize_special(group) == table_recognize_special(group)
+
+
+def test_character_table_tags_and_witness_build_no_table(monkeypatch):
+    from jigroup import basal, chartab, smallgrp
+    from jigroup.perm import PermGroup
+    from jigroup.wreath import wreath_shadow
+
+    built = []
+    init = smallgrp.SmallGroupTable.__init__
+    monkeypatch.setattr(smallgrp.SmallGroupTable, "__init__",
+                        lambda self, group, *args: built.append(group) or init(self, group, *args))
+    E = catalog.extraspecial_128()
+    chartab.character_table(E)
+    assert "extraspecial" in recognize_special(E)
+    assert ("generalized_quaternion", 16) in recognize_special(catalog.quaternion(16))
+    model = wreath_shadow(catalog.alternating(5), PermGroup(catalog.klein_four().generators))
+    H = basal.ShadowSubgroup(model, SubgroupHandle(model.top, model.top.generators[:1]))
+    assert basal.permji_witness(model, H) is not None
+    assert built == []
 
 
 def test_table_is_kept_on_the_group():
@@ -329,8 +398,10 @@ def test_block_system_recheck_raises_under_O():
 
 
 def test_conjugacy_classes_extraspecial():
-    tbl = small_table(catalog.extraspecial_128())
-    classes = tbl.conjugacy_classes()
+    from jigroup.chartab import _classes
+
+    E = catalog.extraspecial_128()
+    classes = _classes(E, E.elements())
     assert len(classes) == 65
     assert sorted(len(c) for c in classes) == [1, 1] + [2] * 63
 
@@ -352,14 +423,14 @@ def test_handles_keep_their_elements_from_a_small_generating_set(group):
             sub = tbl.closure(sub | {tbl.index[g]})
     # an elementary abelian 2^k needs exactly k generators, and the whole
     # group is no longer generated by all 15 of its nonidentity elements
-    if group.order == 16 and tbl.exponent() == 2:
+    if group.order == 16 and all(perm_order(e) <= 2 for e in tbl.elements):
         assert len(tbl.handle(frozenset(range(16))).generators) == 4
 
 
 
 def test_handle_of_a_non_subgroup_raises():
     tbl = small_table(catalog.symmetric(3))
-    t, c = (next(i for i in range(tbl.n) if tbl.order_of[i] == k) for k in (2, 3))
+    t, c = (next(i for i, e in enumerate(tbl.elements) if perm_order(e) == k) for k in (2, 3))
     with pytest.raises(CertificateError, match="not a subgroup"):
         tbl.handle(frozenset([tbl.ident, t, c]))
 
