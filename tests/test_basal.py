@@ -198,3 +198,33 @@ def test_basal_certificate_order_identity_recheck():
         for h in cert.conjugates:
             prod *= h.order
         assert closure.order == prod
+
+
+def _label(verdict):
+    return verdict.status, getattr(verdict.witness, "label", None)
+
+
+def _maxcor_summary(model, H):
+    try:
+        report = maxcor_equivalence_check(model, H)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return (_label(report["lhs"]), report["rhs_all_ji"], report["maximal_count"],
+            [_label(v) for v in report.get("maximal_verdicts", [])], report["agree"])
+
+
+def test_plain_handles_project_to_the_top_like_shadow_subgroups():
+    # a plain handle reaches the top through project_to_top, a ShadowSubgroup
+    # through its top handle; both give the same verdicts
+    shadow = build_wreath_shadow("A5", 2)
+    model = shadow.model
+    subgroups = [shadow.H, shadow.M, shadow.full, *model.normal_subgroups_structural()]
+    for sub in subgroups:
+        plain = SubgroupHandle(model.group, sub.generators, check=False)
+        top = model.top_image_handle(plain)
+        assert type(top) is SubgroupHandle and top.same_subgroup(sub.top_handle)
+        assert _label(shadow_ji_verdict(model, plain)) == _label(shadow_ji_verdict(model, sub))
+        assert _maxcor_summary(model, plain) == _maxcor_summary(model, sub)
+    assert _maxcor_summary(model, shadow.H)[0] == "ValueError"
+    with pytest.raises(ValueError, match="does not respect fibers"):
+        model.project_to_top(perm_from_cycles(model.group.degree, (0, 5)))
