@@ -280,7 +280,12 @@ def permji_witness(model, H):
             "permji_witness expects a subgroup containing the base"
         )
     w_handle = model.top_image_handle(H)
-    core_perms = core(model.top, w_handle.group.elements())
+    # the core acts trivially on the blocks iff a generating set of it does, and
+    # a normal subgroup (every maximal subgroup of the p-group tops) is its own core
+    if w_handle.is_normal_in_parent():
+        core_perms = w_handle.generators
+    else:
+        core_perms = core(model.top, w_handle.group.elements())
     for cert in model.basal_family:
         blocks = cert.supports  # list of frozensets of fiber indices
         if len(blocks) < 2:

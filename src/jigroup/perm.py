@@ -611,7 +611,8 @@ def group_from_generators(gens):
 
 
 def _conj_set(s, g):
-    return frozenset(conj(x, g) for x in s)
+    g_inv = inv(g)
+    return frozenset(mul(mul(g_inv, x), g) for x in s)
 
 
 def core(G, elements):

@@ -365,9 +365,10 @@ def test_character_table_tags_and_witness_build_no_table(monkeypatch):
     chartab.character_table(E)
     assert "extraspecial" in recognize_special(E)
     assert ("generalized_quaternion", 16) in recognize_special(catalog.quaternion(16))
-    model = wreath_shadow(catalog.alternating(5), PermGroup(catalog.klein_four().generators))
-    H = basal.ShadowSubgroup(model, SubgroupHandle(model.top, model.top.generators[:1]))
-    assert basal.permji_witness(model, H) is not None
+    model = wreath_shadow(catalog.alternating(5), PermGroup(catalog.dihedral(4).generators))
+    reflection = SubgroupHandle(model.top, [(0, 3, 2, 1)])  # not normal: its core is read
+    assert not reflection.is_normal_in_parent()
+    assert basal.permji_witness(model, basal.ShadowSubgroup(model, reflection)) is not None
     assert built == []
 
 
