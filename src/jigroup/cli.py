@@ -112,15 +112,14 @@ def _cmd_analyze(args, out):
     report = {"command": "analyze", "profile": repr(obj)}
     report["validation"] = validate_va_profile(obj)
     report["just_infinite"] = va_just_infinite(obj, args.seed)
-    report["maximal_scan"] = [
-        {"label": r["label"], "index": r["index"], "verdict": r["verdict"]}
-        for r in maximal_scan(obj, args.seed, gate=args.order_gate)
-    ]
-    qt, evidence = quaternionic_type(obj, args.seed)
-    report["quaternionic_type"] = {"is_quaternionic": qt, "evidence": evidence}
-    tags_ok = obj.p is not None
-    if tags_ok:
-        report["hereditary_check"] = respthm_check(obj, obj, args.seed)
+    rows = maximal_scan(obj, args.seed, gate=args.order_gate)
+    report["maximal_scan"] = [{k: r[k] for k in ("label", "index", "verdict")}
+                              for r in rows]
+    quaternionic = quaternionic_type(obj, args.seed)
+    report["quaternionic_type"] = {"is_quaternionic": quaternionic[0],
+                                   "evidence": quaternionic[1]}
+    if obj.p is not None:
+        report["hereditary_check"] = respthm_check(obj, rows, quaternionic)
     return report, 0
 
 
@@ -387,6 +386,8 @@ def run_command(argv, out=None):
         args = parser.parse_args(argv)
         if args.precision < 0:
             parser.error(f"argument --precision: must be at least 0, got {args.precision}")
+        if args.order_gate < 1:
+            parser.error(f"argument --order-gate: must be at least 1, got {args.order_gate}")
     except UsageError as exc:
         if not _asks_machine_report(argv):
             argparse.ArgumentParser.error(exc.parser, str(exc))  # usage on stderr, exit 2

@@ -662,10 +662,10 @@ def conic_solve_ext(ext, a, b, target_pi_prec):
             break
     if found is None:
         return None
-    return _conic_newton(ext, a, b, found, K, target_pi_prec)
+    return _conic_newton(ext, a, b, found, target_pi_prec)
 
 
-def _conic_newton(ext, a, b, sol, start_prec, target_pi_prec):
+def _conic_newton(ext, a, b, sol, target_pi_prec):
     """Lift a mod-pi^K conic solution by Newton on the best unit variable."""
     x, y, z = sol
 
@@ -736,18 +736,20 @@ def commutant_approx(gen_images_p, p, prec):
 
 
 def pminimal_polynomial(m):
-    """Approx monic minimal polynomial of an approx matrix, as a single row."""
-    d = len(m)
-    powers = [PadicMatrix.identity(d, m.p, m.cap)]
-    for k in range(1, d + 2):
-        ns = PadicMatrix.stack([q.flat() for q in powers]).transpose().nullspace()
-        if ns.rows:
-            # the free column is the last power, where the vector is 1
-            if ns.rows[0][-1] != m.p**-ns.val:
-                raise PrecisionExhausted("minimal polynomial lead uncertain")
-            return PadicMatrix(m.p, ns.cap, ns.rows[:1], ns.val)
+    """Approx monic minimal polynomial of an approx matrix, as a single row:
+    the first nullspace row of one echelon of the flattened I, m, ..., m^d,
+    up to its last nonzero entry, the 1 at the first free column."""
+    powers = [PadicMatrix.identity(len(m), m.p, m.cap)]
+    for _ in range(len(m)):
         powers.append(powers[-1] * m)
-    raise PrecisionExhausted("no dependence found for minimal polynomial")
+    ns = PadicMatrix.stack([q.flat() for q in powers]).transpose().nullspace()
+    if not ns.rows:
+        raise PrecisionExhausted("no dependence found for minimal polynomial")
+    row = ns.rows[0]
+    k = max((j for j, x in enumerate(row) if x), default=0)
+    if row[k] != m.p**-ns.val:
+        raise PrecisionExhausted("minimal polynomial lead uncertain")
+    return PadicMatrix(m.p, ns.cap, [row[:k + 1]], ns.val)
 
 
 def _newton_idempotent(e, target_slack):
@@ -866,10 +868,10 @@ def _rational_field_split(a, c, facs, gens_p, p, prec):
     e = _lift_idempotent(facs, ca, p, prec, prec - 4)
     if e is None:
         raise PrecisionExhausted("field-split idempotent degenerated")
-    return ("split", {"pieces": _pieces_from_projector(gens_p, e, p)})
+    return ("split", {"pieces": _pieces_from_projector(gens_p, e)})
 
 
-def _pieces_from_projector(gen_images_p, q_mat, p):
+def _pieces_from_projector(gen_images_p, q_mat):
     """Two invariant pieces from a commutant zero divisor / idempotent.
 
     The noise floor is half the cap of the projector: exact-rank decisions
@@ -951,7 +953,7 @@ def _quaternion_step(a, b, i_p, j_p, gens_p, p, prec, conic_prec):
     x, y, z = (PadicMatrix(p, prec, [[c]]) for c in sol)
     ident = PadicMatrix.identity(len(i_p), p, prec)
     q = ident.scale(z) + (i_p.scale(x) + j_p.scale(y))
-    return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
+    return ("split", {"pieces": _pieces_from_projector(gens_p, q)})
 
 
 def _normalize_qp_square(q, p):
@@ -1010,7 +1012,7 @@ def _qp_analyze_quadratic_center(st, gens_p, p, prec):
         _ext_coeff_matrix(x, gamma_mat, p, prec) * i_use
         + _ext_coeff_matrix(y, gamma_mat, p, prec) * j_use
     )
-    return ("split", {"pieces": _pieces_from_projector(gens_p, q, p)})
+    return ("split", {"pieces": _pieces_from_projector(gens_p, q)})
 
 
 def _normalize_ext_square(ext, pair_fracs, p):
@@ -1118,7 +1120,7 @@ def _spin_split(rep, p, prec, seed=0):
     from .perm import inv as perm_inv
 
     d = rep.dimension
-    emap = rep_element_map_padic(rep, p, prec)
+    emap = rep.element_map
     floor = max(prec // 2, 4)
     rng = random.Random(seed + 17)
     ident = PadicMatrix.identity(d, p, prec)
@@ -1147,7 +1149,7 @@ def _spin_split(rep, p, prec, seed=0):
         if (proj * proj - proj).min_valuation() < floor:
             continue
         try:
-            return _pieces_from_projector(rep.gen_images, proj, p)
+            return _pieces_from_projector(rep.gen_images, proj)
         except PrecisionExhausted:
             continue
     return None
@@ -1187,7 +1189,7 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
                 continue
             if e is None:
                 continue
-            return ("split", {"pieces": _pieces_from_projector(gens_p, e, p)})
+            return ("split", {"pieces": _pieces_from_projector(gens_p, e)})
     spun = _spin_split(rep, p, prec, seed)
     if spun is not None:
         return ("split", {"pieces": spun})

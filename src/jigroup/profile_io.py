@@ -177,7 +177,7 @@ def _parse_ring(fields):
     raise ProfileError(ln, f"ring must be Z or Z<p>, got {s!r}")
 
 
-def _parse_entry(ln, token, ring, precision, number_ring):
+def _parse_entry(ln, token, ring, number_ring):
     if ":" in token:
         if not isinstance(ring, tuple):
             raise ProfileError(ln, "p-adic entry in a non-Zp profile")
@@ -233,7 +233,7 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         if len(tokens) != d * d:
             raise ProfileError(ml, f"matrix needs {d}*{d} entries, got {len(tokens)}")
         entries = [
-            _parse_entry(ml, t, ring, precision, number_ring) for t in tokens
+            _parse_entry(ml, t, ring, number_ring) for t in tokens
         ]
         if number_ring is not None and kind != "matrep":
             raise ProfileError(ml, "entries over a modulus belong to kind matrep")

@@ -16,7 +16,7 @@ from typing import Any
 from . import ratmat as rm
 from .hilbert import _valuation_and_unit
 from .padic import DEFAULT_PRECISION, PadicMatrix, irreducible_over_Qp
-from .perm import SubgroupHandle
+from .perm import LATTICE_GATE, SubgroupHandle
 from .rep import MatRep, irreducible_over_Q, matrix_block_system
 from .smallgrp import maximal_subgroups, recognize_special
 from .verdicts import (
@@ -159,13 +159,11 @@ def subgroup_ji(profile, handle, seed=0):
     return Verdict(UNKNOWN, v.witness, v.provenance)
 
 
-def maximal_scan(profile, seed=0, gate=None):
+def maximal_scan(profile, seed=0, gate=LATTICE_GATE):
     """One (maximal class of Q, verdict) row per class; plus the lattice row
     when Q is cyclic of prime order (the lattice is then maximal in G)."""
-    from .perm import LATTICE_GATE
-
     rows = []
-    for M in maximal_subgroups(profile.Q, gate or LATTICE_GATE):
+    for M in maximal_subgroups(profile.Q, gate):
         label = f"maximal subgroup of order {M.order}"
         if M.order == 1:
             label = "lattice A itself (trivial point group)"
@@ -243,29 +241,27 @@ def lgm_oracle(profile, seed=0):
     return report
 
 
-def respthm_check(g_profile, h_profile, seed=0):
-    """Hereditary-just-infinite checker for G given a finite-index H profile.
+def respthm_check(profile, rows, quaternionic):
+    """Hereditary-just-infinite checker, reading the profile's `maximal_scan`
+    rows and its `quaternionic_type` pair (is_quaternionic, evidence).
 
     (i) the prime-residual condition, taken as: O = Z_p and the point group
-    of H is a p-group; (ii) every maximal-subgroup row of H is ji (maximal
-    subgroups of the semidirect product not containing the lattice share
-    their point-group image with H, so the lattice-containing rows decide);
-    (iii) H is not of quaternionic type.  All pass: hji for G.  A failure
+    is a p-group; (ii) every maximal-subgroup row is ji (maximal subgroups
+    of the semidirect product not containing the lattice share their
+    point-group image with G, so the lattice-containing rows decide); (iii)
+    the profile is not of quaternionic type.  All pass: hji.  A failure
     names the condition; the converse is not claimed.
     """
-    check = validate_va_profile(h_profile)
+    check = validate_va_profile(profile)
     if not check["valid"]:
         return Verdict(HYPOTHESIS_FAILED, check, "hereditary-checker")
     trace = {}
-    p = h_profile.p
-    tags = recognize_special(h_profile.Q)
-    cond1 = p is not None and ("p_group", p) in tags
+    cond1 = ("p_group", profile.p) in recognize_special(profile.Q)
     trace["i"] = {
         "holds": cond1,
         "detail": "O = Z_p with a p-group acting" if cond1 else
         "point group is not a p-group over Z_p",
     }
-    rows = maximal_scan(h_profile, seed)
     bad = [r for r in rows if r["verdict"].status != JI]
     trace["ii"] = {
         "holds": not bad,
@@ -275,7 +271,7 @@ def respthm_check(g_profile, h_profile, seed=0):
         "note": "maximals not containing the lattice share the point-group "
         "image and inherit the verdict of H itself",
     }
-    qt, evidence = quaternionic_type(h_profile, seed)
+    qt, evidence = quaternionic
     trace["iii"] = {"holds": not qt, "evidence": evidence}
     failed = [name for name in ("i", "ii", "iii") if not trace[name]["holds"]]
     if failed:
@@ -285,4 +281,3 @@ def respthm_check(g_profile, h_profile, seed=0):
             "hereditary-checker",
         )
     return Verdict(HJI, {"trace": trace}, "hereditary-checker")
-

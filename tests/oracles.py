@@ -11,6 +11,7 @@ from math import gcd
 
 from jigroup import catalog
 from jigroup.hilbert import _valuation_and_unit
+from jigroup.padic import PadicMatrix, PrecisionExhausted
 from jigroup.perm import (
     ELEMENT_GATE,
     LATTICE_GATE,
@@ -245,6 +246,23 @@ def full_lattice_scan(profile, seed=0):
 
 
 # -- local fields ---------------------------------------------------------------------
+
+
+def minimal_polynomial_by_degree(m):
+    """padic.pminimal_polynomial one degree at a time: a fresh nullspace of
+    the flattened I, m, ..., m^(k-1) for k = 1, 2, ..., until one is found."""
+    d = len(m)
+    powers = [PadicMatrix.identity(d, m.p, m.cap)]
+    for k in range(1, d + 2):
+        ns = PadicMatrix.stack([q.flat() for q in powers]).transpose().nullspace()
+        if ns.rows:
+            # the free column is the last power, where the vector is 1
+            if ns.rows[0][-1] != m.p**-ns.val:
+                raise PrecisionExhausted("minimal polynomial lead uncertain")
+            return PadicMatrix(m.p, ns.cap, ns.rows[:1], ns.val)
+        powers.append(powers[-1] * m)
+    raise PrecisionExhausted("no dependence found for minimal polynomial")
+
 
 
 def solubility_oracle(a, b, p):

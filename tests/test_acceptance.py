@@ -235,13 +235,15 @@ def test_criterion_7_hilbert_oracle_equivalence():
 
 def test_criterion_8_hereditary_checker(example2):
     t0 = time.monotonic()
-    v = respthm_check(corpora.pro2_dihedral_profile(),
-                      corpora.pro2_dihedral_profile())
+    p = corpora.pro2_dihedral_profile()
+    v = respthm_check(p, maximal_scan(p), quaternionic_type(p))
     assert v.status == HJI
-    v = respthm_check(example2["profile"], example2["profile"])
+    p = example2["profile"]
+    v = respthm_check(p, maximal_scan(p), quaternionic_type(p))
     assert v.status == HYPOTHESIS_FAILED
     assert v.witness["failed_conditions"] == ["iii"]
-    v = respthm_check(corpora.c3_rank2_profile(), corpora.c3_rank2_profile())
+    p = corpora.c3_rank2_profile()
+    v = respthm_check(p, maximal_scan(p), quaternionic_type(p))
     assert v.status == HYPOTHESIS_FAILED
     assert "ii" in v.witness["failed_conditions"]
     elapsed = time.monotonic() - t0

@@ -153,6 +153,10 @@ def test_cli_hilbert_bad_argument_is_a_usage_error(argv, message):
     (["verify-paper", "1", "2"], "unrecognized arguments: 2"),
     (["--precision", "-3", "analyze", str(DATA / "pro2_dihedral.profile")],
      "argument --precision: must be at least 0, got -3"),
+    (["--order-gate", "0", "analyze", str(DATA / "q16_va.profile")],
+     "argument --order-gate: must be at least 1, got 0"),
+    (["--order-gate", "-1", "chartab", str(DATA / "q16_group.profile")],
+     "argument --order-gate: must be at least 1, got -1"),
 ])
 def test_argument_error_is_json_in_machine_mode(argv, message, capsys):
     for report_args in (["--report", "machine"], ["--report=machine"]):
@@ -271,6 +275,28 @@ def test_cli_analyze_pro2_dihedral_reaches_hji(tmp_path):
     status, report = run_command(["analyze", str(f)], out)
     assert status == 0
     assert report["hereditary_check"].status == "hji"
+
+
+def test_cli_analyze_scans_once(monkeypatch):
+    # respthm_check reads the scan and the quaternionic pair that analyze
+    # reports; a second call would come from inside profiles
+    from jigroup import cli, profiles
+
+    calls = {"maximal_scan": 0, "quaternionic_type": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(profiles, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(profiles, name, spy)
+    status, report = run_command(
+        ["--report", "machine", "analyze", str(DATA / "q16_va.profile")], io.StringIO())
+    assert status == 0
+    assert calls == {"maximal_scan": 1, "quaternionic_type": 1}
+    trace = report["hereditary_check"].witness["trace"]
+    assert [row["status"] for row in trace["ii"]["rows"]] == [
+        row["verdict"].status for row in report["maximal_scan"]]
+    assert trace["iii"]["evidence"] == report["quaternionic_type"]["evidence"]
 
 
 def test_cli_chartab_order_gate(tmp_path):

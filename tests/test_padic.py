@@ -438,3 +438,83 @@ def test_approx_route_splits_a_quaternion_commutant_at_3(monkeypatch):
         assert rows.rank(floor) == 2
         for g in rep.gen_images:
             assert PadicMatrix.stack([rows, rows * g]).rank(floor) == 2
+
+
+# -- the one-echelon minimal polynomial against the per-degree oracle ----------------
+
+
+def _minpoly_outcome(f, m):
+    try:
+        mp = f(m)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return mp.rows, mp.cap, mp.val
+
+
+def _shipped_commutant_elements():
+    """commutant_approx of each shipped Z_p profile and of its maximal
+    restrictions, at 8 digits and at the profile's precision."""
+    from jigroup.padic import commutant_approx
+    from jigroup.profile_io import parse_profile
+    from jigroup.smallgrp import maximal_subgroups
+
+    data = SRC / "jigroup" / "data"
+    for name in ("c3_z3", "pro2_dihedral", "q16_va"):
+        profile = parse_profile((data / f"{name}.profile").read_text())
+        p = profile.p
+        reps = [profile.action] + [profile.action.restrict(M)
+                                   for M in maximal_subgroups(profile.Q)]
+        for rep in reps:
+            for prec in (8, profile.precision):
+                gens = [g if isinstance(g, PadicMatrix) else PadicMatrix.from_rational(g, p, prec)
+                        for g in rep.gen_images]
+                yield from commutant_approx(gens, p, prec)
+
+
+def _random_integer_matrices(seed, count):
+    """Integer matrices of dimension 2 to 4 at p = 2, 3, 5 and caps 2 to 16:
+    residues, small entries, and a scalar plus p^j times small entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, d, cap = rng.choice((2, 3, 5)), rng.randint(2, 4), rng.randint(2, 16)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows = [[rng.randrange(p**cap) for _ in range(d)] for _ in range(d)]
+        elif kind == 1:
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        else:
+            a, j = rng.randint(-3, 3), rng.randint(0, cap + 1)
+            rows = [[a * (i == k) + p**j * rng.randint(-2, 2) for k in range(d)]
+                    for i in range(d)]
+        yield PadicMatrix(p, cap, rows)
+
+
+def test_pminimal_polynomial_matches_the_per_degree_oracle():
+    from jigroup.padic import pminimal_polynomial
+    from oracles import minimal_polynomial_by_degree
+
+    mats = list(_shipped_commutant_elements()) + list(_random_integer_matrices(7, 300))
+    degrees = set()
+    for m in mats:
+        got = _minpoly_outcome(pminimal_polynomial, m)
+        assert got == _minpoly_outcome(minimal_polynomial_by_degree, m), m
+        degrees.add(len(got[0][0]) - 1)
+    assert degrees == {1, 2, 3, 4}
+    # known to no digit: both raise at the first pivot decision
+    blind = PadicMatrix(3, 0, [[1, 2], [0, 1]])
+    assert _minpoly_outcome(pminimal_polynomial, blind) == (
+        _minpoly_outcome(minimal_polynomial_by_degree, blind))
+    assert _minpoly_outcome(pminimal_polynomial, blind) == "pivot decision beyond precision"
+
+
+def test_pminimal_polynomial_runs_one_echelon(monkeypatch):
+    from jigroup import padic
+
+    calls = []
+    real = padic.prow_echelon
+    monkeypatch.setattr(padic, "prow_echelon",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for m in list(_shipped_commutant_elements())[:20] + list(_random_integer_matrices(8, 20)):
+        calls.clear()
+        padic.pminimal_polynomial(m)
+        assert len(calls) == 1

@@ -172,19 +172,20 @@ def test_lgm_oracle_q8_imprimitive():
 
 def test_respthm_pro2_dihedral():
     profile = corpora.pro2_dihedral_profile()
-    v = respthm_check(profile, profile)
+    v = respthm_check(profile, maximal_scan(profile), quaternionic_type(profile))
     assert v.status == HJI
 
 
 def test_respthm_quaternionic_fails_iii(q16_profile):
-    v = respthm_check(q16_profile, q16_profile)
+    v = respthm_check(q16_profile, maximal_scan(q16_profile),
+                      quaternionic_type(q16_profile))
     assert v.status == HYPOTHESIS_FAILED
     assert v.witness["failed_conditions"] == ["iii"]
 
 
 def test_respthm_c3_fails_ii():
     profile = corpora.c3_rank2_profile()
-    v = respthm_check(profile, profile)
+    v = respthm_check(profile, maximal_scan(profile), quaternionic_type(profile))
     assert v.status == HYPOTHESIS_FAILED
     assert "ii" in v.witness["failed_conditions"]
 
@@ -193,7 +194,7 @@ def test_respthm_never_hji_with_bad_row(q16_profile):
     # consistency property: any hji verdict has all-ji maximal rows
     for profile in (corpora.pro2_dihedral_profile(), q16_profile,
                     corpora.c3_rank2_profile()):
-        v = respthm_check(profile, profile)
+        v = respthm_check(profile, maximal_scan(profile), quaternionic_type(profile))
         if v.status == HJI:
             rows = maximal_scan(profile)
             assert all(r["verdict"].status == JI for r in rows)
