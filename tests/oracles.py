@@ -245,7 +245,7 @@ def full_lattice_scan(profile, seed=0):
     ]
 
 
-# -- local fields ---------------------------------------------------------------------
+# -- p-adic matrices ------------------------------------------------------------------
 
 
 def minimal_polynomial_by_degree(m):
@@ -263,6 +263,8 @@ def minimal_polynomial_by_degree(m):
         powers.append(powers[-1] * m)
     raise PrecisionExhausted("no dependence found for minimal polynomial")
 
+
+# -- local fields ---------------------------------------------------------------------
 
 
 def solubility_oracle(a, b, p):
