@@ -43,7 +43,6 @@ from .profiles import (
     validate_va_profile,
 )
 from .profile_io import parse_profile
-from .ratmat import NumberRing
 from .rep import (
     MatRep,
     algebra_structure,
@@ -62,7 +61,6 @@ __all__ = [
     "CharacterTable",
     "DEFAULT_PRECISION",
     "MatRep",
-    "NumberRing",
     "PermGroup",
     "PrecisionExhausted",
     "QpFactorReport",

@@ -24,7 +24,16 @@ from math import lcm
 from . import ratmat as rm
 from . import zpoly
 from .hilbert import _valuation_and_unit, hilbert_symbol
-from .rep import commutation_rows
+from .perm import LATTICE_GATE
+from .rep import (
+    RelationViolation,
+    UncertifiedSplit,
+    _subspace_restriction,
+    close_over_group,
+    commutant_analysis,
+    commutation_rows,
+    decompose_over_Q,
+)
 from .verdicts import IRREDUCIBLE, REDUCIBLE, UNKNOWN, CertificateError, Verdict
 
 DEFAULT_PRECISION = 64
@@ -715,10 +724,17 @@ def _conic_newton(ext, a, b, sol, target_pi_prec):
 # -- approx commutants and minimal polynomials -----------------------------------
 
 
-def rep_element_map_padic(rep, p, prec):
-    if rep.ring == "Q":
-        return {e: PadicMatrix.from_rational(g, p, prec) for e, g in rep.element_map.items()}
-    return dict(rep.element_map)
+def rep_from_approx(group, gen_mats, identity):
+    """The approx MatRep of the given generator images over Z_p.
+
+    A rational image is read to the cap of the approx `identity`.  Each
+    relation must hold provably, that is, to the cap of its two sides.
+    """
+    p, cap = identity.p, identity.cap
+    mats = [m if isinstance(m, PadicMatrix) else PadicMatrix.from_rational(m, p, cap)
+            for m in gen_mats]
+    return close_over_group(group, mats, identity, operator.mul,
+                            lambda a, b: (a - b).is_zero(), ("Zp", p), LATTICE_GATE)
 
 
 def commutant_approx(gen_images_p, p, prec):
@@ -900,8 +916,6 @@ def _qp_analyze(rep, p, prec, seed=0):
 
     An exact rep reads the commutant analysis of the Q decider.
     """
-    from .rep import commutant_analysis, decompose_over_Q
-
     if rep.ring != "Q":
         return _qp_analyze_approx(rep, p, prec, seed)
     st, verdict = commutant_analysis(rep, seed)
@@ -1279,8 +1293,8 @@ def irreducible_over_Qp(rep, p, precision=None, seed=0):
 def padic_split(rep, p, precision=None, seed=0):
     """Constituent lattice reps of rep over Z_p (requires a reducible input).
 
-    Each constituent is verified: generator relations hold mod p^(N/2),
-    entries are p-integral, and generator determinants are p-adic units.
+    Each constituent is verified: its generator images are p-integral with
+    p-adic unit determinants, and every relation holds to the cap.
     """
     precision = precision or DEFAULT_PRECISION
     last = None
@@ -1311,34 +1325,28 @@ def _padic_split_at(rep, p, n, seed):
 
 
 def _constituent_rep(rep, rows, p, n):
-    """Restriction of rep to an invariant subspace as a Z_p lattice rep."""
-    from .perm import mul as perm_mul
-    from .rep import MatRep
+    """Restriction of rep to an invariant subspace as a Z_p lattice rep.
 
+    Only the generator images are solved for, and they must be p-integral
+    with unit determinants.  A relation they break at the cap means too few
+    digits, so it raises PrecisionExhausted.
+    """
     if not isinstance(rows, PadicMatrix):
         rows = PadicMatrix.from_rational(rows, p, n)
     floor = max(rows.cap // 2, 4)
     sat = rows.saturate(floor)
-    emap = {perm: sat.coords(sat * g, floor)
-            for perm, g in rep_element_map_padic(rep, p, n).items()}
-    # p-integrality and unit determinants
-    if any(mat_c.min_valuation() < 0 for mat_c in emap.values()):
+    gens = [rep.element_map[g] for g in rep.group.generators]
+    if rep.ring == "Q":
+        gens = [PadicMatrix.from_rational(g, p, n) for g in gens]
+    images = [sat.coords(sat * g, floor) for g in gens]
+    if any(m.min_valuation() < 0 for m in images):
         raise PrecisionExhausted("constituent entry not p-integral")
-    for perm in rep.group.generators:
-        if emap[perm].det_valuation() != 0:
-            raise PrecisionExhausted("constituent determinant is not a unit")
-    # homomorphism check mod p^(n/2)
-    slack = max(n // 2, 4)
-    for g in rep.group.generators:
-        for perm, ch in emap.items():
-            if (ch * emap[g] - emap[perm_mul(perm, g)]).min_valuation() < slack:
-                raise PrecisionExhausted("constituent relations fail at N/2")
-    gen_images = [emap[g] for g in rep.group.generators]
-    ident = rep.group.identity()
-    idm = emap[ident]
-    faithful = not any((mat_c - idm).is_zero()
-                       for perm, mat_c in emap.items() if perm != ident)
-    return MatRep(rep.group, gen_images, emap, faithful, ("Zp", p), len(sat))
+    if any(m.det_valuation() != 0 for m in images):
+        raise PrecisionExhausted("constituent determinant is not a unit")
+    try:
+        return rep_from_approx(rep.group, images, PadicMatrix.identity(len(sat), p, n))
+    except RelationViolation as exc:
+        raise PrecisionExhausted(f"constituent {exc}")
 
 
 def decompose_over_Qp(rep, p, precision=None, seed=0):
@@ -1347,11 +1355,10 @@ def decompose_over_Qp(rep, p, precision=None, seed=0):
     Returns exact rational row bases when the whole split is rational, and
     a single full-space basis when the rep is already Q_p-irreducible;
     raises ApproxSplitNeeded when a constituent splits p-adically beyond
-    the rational decomposition (callers treat the analysis as not decisive,
-    never as a primitivity certificate).
+    the rational decomposition, and UncertifiedSplit when the Q_p status of
+    a constituent is unknown (callers treat either as not decisive, never
+    as a primitivity certificate).
     """
-    from .rep import decompose_over_Q, _subspace_restriction
-
     precision = precision or DEFAULT_PRECISION
     if rep.ring != "Q":
         verdict = irreducible_over_Qp(rep, p, precision, seed)
@@ -1359,7 +1366,7 @@ def decompose_over_Qp(rep, p, precision=None, seed=0):
             return [PadicMatrix.identity(rep.dimension, p, precision)]
         if verdict.status == REDUCIBLE:
             raise ApproxSplitNeeded("approx constituent splits over Q_p")
-        raise PrecisionExhausted("approx constituent Q_p status unknown")
+        raise UncertifiedSplit("approx constituent Q_p status unknown")
     pieces = decompose_over_Q(rep, seed)
     for rows in pieces:
         sub_rep, _ = _subspace_restriction(rep, rows)
@@ -1367,5 +1374,5 @@ def decompose_over_Qp(rep, p, precision=None, seed=0):
         if verdict.status == REDUCIBLE:
             raise ApproxSplitNeeded("rational constituent splits over Q_p")
         if verdict.status == UNKNOWN:
-            raise PrecisionExhausted("constituent Q_p status unknown")
+            raise UncertifiedSplit("constituent Q_p status unknown")
     return pieces

@@ -11,24 +11,21 @@ Format (version header required, '#' comments allowed):
     gen 1 2 3 0 ...            # one per group generator, 0-based images
     mat 0 1 0 0 ... units      # one per gen, row-major entries
 
-Entry tokens: integers, rationals "n/d", p-adic approximations "r:k"
-(residue r known mod p^k), or number-ring coefficient vectors "c0,c1,..."
-against a declared "modulus c0 c1 ... 1" line (kind matrep only; there a
-rational entry is a constant).  A matrix with a p-adic entry is known to
-the least precision its entries state, and is emitted at that precision.
-Kinds: va, wreath, permgroup, matrep.
+Entry tokens: integers, rationals "n/d", or p-adic approximations "r:k"
+(residue r known mod p^k).  A matrix with a p-adic entry is known to the
+least precision its entries state, and is emitted at that precision; the
+rep of a profile with such a matrix is the approx rep of padic, every other
+rep is rational.  Kinds: va, wreath, permgroup, matrep (a rational MatRep).
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
-from .padic import DEFAULT_PRECISION, PadicMatrix
-from .perm import LATTICE_GATE, PermGroup, check_perm, identity_perm
+from .padic import DEFAULT_PRECISION, PadicMatrix, rep_from_approx
+from .perm import PermGroup, check_perm, identity_perm
 from .profiles import VaProfile
-from .ratmat import NumberRing
-from .rep import MatRep, RelationViolation, close_over_group, rep_from_data
+from .rep import RelationViolation, rep_from_data
 from .zpoly import isprime
 
 FORMAT_HEADER = "jigroup-profile v1"
@@ -91,7 +88,7 @@ def _read_fields(text):
         elif key == "mat":
             mats.append((ln, rest))
         elif key in ("kind", "ring", "rank", "precision", "degree", "fiber",
-                     "prime", "modulus"):
+                     "prime"):
             if key in fields:
                 raise ProfileError(ln, f"duplicate field {key!r}")
             fields[key] = (ln, rest)
@@ -177,16 +174,12 @@ def _parse_ring(fields):
     raise ProfileError(ln, f"ring must be Z or Z<p>, got {s!r}")
 
 
-def _parse_entry(ln, token, ring, number_ring):
+def _parse_entry(ln, token, ring):
     if ":" in token:
         if not isinstance(ring, tuple):
             raise ProfileError(ln, "p-adic entry in a non-Zp profile")
         return Fraction(_parse_int(ln, token.partition(":")[0], "residue"))
-    if "," in token and number_ring is None:
-        raise ProfileError(ln, "coefficient-vector entry without a modulus")
     try:
-        if number_ring is not None:
-            return number_ring.element([Fraction(t) for t in token.split(",")])
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ProfileError(ln, f"bad matrix entry {token!r}")
@@ -205,13 +198,6 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         precision = _parse_int(pl, ps, "precision")
         if precision < 1:
             raise ProfileError(pl, f"precision must be at least 1, got {precision}")
-    number_ring = None
-    if "modulus" in fields:
-        ml, ms = fields["modulus"]
-        try:
-            number_ring = NumberRing([Fraction(t) for t in ms.split()])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProfileError(ml, f"bad modulus: {exc}")
     if kind == "va":
         rl, rs = _require(fields, "rank", "va")
         rank = _parse_int(rl, rs, "rank")
@@ -232,11 +218,7 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         d = rank if rank is not None else _isqrt_exact(ml, len(tokens))
         if len(tokens) != d * d:
             raise ProfileError(ml, f"matrix needs {d}*{d} entries, got {len(tokens)}")
-        entries = [
-            _parse_entry(ml, t, ring, number_ring) for t in tokens
-        ]
-        if number_ring is not None and kind != "matrep":
-            raise ProfileError(ml, "entries over a modulus belong to kind matrep")
+        entries = [_parse_entry(ml, t, ring) for t in tokens]
         rows = tuple(tuple(entries[i * d:(i + 1) * d]) for i in range(d))
         caps = [_parse_int(ml, t.partition(":")[2], "precision") for t in tokens if ":" in t]
         if caps and min(caps) < 1:
@@ -251,7 +233,11 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         mat_lines.append(ml)
     group = PermGroup(kept_perms, degree)
     try:
-        rep = _rep_from_parsed(group, gen_mats, ring, precision, number_ring)
+        if any(isinstance(m, PadicMatrix) for m in gen_mats):
+            identity = PadicMatrix.identity(len(gen_mats[0]), ring[1], precision)
+            rep = rep_from_approx(group, gen_mats, identity)
+        else:
+            rep = rep_from_data(group, gen_mats)
     except RelationViolation as exc:
         # located at the mat line of the last generator of the failing word
         raise ProfileError(mat_lines[exc.word[-1]], str(exc))
@@ -266,15 +252,7 @@ def _is_identity_matrix(m):
     """Whether m is the identity; a p-adic matrix counts to its cap."""
     if isinstance(m, PadicMatrix):
         return (m - PadicMatrix.identity(len(m), m.p, m.cap)).is_zero()
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            want = int(i == j)
-            if isinstance(x, tuple):  # number-ring coefficient vector
-                if x[0] != want or any(x[1:]):
-                    return False
-            elif x != want:
-                return False
-    return True
+    return all(x == int(i == j) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _isqrt_exact(ln, n):
@@ -284,54 +262,6 @@ def _isqrt_exact(ln, n):
     if d * d != n:
         raise ProfileError(ln, f"{n} entries do not form a square matrix")
     return d
-
-
-def _rep_from_parsed(group, gen_mats, ring, precision, number_ring):
-    if any(isinstance(m, PadicMatrix) for m in gen_mats):
-        return _rep_from_padic(group, gen_mats, ring[1], precision)
-    if number_ring is not None:
-        return _rep_from_number_ring(group, gen_mats, number_ring)
-    return rep_from_data(group, gen_mats)
-
-
-def _rep_from_padic(group, gen_mats, p, precision):
-    """Closure-verified approx MatRep; provable inconsistency is an error."""
-
-    def provably_equal(a, b):
-        return (a - b).is_zero()
-
-    d = len(gen_mats[0])
-    ident_mat = PadicMatrix.identity(d, p, precision)
-    gen_mats = [m if isinstance(m, PadicMatrix) else PadicMatrix.from_rational(m, p, precision)
-                for m in gen_mats]
-    emap = close_over_group(group, gen_mats, ident_mat, operator.mul, provably_equal,
-                            LATTICE_GATE)
-    ident = identity_perm(group.degree)
-    faithful = not any(provably_equal(m, ident_mat)
-                       for perm, m in emap.items() if perm != ident)
-    return MatRep(group, gen_mats, emap, faithful, ("Zp", p), d)
-
-
-def _rep_from_number_ring(group, gen_mats, number_ring):
-    """Number-ring matrices are verified through the regular embedding."""
-    k = number_ring.degree
-    blown = []
-    for m in gen_mats:
-        d = len(m)
-        big = [[Fraction(0)] * (d * k) for _ in range(d * k)]
-        for i in range(d):
-            for j in range(d):
-                block = number_ring.mult_matrix(m[i][j])
-                for a in range(k):
-                    for b in range(k):
-                        big[i * k + a][j * k + b] = block[a][b]
-        blown.append(big)
-    qrep = rep_from_data(group, blown)
-    rep = MatRep(group, gen_mats, None, qrep.faithful,
-                 ("NumberRing", tuple(number_ring.modulus)), len(gen_mats[0]))
-    rep.element_map = None  # the regular embedding carries the verified map
-    rep.regular_embedding = qrep
-    return rep
 
 
 # -- emission -----------------------------------------------------------------

@@ -357,42 +357,3 @@ def minimal_polynomial(m):
         basis.append((next(j for j, x in enumerate(vec) if x), vec, comb))
         power = _int_mul(power, n)
     raise CertificateError("minimal polynomial search exceeded dimension")
-
-
-class NumberRing:
-    """Z[t]/(m(t)) with m monic irreducible over Q; exact arithmetic.
-
-    Elements are Fraction coefficient tuples of length deg(m).
-    """
-
-    def __init__(self, modulus):
-        mod = poly_trim(modulus)
-        if poly_deg(mod) < 1:
-            raise ValueError("modulus must have positive degree")
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not poly_is_irreducible_q(mod):
-            raise ValueError("modulus is reducible over Q")
-        self.modulus = mod
-        self.degree = poly_deg(mod)
-
-    def element(self, coeffs):
-        coeffs = [F(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = zpoly.quo_rem(coeffs, self.modulus)[1]
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(coeffs[: self.degree])
-
-    def mul(self, a, b):
-        return self.element(zpoly.mul(a, b))
-
-    def mult_matrix(self, a):
-        """Multiplication-by-a as a rational matrix on the power basis."""
-        cols = []
-        for k in range(self.degree):
-            basis = self.element([0] * k + [1])
-            cols.append(self.mul(a, basis))
-        return tuple(
-            tuple(cols[j][i] for j in range(self.degree))
-            for i in range(self.degree)
-        )

@@ -1,8 +1,10 @@
-"""Exact rational matrix representations of finite groups.
+"""Matrix representations of finite groups, exact over Q and approx over Z_p.
 
-The homomorphism property is verified by closing the generator images over
-the whole group (order-gated), which also yields the element-to-matrix map
-used for restrictions.  Irreducibility over Q is decided through the
+Every rep gets its element map one way: close_over_group closes the
+generator images over the whole group (order-gated) and checks each
+relation on the way.  rep_from_data, invariant subspaces and the approx
+builder of padic all go through it; a restriction to a subgroup reads the
+map of its parent.  Irreducibility over Q is decided through the
 commutant, analysed once per (rep, seed): reducible iff a nontrivial
 idempotent (or other zero divisor) turns up; scalar, field, and quaternion
 commutants carry exact division certificates, and a quaternion algebra
@@ -39,7 +41,12 @@ class RelationViolation(ValueError):
 
 
 class MatRep:
-    """A homomorphism from a PermGroup into GL_d over Q (or a NumberRing)."""
+    """A homomorphism from a PermGroup into GL_d over Q, or over Z_p for
+    approx (PadicMatrix) images; `ring` is "Q" or ("Zp", p).
+
+    The element map comes from close_over_group, or from the parent's map
+    for a restriction.
+    """
 
     def __init__(self, group, gen_images, element_map, faithful, ring="Q",
                  dimension=None):
@@ -72,29 +79,27 @@ class MatRep:
 def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
     """Build and verify a MatRep from generator images."""
     mats = [rm.mat(m) for m in generator_matrices]
-    d = None
+    if not mats:
+        raise ValueError("rep_from_data needs at least one generator matrix")
+    d = len(mats[0])
     for m in mats:
-        if d is None:
-            d = len(m)
         if len(m) != d or any(len(row) != d for row in m):
             raise ValueError("generator matrices must be square, equal size")
         if rm.mat_det(m) == 0:
             raise ValueError("generator image is not invertible")
-    if d is None:
-        raise ValueError("rep_from_data needs at least one generator matrix")
-    element_map = close_over_group(group, mats, rm.identity(d), rm.mat_mul,
-                                   operator.eq, gate)
-    faithful = len(set(element_map.values())) == len(element_map)
-    return MatRep(group, mats, element_map, faithful)
+    return close_over_group(group, mats, rm.identity(d), rm.mat_mul, operator.eq,
+                            "Q", gate)
 
 
-def close_over_group(group, mats, identity, product, equal, gate):
-    """Element-to-matrix map of the homomorphism given by generator images.
+def close_over_group(group, mats, identity, product, equal, ring, gate):
+    """The MatRep of the homomorphism given by generator images.
 
     Walks the whole group in parallel in the permutation and matrix worlds;
     `product` multiplies two images and `equal` says whether two images of
     one element agree.  A disagreement raises RelationViolation with the
-    failing generator word.
+    failing generator word.  The rep is faithful when no element but the
+    identity maps to `identity`, which also stands in as the one generator
+    image of a group without generators.
     """
     if len(mats) != len(group.generators):
         raise ValueError("need exactly one matrix per group generator")
@@ -121,7 +126,8 @@ def close_over_group(group, mats, identity, product, equal, gate):
         frontier = nxt
     if len(element_map) != group.order:
         raise CertificateError("closure does not reach the group order")
-    return element_map
+    faithful = not any(equal(m, identity) for e, m in element_map.items() if e != ident)
+    return MatRep(group, mats or [identity], element_map, faithful, ring, len(identity))
 
 
 def commutant(rep):
@@ -575,7 +581,8 @@ def _invariant_complement(rep, w_rows):
 def _subspace_restriction(rep, rows):
     """The action of the group on an invariant subspace, in its own basis.
 
-    Returns (restricted MatRep, canonical lift basis).
+    Only the generator images are solved for; close_over_group checks them
+    against every relation.  Returns (restricted MatRep, canonical lift basis).
     """
     rows = rm.row_space_canonical(rows)
     rt = rm.mat_transpose(rows)
@@ -589,12 +596,9 @@ def _subspace_restriction(rep, rows):
             coords.append(sol)
         return rm.mat(coords)
 
-    emap = {perm: restricted(g) for perm, g in rep.element_map.items()}
-    gen_images = [emap[g] for g in rep.group.generators] or [
-        rm.identity(len(rows))
-    ]
-    faithful = len(set(emap.values())) == len(emap)
-    new_rep = MatRep(rep.group, gen_images, emap, faithful, rep.ring, len(rows))
+    images = [restricted(rep.element_map[g]) for g in rep.group.generators]
+    new_rep = close_over_group(rep.group, images, rm.identity(len(rows)), rm.mat_mul,
+                               operator.eq, rep.ring, LATTICE_GATE)
     return new_rep, rows
 
 

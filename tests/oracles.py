@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from jigroup import catalog
+from jigroup import ratmat as rm
 from jigroup.hilbert import _valuation_and_unit
 from jigroup.padic import PadicMatrix, PrecisionExhausted
 from jigroup.perm import (
@@ -25,6 +26,7 @@ from jigroup.perm import (
     perm_order,
 )
 from jigroup.profiles import subgroup_ji
+from jigroup.rep import MatRep
 from jigroup.smallgrp import all_subgroups, small_table
 
 # -- permutation groups -------------------------------------------------------------
@@ -262,6 +264,56 @@ def minimal_polynomial_by_degree(m):
             return PadicMatrix(m.p, ns.cap, ns.rows[:1], ns.val)
         powers.append(powers[-1] * m)
     raise PrecisionExhausted("no dependence found for minimal polynomial")
+
+
+# -- restrictions to invariant subspaces ----------------------------------------------
+
+
+def subspace_restriction_by_elements(rep, rows):
+    """rep._subspace_restriction element by element: one rm.solve per row
+    of the image of every group element.  Returns (MatRep, lift basis)."""
+    rows = rm.row_space_canonical(rows)
+    rt = rm.mat_transpose(rows)
+
+    def restricted(g):
+        coords = []
+        for img in rm.mat_mul(rows, g):
+            sol = rm.solve(rt, img)
+            if sol is None:
+                raise ValueError("subspace not invariant in restriction")
+            coords.append(sol)
+        return rm.mat(coords)
+
+    emap = {perm: restricted(g) for perm, g in rep.element_map.items()}
+    gen_images = [emap[g] for g in rep.group.generators] or [rm.identity(len(rows))]
+    faithful = len(set(emap.values())) == len(emap)
+    return MatRep(rep.group, gen_images, emap, faithful, rep.ring, len(rows)), rows
+
+
+def constituent_rep_by_elements(rep, rows, p, n):
+    """padic._constituent_rep element by element: one coords echelon per
+    group element, then every relation checked mod p^(n/2)."""
+    if not isinstance(rows, PadicMatrix):
+        rows = PadicMatrix.from_rational(rows, p, n)
+    floor = max(rows.cap // 2, 4)
+    sat = rows.saturate(floor)
+    emap = {perm: g if rep.ring != "Q" else PadicMatrix.from_rational(g, p, n)
+            for perm, g in rep.element_map.items()}
+    emap = {perm: sat.coords(sat * g, floor) for perm, g in emap.items()}
+    if any(mat_c.min_valuation() < 0 for mat_c in emap.values()):
+        raise PrecisionExhausted("constituent entry not p-integral")
+    for perm in rep.group.generators:
+        if emap[perm].det_valuation() != 0:
+            raise PrecisionExhausted("constituent determinant is not a unit")
+    slack = max(n // 2, 4)
+    for g in rep.group.generators:
+        for perm, ch in emap.items():
+            if (ch * emap[g] - emap[mul(perm, g)]).min_valuation() < slack:
+                raise PrecisionExhausted("constituent relations fail at N/2")
+    gen_images = [emap[g] for g in rep.group.generators]
+    ident = rep.group.identity()
+    faithful = not any((m - emap[ident]).is_zero() for perm, m in emap.items() if perm != ident)
+    return MatRep(rep.group, gen_images, emap, faithful, ("Zp", p), len(sat))
 
 
 # -- local fields ---------------------------------------------------------------------

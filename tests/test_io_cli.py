@@ -100,19 +100,6 @@ def test_parse_permgroup_and_roundtrip():
     assert emit_permgroup(again) == text
 
 
-def test_parse_number_ring_matrix():
-    text = """jigroup-profile v1
-kind matrep
-degree 4
-modulus 1 0 1
-gen 1 2 3 0
-mat 0,1
-"""
-    rep = parse_profile(text)
-    assert rep.dimension == 1
-    assert rep.faithful  # multiplication by i has order 4
-
-
 def test_cli_hilbert():
     out = io.StringIO()
     status, report = run_command(["hilbert", "-1", "-1", "2"], out)
@@ -355,11 +342,11 @@ def test_ring_with_composite_modulus_is_a_located_error(tmp_path):
 
 @pytest.mark.parametrize("entry", ["1/0", "1,1/0"])
 def test_zero_denominator_entry_is_a_located_error(tmp_path, entry):
-    text = ("jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\n"
+    text = ("jigroup-profile v1\nkind va\nring Z\nrank 1\n"
             f"degree 2\ngen 1 0\nmat {entry}\n")
     status, out = _analyze_text(tmp_path, text)
     assert status == 2
-    assert out == f"error: line 8: bad matrix entry {entry!r}\n"
+    assert out == f"error: line 7: bad matrix entry {entry!r}\n"
 
 
 @pytest.mark.parametrize("ring, entry", [("Z", "2"), ("Z2", "3:8")])
@@ -512,14 +499,9 @@ ERROR_CASES = {
         ["chartab"], (DATA / "c3_z3.profile").read_text(), "line 2: ", "profile", 2),
     "va_coefficient_vector": (
         ["analyze"],
-        "jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\ndegree 4\n"
+        "jigroup-profile v1\nkind va\nring Z\nrank 1\ndegree 4\n"
         "gen 1 2 3 0\nmat 0,1\n",
-        "line 8: ", "profile", 8),
-    "va_modulus_with_rational_entry": (
-        ["analyze"],
-        "jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\ndegree 2\n"
-        "gen 1 0\nmat -1\n",
-        "line 8: ", "profile", 8),
+        "line 7: ", "profile", 7),
     "wreath_prime_5": (
         ["shadow"], "jigroup-profile v1\nkind wreath\nfiber A5\nprime 5\n",
         "line 4: ", "profile", 4),
@@ -543,6 +525,11 @@ ERROR_CASES = {
     "order_gate": (
         ["--order-gate", "8", "analyze"], (DATA / "q16_va.profile").read_text(),
         "order gate: ", "order_gate", None),
+    "modulus_is_an_unknown_field": (
+        ["analyze"],
+        "jigroup-profile v1\nkind va\nring Z\nrank 1\nmodulus 1 0 1\ndegree 2\n"
+        "gen 1 0\nmat -1\n",
+        "line 5: ", "profile", 5),
 }
 
 
@@ -570,9 +557,16 @@ def test_bad_input_is_a_located_error_and_machine_json(tmp_path, case):
     assert out.getvalue() == json.dumps({"error": error}, sort_keys=True, indent=1) + "\n"
 
 
-def test_number_ring_matrix_takes_rational_entries_as_constants():
-    text = ("jigroup-profile v1\nkind matrep\ndegree 2\nmodulus 1 0 1\n"
-            "gen 1 0\nmat -1\n")
+@pytest.mark.parametrize("degree, gens, mat, status", [
+    (3, ["1 2 0"], ["0 -1 1 -1"], "irreducible"),
+    # [[1, 1/2], [0, -1]] squares to the identity and fixes the first axis
+    (2, ["1 0"], ["1 1/2 0 -1"], "reducible"),
+])
+def test_rational_matrep_profile_is_decided_over_Q(degree, gens, mat, status):
+    from jigroup.rep import MatRep, irreducible_over_Q
+
+    text = (f"jigroup-profile v1\nkind matrep\ndegree {degree}\n"
+            + "".join(f"gen {g}\n" for g in gens) + "".join(f"mat {m}\n" for m in mat))
     rep = parse_profile(text)
-    assert rep.gen_images == [(((-1, 0),),)]
-    assert rep.faithful
+    assert isinstance(rep, MatRep) and (rep.ring, rep.dimension) == ("Q", 2)
+    assert irreducible_over_Q(rep).status == status

@@ -518,3 +518,72 @@ def test_pminimal_polynomial_runs_one_echelon(monkeypatch):
         calls.clear()
         padic.pminimal_polynomial(m)
         assert len(calls) == 1
+
+
+def _constituent_inputs():
+    from jigroup.fixtures import q16_integral_rep
+    from test_padic_ext import q8c3_rep
+
+    yield q16_integral_rep(), 2, 32
+    yield q16_integral_rep(), 2, 64
+    yield c3_companion_rep(), 7, None
+    yield q8_quaternion_rep(), 3, None
+    yield q8c3_rep(25), 5, 32
+    yield q8c3_rep(9), 3, 32
+
+
+def test_constituent_rep_matches_the_element_by_element_oracle(monkeypatch):
+    """On every constituent padic_split builds, the closed generator images
+    agree entry by entry, to the lesser cap, with one coords echelon per
+    group element."""
+    from jigroup import padic
+    from oracles import constituent_rep_by_elements
+
+    calls = []
+    real = padic._constituent_rep
+
+    def compared(rep, rows, p, n):
+        new = real(rep, rows, p, n)
+        old = constituent_rep_by_elements(rep, rows, p, n)
+        assert list(new.element_map) == list(old.element_map)
+        for perm, m in new.element_map.items():
+            assert (m - old.element_map[perm]).is_zero()
+            assert min(m.cap, old.element_map[perm].cap) >= n // 2
+        assert (new.faithful, new.dimension) == (old.faithful, old.dimension)
+        calls.append(n)
+        return new
+
+    monkeypatch.setattr(padic, "_constituent_rep", compared)
+    for rep, p, prec in _constituent_inputs():
+        calls.clear()
+        padic_split(rep, p, prec)
+        assert len(calls) == 2
+
+
+def test_constituent_rep_runs_coords_once_per_generator(monkeypatch):
+    from jigroup import ratmat as rm
+    from jigroup.fixtures import q16_integral_rep
+    from jigroup.padic import _constituent_rep
+
+    calls = []
+    real = PadicMatrix.coords
+    monkeypatch.setattr(PadicMatrix, "coords",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    rep = q16_integral_rep()
+    sub = _constituent_rep(rep, rm.identity(8), 2, 32)
+    assert len(calls) == len(rep.group.generators) == 2
+    assert len(sub.element_map) == 16 and sub.faithful
+
+
+def test_constituent_breaking_a_relation_is_precision_exhausted():
+    # 3 is a 2-adic unit, but its square is not 1: the generator of C2
+    # cannot map to it, and the closure says so at the cap
+    from jigroup import ratmat as rm
+    from jigroup.padic import _constituent_rep
+    from jigroup.rep import MatRep
+
+    G = catalog.cyclic(2)
+    three = rm.mat([[3]])
+    rep = MatRep(G, [three], {G.generators[0]: three}, True)
+    with pytest.raises(PrecisionExhausted, match="violate the relation"):
+        _constituent_rep(rep, [[1]], 2, 16)

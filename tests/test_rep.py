@@ -422,3 +422,66 @@ def test_quaternion_pair_on_the_matrix_units():
     # i = diag(1, -1), i^2 = 1; the first anticommuting j is E12, j^2 = 0
     assert quaternion_pair(units, (ident,), rm.mat([[1, 0], [0, -1]])) == (e12,)
     assert quaternion_pair(units, (ident,), ident) is None  # x in the center
+
+
+def test_subspace_restriction_matches_the_element_by_element_oracle(monkeypatch):
+    """The generator images closed over the group give the element map that
+    one solve per row of every element's image gives, on every restriction
+    that decompose_over_Q makes of Example 2's 8-dim rep and of Q8 by rho_H
+    (their maximal subgroups), and of C2 on its trivial subgroup."""
+    from jigroup import padic
+    from jigroup.fixtures import q16_integral_rep
+    from oracles import subspace_restriction_by_elements
+
+    calls = []
+    real = rep_module._subspace_restriction
+
+    def compared(rep, rows):
+        new, lift = real(rep, rows)
+        old, old_lift = subspace_restriction_by_elements(rep, rows)
+        assert lift == old_lift
+        assert new.element_map == old.element_map
+        assert (new.gen_images, new.faithful, new.dimension) == (
+            old.gen_images, old.faithful, old.dimension)
+        calls.append(rep.group.order)
+        return new, lift
+
+    monkeypatch.setattr(rep_module, "_subspace_restriction", compared)
+    monkeypatch.setattr(padic, "_subspace_restriction", compared)
+    for rep in (q16_integral_rep(), q8_quaternion_rep()):
+        for M in maximal_subgroups(rep.group):
+            decompose_over_Q(rep.restrict(M))
+        matrix_block_system(rep)
+    assert matrix_block_system(q8_quaternion_rep(), p=2).status == "imprimitive"
+    trivial = maximal_subgroups(catalog.cyclic(2))[0]
+    assert sorted(map(len, decompose_over_Q(c2_diag_rep().restrict(trivial)))) == [1, 1]
+    assert sorted(set(calls)) == [1, 4, 8]
+
+
+def _s3_sum_zero_rep():
+    """S3 on the sum-zero lattice, basis e0 - e2, e1 - e2, conjugated by
+    diag(1, 2); its C3 restriction is the companion rep of x^2 + x + 1
+    conjugated the same way."""
+    G = catalog.symmetric(3)
+
+    def image(g):
+        rows = []
+        for k in range(2):
+            v = [0, 0, 0]
+            v[g[k]] += 1
+            v[g[2]] -= 1
+            rows.append(v[:2])
+        return [[Fraction(rows[i][j] * (i + 1), j + 1) for j in range(2)] for i in range(2)]
+
+    return rep_from_data(G, [image(g) for g in G.generators])
+
+
+def test_block_system_with_an_undecided_constituent_is_unknown():
+    # the C3 restriction is undecided over Q_2 (its minimal polynomial has
+    # the integer model x^2 - 2x + 4), so the scan cannot certify primitivity
+    rep = _s3_sum_zero_rep()
+    assert matrix_block_system(rep).status == "primitive"
+    v = matrix_block_system(rep, p=2)
+    assert v.status == "unknown"
+    reasons = {row["maximal_order"]: row["reason"] for row in v.witness["per_maximal"]}
+    assert reasons[3] == "restriction split unknown"
