@@ -24,7 +24,6 @@ from math import lcm
 from . import ratmat as rm
 from . import zpoly
 from .hilbert import _valuation_and_unit, hilbert_symbol
-from .perm import LATTICE_GATE
 from .rep import (
     RelationViolation,
     UncertifiedSplit,
@@ -734,7 +733,7 @@ def rep_from_approx(group, gen_mats, identity):
     mats = [m if isinstance(m, PadicMatrix) else PadicMatrix.from_rational(m, p, cap)
             for m in gen_mats]
     return close_over_group(group, mats, identity, operator.mul,
-                            lambda a, b: (a - b).is_zero(), ("Zp", p), LATTICE_GATE)
+                            lambda a, b: (a - b).is_zero(), ("Zp", p))
 
 
 def commutant_approx(gen_images_p, p, prec):

@@ -76,7 +76,7 @@ class MatRep:
         )
 
 
-def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
+def rep_from_data(group, generator_matrices):
     """Build and verify a MatRep from generator images."""
     mats = [rm.mat(m) for m in generator_matrices]
     if not mats:
@@ -87,24 +87,23 @@ def rep_from_data(group, generator_matrices, gate=LATTICE_GATE):
             raise ValueError("generator matrices must be square, equal size")
         if rm.mat_det(m) == 0:
             raise ValueError("generator image is not invertible")
-    return close_over_group(group, mats, rm.identity(d), rm.mat_mul, operator.eq,
-                            "Q", gate)
+    return close_over_group(group, mats, rm.identity(d), rm.mat_mul, operator.eq, "Q")
 
 
-def close_over_group(group, mats, identity, product, equal, ring, gate):
+def close_over_group(group, mats, identity, product, equal, ring):
     """The MatRep of the homomorphism given by generator images.
 
-    Walks the whole group in parallel in the permutation and matrix worlds;
-    `product` multiplies two images and `equal` says whether two images of
-    one element agree.  A disagreement raises RelationViolation with the
-    failing generator word.  The rep is faithful when no element but the
-    identity maps to `identity`, which also stands in as the one generator
-    image of a group without generators.
+    Walks the whole group (at most LATTICE_GATE elements) in parallel in
+    the permutation and matrix worlds; `product` multiplies two images and
+    `equal` says whether two images of one element agree.  A disagreement
+    raises RelationViolation with the failing generator word.  The rep is
+    faithful when no element but the identity maps to `identity`, which
+    also stands in as the one generator image of a group without generators.
     """
     if len(mats) != len(group.generators):
         raise ValueError("need exactly one matrix per group generator")
-    if group.order > gate:
-        raise OrderGateExceeded("representation closure", group.order, gate)
+    if group.order > LATTICE_GATE:
+        raise OrderGateExceeded("representation closure", group.order, LATTICE_GATE)
     ident = identity_perm(group.degree)
     element_map = {ident: identity}
     words = {ident: ()}
@@ -597,9 +596,8 @@ def _subspace_restriction(rep, rows):
         return rm.mat(coords)
 
     images = [restricted(rep.element_map[g]) for g in rep.group.generators]
-    new_rep = close_over_group(rep.group, images, rm.identity(len(rows)), rm.mat_mul,
-                               operator.eq, rep.ring, LATTICE_GATE)
-    return new_rep, rows
+    return close_over_group(rep.group, images, rm.identity(len(rows)), rm.mat_mul,
+                            operator.eq, rep.ring), rows
 
 
 def matrix_block_system(rep, seed=0, p=None, precision=None):
