@@ -89,7 +89,7 @@ class CharacterTable:
 def _smallest_modulus(order, exponent):
     l = 2 * order + 1
     while True:
-        if l % exponent == 1 and isprime(l):
+        if l % exponent == 1 % exponent and isprime(l):
             return l
         l += 1
 
@@ -250,28 +250,26 @@ def character_table(group, gate=LATTICE_GATE):
         chars_mod.append((d, [d * w * size_inv[i] % l for i, w in enumerate(omegas)]))
     chars_mod.sort(key=lambda t: (t[0], t[1]))
 
-    # lift to cyclotomics: chi(g) = sum_s m_s zeta^s with multiplicities m_s
+    # lift to cyclotomics: chi(g) = sum_s m_s zeta^s with multiplicities m_s,
+    # by an inverse DFT of the length o = ord(g) of the period of chi(g^u)
     ctx = CycloContext(exponent)
     t_root = _element_of_order(l, exponent)
     # t_root has order exactly `exponent`, so its powers repeat with that period
     root_pows = [pow(t_root, k, l) for k in range(exponent)]
     power_class = _power_classes(reps, class_of, exponent)
-    e_inv = pow(exponent, l - 2, l)
+    orders = [perm_order(z) for z in reps]
+    # dfts[o][t][u] = (1/o) zeta_o^(-tu) mod l, with zeta_o = t_root^(exponent/o)
+    dfts = {}
+    for o in set(orders):
+        step, o_inv = exponent // o, pow(o, l - 2, l)
+        dfts[o] = [[o_inv * root_pows[-step * t * u % exponent] % l for u in range(o)]
+                   for t in range(o)]
     values = []
     degrees = []
     for d, vmod in chars_mod:
         row = []
-        for j in range(r):
-            powers_mod = [vmod[c] for c in power_class[j]]
-            mults = []
-            for s in range(exponent):
-                acc = sum(x * root_pows[-s * u % exponent] for u, x in enumerate(powers_mod))
-                m_s = (acc * e_inv) % l
-                if m_s > d:
-                    raise CertificateError("character multiplicity out of range")
-                mults.append(m_s)
-            if sum(mults) != d:
-                raise CertificateError("eigenvalue multiplicities do not sum to degree")
+        for pc, o in zip(power_class, orders):
+            mults = _multiplicities([vmod[c] for c in pc[:o]], d, exponent, dfts[o], l)
             row.append(ctx.from_root_multiplicities(mults))
         values.append(row)
         degrees.append(d)
@@ -279,6 +277,27 @@ def character_table(group, gate=LATTICE_GATE):
     table = CharacterTable(group, classes, sizes, values, degrees, ctx)
     table.verify(order)
     return table
+
+
+def _multiplicities(powers, d, exponent, dft, l):
+    """The m_s, s < exponent, with chi(z) = sum_s m_s zeta^s, from powers[u] =
+    chi(z^u) mod l for u < o = ord(z) and dft the rows of (1/o) zeta_o^(-tu).
+
+    chi(z^u) has period o, so the inverse DFT of length exponent is 0 mod l
+    at every s that exponent/o does not divide; at s = (exponent/o) t it is
+    row t of dft applied to powers.  Raises CertificateError unless each
+    m_s is at most d and they sum to d.
+    """
+    step = exponent // len(powers)
+    mults = [0] * exponent
+    for t, row in enumerate(dft):
+        m = sum(map(operator.mul, powers, row)) % l
+        if m > d:
+            raise CertificateError("character multiplicity out of range")
+        mults[step * t] = m
+    if sum(mults) != d:
+        raise CertificateError("eigenvalue multiplicities do not sum to degree")
+    return mults
 
 
 def _eigenvalues_mod(a, l):
@@ -350,36 +369,34 @@ def _element_of_order(l, e):
     qs = primefactors(e)
     for g in range(2, l):
         x = pow(g, (l - 1) // e, l)
-        if x != 1 and all(pow(x, e // q, l) != 1 for q in qs):
+        if all(pow(x, e // q, l) != 1 for q in qs):
             return x
     raise CertificateError("no element of the required order")
 
 
-def min_faithful_degree(group, gate=LATTICE_GATE, table=None):
+def min_faithful_degree(group, table=None):
     """Smallest degree of a faithful characteristic-0 representation.
 
     Minimum, over subsets of irreducible characters whose kernels intersect
     trivially, of the sum of their degrees (Dijkstra over distinct kernel
-    intersections).
+    intersections, each a bitmask of classes).
     """
-    ct = table if table is not None else character_table(group, gate)
-    kernels = [ct.kernel_classes(i) for i in range(ct.n_classes)]
-    full = frozenset(range(ct.n_classes))
-    target = frozenset([0])  # identity class only
+    ct = table if table is not None else character_table(group)
+    kernels = [sum(1 << j for j in ct.kernel_classes(i)) for i in range(ct.n_classes)]
+    full = (1 << ct.n_classes) - 1
+    target = 1  # identity class only
     best = {full: 0}
-    heap = [(0, 0, full)]
-    counter = 1
+    heap = [(0, full)]
     while heap:
-        cost, _, state = heapq.heappop(heap)
+        cost, state = heapq.heappop(heap)
         if state == target:
             return cost
-        if cost > best.get(state, 10**9):
+        if cost > best[state]:
             continue
-        for i, ker in enumerate(kernels):
+        for ker, deg in zip(kernels, ct.degrees):
             nstate = state & ker
-            ncost = cost + ct.degrees[i]
-            if ncost < best.get(nstate, 10**9):
+            ncost = cost + deg
+            if ncost < best.get(nstate, ncost + 1):
                 best[nstate] = ncost
-                heapq.heappush(heap, (ncost, counter, nstate))
-                counter += 1
+                heapq.heappush(heap, (ncost, nstate))
     raise CertificateError("no faithful character collection found")

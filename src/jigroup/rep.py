@@ -45,10 +45,11 @@ class MatRep:
     approx (PadicMatrix) images; `ring` is "Q" or ("Zp", p).
 
     The element map comes from close_over_group, or from the parent's map
-    for a restriction.
+    for a restriction.  `kernel` is the set of elements that map to the
+    identity; the rep is faithful when it holds the identity alone.
     """
 
-    def __init__(self, group, gen_images, element_map, faithful, ring="Q",
+    def __init__(self, group, gen_images, element_map, kernel, ring="Q",
                  dimension=None):
         self.group = group
         self.gen_images = gen_images
@@ -56,18 +57,22 @@ class MatRep:
             dimension = len(gen_images[0])
         self.dimension = dimension
         self.element_map = element_map  # perm tuple -> matrix
-        self.faithful = faithful
+        self.kernel = kernel
         self.ring = ring
 
+    @property
+    def faithful(self):
+        return len(self.kernel) == 1
+
     def restrict(self, handle):
-        """Restriction to a subgroup handle (as a rep of its own PermGroup)."""
+        """Restriction to a subgroup handle (as a rep of its own PermGroup);
+        its kernel is the parent's kernel met with the subgroup."""
         sub = handle.group
         gens = sub.generators or (identity_perm(self.group.degree),)
         gen_images = [self.element_map[g] for g in gens]
         sub_map = {e: self.element_map[e] for e in sub.elements()}
-        faithful = len(set(sub_map.values())) == len(sub_map)
-        return MatRep(sub, gen_images, sub_map, faithful, self.ring,
-                      self.dimension)
+        kernel = frozenset(e for e in self.kernel if e in sub_map)
+        return MatRep(sub, gen_images, sub_map, kernel, self.ring, self.dimension)
 
     def __repr__(self):
         return (
@@ -96,9 +101,9 @@ def close_over_group(group, mats, identity, product, equal, ring):
     Walks the whole group (at most LATTICE_GATE elements) in parallel in
     the permutation and matrix worlds; `product` multiplies two images and
     `equal` says whether two images of one element agree.  A disagreement
-    raises RelationViolation with the failing generator word.  The rep is
-    faithful when no element but the identity maps to `identity`, which
-    also stands in as the one generator image of a group without generators.
+    raises RelationViolation with the failing generator word.  The kernel
+    holds the elements that map to `identity`, which also stands in as the
+    one generator image of a group without generators.
     """
     if len(mats) != len(group.generators):
         raise ValueError("need exactly one matrix per group generator")
@@ -125,8 +130,8 @@ def close_over_group(group, mats, identity, product, equal, ring):
         frontier = nxt
     if len(element_map) != group.order:
         raise CertificateError("closure does not reach the group order")
-    faithful = not any(equal(m, identity) for e, m in element_map.items() if e != ident)
-    return MatRep(group, mats or [identity], element_map, faithful, ring, len(identity))
+    kernel = frozenset(e for e, m in element_map.items() if equal(m, identity))
+    return MatRep(group, mats or [identity], element_map, kernel, ring, len(identity))
 
 
 def commutant(rep):

@@ -5,6 +5,7 @@ it, or gives the tests a way into a structure that the program itself never
 needs.
 """
 
+import heapq
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -28,6 +29,7 @@ from jigroup.perm import (
 from jigroup.profiles import subgroup_ji
 from jigroup.rep import MatRep
 from jigroup.smallgrp import all_subgroups, small_table
+from jigroup.verdicts import CertificateError
 
 # -- permutation groups -------------------------------------------------------------
 
@@ -217,6 +219,57 @@ def table_recognize_special(group, gate=LATTICE_GATE):
     return tags or {"none"}
 
 
+# -- character tables -----------------------------------------------------------------
+
+
+def lift_by_exponent_dft(d, vmod, power_class, exponent, l, t_root):
+    """The root multiplicities chartab once lifted each value of one character
+    from: an inverse DFT of length exponent for every class, whatever the
+    order of its elements.  vmod[c] is the character mod l on class c and
+    t_root an element of order exponent in F_l; one list per class."""
+    root_pows = [pow(t_root, k, l) for k in range(exponent)]
+    e_inv = pow(exponent, l - 2, l)
+    out = []
+    for row in power_class:
+        powers_mod = [vmod[c] for c in row]
+        mults = []
+        for s in range(exponent):
+            acc = sum(x * root_pows[-s * u % exponent] for u, x in enumerate(powers_mod))
+            m_s = (acc * e_inv) % l
+            if m_s > d:
+                raise CertificateError("character multiplicity out of range")
+            mults.append(m_s)
+        if sum(mults) != d:
+            raise CertificateError("eigenvalue multiplicities do not sum to degree")
+        out.append(mults)
+    return out
+
+
+def min_faithful_degree_by_frozensets(ct):
+    """chartab.min_faithful_degree on frozensets of classes: Dijkstra over
+    the distinct kernel intersections, ties broken by a push counter."""
+    kernels = [ct.kernel_classes(i) for i in range(ct.n_classes)]
+    full = frozenset(range(ct.n_classes))
+    target = frozenset([0])  # identity class only
+    best = {full: 0}
+    heap = [(0, 0, full)]
+    counter = 1
+    while heap:
+        cost, _, state = heapq.heappop(heap)
+        if state == target:
+            return cost
+        if cost > best.get(state, 10**9):
+            continue
+        for i, ker in enumerate(kernels):
+            nstate = state & ker
+            ncost = cost + ct.degrees[i]
+            if ncost < best.get(nstate, 10**9):
+                best[nstate] = ncost
+                heapq.heappush(heap, (ncost, counter, nstate))
+                counter += 1
+    raise CertificateError("no faithful character collection found")
+
+
 # -- cyclotomic values ----------------------------------------------------------------
 
 
@@ -286,8 +339,9 @@ def subspace_restriction_by_elements(rep, rows):
 
     emap = {perm: restricted(g) for perm, g in rep.element_map.items()}
     gen_images = [emap[g] for g in rep.group.generators] or [rm.identity(len(rows))]
-    faithful = len(set(emap.values())) == len(emap)
-    return MatRep(rep.group, gen_images, emap, faithful, rep.ring, len(rows)), rows
+    ident = rm.identity(len(rows))
+    kernel = frozenset(perm for perm, m in emap.items() if m == ident)
+    return MatRep(rep.group, gen_images, emap, kernel, rep.ring, len(rows)), rows
 
 
 def constituent_rep_by_elements(rep, rows, p, n):
@@ -311,9 +365,9 @@ def constituent_rep_by_elements(rep, rows, p, n):
             if (ch * emap[g] - emap[mul(perm, g)]).min_valuation() < slack:
                 raise PrecisionExhausted("constituent relations fail at N/2")
     gen_images = [emap[g] for g in rep.group.generators]
-    ident = rep.group.identity()
-    faithful = not any((m - emap[ident]).is_zero() for perm, m in emap.items() if perm != ident)
-    return MatRep(rep.group, gen_images, emap, faithful, ("Zp", p), len(sat))
+    ident = emap[rep.group.identity()]
+    kernel = frozenset(perm for perm, m in emap.items() if (m - ident).is_zero())
+    return MatRep(rep.group, gen_images, emap, kernel, ("Zp", p), len(sat))
 
 
 # -- local fields ---------------------------------------------------------------------

@@ -367,6 +367,21 @@ def test_corrupted_table_raises_certificate_error_under_O():
     assert proc.stdout.startswith("rejected: orthogonality failed at rows")
 
 
+def test_corrupted_character_value_is_out_of_range_in_the_lift(monkeypatch):
+    # chi(z) + 1 on a generator z of C4 moves every multiplicity by
+    # zeta_4^(-t)/4 mod l: their sum stays the degree, but none stays in range
+    from jigroup import chartab
+
+    def corrupt(powers, d, *args, real=chartab._multiplicities):
+        if len(powers) == 4:
+            powers = [powers[0], powers[1] + 1, *powers[2:]]
+        return real(powers, d, *args)
+
+    monkeypatch.setattr(chartab, "_multiplicities", corrupt)
+    with pytest.raises(CertificateError, match="character multiplicity out of range"):
+        character_table(catalog.cyclic(4))
+
+
 # -- the mod-l elimination against the former loops ------------------------------
 
 

@@ -217,6 +217,20 @@ def test_cli_chartab(tmp_path):
     assert report["min_faithful_degree"] == 2
 
 
+def test_cli_chartab_on_the_trivial_group_ends(tmp_path):
+    # exponent 1: the modulus search once waited for l % 1 == 1 forever
+    f = tmp_path / "trivial.profile"
+    f.write_text("jigroup-profile v1\nkind permgroup\ndegree 2\ngen 0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jigroup.cli", "--report", "machine", "chartab", str(f)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(DATA.parent.parent)},
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["order"], report["classes"], report["degrees"]) == (1, 1, [1])
+    assert report["min_faithful_degree"] == 0  # the empty collection
+
+
 def test_cli_shadow(tmp_path):
     f = tmp_path / "w.profile"
     f.write_text((DATA / "wreath_a5_p2.profile").read_text())

@@ -584,6 +584,6 @@ def test_constituent_breaking_a_relation_is_precision_exhausted():
 
     G = catalog.cyclic(2)
     three = rm.mat([[3]])
-    rep = MatRep(G, [three], {G.generators[0]: three}, True)
+    rep = MatRep(G, [three], {G.generators[0]: three}, frozenset([G.identity()]))
     with pytest.raises(PrecisionExhausted, match="violate the relation"):
         _constituent_rep(rep, [[1]], 2, 16)

@@ -43,7 +43,7 @@ def test_validate_rejects_nonunit_determinant():
     G = catalog.cyclic(2)
     bad = mat([[2, 0], [0, 1]])
     rep = MatRep(G, [bad], {G.identity(): mat([[1, 0], [0, 1]]),
-                            G.generators[0]: bad}, True)
+                            G.generators[0]: bad}, frozenset([G.identity()]))
     profile = VaProfile("Z", 2, rep)
     report = validate_va_profile(profile)
     assert not report["valid"]
@@ -59,7 +59,7 @@ def test_validate_rejects_nonintegral_entries():
     G = catalog.cyclic(2)
     bad = mat([[Fraction(1, 3), 0], [0, -1]])
     rep = MatRep(G, [bad], {G.identity(): mat([[1, 0], [0, 1]]),
-                            G.generators[0]: bad}, True)
+                            G.generators[0]: bad}, frozenset([G.identity()]))
     profile = VaProfile("Z", 2, rep)
     report = validate_va_profile(profile)
     assert not report["valid"]

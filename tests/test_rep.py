@@ -77,6 +77,25 @@ def test_rep_from_data_c4_rotation():
     assert rep.faithful
 
 
+@pytest.mark.parametrize("approx", [False, True])
+def test_restriction_reads_faithfulness_off_the_parent_kernel(approx):
+    # C4 acting by -1 has kernel C2; its restriction to that C2 maps both
+    # elements to 1.  Approx images compare by value, not by identity.
+    from jigroup.padic import PadicMatrix, rep_from_approx
+    from jigroup.perm import SubgroupHandle, mul
+
+    G = catalog.cyclic(4)
+    g = G.generators[0]
+    if approx:
+        rep = rep_from_approx(G, [[[-1]]], PadicMatrix.from_rational([[1]], 2, 8))
+    else:
+        rep = rep_from_data(G, [[[-1]]])
+    assert rep.kernel == frozenset([G.identity(), mul(g, g)]) and not rep.faithful
+    restricted = rep.restrict(SubgroupHandle(G, [mul(g, g)]))
+    assert len(restricted.element_map) == 2 and not restricted.faithful
+    assert rep.restrict(SubgroupHandle.trivial(G)).faithful
+
+
 def test_rep_from_data_relation_violation():
     G = catalog.cyclic(4)
     with pytest.raises(RelationViolation):

@@ -29,6 +29,8 @@ from jigroup.verdicts import CertificateError
 
 import corpora
 from oracles import (
+    lift_by_exponent_dft,
+    min_faithful_degree_by_frozensets,
     table_center,
     table_class_matrices,
     table_conjugacy_classes,
@@ -350,6 +352,38 @@ def test_class_data_and_tags_match_the_table_oracles(name, monkeypatch):
     assert mats == table_class_matrices(tbl, classes)
     assert seen["_power_classes"] == table_power_classes(tbl, classes, exponent)
     assert recognize_special(group) == table_recognize_special(group)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
+def test_order_length_lift_and_bitmask_search_match_the_former_ones(name, monkeypatch):
+    # the lift hands from_root_multiplicities the lists that an inverse DFT of
+    # length exponent gives on every class, and the bitmask search finds the
+    # degree that the search over frozensets of classes finds
+    from jigroup import chartab
+    from jigroup.cyclotomic import CycloContext
+
+    group = CLASS_GROUPS[name]
+    passed, powers, seen = [], [], {}
+    monkeypatch.setattr(CycloContext, "from_root_multiplicities",
+                        lambda ctx, mults, real=CycloContext.from_root_multiplicities:
+                        passed.append(list(mults)) or real(ctx, mults))
+    monkeypatch.setattr(chartab, "_multiplicities", lambda p, *args, real=chartab._multiplicities:
+                        powers.append(p) or real(p, *args))
+    monkeypatch.setattr(chartab, "_power_classes", lambda *args, real=chartab._power_classes:
+                        seen.setdefault("power_class", real(*args)))
+    ct = chartab.character_table(group)
+    r, exponent = ct.n_classes, ct.ctx.e
+    l = chartab._smallest_modulus(group.order, exponent)
+    t_root = chartab._element_of_order(l, exponent)
+    former = []
+    for i, d in enumerate(ct.degrees):
+        # chi_i(z_j) mod l as the lift read it: entry 1 of the powers of z_j,
+        # or entry 0 for the identity
+        vmod = [p[1 % len(p)] for p in powers[i * r:(i + 1) * r]]
+        former += lift_by_exponent_dft(d, vmod, seen["power_class"], exponent, l, t_root)
+    # the lift calls come first; the orthogonality check makes the others
+    assert passed[:len(former)] == former
+    assert chartab.min_faithful_degree(group, table=ct) == min_faithful_degree_by_frozensets(ct)
 
 
 def test_character_table_tags_and_witness_build_no_table(monkeypatch):
