@@ -378,17 +378,32 @@ def min_faithful_degree(group, table=None):
     """Smallest degree of a faithful characteristic-0 representation.
 
     Minimum, over subsets of irreducible characters whose kernels intersect
-    trivially, of the sum of their degrees (Dijkstra over distinct kernel
-    intersections, each a bitmask of classes).
+    trivially, of the sum of their degrees: an A* search over distinct
+    kernel intersections, each a bitmask of classes.  A class left in the
+    intersection must still be cut by an irreducible of degree at least
+    need[c], the least degree whose kernel misses c, so the largest such
+    need bounds the remaining cost from below; the bound is consistent, so
+    the first target popped is optimal.
     """
     ct = table if table is not None else character_table(group)
     kernels = [sum(1 << j for j in ct.kernel_classes(i)) for i in range(ct.n_classes)]
     full = (1 << ct.n_classes) - 1
     target = 1  # identity class only
+    need = []
+    for c in range(1, ct.n_classes):
+        degs = [deg for ker, deg in zip(kernels, ct.degrees) if not ker >> c & 1]
+        if not degs:
+            raise CertificateError("no faithful character collection found")
+        need.append((min(degs), 1 << c))
+    need.sort(reverse=True)
+
+    def h(state):
+        return next((n for n, bit in need if state & bit), 0)
+
     best = {full: 0}
-    heap = [(0, full)]
+    heap = [(h(full), 0, full)]
     while heap:
-        cost, state = heapq.heappop(heap)
+        _, cost, state = heapq.heappop(heap)
         if state == target:
             return cost
         if cost > best[state]:
@@ -398,5 +413,5 @@ def min_faithful_degree(group, table=None):
             ncost = cost + deg
             if ncost < best.get(nstate, ncost + 1):
                 best[nstate] = ncost
-                heapq.heappush(heap, (ncost, nstate))
+                heapq.heappush(heap, (ncost + h(nstate), ncost, nstate))
     raise CertificateError("no faithful character collection found")

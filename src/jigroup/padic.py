@@ -1265,8 +1265,19 @@ def irreducible_over_Qp(rep, p, precision=None, seed=0):
     constructive splits.  Precision is doubled twice on exhaustion; a final
     failure reports 'unknown' with a precision-exhaustion marker, distinct
     from a mathematical unknown.
+
+    The verdict is computed once per (p, precision, seed) and cached on the
+    rep (everything here is immutable).
     """
     precision = precision or DEFAULT_PRECISION
+    cache = rep.__dict__.setdefault("_qp_verdict_cache", {})
+    key = (p, precision, seed)
+    if key not in cache:
+        cache[key] = _qp_verdict(rep, p, precision, seed)
+    return cache[key]
+
+
+def _qp_verdict(rep, p, precision, seed):
     last = None
     for n in (precision, 2 * precision, 4 * precision):
         try:

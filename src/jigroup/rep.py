@@ -66,13 +66,23 @@ class MatRep:
 
     def restrict(self, handle):
         """Restriction to a subgroup handle (as a rep of its own PermGroup);
-        its kernel is the parent's kernel met with the subgroup."""
+        its kernel is the parent's kernel met with the subgroup.
+
+        Cached on the rep by the handle's generator tuple, so handles with
+        equal generators get one restricted rep, and with it one commutant
+        analysis and one verdict per key.
+        """
         sub = handle.group
-        gens = sub.generators or (identity_perm(self.group.degree),)
-        gen_images = [self.element_map[g] for g in gens]
-        sub_map = {e: self.element_map[e] for e in sub.elements()}
-        kernel = frozenset(e for e in self.kernel if e in sub_map)
-        return MatRep(sub, gen_images, sub_map, kernel, self.ring, self.dimension)
+        cache = self.__dict__.setdefault("_restrict_cache", {})
+        key = tuple(sub.generators)
+        if key not in cache:
+            gens = sub.generators or (identity_perm(self.group.degree),)
+            gen_images = [self.element_map[g] for g in gens]
+            sub_map = {e: self.element_map[e] for e in sub.elements()}
+            kernel = frozenset(e for e in self.kernel if e in sub_map)
+            cache[key] = MatRep(sub, gen_images, sub_map, kernel, self.ring,
+                                self.dimension)
+        return cache[key]
 
     def __repr__(self):
         return (
@@ -247,6 +257,14 @@ def algebra_structure(comm_basis, seed=0):
       quaternion_over_Q(a, b), cyclic_algebra(center_minpoly, a, b) for a
       quaternion algebra over a quadratic center (a, b as pairs over the
       center generator), unknown(trials) otherwise.
+
+    The dim basis elements are tried first.  When dim is 4 or 8 and they
+    show no nilpotent, the quaternion structure is built; if it is certified
+    a division algebra (Hilbert symbol over Q, a ramified real place over a
+    quadratic center) it is returned at once, since in a division algebra
+    every minimal polynomial is irreducible of degree below dim and no
+    random trial could split it.  Otherwise the random trials run and the
+    same structure is the fallback.
     """
     dim = len(comm_basis)
     d = len(comm_basis[0])
@@ -255,7 +273,15 @@ def algebra_structure(comm_basis, seed=0):
     combine = rm.combiner(comm_basis)
     rng = random.Random(seed)
     nilpotent_witness = None
+    quaternion = None
     for trial in range(SAMPLE_BUDGET):
+        if trial == dim and dim in (4, 8) and nilpotent_witness is None:
+            try:
+                quaternion = _quaternion_structure(comm_basis, combine, seed)
+            except CertificateError:
+                pass  # the fallback below builds it again and raises
+            if quaternion is not None and _certified_division(quaternion):
+                return quaternion
         a = (
             comm_basis[trial]
             if trial < dim
@@ -285,6 +311,17 @@ def algebra_structure(comm_basis, seed=0):
         return AlgebraStructure(
             "split_nilpotent", comm_basis, {"nilpotent": nilpotent_witness}
         )
+    quaternion = quaternion or _quaternion_structure(comm_basis, combine, seed)
+    return quaternion or AlgebraStructure("unknown", comm_basis, {"trials": SAMPLE_BUDGET})
+
+
+def _quaternion_structure(comm_basis, combine, seed):
+    """The quaternion structure of a 4-dim algebra with center Q (pair from
+    a seed+1 sampler) or of an 8-dim one over a quadratic field (pair from
+    the first basis element outside the center); None for other algebras or
+    when the sampler finds no pair."""
+    dim = len(comm_basis)
+    d = len(comm_basis[0])
     center = algebra_center(comm_basis)
     ident = rm.identity(d)
     if dim == 4 and len(center) == 1:
@@ -305,7 +342,17 @@ def algebra_structure(comm_basis, seed=0):
                 raise CertificateError("no quaternion pair over the center")
             return _structure_from_pair(comm_basis, pair, center_minpoly=mp,
                                         center_generator=zgen)
-    return AlgebraStructure("unknown", comm_basis, {"trials": SAMPLE_BUDGET})
+    return None
+
+
+def _certified_division(st):
+    """Whether a quaternion structure carries an exact division certificate."""
+    if st.kind == "quaternion_over_Q":
+        return quaternion_is_division(st.data["a"], st.data["b"], "Q")
+    if st.kind == "cyclic_algebra":
+        return _ramified_at_a_real_place(st.data["center_minpoly"], st.data["a"],
+                                         st.data["b"])
+    return False
 
 
 def algebra_center(basis):
@@ -450,26 +497,19 @@ def _verdict_over_Q(rep, st):
     if st.kind == "split_nilpotent":
         w = invariant_subspace_from_zero_divisor(rep, st.data["nilpotent"])
         return Verdict(REDUCIBLE, {"subspace": w}, "commutant-zero-divisor")
+    if _certified_division(st):
+        return Verdict(
+            IRREDUCIBLE,
+            {"certificate": st, "division": True},
+            "quaternion-hilbert" if st.kind == "quaternion_over_Q" else "quaternion-real-place",
+        )
     if st.kind == "quaternion_over_Q":
-        a, b = st.data["a"], st.data["b"]
-        if quaternion_is_division(a, b, "Q"):
-            return Verdict(
-                IRREDUCIBLE,
-                {"certificate": st, "division": True},
-                "quaternion-hilbert",
-            )
         zd = _quaternion_zero_divisor(st)
         if zd is not None:
             w = invariant_subspace_from_zero_divisor(rep, zd)
             return Verdict(REDUCIBLE, {"subspace": w}, "quaternion-split")
         return Verdict(UNKNOWN, {"certificate": st}, "quaternion-split-unwitnessed")
     if st.kind == "cyclic_algebra":
-        if _ramified_at_a_real_place(st.data["center_minpoly"], st.data["a"], st.data["b"]):
-            return Verdict(
-                IRREDUCIBLE,
-                {"certificate": st, "division": True},
-                "quaternion-real-place",
-            )
         return Verdict(UNKNOWN, {"certificate": st}, "quaternion-over-center-undecided")
     return Verdict(UNKNOWN, {"certificate": st}, "sampled-inconclusive")
 

@@ -6,6 +6,7 @@ needs.
 """
 
 import heapq
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -27,7 +28,18 @@ from jigroup.perm import (
     perm_order,
 )
 from jigroup.profiles import subgroup_ji
-from jigroup.rep import MatRep
+from jigroup.rep import (
+    SAMPLE_BUDGET,
+    AlgebraStructure,
+    MatRep,
+    _flat,
+    _idempotent_from_minpoly,
+    _noncentral_scalar_part,
+    _sample_element,
+    _structure_from_pair,
+    algebra_center,
+    quaternion_pair,
+)
 from jigroup.smallgrp import all_subgroups, small_table
 from jigroup.verdicts import CertificateError
 
@@ -298,6 +310,81 @@ def full_lattice_scan(profile, seed=0):
         }
         for handle in all_subgroups(profile.Q)
     ]
+
+
+# -- commutant algebras --------------------------------------------------------------
+
+
+def algebra_structure_sampling_first(comm_basis, seed=0):
+    """rep.algebra_structure without the division pre-check: every random
+    trial runs before the quaternion structure is built.
+
+    Classifies a multiplicatively closed matrix algebra (a commutant).
+
+    Deterministic: the sampler runs on a fixed seed.  Kinds:
+      scalars, field(minpoly), split(idempotent), split_nilpotent(nilpotent),
+      quaternion_over_Q(a, b), cyclic_algebra(center_minpoly, a, b) for a
+      quaternion algebra over a quadratic center (a, b as pairs over the
+      center generator), unknown(trials) otherwise.
+    """
+    dim = len(comm_basis)
+    d = len(comm_basis[0])
+    if dim == 1:
+        return AlgebraStructure("scalars", comm_basis, {})
+    combine = rm.combiner(comm_basis)
+    rng = random.Random(seed)
+    nilpotent_witness = None
+    for trial in range(SAMPLE_BUDGET):
+        a = (
+            comm_basis[trial]
+            if trial < dim
+            else _sample_element(combine, dim, rng)
+        )
+        mp = rm.minimal_polynomial(a)
+        if rm.poly_deg(mp) < 1:
+            continue
+        facs = rm.poly_factor_q(mp)
+        if len(facs) > 1:
+            e = _idempotent_from_minpoly(a, facs)
+            if e is not None and e != rm.identity(d) and any(
+                any(x != 0 for x in row) for row in e
+            ):
+                return AlgebraStructure("split", comm_basis, {"idempotent": e})
+        elif facs[0][1] > 1:
+            # power of one irreducible: q(a) is a nonzero nilpotent
+            q = facs[0][0]
+            nil = rm.poly_eval_mat(q, a)
+            if any(any(x != 0 for x in row) for row in nil):
+                nilpotent_witness = nil
+        elif rm.poly_deg(facs[0][0]) == dim:
+            return AlgebraStructure(
+                "field", comm_basis, {"minpoly": facs[0][0], "generator": a}
+            )
+    if nilpotent_witness is not None:
+        return AlgebraStructure(
+            "split_nilpotent", comm_basis, {"nilpotent": nilpotent_witness}
+        )
+    center = algebra_center(comm_basis)
+    ident = rm.identity(d)
+    if dim == 4 and len(center) == 1:
+        rng = random.Random(seed + 1)
+        for _ in range(SAMPLE_BUDGET):
+            x = _sample_element(combine, dim, rng)
+            pair = quaternion_pair(comm_basis, (ident,), x)
+            if pair is not None:
+                return _structure_from_pair(comm_basis, pair)
+    if dim == 8 and len(center) == 2:
+        zgen = _noncentral_scalar_part(center, d)
+        mp = rm.minimal_polynomial(zgen)
+        if rm.poly_deg(mp) == 2 and rm.poly_is_irreducible_q(mp):
+            x = next(c for c in comm_basis
+                     if rm.rank([_flat(m) for m in (ident, zgen, c)]) == 3)
+            pair = quaternion_pair(comm_basis, (ident, zgen), x)
+            if pair is None:
+                raise CertificateError("no quaternion pair over the center")
+            return _structure_from_pair(comm_basis, pair, center_minpoly=mp,
+                                        center_generator=zgen)
+    return AlgebraStructure("unknown", comm_basis, {"trials": SAMPLE_BUDGET})
 
 
 # -- p-adic matrices ------------------------------------------------------------------

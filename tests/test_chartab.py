@@ -95,6 +95,22 @@ def test_min_faithful_degree_extraspecial():
     assert min_faithful_degree(catalog.extraspecial_128()) == 8
 
 
+def test_min_faithful_search_on_the_extraspecial_group_pops_twice(monkeypatch):
+    # the bound from the faithful degree-8 irreducible sends the search
+    # straight there; a search without it settles all 2826 kernel meets
+    import heapq
+
+    from jigroup import chartab
+
+    E = catalog.extraspecial_128()
+    ct = character_table(E)
+    pops = []
+    monkeypatch.setattr(chartab.heapq, "heappop",
+                        lambda heap, real=heapq.heappop: pops.append(1) or real(heap))
+    assert min_faithful_degree(E, table=ct) == 8
+    assert len(pops) == 2
+
+
 def test_min_faithful_degree_cyclic_prime():
     assert min_faithful_degree(catalog.cyclic(5)) == 1
     assert min_faithful_degree(catalog.cyclic(7)) == 1

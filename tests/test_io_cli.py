@@ -280,24 +280,52 @@ def test_cli_analyze_pro2_dihedral_reaches_hji(tmp_path):
 
 def test_cli_analyze_scans_once(monkeypatch):
     # respthm_check reads the scan and the quaternionic pair that analyze
-    # reports; a second call would come from inside profiles
-    from jigroup import cli, profiles
+    # reports; a second call would come from inside profiles.  Each rep is
+    # restricted once per subgroup and decided over Q_p once per key.
+    from jigroup import cli, padic, profiles
+    from jigroup.rep import MatRep
 
-    calls = {"maximal_scan": 0, "quaternionic_type": 0}
-    for name in calls:
+    calls = {}
+    for name in ("maximal_scan", "quaternionic_type"):
         def spy(*args, _name=name, _real=getattr(profiles, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
         monkeypatch.setattr(profiles, name, spy)
-    status, report = run_command(
-        ["--report", "machine", "analyze", str(DATA / "q16_va.profile")], io.StringIO())
-    assert status == 0
-    assert calls == {"maximal_scan": 1, "quaternionic_type": 1}
-    trace = report["hereditary_check"].witness["trace"]
-    assert [row["status"] for row in trace["ii"]["rows"]] == [
-        row["verdict"].status for row in report["maximal_scan"]]
-    assert trace["iii"]["evidence"] == report["quaternionic_type"]["evidence"]
+
+    def qp_spy(*args, _real=padic._qp_analyze):
+        calls["_qp_analyze"] += 1
+        return _real(*args)
+    monkeypatch.setattr(padic, "_qp_analyze", qp_spy)
+    restricted = {}
+
+    def restrict_spy(rep, handle, _real=MatRep.restrict):
+        res = _real(rep, handle)
+        restricted.setdefault((rep, tuple(handle.group.generators)), []).append((handle, res))
+        return res
+    monkeypatch.setattr(MatRep, "restrict", restrict_spy)
+    for argv, scans, analyses in (
+        (["analyze", str(DATA / "q16_va.profile")], 1, 4),
+        (["verify-paper", "2"], 1, 14),
+        (["verify-paper", "leethm"], 0, 24),
+    ):
+        calls.update(maximal_scan=0, quaternionic_type=0, _qp_analyze=0)
+        restricted.clear()
+        status, report = run_command(["--report", "machine", *argv], io.StringIO())
+        assert status == 0
+        assert calls == {"maximal_scan": scans, "quaternionic_type": scans,
+                         "_qp_analyze": analyses}, argv
+        for seen in restricted.values():
+            assert all(res is seen[0][1] for _, res in seen)
+        if argv == ["verify-paper", "2"]:
+            # the maximal scan and the full subgroup walk hand in distinct
+            # handles with equal generators
+            assert any(len({id(h) for h, _ in seen}) > 1 for seen in restricted.values())
+        if argv[0] == "analyze":
+            trace = report["hereditary_check"].witness["trace"]
+            assert [row["status"] for row in trace["ii"]["rows"]] == [
+                row["verdict"].status for row in report["maximal_scan"]]
+            assert trace["iii"]["evidence"] == report["quaternionic_type"]["evidence"]
 
 
 def test_cli_chartab_order_gate(tmp_path):

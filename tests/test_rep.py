@@ -294,6 +294,69 @@ def test_one_algebra_structure_per_rep_and_seed(monkeypatch):
     assert calls == [0, 1]
 
 
+@pytest.fixture(scope="module")
+def analysed_commutants():
+    """Every commutant that verify-paper 2 and leethm classify, those of the
+    reps of tests/corpora.py, and those of Q8 by rho_H and Q8 x C3."""
+    import io
+
+    from test_padic_ext import q8c3_rep
+
+    import corpora
+    from jigroup.cli import run_command
+
+    seen = {}
+    real = rep_module.algebra_structure
+
+    def spy(comm_basis, seed=0):
+        seen.setdefault(comm_basis, None)
+        return real(comm_basis, seed)
+
+    rep_module.algebra_structure = spy
+    try:
+        for target in ("2", "leethm"):
+            status, _ = run_command(["--report", "machine", "verify-paper", target],
+                                    io.StringIO())
+            assert status == 0
+    finally:
+        rep_module.algebra_structure = real
+    reps = [corpora.pro2_dihedral_profile().action, corpora.c3_rank2_profile().action,
+            corpora.c3_rank2_profile_over_Z().action, q8_quaternion_rep(), q8c3_rep()]
+    for r in reps:
+        seen.setdefault(commutant(r), None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_division_precheck_gives_the_sampling_first_structure(analysed_commutants, seed):
+    from oracles import algebra_structure_sampling_first
+
+    kinds = set()
+    for basis in analysed_commutants:
+        st = algebra_structure(basis, seed)
+        want = algebra_structure_sampling_first(basis, seed)
+        assert (st.kind, st.data) == (want.kind, want.data)
+        kinds.add(st.kind)
+    assert {"quaternion_over_Q", "cyclic_algebra", "split", "field"} <= kinds
+
+
+def test_division_commutant_skips_the_random_trials(monkeypatch):
+    # Example 2's 8-dim commutant is (-1, -1) over Q(sqrt 2), ramified at
+    # both real places: the 8 basis trials and the center's minimal
+    # polynomial, none of the 56 random trials
+    from jigroup.fixtures import q16_integral_rep
+    from jigroup.rep import commutant_analysis
+
+    rep8 = q16_integral_rep()
+    commutant(rep8)
+    calls = []
+    monkeypatch.setattr(rm, "minimal_polynomial",
+                        lambda m, real=rm.minimal_polynomial: calls.append(1) or real(m))
+    st, verdict = commutant_analysis(rep8)
+    assert st.kind == "cyclic_algebra" and verdict.status == IRREDUCIBLE
+    assert len(calls) <= 9
+
+
 def test_quaternion_zero_divisor_split_algebra():
     # (1, 1) is M_2(Q): i = diag(1, -1), j = swap, ij = -ji
     i_m = rm.mat([[1, 0], [0, -1]])
