@@ -96,8 +96,9 @@ def test_min_faithful_degree_extraspecial():
 
 
 def test_min_faithful_search_on_the_extraspecial_group_pops_twice(monkeypatch):
-    # the bound from the faithful degree-8 irreducible sends the search
-    # straight there; a search without it settles all 2826 kernel meets
+    # the central involution lies in every linear kernel, so the bound is 8
+    # from the start and the search goes straight to the faithful degree-8
+    # irreducible; without the bound it settles all 2826 kernel meets
     import heapq
 
     from jigroup import chartab
