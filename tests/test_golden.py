@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Z_p profiles with rational entries for the rational route's splits:
 # the field split (c3_z7), the quaternion split (q8_z3) and division (q8_z2).
+# Permutation groups whose G/G' gives too few linear characters to fill the
+# table, so the Dixon split still runs: S6 (2 of 11) and D30 (4 of 18).
 
 CASES = {
     "analyze_c3_z3": ["analyze", DATA / "c3_z3.profile"],
@@ -32,6 +34,8 @@ CASES = {
     "shadow_wreath_a5_p2": ["shadow", DATA / "wreath_a5_p2.profile"],
     "chartab_q16_group": ["chartab", DATA / "q16_group.profile"],
     "chartab_extraspecial128_group": ["chartab", DATA / "extraspecial128_group.profile"],
+    "chartab_s6_group": ["chartab", GOLDEN / "s6_group.profile"],
+    "chartab_d30_group": ["chartab", GOLDEN / "d30_group.profile"],
     "hilbert_m1_m1_2": ["hilbert", "-1", "-1", "2"],
     "hilbert_m1_m1_real": ["hilbert", "-1", "-1", "real"],
     "hilbert_1_m7_5": ["hilbert", "1", "-7", "5"],
