@@ -2,14 +2,17 @@
 
 The table reads permutations only: the element list of the group, its
 conjugacy classes from the conjugation walk, the products of one class
-with the class representatives (Schneider's variant of Dixon's method,
-J. Symbolic Comput. 9, 1990), and the powers of the representatives.
-Eigenvalue work runs on Python ints over a prime field F_l with l = 1 mod
-exponent(G) and l >= 2|G|+1: sparse class matrices, common eigenspaces split
-as reduced echelon blocks, characteristic polynomials from the Hessenberg
-form.  The values lift to exact cyclotomic values; the returned table is
-verified against row orthogonality and the degree sum before it is handed
-out, both checks exact.  A failed check raises CertificateError.
+with the class representatives, and the powers of the representatives.
+Known characters come first (Schneider, J. Symbolic Comput. 9, 1990): the
+linear ones are those of G/G', from a walk of the cosets of G' along the
+generators, and Dixon's split runs only on the residual eigen-rows.  A
+class-matrix column is built when first read.  Eigenvalue work runs on
+Python ints over a prime field F_l with l = 1 mod exponent(G) and l >=
+2|G|+1: common eigenspaces split as reduced echelon blocks, characteristic
+polynomials from the Hessenberg form.  The values lift to exact cyclotomic
+values; the returned table is verified against row orthogonality and the
+degree sum before it is handed out, both checks exact.  A failed check
+raises CertificateError.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import Counter
+from functools import cache
 from math import isqrt, lcm
 
 from .cyclotomic import CycloContext
-from .perm import (LATTICE_GATE, OrderGateExceeded, _orbits_of, conj, identity_perm, inv,
-                   mul, perm_order)
+from .perm import (LATTICE_GATE, OrderGateExceeded, _orbits_of, derived_subgroup,
+                   identity_perm, inv, mul, perm_order)
 from .verdicts import CertificateError
 from .zpoly import isprime, primefactors
 
@@ -108,11 +112,12 @@ def _rref_mod(a, l):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = pow(a[r][c], l - 2, l)
-        prow = a[r] = [x * inv % l for x in a[r]]
+        # rows r.. are 0 before column c, so only the columns from c on change
+        prow = a[r][c:] = [x * inv % l for x in a[r][c:]]
         for i in range(rows):
             f = a[i][c]
             if i != r and f:
-                a[i] = [(x - f * y) % l for x, y in zip(a[i], prow)]
+                a[i][c:] = [(x - f * y) % l for x, y in zip(a[i][c:], prow)]
         pivots.append(c)
         r += 1
     return a, pivots
@@ -160,22 +165,78 @@ def _classes(group, elements):
     """Conjugacy classes as sorted lists of indices into the sorted elements,
     by element order and then least index: the identity class comes first."""
     index = {e: i for i, e in enumerate(elements)}
+    pairs = [(inv(g), g) for g in group.generators]  # conjugate x by g as g^-1 x g
     classes = [sorted(index[x] for x in orbit)
-               for orbit in _orbits_of(elements, group.generators, conj)]
+               for orbit in _orbits_of(elements, pairs, lambda x, p: mul(mul(p[0], x), p[1]))]
     classes.sort(key=lambda c: (perm_order(elements[c[0]]), c[0]))
     return classes
 
 
-def _class_matrices(members, class_of, inv_class):
-    """Class matrices M_i[j][k] = a_ijk = #{(x, y) in C_i x C_j : xy = z_k}, z_k the
-    representative members[k][0], by column: mats[i][k] holds the pairs (j, a_ijk)
-    with a_ijk != 0.  As x runs over C_i, w = x^-1 runs over the class of inverses
-    C_i*, so a_ijk = #{w in C_i* : w z_k in C_j} and no element is inverted."""
-    return [
-        [tuple(Counter(class_of[mul(w, cls[0])] for w in members[inv_class[i]]).items())
-         for cls in members]
-        for i in range(len(members))
-    ]
+def _class_columns(members, class_of, inv_class):
+    """column(i, k): column k of the class matrix M_i[j][k] = a_ijk = #{(x, y) in
+    C_i x C_j : xy = z_k}, z_k the representative members[k][0], as the pairs
+    (j, a_ijk) with a_ijk != 0.  As x runs over C_i, w = x^-1 runs over the class
+    of inverses C_i*, so a_ijk = #{w in C_i* : w z_k in C_j} and no element is
+    inverted.  Each column is built on first use and kept."""
+
+    @cache
+    def column(i, k):
+        z = members[k][0]
+        return tuple(Counter(class_of[mul(w, z)] for w in members[inv_class[i]]).items())
+
+    return column
+
+
+def _linear_characters(group, exponent, gate):
+    """The linear characters of G, which are those of the abelian group G/G'.
+
+    Returns (coset_of, lin): coset_of maps every element to its coset of G',
+    and lambda_a(x) = zeta_e^lin[coset_of[x]][a].  The cosets are reached
+    along the generators: s joins the subgroup A reached so far at the least
+    m with s^m in A, and <A, s> is the cosets c s^u, c in A, u < m.  Each
+    lambda on A extends in m ways, lambda(s) = (lambda(s^m) + t e)/m for t <
+    m, with m | e (m = 1 changes nothing); no cyclic decomposition of G/G'
+    is needed.
+    """
+    coset_of = dict.fromkeys(derived_subgroup(group).elements(gate), 0)
+    lin = [[0]]
+    for s in group.generators:
+        m, sm = 1, s
+        while sm not in coset_of:
+            m, sm = m + 1, mul(sm, s)
+        at_sm = lin[coset_of[sm]]
+        if any(k % m for k in at_sm):
+            raise CertificateError("a linear character has no extension to a generator")
+        roots = [[k // m + t * (exponent // m) for t in range(m)] for k in at_sm]
+        n, prev, su = len(lin), list(coset_of.items()), s
+        for u in range(1, m):
+            coset_of.update((mul(y, su), c + u * n) for y, c in prev)
+            su = mul(su, s)
+        lin = [[(k + u * x) % exponent for k, xs in zip(row, roots) for x in xs]
+               for u in range(m) for row in lin]
+    return coset_of, lin
+
+
+def _check_linear_characters(coset_of, lin, generators, order, exponent):
+    """Raise CertificateError unless the cosets of G' cover G, the coset of x s
+    depends only on that of x for every element x and generator s, every
+    lambda adds along each such edge (so it is a homomorphism of G/G'), and
+    there are [G:G'] of them."""
+    if len(coset_of) != order:
+        raise CertificateError("the cosets of G' do not cover G")
+    step = {}
+    for x, c in coset_of.items():
+        for g, s in enumerate(generators):
+            d = coset_of[mul(x, s)]
+            if step.setdefault((c, g), d) != d:
+                raise CertificateError("G' is not normal: cosets do not multiply")
+    for (c, g), d in step.items():
+        at_s = lin[coset_of[generators[g]]]
+        if [(a + b) % exponent for a, b in zip(lin[c], at_s)] != lin[d]:
+            raise CertificateError("a linear character is not a homomorphism")
+    derived_order = list(coset_of.values()).count(0)
+    if any(len(row) != len(lin) for row in lin) or len(lin) * derived_order != order:
+        raise CertificateError("the number of linear characters is not [G:G']")
 
 
 def _power_classes(reps, class_of, exponent):
@@ -192,7 +253,9 @@ def _power_classes(reps, class_of, exponent):
 
 def character_table(group, gate=LATTICE_GATE):
     """Burnside-Dixon character table with exact cyclotomic values; its classes
-    are lists of indices into `group.elements()`."""
+    are lists of indices into `group.elements()`.  The [G:G'] linear
+    characters are certified first; the eigen-split runs on the r - [G:G']
+    dimensional residual space they leave, and not at all if that is a line."""
     if group.order > gate:  # the wording machine reports have always carried
         raise OrderGateExceeded("small-group table", group.order, gate)
     elements = group.elements(gate)
@@ -207,12 +270,26 @@ def character_table(group, gate=LATTICE_GATE):
     exponent = lcm(*map(perm_order, reps))
     l = _smallest_modulus(order, exponent)
 
-    # eigen-rows w of the class matrices satisfy w @ M_i = omega_i w
-    mats = _class_matrices(members, class_of, inv_class)
+    t_root = _element_of_order(l, exponent)
+    # t_root has order exactly `exponent`, so its powers repeat with that period
+    root_pows = [pow(t_root, k, l) for k in range(exponent)]
+
+    # the linear characters are known from G/G'; chars_mod holds (degree,
+    # values mod l on the classes)
+    coset_of, lin = _linear_characters(group, exponent, gate)
+    _check_linear_characters(coset_of, lin, group.generators, order, exponent)
+    chars_mod = [(1, [root_pows[k] for k in row])
+                 for row in zip(*(lin[coset_of[z]] for z in reps))]
+    # eigen-rows w of the class matrices satisfy w @ M_i = omega_i w; those of
+    # the other characters span the w with sum_k w_k |C_k| lambda(g_k) = 0
+    null = _nullspace_mod([[c * v for c, v in zip(sizes, row)] for _, row in chars_mod], l)
+    if len(null) != r - len(chars_mod):
+        raise CertificateError("the residual space does not have dimension r - [G:G']")
+    column = _class_columns(members, class_of, inv_class)
     size_inv = [pow(c, l - 2, l) for c in sizes]
     # Simultaneous eigenvectors over F_l via recursive splitting; a block is a
     # subspace in reduced echelon form, with its pivot columns.
-    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
+    blocks = [_rref_mod(null, l)] if null else []
 
     def split(block, pivots, m):
         rows = len(block)
@@ -232,18 +309,18 @@ def character_table(group, gate=LATTICE_GATE):
             raise CertificateError("eigenspaces do not split the block")
         return out
 
-    for m in mats[1:]:  # M_0 is the identity and splits nothing
+    for i in range(1, r):  # M_0 is the identity and splits nothing
         if all(len(b) == 1 for b, _ in blocks):
             break
+        m = [column(i, k) for k in range(r)]
         blocks = [piece for b, piv in blocks for piece in split(b, piv, m)]
     if any(len(b) != 1 for b, _ in blocks):
         raise CertificateError("class algebra failed to split")
 
     # each block is one character: eigenvalues w_i = |C_i| chi(g_i)/chi(1); the
     # block row v is 1 at its pivot k, so w_i is entry k of v @ M_i
-    chars_mod = []
     for ([v], [k]) in blocks:
-        omegas = [sum(v[j] * c for j, c in m[k]) % l for m in mats]
+        omegas = [sum(v[j] * c for j, c in column(i, k)) % l for i in range(r)]
         # 1/d^2 = (1/|G|) sum_i w_i w_{i*} / |C_i|
         s = sum(w * omegas[inv_class[i]] * size_inv[i] for i, w in enumerate(omegas)) % l
         d = _int_sqrt_exact(pow(s, l - 2, l) * order % l)
@@ -253,9 +330,6 @@ def character_table(group, gate=LATTICE_GATE):
     # lift to cyclotomics: chi(g) = sum_s m_s zeta^s with multiplicities m_s,
     # by an inverse DFT of the length o = ord(g) of the period of chi(g^u)
     ctx = CycloContext(exponent)
-    t_root = _element_of_order(l, exponent)
-    # t_root has order exactly `exponent`, so its powers repeat with that period
-    root_pows = [pow(t_root, k, l) for k in range(exponent)]
     power_class = _power_classes(reps, class_of, exponent)
     orders = [perm_order(z) for z in reps]
     # dfts[o][t][u] = (1/o) zeta_o^(-tu) mod l, with zeta_o = t_root^(exponent/o)

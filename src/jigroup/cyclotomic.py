@@ -52,27 +52,10 @@ class CycloContext:
                 out[i] -= carry * self.phi[i]
         return out
 
-    def one(self):
-        return self.root_power(0)
-
-    def root_power(self, k):
-        return self._pow[k % self.e]
-
     def from_rational(self, q):
         out = [0] * self.dim
         out[0] = q
         return tuple(out)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.dim - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return self.from_root_multiplicities(prod)
 
     def conj(self, a):
         """Complex conjugation: zeta^k -> zeta^(e-k)."""

@@ -626,6 +626,12 @@ def center(G, gate=ELEMENT_GATE):
     return [g for g in G.elements(gate) if all(mul(g, x) == mul(x, g) for x in G.generators)]
 
 
+def derived_subgroup(G):
+    """[G, G], the normal closure of the commutators of the generator pairs."""
+    return G.normal_closure(mul(mul(inv(a), inv(b)), mul(a, b))
+                            for a, b in itertools.combinations(G.generators, 2))
+
+
 def relative_ops(G, H, gate=ELEMENT_GATE):
     """Normal closure, core, normalizer, centralizer of H <= G, and Z(G).
 

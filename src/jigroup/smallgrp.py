@@ -12,7 +12,6 @@ generator commutators.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from functools import reduce
 
@@ -23,8 +22,8 @@ from .perm import (
     _orbits_of,
     _walk,
     center,
+    derived_subgroup,
     identity_perm,
-    inv,
     mul,
     perm_order,
 )
@@ -258,10 +257,7 @@ def recognize_special(group, gate=LATTICE_GATE):
             if involutions == 1 and has_cyclic_index2:
                 tags.add(("generalized_quaternion", n))
         if len(centre) == p:
-            # [G, G] is the normal closure of the generator commutators
-            derived = group.normal_closure(
-                mul(mul(inv(a), inv(b)), mul(a, b))
-                for a, b in itertools.combinations(group.generators, 2))
+            derived = derived_subgroup(group)
             # G/Z elementary abelian <=> every p-th power is central
             # (G/Z abelian already follows from [G,G] = Z)
             central = set(centre)

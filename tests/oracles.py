@@ -9,9 +9,9 @@ import heapq
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from jigroup import catalog
+from jigroup import catalog, chartab
 from jigroup import ratmat as rm
 from jigroup.hilbert import _valuation_and_unit
 from jigroup.padic import PadicMatrix, PrecisionExhausted
@@ -23,6 +23,7 @@ from jigroup.perm import (
     _orbits_of,
     _walk,
     identity_perm,
+    inv,
     mul,
     perm_from_cycles,
     perm_order,
@@ -257,6 +258,62 @@ def lift_by_exponent_dft(d, vmod, power_class, exponent, l, t_root):
     return out
 
 
+def dixon_split_full_space(group, gate=LATTICE_GATE):
+    """The (degree, values mod l on the classes) of every irreducible, sorted, as
+    chartab.character_table once found them: Dixon's eigen-split of the whole
+    r-dimensional class space, by the full class matrices M_1, M_2, ... in
+    turn, with no character known beforehand."""
+    elements = group.elements(gate)
+    order = len(elements)
+    classes = chartab._classes(group, elements)
+    r = len(classes)
+    sizes = [len(c) for c in classes]
+    members = [[elements[x] for x in cls] for cls in classes]
+    reps = [m[0] for m in members]
+    class_of = {x: ci for ci, m in enumerate(members) for x in m}
+    inv_class = [class_of[inv(z)] for z in reps]
+    exponent = lcm(*map(perm_order, reps))
+    l = chartab._smallest_modulus(order, exponent)
+    # mats[i][k]: the pairs (j, a_ijk), with a_ijk = #{w in C_i* : w z_k in C_j}
+    mats = [[tuple(Counter(class_of[mul(w, cls[0])] for w in members[inv_class[i]]).items())
+             for cls in members] for i in range(r)]
+    size_inv = [pow(c, l - 2, l) for c in sizes]
+    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
+
+    def split(block, pivots, m):
+        rows = len(block)
+        if rows == 1:
+            return [(block, pivots)]
+        a = chartab._restriction(block, pivots, chartab._times_class_matrix(block, m, l), l)
+        evs = chartab._eigenvalues_mod(a, l)
+        if len(evs) == 1:
+            return [(block, pivots)]
+        out = []
+        for lam in evs:
+            shifted_t = [[a[j][i] - (lam if i == j else 0) for j in range(rows)]
+                         for i in range(rows)]
+            null = chartab._nullspace_mod(shifted_t, l)
+            out.append(chartab._rref_mod(chartab._mat_mul_mod(null, block, l), l))
+        if sum(len(b) for b, _ in out) != rows:
+            raise CertificateError("eigenspaces do not split the block")
+        return out
+
+    for m in mats[1:]:
+        if all(len(b) == 1 for b, _ in blocks):
+            break
+        blocks = [piece for b, piv in blocks for piece in split(b, piv, m)]
+    if any(len(b) != 1 for b, _ in blocks):
+        raise CertificateError("class algebra failed to split")
+    chars_mod = []
+    for ([v], [k]) in blocks:
+        omegas = [sum(v[j] * c for j, c in m[k]) % l for m in mats]
+        s = sum(w * omegas[inv_class[i]] * size_inv[i] for i, w in enumerate(omegas)) % l
+        d = chartab._int_sqrt_exact(pow(s, l - 2, l) * order % l)
+        chars_mod.append((d, [d * w * size_inv[i] % l for i, w in enumerate(omegas)]))
+    chars_mod.sort(key=lambda t: (t[0], t[1]))
+    return chars_mod
+
+
 def min_faithful_degree_by_frozensets(ct):
     """chartab.min_faithful_degree on frozensets of classes: Dijkstra over
     the distinct kernel intersections, ties broken by a push counter."""
@@ -283,6 +340,37 @@ def min_faithful_degree_by_frozensets(ct):
 
 
 # -- cyclotomic values ----------------------------------------------------------------
+
+
+# CycloContext keeps only what the character table needs; the tests build
+# values with these.
+
+
+def root_power(ctx, k):
+    """zeta^k in Z[zeta_e], e = ctx.e."""
+    return ctx.from_root_multiplicities([0] * (k % ctx.e) + [1])
+
+
+def cyclo_one(ctx):
+    return root_power(ctx, 0)
+
+
+def cyclo_add(ctx, a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def cyclo_mul(ctx, a, b):
+    prod = [0] * (2 * ctx.dim - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return ctx.from_root_multiplicities(prod)
+
+
+def mod_l_value(a, t_root, l):
+    """The image in F_l of a value of Z[zeta_e] under zeta -> t_root."""
+    return sum(x * pow(t_root, i, l) for i, x in enumerate(a)) % l
 
 
 def is_rational(a):

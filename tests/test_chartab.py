@@ -25,7 +25,15 @@ from jigroup.perm import perm_order
 from jigroup.smallgrp import small_table
 from jigroup.verdicts import CertificateError
 
-from oracles import is_rational, rational_value, table_conjugacy_classes
+from oracles import (
+    cyclo_add,
+    cyclo_mul,
+    cyclo_one,
+    is_rational,
+    rational_value,
+    root_power,
+    table_conjugacy_classes,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,14 +49,14 @@ def test_cyclotomic_polys():
 
 def test_cyclotomic_arithmetic():
     ctx = CycloContext(8)
-    z = ctx.root_power(1)
-    z4 = ctx.mul(ctx.mul(z, z), ctx.mul(z, z))
+    z = root_power(ctx, 1)
+    z4 = cyclo_mul(ctx, cyclo_mul(ctx, z, z), cyclo_mul(ctx, z, z))
     assert z4 == ctx.from_rational(-1)
     # zeta * conj(zeta) = 1
-    assert ctx.mul(z, ctx.conj(z)) == ctx.one()
+    assert cyclo_mul(ctx, z, ctx.conj(z)) == cyclo_one(ctx)
     # zeta + zeta^-1 squares to 2
-    s = ctx.add(z, ctx.root_power(7))
-    assert ctx.mul(s, s) == ctx.from_rational(2)
+    s = cyclo_add(ctx, z, root_power(ctx, 7))
+    assert cyclo_mul(ctx, s, s) == ctx.from_rational(2)
 
 
 def test_chartab_c2():
@@ -82,7 +90,7 @@ def test_chartab_c3_values():
     ctx = ct.ctx
     vals = {tuple(row) for row in ct.values}
     # one row is trivial; the others take primitive cube roots of unity
-    assert (ctx.one(), ctx.one(), ctx.one()) in vals
+    assert (cyclo_one(ctx),) * 3 in vals
 
 
 def test_chartab_extraspecial_degrees():
@@ -270,9 +278,9 @@ def test_integer_cyclotomic_matches_fraction_oracle(e):
         b = tuple(rng.choice([0, rng.randint(-40, 40)]) for _ in range(ctx.dim))
         mults = [rng.randint(0, 9) for _ in range(rng.choice([e, 2 * e + 1]))]
         for got, want in [
-            (ctx.mul(a, b), ref.mul(a, b)),
+            (cyclo_mul(ctx, a, b), ref.mul(a, b)),
             (ctx.conj(a), ref.conj(a)),
-            (ctx.add(a, b), ref.add(a, b)),
+            (cyclo_add(ctx, a, b), ref.add(a, b)),
             (ctx.from_root_multiplicities(mults), ref.from_root_multiplicities(mults)),
         ]:
             assert got == want
@@ -309,7 +317,7 @@ def _corrupted(ct, how):
     elif how == "double":  # still orthogonal to the other rows, but norm 4|G|
         values[i] = [tuple(2 * x for x in v) for v in values[i]]
     elif how == "zeta":
-        values[i][1] = ct.ctx.mul(values[i][1], ct.ctx.root_power(1))
+        values[i][1] = cyclo_mul(ct.ctx, values[i][1], root_power(ct.ctx, 1))
     elif how == "size":
         sizes[1] += 1
     elif how == "degree":
@@ -397,6 +405,91 @@ def test_corrupted_character_value_is_out_of_range_in_the_lift(monkeypatch):
     monkeypatch.setattr(chartab, "_multiplicities", corrupt)
     with pytest.raises(CertificateError, match="character multiplicity out of range"):
         character_table(catalog.cyclic(4))
+
+
+# -- the known linear characters -------------------------------------------------
+
+
+def _corrupt_linear(how, real):
+    def patched(group, exponent, gate):
+        coset_of, lin = real(group, exponent, gate)
+        if how == "exponent":  # lambda_1 moved by zeta_e on one coset
+            lin[1][1] = (lin[1][1] + 1) % exponent
+        elif how == "coset":  # the identity relabelled into another coset
+            ident = min(x for x, c in coset_of.items() if c == 0)
+            coset_of[ident] = 1
+        elif how == "cover":
+            del coset_of[max(coset_of)]
+        elif how == "count":  # the last character dropped
+            lin = [row[:-1] for row in lin]
+        elif how == "duplicate":  # the last character replaced by the trivial one
+            lin = [row[:-1] + [row[0]] for row in lin]
+        return coset_of, lin
+
+    return patched
+
+
+@pytest.mark.parametrize("how, message", [
+    ("exponent", "a linear character is not a homomorphism"),
+    ("coset", "cosets do not multiply"),
+    ("cover", "the cosets of G' do not cover G"),
+    ("count", r"the number of linear characters is not \[G:G'\]"),
+    ("duplicate", "the residual space does not have dimension"),
+])
+def test_each_linear_character_certificate_raises(how, message, monkeypatch):
+    # Q16: G' has order 4 and G/G' is C2 x C2, so every check has something to see
+    from jigroup import chartab
+
+    monkeypatch.setattr(chartab, "_linear_characters",
+                        _corrupt_linear(how, chartab._linear_characters))
+    with pytest.raises(CertificateError, match=message):
+        character_table(catalog.quaternion(16))
+
+
+def test_patched_linear_exponent_raises_certificate_error_under_O():
+    script = (
+        "from jigroup import catalog, chartab\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "assert False, 'asserts are on'\n"
+        "real = chartab._linear_characters\n"
+        "def patched(group, exponent, gate):\n"
+        "    coset_of, lin = real(group, exponent, gate)\n"
+        "    lin[1][1] = (lin[1][1] + 1) % exponent\n"
+        "    return coset_of, lin\n"
+        "chartab._linear_characters = patched\n"
+        "try:\n"
+        "    chartab.character_table(catalog.dihedral(30))\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: a linear character is not a homomorphism\n"
+
+
+@pytest.mark.parametrize("group, residual, columns", [
+    (catalog.extraspecial_128(), 1, 65),  # 64 linear characters of 65
+    (catalog.quaternion(16), 3, 7 * 7),
+    (catalog.dihedral(30), 14, 18 * 18),
+    (catalog.symmetric(6), 9, 11 * 11),
+])
+def test_split_runs_on_the_residual_space_only(group, residual, columns, monkeypatch):
+    # the split starts from the rows of the characters that are not linear; a
+    # line needs no eigenvalue scan, and a column is built only when read
+    from jigroup import chartab
+
+    seen, scans, nulls = {}, [], []
+    monkeypatch.setattr(chartab, "_class_columns", lambda *args, real=chartab._class_columns:
+                        seen.setdefault("column", real(*args)))
+    monkeypatch.setattr(chartab, "_eigenvalues_mod", lambda a, l, real=chartab._eigenvalues_mod:
+                        scans.append(len(a)) or real(a, l))
+    monkeypatch.setattr(chartab, "_nullspace_mod", lambda mat, l, real=chartab._nullspace_mod:
+                        nulls.append(real(mat, l)) or nulls[-1])
+    ct = character_table(group)
+    assert len(nulls[0]) == residual == ct.n_classes - ct.degrees.count(1)
+    assert bool(scans) == (residual > 1) and all(n <= residual for n in scans)
+    assert seen["column"].cache_info().currsize <= columns
 
 
 # -- the mod-l elimination against the former loops ------------------------------

@@ -9,11 +9,14 @@ import pytest
 from jigroup import catalog
 from jigroup.perm import (
     OrderGateExceeded,
+    PermGroup,
     SubgroupHandle,
     center,
     core,
+    derived_subgroup,
     identity_perm,
     mul,
+    perm_from_cycles,
     perm_order,
 )
 from jigroup.smallgrp import (
@@ -29,8 +32,10 @@ from jigroup.verdicts import CertificateError
 
 import corpora
 from oracles import (
+    dixon_split_full_space,
     lift_by_exponent_dft,
     min_faithful_degree_by_frozensets,
+    mod_l_value,
     table_center,
     table_class_matrices,
     table_conjugacy_classes,
@@ -334,13 +339,14 @@ CLASS_GROUPS = {
 @pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
 def test_class_data_and_tags_match_the_table_oracles(name, monkeypatch):
     # character_table and recognize_special read permutations; the table of
-    # the subgroup lattice gives the same classes, class matrices, power
-    # classes, exponent and tags
+    # the subgroup lattice gives the same classes, class-matrix columns (all
+    # r^2 of them, not only those the table built), power classes, exponent,
+    # derived subgroup and tags
     from jigroup import chartab
 
     group = CLASS_GROUPS[name]
     seen = {}
-    for fn in ("_class_matrices", "_power_classes"):
+    for fn in ("_class_columns", "_power_classes"):
         monkeypatch.setattr(chartab, fn, lambda *args, fn=fn, real=getattr(chartab, fn):
                             seen.setdefault(fn, real(*args)))
     ct = chartab.character_table(group)
@@ -348,10 +354,37 @@ def test_class_data_and_tags_match_the_table_oracles(name, monkeypatch):
     classes = table_conjugacy_classes(tbl)
     exponent = table_exponent(tbl)
     assert ct.classes == classes and ct.ctx.e == exponent
-    mats = [[dict(col) for col in m] for m in seen["_class_matrices"]]
-    assert mats == table_class_matrices(tbl, classes)
+    column, r = seen["_class_columns"], len(classes)
+    assert [[dict(column(i, k)) for k in range(r)] for i in range(r)] == \
+        table_class_matrices(tbl, classes)
     assert seen["_power_classes"] == table_power_classes(tbl, classes, exponent)
+    derived = frozenset(tbl.index[x] for x in derived_subgroup(group).elements())
+    assert derived == table_derived_subgroup(tbl)
     assert recognize_special(group) == table_recognize_special(group)
+
+
+def _abelian_c2_c4_c3():
+    return PermGroup([perm_from_cycles(9, (0, 1)), perm_from_cycles(9, (2, 3, 4, 5)),
+                      perm_from_cycles(9, (6, 7, 8))])
+
+
+SPLIT_GROUPS = {**CLASS_GROUPS, "C2xC4xC3": _abelian_c2_c4_c3(), "trivial": catalog.cyclic(1)}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GROUPS))
+def test_known_linear_characters_give_the_full_space_split(name):
+    # the table starts from the linear characters of G/G' and splits the rest;
+    # its values mod l, row by row, are those that Dixon's split of the whole
+    # class space finds
+    from jigroup import chartab
+
+    group = SPLIT_GROUPS[name]
+    ct = chartab.character_table(group)
+    l = chartab._smallest_modulus(group.order, ct.ctx.e)
+    t_root = chartab._element_of_order(l, ct.ctx.e)
+    got = [(d, [mod_l_value(v, t_root, l) for v in row])
+           for d, row in zip(ct.degrees, ct.values)]
+    assert got == dixon_split_full_space(group)
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
