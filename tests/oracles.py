@@ -355,7 +355,7 @@ def cyclo_one(ctx):
     return root_power(ctx, 0)
 
 
-def cyclo_add(ctx, a, b):
+def cyclo_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
