@@ -24,6 +24,7 @@ from .perm import (
     SubgroupHandle,
     _image,
     _orbits_of,
+    center,
     conj,
     core,
     identity_perm,
@@ -142,13 +143,7 @@ def basal_from_intersections(G, K, gate=ELEMENT_GATE):
                 raise ValueError("hypothesis fails: K is not normal in K^G")
     info = {}
     if closure_group.order <= gate:
-        els = closure_group.elements(gate)
-        center = [
-            x
-            for x in els
-            if all(mul(x, g) == mul(g, x) for g in closure_group.generators)
-        ]
-        info["closure_center_trivial"] = len(center) == 1
+        info["closure_center_trivial"] = len(center(closure_group, gate)) == 1
     else:
         info["closure_center_trivial"] = None  # beyond the gate; recorded only
     conjugates, keys = _conjugate_orbit(G, K, gate)

@@ -267,7 +267,7 @@ def _pivot_val(x, mod, p, s, floor):
     return None if floor is not None and v >= floor else v
 
 
-def prow_echelon(m, min_certify=1, floor=None, full=False):
+def prow_echelon(m, floor=None, full=False):
     """Gauss-Jordan elimination of a PadicMatrix, minimal-valuation pivoting.
 
     Returns (echelon, pivot columns, pivot valuations): each echelon row is
@@ -276,7 +276,7 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
     yet used; with `full`, it is the first such entry, row by row, over all
     columns not yet used, which keeps integral rows integral.  An entry that
     is 0 mod p^cap is 0.  Without a floor, such an entry in a pivot search
-    raises PrecisionExhausted when its row's cap is below `min_certify`; with a
+    raises PrecisionExhausted when its row has no digit left; with a
     floor, entries of valuation floor or more are 0 by fiat, and the caller
     verifies the outcome independently.
 
@@ -306,7 +306,7 @@ def prow_echelon(m, min_certify=1, floor=None, full=False):
             for i in range(r, nr):
                 v = _pivot_val(work[i][c0], p ** max(caps[i] + s, 0), p, s, floor)
                 if v is None:
-                    if floor is None and caps[i] < min_certify:
+                    if floor is None and caps[i] < 1:
                         raise PrecisionExhausted("pivot decision beyond precision")
                 elif best is None or v < best[0]:
                     best = (v, i, c0)
@@ -398,8 +398,9 @@ def newton_polygon_slopes(f, p):
 def qp_factor_count(f, p):
     """Number of irreducible factors of a squarefree integer polynomial over Q_p.
 
-    Methods, in order: the residue certificate of `_residue_report`; the
-    Newton polygon segment count as a lower bound with factor_count unknown.
+    The ladder of `_residue_report` (Hensel residue count, Eisenstein shift,
+    single Newton slope); where no rung answers, the Newton polygon segment
+    count as a lower bound with factor_count unknown.
     """
     f = tuple(int(c) for c in f)
     if not f or f[-1] == 0:
@@ -411,26 +412,26 @@ def qp_factor_count(f, p):
     report = _residue_report(f, p)
     if report is not None:
         return report
-    slopes = newton_polygon_slopes(f, p)
-    return QpFactorReport(
-        f,
-        p,
-        None,
-        "newton_polygon_bound",
-        {"segment_count": len(slopes), "lower_bound": len(slopes)},
-    )
+    segments = len(newton_polygon_slopes(f, p))
+    return QpFactorReport(f, p, None, "newton_polygon_bound",
+                          {"segment_count": segments, "lower_bound": segments})
 
 
 def _residue_report(f, p):
-    """The Q_p factor count of an integer polynomial of degree >= 2 read off
-    its residues, or None.
+    """The Q_p factor count of an integer polynomial of degree n >= 2 read off
+    its residues, or None: the one ladder of the exact and approx routes.
 
-    Squarefree reduction mod p with a unit leading coefficient: one factor
-    over Q_p per factor mod p (Hensel).  Otherwise Eisenstein after a shift
-    x -> x + c, c = -p, ..., p in that order: irreducible.  Only f mod p^2
-    is read, so residues mod p^k, k >= 2, give the count of any lift.
+    Rungs, in order: a squarefree reduction mod p under a unit leading
+    coefficient has one factor over Q_p per factor mod p (Hensel); f(x + c)
+    Eisenstein for some c = -p, ..., p, in that order, is irreducible; a
+    Newton polygon of one segment from (0, v(f_0)) to (n, v(f_n)) whose slope
+    has denominator n is irreducible, as every root then has ramification
+    index n.  The first two rungs read only f mod p^2 and the third only
+    valuations, so residues mod p^k, k >= 2, whose f_0 and f_n are nonzero
+    give the count of any lift.
     """
     f = tuple(f)
+    n = len(f) - 1
     if f[-1] % p:
         fbar = zpoly.trim(f, p)
         if zpoly.is_squarefree(fbar, p):
@@ -439,6 +440,10 @@ def _residue_report(f, p):
     for c in range(-p, p + 1):
         if _is_eisenstein(_int_shift_poly(f, c), p):
             return QpFactorReport(f, p, 1, "eisenstein_shift", {"shift": c})
+    if f[0] and f[-1]:
+        slopes = newton_polygon_slopes(f, p)
+        if len(slopes) == 1 and slopes[0].denominator == n:
+            return QpFactorReport(f, p, 1, "single_newton_slope", {})
     return None
 
 
@@ -479,18 +484,13 @@ class QuadExt:
         self.C = int(c)
         self.W = work_digits
         self.mod = p**work_digits
-        quad_p = zpoly.trim([self.C, self.B, 1], p)
-        if (zpoly.is_squarefree(quad_p, p)
-                and len(zpoly.fp_factor_squarefree_monic(quad_p, p)) == 1):
-            self.ramified = False
-            self.e = 1
-        elif self.B % p == 0 and self.C % p == 0 and self.C % (p * p) != 0:
-            self.ramified = True
-            self.e = 2
-        else:
-            raise PrecisionExhausted(
-                "quadratic extension is neither unramified nor Eisenstein"
-            )
+        quad = (self.C, self.B, 1)
+        report = _residue_report(quad, p)
+        self.ramified = not (report and report.method == "squarefree_hensel"
+                             and report.factor_count == 1)
+        if self.ramified and not _is_eisenstein(quad, p):
+            raise PrecisionExhausted("quadratic extension is neither unramified nor Eisenstein")
+        self.e = 2 if self.ramified else 1
 
     # elements: pairs of ints mod self.mod
     def one(self):
@@ -783,37 +783,26 @@ def _newton_idempotent(e, target_slack):
 # -- polynomial irreducibility certificates for approx coefficients ---------------
 
 
-def qp_poly_status_approx(coeffs, p):
-    """('irreducible', how) / ('factors_mod_p', fbar_factors) / ('unknown', why)
-    for a monic approx polynomial over Z_p, given as a single row.
+# how the approx route names each rung's certificate in its reports
+_HOW = {"squarefree_hensel": "irreducible mod p", "eisenstein_shift": "eisenstein shift {shift}",
+        "single_newton_slope": "single newton slope"}
 
-    The residue certificate of `_residue_report` on the residues mod p^cap,
-    then a single-slope Newton polygon.
-    """
+
+def _approx_ladder(coeffs, p):
+    """(report, how) for a monic approx polynomial over Z_p, given as a single
+    row: the `_residue_report` of its residues mod p^cap and how it
+    certifies, or (None, why) where no rung answers."""
     n = coeffs.ncols - 1
     if n == 1:
-        return ("irreducible", "linear")
-    kmin = coeffs.cap
-    if kmin < 2:
+        return QpFactorReport(coeffs.rows[0], p, 1, "trivial", {}), "linear"
+    if coeffs.cap < 2:
         raise PrecisionExhausted("not enough digits for reduction tests")
     if coeffs.min_valuation() < 0:
-        return ("unknown", "non-integral coefficients")
-    res = coeffs.residues(kmin)[0]
-    report = _residue_report(res, p)
-    if report is not None:
-        if report.method == "eisenstein_shift":
-            return ("irreducible", f"eisenstein shift {report.detail['shift']}")
-        if report.factor_count == 1:
-            return ("irreducible", "irreducible mod p")
-        return ("factors_mod_p", report.detail["factors"])
-    # single-slope Newton polygon with full denominator, of the monic reading
-    # of the residues; a zero residue has valuation at least the cap, above
-    # the segment from (0, v(res[0])) to (n, 0)
-    if res[0]:
-        slopes = newton_polygon_slopes(list(res[:n]) + [1], p)
-        if len(slopes) == 1 and slopes[0].denominator == n:
-            return ("irreducible", "single newton slope")
-    return ("unknown", "no certificate applies")
+        return None, "non-integral coefficients"
+    report = _residue_report(coeffs.residues(coeffs.cap)[0], p)
+    if report is None:
+        return None, "no certificate applies"
+    return report, _HOW[report.method].format(**report.detail)
 
 
 # -- conic solving over Q_p itself -----------------------------------------------
@@ -989,7 +978,9 @@ def _qp_analyze_quadratic_center(st, gens_p, p, prec):
     wmat = st.data["center_generator"]
     c, m_int = _int_model(m)
     report = qp_factor_count(m_int, p)
-    if report.factor_count is None:
+    # QuadExt takes an unramified or an Eisenstein-shifted centre; a single
+    # Newton slope certifies the count but gives neither shape
+    if report.method not in ("squarefree_hensel", "eisenstein_shift"):
         return ("unknown", "center factor count not certified")
     if report.factor_count >= 2:
         return _rational_field_split(wmat, c, report.detail["factors"], gens_p, p, prec)
@@ -1035,54 +1026,22 @@ def _normalize_ext_square(ext, pair_fracs, p):
     ramified, the rational prime p when unramified), so the normalization
     a -> a * pi^(-2k) is exact rational arithmetic.  Returns (integral
     E-pair, k); the caller must scale the square root by pi^(-k).
+
+    With 1, gamma an integral basis of O_E, v_E(q0 + q1 gamma) =
+    min(e v(q0), e v(q1) + [E ramified]), and k = floor(v_E / 2).
     """
     q0, q1 = Fraction(pair_fracs[0]), Fraction(pair_fracs[1])
-
-    def val_pair():
-        v0 = _valuation_and_unit(q0, p)[0] if q0 else None
-        v1 = _valuation_and_unit(q1, p)[0] if q1 else None
-        if ext.ramified:
-            c0 = 2 * v0 if v0 is not None else 10**9
-            c1 = 2 * v1 + 1 if v1 is not None else 10**9
-            return min(c0, c1)
-        c0 = v0 if v0 is not None else 10**9
-        c1 = v1 if v1 is not None else 10**9
-        return min(c0, c1)
-
-    def div_pi2():
-        nonlocal q0, q1
-        if ext.ramified:
-            q0, q1 = _gamma_divide(ext, q0, q1)
-            q0, q1 = _gamma_divide(ext, q0, q1)
-        else:
-            q0, q1 = q0 / (p * p), q1 / (p * p)
-
-    def mul_pi2():
-        nonlocal q0, q1
-        if ext.ramified:
-            q0, q1 = _gamma_multiply(ext, q0, q1)
-            q0, q1 = _gamma_multiply(ext, q0, q1)
-        else:
-            q0, q1 = q0 * (p * p), q1 * (p * p)
-
-    k = 0
-    v = val_pair()
-    if v >= 10**9:
+    if not (q0 or q1):
         raise ValueError("zero center coefficient")
-    while v >= 2:
-        div_pi2()
-        k += 1
-        v = val_pair()
-    while v < 0:
-        mul_pi2()
-        k -= 1
-        v = val_pair()
-    mod = ext.mod
-    e_pair = (
-        q0.numerator * pow(q0.denominator, -1, mod) % mod if q0 else 0,
-        q1.numerator * pow(q1.denominator, -1, mod) % mod if q1 else 0,
-    )
-    return e_pair, k
+    k = min(ext.e * _valuation_and_unit(q, p)[0] + i * ext.ramified
+            for i, q in enumerate((q0, q1)) if q) // 2
+    if ext.ramified:
+        step = _gamma_divide if k > 0 else _gamma_multiply
+        for _ in range(2 * abs(k)):
+            q0, q1 = step(ext, q0, q1)
+    else:
+        q0, q1 = q0 / Fraction(p) ** (2 * k), q1 / Fraction(p) ** (2 * k)
+    return (_residue(q0, ext.mod), _residue(q1, ext.mod)), k
 
 
 def _gamma_divide(ext, q0, q1):
@@ -1187,17 +1146,16 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     for a in cands:
         try:
             mp = pminimal_polynomial(a)
-            status = qp_poly_status_approx(mp, p)
+            report, how = _approx_ladder(mp, p)
         except PrecisionExhausted:
             continue
-        if status[0] == "irreducible" and mp.ncols - 1 == dim:
-            return (
-                "irreducible",
-                {"certificate": "commutant field inert", "how": status[1]},
-            )
-        if status[0] == "factors_mod_p":
+        if report is None:
+            continue
+        if report.factor_count == 1 and mp.ncols - 1 == dim:
+            return ("irreducible", {"certificate": "commutant field inert", "how": how})
+        if report.factor_count > 1:
             try:
-                e = _lift_idempotent(status[1], a, p, prec, prec - 6)
+                e = _lift_idempotent(report.detail["factors"], a, p, prec, prec - 6)
             except PrecisionExhausted:
                 continue
             if e is None:

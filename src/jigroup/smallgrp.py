@@ -28,6 +28,7 @@ from .perm import (
     perm_order,
 )
 from .verdicts import CertificateError
+from .zpoly import primefactors
 
 # The table of each group, for as long as the group lives.
 _TABLES = weakref.WeakKeyDictionary()
@@ -238,16 +239,9 @@ def recognize_special(group, gate=LATTICE_GATE):
     cyclic = max(orders) == n
     if cyclic:
         tags.add("cyclic")
-    # prime power?
-    p = None
-    m = n
-    for q in range(2, n + 1):
-        if m % q == 0:
-            p = q
-            while m % q == 0:
-                m //= q
-            break
-    if p is not None and m == 1:
+    primes = primefactors(n)
+    if len(primes) == 1:
+        p = primes[0]
         tags.add(("p_group", p))
         if abelian and all(o in (1, p) for o in orders):
             tags.add("elementary_abelian")

@@ -11,6 +11,7 @@ from jigroup import catalog
 from jigroup.padic import (
     PadicMatrix,
     PrecisionExhausted,
+    _approx_ladder,
     _int_shift_poly,
     _is_eisenstein,
     conic_solve_qp,
@@ -19,7 +20,6 @@ from jigroup.padic import (
     padic_split,
     prow_echelon,
     qp_factor_count,
-    qp_poly_status_approx,
 )
 from jigroup.rep import rep_from_data
 from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
@@ -132,9 +132,21 @@ def test_qp_factor_count_newton_polygon_fallback():
     assert rep.detail["lower_bound"] >= 1
 
 
+def approx_ladder_read(coeffs, p):
+    """The approx route's read of the one ladder, in the former tuple form:
+    ('irreducible', how) / ('factors_mod_p', factors) / ('unknown', why)."""
+    report, how = _approx_ladder(coeffs, p)
+    if report is None:
+        return ("unknown", how)
+    if report.factor_count == 1:
+        return ("irreducible", how)
+    return ("factors_mod_p", report.detail["factors"])
+
+
 def oracle_qp_poly_status_approx(coeffs, p):
     """The former stand-alone certificate for approx polynomials: its own
-    mod-p squarefree count, Eisenstein shifts and single-slope polygon."""
+    mod-p squarefree count, Eisenstein shifts and single-slope polygon, the
+    polygon read with the row's own leading coefficient."""
     n = coeffs.ncols - 1
     if n == 1:
         return ("irreducible", "linear")
@@ -155,18 +167,21 @@ def oracle_qp_poly_status_approx(coeffs, p):
     for s in range(-p, p + 1):
         if _is_eisenstein(_int_shift_poly(tuple(res), s), p):
             return ("irreducible", f"eisenstein shift {s}")
+    # the segment from (0, v0) to (n, vn); the former certificate read only
+    # monic rows, so vn was 0 for every row the approx route gave it
     v0 = _vp(res[0], p) if res[0] else kmin
-    if res[0] and gcd(v0, n) == 1:
+    vn = _vp(res[n], p) if res[n] else kmin
+    if res[0] and res[n] and gcd(vn - v0, n) == 1:
         for i in range(1, n):
             vi = _vp(res[i], p) if res[i] else kmin
-            if Fraction(vi) < Fraction(v0) * (n - i) / n:
+            if Fraction(vi) < Fraction(v0 * (n - i) + vn * i, n):
                 break
         else:
             return ("irreducible", "single newton slope")
     return ("unknown", "no certificate applies")
 
 
-def test_qp_poly_status_approx_matches_former_certificate():
+def test_approx_ladder_matches_former_certificate():
     rng = random.Random(9)
     seen = set()
     for p in (2, 3, 5):
@@ -181,7 +196,7 @@ def test_qp_poly_status_approx_matches_former_certificate():
                     val = -1 if rng.random() < 0.05 else 0
                     row = PadicMatrix(p, cap, [coeffs], val)
                     want = oracle_qp_poly_status_approx(row, p)
-                    assert qp_poly_status_approx(row, p) == want, (p, coeffs, cap)
+                    assert approx_ladder_read(row, p) == want, (p, coeffs, cap)
                     seen.add(want[1] if want[0] != "factors_mod_p" else want[0])
     assert {"linear", "irreducible mod p", "factors_mod_p", "eisenstein shift -2",
             "single newton slope", "no certificate applies",
@@ -423,7 +438,7 @@ def test_approx_route_splits_a_quaternion_commutant_at_3(monkeypatch):
     assert hilbert_symbol(-1, -1, 3) == 1
     reached = []
     real_quaternion = padic._approx_quaternion
-    monkeypatch.setattr(padic, "qp_poly_status_approx", lambda coeffs, p: ("unknown", "patched"))
+    monkeypatch.setattr(padic, "_approx_ladder", lambda coeffs, p: (None, "patched"))
     monkeypatch.setattr(padic, "_spin_split", lambda *args, **kwargs: None)
     monkeypatch.setattr(padic, "_approx_quaternion",
                         lambda *args: reached.append(args) or real_quaternion(*args))

@@ -11,10 +11,11 @@ from jigroup.padic import (
     conic_solve_ext,
     irreducible_over_Qp,
     padic_split,
+    qp_factor_count,
 )
 from jigroup.profiles import VaProfile, va_just_infinite
 from jigroup.rep import irreducible_over_Q, rep_from_data
-from jigroup.verdicts import IRREDUCIBLE, JI, REDUCIBLE
+from jigroup.verdicts import IRREDUCIBLE, JI, REDUCIBLE, UNKNOWN
 
 from oracles import mul_pi
 
@@ -223,3 +224,56 @@ def test_real_place_ramification_is_exact():
     assert not _ramified_at_a_real_place(sqrt2, (3, -2), minus_one)
     # an imaginary centre has no real place
     assert not _ramified_at_a_real_place((Fraction(3, 4), 0, 1), minus_one, minus_one)
+
+
+def d16_zeta8_rep(scale=1):
+    """D16 on Z[zeta8] (basis 1, z, z^2, z^3): r multiplies by zeta8 and s is
+    complex conjugation, conjugated by diag(1, 1, 1, scale).
+
+    The commutant is Q(sqrt 2), generated by zeta8 + zeta8^-1."""
+    r = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0]]
+    s = [[1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0], [0, -1, 0, 0]]
+    diag = [1, 1, 1, Fraction(scale)]
+
+    def conj(m):
+        return [[m[a][b] * diag[b] / diag[a] for b in range(4)] for a in range(4)]
+
+    return rep_from_data(catalog.dihedral(8), [conj(r), conj(s)])
+
+
+def test_d16_verdict_over_q2_does_not_depend_on_the_lattice_basis():
+    # the conjugated commutant generator has integer model x^2 - 8, which no
+    # Eisenstein shift reaches; its one Newton slope -3/2 certifies it
+    plain = irreducible_over_Qp(d16_zeta8_rep(), 2)
+    scaled = irreducible_over_Qp(d16_zeta8_rep(2), 2)
+    assert plain.status == scaled.status == IRREDUCIBLE
+    assert plain.witness["report"].method == "eisenstein_shift"
+    assert scaled.witness["report"].polynomial == (-8, 0, 1)
+    assert scaled.witness["report"].method == "single_newton_slope"
+
+
+def test_qp_factor_count_single_newton_slope():
+    report = qp_factor_count((-8, 0, 1), 2)
+    assert (report.factor_count, report.method) == (1, "single_newton_slope")
+
+
+def test_single_slope_quadratic_centre_stays_uncertified():
+    # the Q16 lattice conjugated by diag(2, 1, ..., 1): the commutant is a
+    # quaternion algebra over Q(sqrt 2) whose centre generator has model
+    # x^2 - 8.  The slope certifies one factor, but QuadExt needs an
+    # unramified or Eisenstein centre, so the verdict stays a mathematical
+    # unknown, not a precision exhaustion.
+    from jigroup.rep import commutant_analysis
+
+    rep8 = fixtures.q16_integral_rep()
+    diag = [2] + [1] * 7
+    gens = [[[Fraction(m[a][b] * diag[b], diag[a]) for b in range(8)] for a in range(8)]
+            for m in (rep8.element_map[g] for g in rep8.group.generators)]
+    rep = rep_from_data(rep8.group, gens)
+    st, _ = commutant_analysis(rep, 0)
+    assert st.kind == "cyclic_algebra"
+    assert st.data["center_minpoly"] == (-8, 0, 1)
+    verdict = irreducible_over_Qp(rep, 2)
+    assert verdict.status == UNKNOWN
+    assert verdict.provenance == "padic-unclassified"
+    assert verdict.witness["reason"] == "center factor count not certified"

@@ -1,11 +1,12 @@
 """Property tests for the invariants that quantify over inputs."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jigroup import catalog
@@ -199,6 +200,7 @@ def _fp_factor_count_oracle(f, p):
     st.lists(st.integers(-9, 9), min_size=3, max_size=5),
     st.sampled_from([2, 3, 5]),
 )
+@example([1, 0, 2], 2)  # 2x^2 + 1 at 2: a single slope 1/2
 @settings(max_examples=300, deadline=None)
 def test_qp_factor_count_against_trial_division(coeffs, p):
     f = poly_trim(coeffs)
@@ -210,9 +212,32 @@ def test_qp_factor_count_against_trial_division(coeffs, p):
         assert report.factor_count == _fp_factor_count_oracle(list(fi), p)
     elif report.method == "eisenstein_shift":
         assert report.factor_count == 1
+    elif report.method == "single_newton_slope":
+        assert report.factor_count == 1
+        assert _single_slope_oracle(fi, p)
     else:
         assert report.factor_count is None
         assert report.detail["lower_bound"] >= 1
+
+
+def _vp_slow(n, p):
+    return next(k for k in itertools.count() if n % p ** (k + 1))
+
+
+def _single_slope_oracle(f, p):
+    """Irreducibility over Q_p, checked slowly: a quadratic's discriminant is
+    not a square in Q_p (p^v u is one iff v is even and u is a square mod
+    p^3); a higher degree has every point (i, v(f_i)) on or above the segment
+    from (0, v(f_0)) to (n, v(f_n)), whose slope has denominator n."""
+    n = len(f) - 1
+    if n == 2:
+        disc = f[1] ** 2 - 4 * f[0] * f[2]
+        v = _vp_slow(disc, p)
+        u = disc // p**v
+        return v % 2 == 1 or all((x * x - u) % p**3 for x in range(p**3))
+    v0, vn = _vp_slow(f[0], p), _vp_slow(f[n], p)
+    return math.gcd(vn - v0, n) == 1 and all(
+        n * _vp_slow(c, p) >= v0 * (n - i) + vn * i for i, c in enumerate(f) if c)
 
 
 def test_min_faithful_degree_one_iff_cyclic():
