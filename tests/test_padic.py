@@ -167,8 +167,8 @@ def oracle_qp_poly_status_approx(coeffs, p):
     for s in range(-p, p + 1):
         if _is_eisenstein(_int_shift_poly(tuple(res), s), p):
             return ("irreducible", f"eisenstein shift {s}")
-    # the segment from (0, v0) to (n, vn); the former certificate read only
-    # monic rows, so vn was 0 for every row the approx route gave it
+    # the segment from (0, v0) to (n, vn); the approx route's rows are
+    # monic, so there vn = 0
     v0 = _vp(res[0], p) if res[0] else kmin
     vn = _vp(res[n], p) if res[n] else kmin
     if res[0] and res[n] and gcd(vn - v0, n) == 1:
