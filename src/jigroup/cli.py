@@ -21,7 +21,7 @@ from .basal import maxcor_equivalence_check
 from .chartab import character_table, min_faithful_degree
 from .hilbert import REAL_PLACE, hilbert_symbol
 from .padic import DEFAULT_PRECISION
-from .perm import OrderGateExceeded
+from .perm import LATTICE_GATE, OrderGateExceeded
 from .profile_io import ProfileError, parse_profile_kind
 from .profiles import (
     maximal_scan,
@@ -322,7 +322,7 @@ def _build_parser():
     )
     parser.add_argument("--precision", type=int, default=0,
                         help="p-adic working precision (digits; 0 for the default)")
-    parser.add_argument("--order-gate", type=int, default=4096,
+    parser.add_argument("--order-gate", type=int, default=LATTICE_GATE,
                         help="order gate for exhaustive subgroup work")
     parser.add_argument("--report", choices=("text", "machine"), default="text")
     parser.add_argument("--seed", type=int, default=0,

@@ -20,12 +20,14 @@ rep is rational.  Kinds: va, wreath, permgroup, matrep (a rational MatRep).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+from . import ratmat as rm
 from .padic import DEFAULT_PRECISION, PadicMatrix, rep_from_approx
 from .perm import PermGroup, check_perm, identity_perm
 from .profiles import VaProfile
-from .rep import RelationViolation, rep_from_data
+from .rep import RelationViolation, close_over_group, rep_from_data
 from .zpoly import isprime
 
 FORMAT_HEADER = "jigroup-profile v1"
@@ -236,8 +238,10 @@ def _parse_matrix_kind(kind, fields, gens, mats):
         if any(isinstance(m, PadicMatrix) for m in gen_mats):
             identity = PadicMatrix.identity(len(gen_mats[0]), ring[1], precision)
             rep = rep_from_approx(group, gen_mats, identity)
-        else:
+        elif gen_mats:
             rep = rep_from_data(group, gen_mats)
+        else:  # every gen is the identity: the trivial group on Q^d
+            rep = close_over_group(group, [], rm.identity(d), rm.mat_mul, operator.eq, "Q")
     except RelationViolation as exc:
         # located at the mat line of the last generator of the failing word
         raise ProfileError(mat_lines[exc.word[-1]], str(exc))

@@ -9,6 +9,9 @@ Zassenhaus's factorization) is in `zpoly`.  The matrix kernels
 minimal_polynomial) clear each operand to an integer matrix over one
 common denominator, work on Python ints, and form one Fraction per
 nonzero entry of the result.  Fractions go in and Fractions come out.
+The linear questions all read one rref: row_space_canonical, nullspace,
+rank, mat_inv, and coords, the coordinates of many images over one set of
+rows (None when an image is off their span).
 """
 
 from __future__ import annotations
@@ -247,37 +250,22 @@ def rank(rows):
     return len(rref(rows)[0]) if rows else 0
 
 
-def row_space_intersection(u_rows, v_rows):
-    """Canonical basis of the intersection of two row spaces."""
-    u_rows = [r for r in u_rows if any(x != 0 for x in r)]
-    v_rows = [r for r in v_rows if any(x != 0 for x in r)]
-    if not u_rows or not v_rows:
-        return ()
-    n = len(u_rows[0])
-    # x = a.U = b.V: solve [U^T | -V^T] (a;b)^T = 0
-    rows = []
-    for i in range(n):
-        row = [u[i] for u in u_rows] + [-v[i] for v in v_rows]
-        rows.append(tuple(row))
-    u_mats = [(u,) for u in u_rows]
-    out = [mat_combination(w[: len(u_rows)], u_mats)[0] for w in nullspace(rows)]
-    return row_space_canonical(out)
+def coords(rows, images):
+    """X with X . rows = images, one coordinate row per image; None if an
+    image is not in the row span.
 
-
-def solve(a_rows, b_vec):
-    """One solution x of a x = b, or None if inconsistent."""
-    nc = len(a_rows[0])
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b_vec)]
-    reduced, pivots = rref(aug)
-    for row in reduced:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        if c == nc:
-            return None
-        x[c] = reduced[i][-1]
-    return tuple(x)
+    One elimination of [rows^T | images^T] serves every image; the
+    coordinates of the free columns (dependent rows) are 0.
+    """
+    n = len(rows)
+    reduced, pivots = rref([tuple(col) for col in zip(*rows, *images)])
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[_ZERO] * n for _ in images]
+    for row, c in zip(reduced, pivots):
+        for xi, v in zip(x, row[n:]):
+            xi[c] = v
+    return tuple(map(tuple, x))
 
 
 # -- polynomials over Q (coefficient tuples, lowest degree first) -------------

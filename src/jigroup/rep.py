@@ -154,12 +154,6 @@ def commutant(rep):
     if cached is not None:
         return cached
     d = rep.dimension
-    if not rep.gen_images:
-        return tuple(
-            rm.mat([[1 if (i, j) == (r, c) else 0 for j in range(d)] for i in range(d)])
-            for r in range(d)
-            for c in range(d)
-        )
     basis_vecs = rm.nullspace(
         commutation_rows([rm.integer_multiple(g) for g in rep.gen_images]))
     basis = tuple(
@@ -356,15 +350,24 @@ def _certified_division(st):
 
 
 def algebra_center(basis):
-    """Basis of the center of a matrix algebra given by a basis."""
+    """Canonical basis of the center of a matrix algebra given by a basis.
+
+    Solved in the algebra's coordinates: with B_k the integer multiples of
+    the basis elements, the center is spanned by the sums of c_k B_k for the
+    c with sum_k c_k [B_k, B_j] = 0 for every j, a system dim columns wide.
+    The basis is the RREF of the flattened center, so it depends on the
+    algebra alone.
+    """
     d = len(basis[0])
-    # centralizer of the algebra in M_d, then intersect with the algebra span
-    alg_rows = [tuple(x for row in b for x in row) for b in basis]
-    ker = rm.nullspace(commutation_rows([rm.integer_multiple(b) for b in basis]))
-    inter = rm.row_space_intersection(ker, alg_rows)
-    return tuple(
-        rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)]) for v in inter
-    )
+    ints = [rm.integer_multiple(b) for b in basis]
+    prods = [[_flat(rm._int_mul(a, b)) for b in ints] for a in ints]
+    # row (j, entry): that entry of [B_k, B_j] in column k
+    rows = [tuple(pk[j][e] - prods[j][k][e] for k, pk in enumerate(prods))
+            for j in range(len(ints)) for e in range(d * d)]
+    flats = [(_flat(b),) for b in ints]
+    center = rm.row_space_canonical(
+        [rm.mat_combination(c, flats)[0] for c in rm.nullspace(rows)])
+    return tuple(tuple(v[i * d:(i + 1) * d] for i in range(d)) for v in center)
 
 
 def _noncentral_scalar_part(center_basis, d):
@@ -400,7 +403,8 @@ def quaternion_pair(basis, center, x):
     or not quadratic over it, or no j fits.
     """
     def coords(m, over):
-        return rm.solve(rm.mat_transpose([_flat(c) for c in over]), _flat(m))
+        x = rm.coords([_flat(c) for c in over], [_flat(m)])
+        return None if x is None else x[0]
 
     over = [rm.mat_mul(c, x) for c in center] + list(center)
     t_n = coords(rm.mat_mul(x, x), over)
@@ -583,30 +587,8 @@ def _invariant_complement(rep, w_rows):
     """G-invariant complement of an invariant subspace (Maschke averaging)."""
     d = rep.dimension
     # projection onto W along any complement, then average over the group
-    basis = list(w_rows)
-    canon = rm.row_space_canonical(basis)
-    pivots = rm.rref(list(canon))[1]
-    others = [j for j in range(d) if j not in pivots]
-    full = list(canon) + [
-        tuple(Fraction(1 if k == j else 0) for k in range(d)) for j in others
-    ]
-    m = rm.mat(full)
-    minv = rm.mat_inv(m)
-    proj0 = rm.mat_mul(
-        rm.mat_mul(
-            minv,
-            rm.mat(
-                [
-                    [
-                        Fraction(1 if (i == j and i < len(canon)) else 0)
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-            ),
-        ),
-        m,
-    )
+    canon = rm.row_space_canonical(w_rows)
+    proj0 = _pivot_projector(canon)
     emap = rep.element_map
     conjugates = [rm.mat_mul(rm.mat_mul(g, proj0), emap[inv(perm)])
                   for perm, g in emap.items()]
@@ -622,6 +604,15 @@ def _invariant_complement(rep, w_rows):
     return comp
 
 
+def _pivot_projector(canon):
+    """The projection onto the span of RREF rows along the unit vectors off
+    their pivots: e_(pivot i) goes to row i, every other e_j to 0."""
+    proj = list(rm.zeros(len(canon[0]), len(canon[0])))
+    for row in canon:
+        proj[next(j for j, x in enumerate(row) if x)] = row
+    return tuple(proj)
+
+
 def _subspace_restriction(rep, rows):
     """The action of the group on an invariant subspace, in its own basis.
 
@@ -629,16 +620,12 @@ def _subspace_restriction(rep, rows):
     against every relation.  Returns (restricted MatRep, canonical lift basis).
     """
     rows = rm.row_space_canonical(rows)
-    rt = rm.mat_transpose(rows)
 
     def restricted(g):
-        coords = []
-        for img in rm.mat_mul(rows, g):
-            sol = rm.solve(rt, img)
-            if sol is None:
-                raise CertificateError("subspace not invariant in restriction")
-            coords.append(sol)
-        return rm.mat(coords)
+        coords = rm.coords(rows, rm.mat_mul(rows, g))
+        if coords is None:
+            raise CertificateError("subspace not invariant in restriction")
+        return coords
 
     images = [restricted(rep.element_map[g]) for g in rep.group.generators]
     return close_over_group(rep.group, images, rm.identity(len(rows)), rm.mat_mul,

@@ -39,6 +39,7 @@ from jigroup.rep import (
     _sample_element,
     _structure_from_pair,
     algebra_center,
+    commutation_rows,
     quaternion_pair,
 )
 from jigroup.smallgrp import all_subgroups, small_table
@@ -494,19 +495,89 @@ def minimal_polynomial_by_degree(m):
     raise PrecisionExhausted("no dependence found for minimal polynomial")
 
 
+# -- exact linear algebra ----------------------------------------------------------
+
+
+def fraction_solve(a_rows, b_vec):
+    """One solution x of a x = b by plain Fraction Gauss-Jordan on [a | b],
+    with the free coordinates 0; None if the system is inconsistent."""
+    nc = len(a_rows[0]) if a_rows else 0
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a_rows, b_vec)]
+    pivots = []
+    for c in range(nc + 1):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if c == nc:
+            return None
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    x = [Fraction(0)] * nc
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    return tuple(x)
+
+
+def row_space_intersection(u_rows, v_rows):
+    """Canonical basis of the meet of two row spaces: the Fraction
+    accumulation over the nullspace coordinates that ratmat once shipped."""
+    u_rows = [r for r in u_rows if any(x != 0 for x in r)]
+    v_rows = [r for r in v_rows if any(x != 0 for x in r)]
+    if not u_rows or not v_rows:
+        return ()
+    n = len(u_rows[0])
+    rows = [tuple([u[i] for u in u_rows] + [-v[i] for v in v_rows]) for i in range(n)]
+    out = []
+    for w in rm.nullspace(rows):
+        vec = [Fraction(0)] * n
+        for a, u in zip(w[: len(u_rows)], u_rows):
+            for i in range(n):
+                vec[i] += a * u[i]
+        out.append(tuple(vec))
+    return rm.row_space_canonical(out)
+
+
+def center_by_centralizer(basis):
+    """rep.algebra_center the former way: the centralizer of the algebra in
+    M_d, d^2 unknowns, met with the span of the algebra."""
+    d = len(basis[0])
+    ker = rm.nullspace(commutation_rows([rm.integer_multiple(b) for b in basis]))
+    inter = row_space_intersection(ker, [_flat(b) for b in basis])
+    return tuple(
+        rm.mat([[v[i * d + j] for j in range(d)] for i in range(d)]) for v in inter
+    )
+
+
+def start_projector_by_inverse(canon):
+    """The former Maschke start projector minv . sel . m: m stacks the RREF
+    rows of W over the unit vectors off their pivots, and sel keeps the
+    first len(canon) coordinates."""
+    d = len(canon[0])
+    pivots = rm.rref(list(canon))[1]
+    m = rm.mat(list(canon) + [[int(k == j) for k in range(d)]
+                              for j in range(d) if j not in pivots])
+    sel = rm.mat([[int(i == j and i < len(canon)) for j in range(d)] for i in range(d)])
+    return rm.mat_mul(rm.mat_mul(rm.mat_inv(m), sel), m)
+
+
 # -- restrictions to invariant subspaces ----------------------------------------------
 
 
 def subspace_restriction_by_elements(rep, rows):
-    """rep._subspace_restriction element by element: one rm.solve per row
-    of the image of every group element.  Returns (MatRep, lift basis)."""
+    """rep._subspace_restriction element by element: one Fraction solve per
+    row of the image of every group element.  Returns (MatRep, lift basis)."""
     rows = rm.row_space_canonical(rows)
     rt = rm.mat_transpose(rows)
 
     def restricted(g):
         coords = []
         for img in rm.mat_mul(rows, g):
-            sol = rm.solve(rt, img)
+            sol = fraction_solve(rt, img)
             if sol is None:
                 raise ValueError("subspace not invariant in restriction")
             coords.append(sol)

@@ -417,6 +417,29 @@ def test_identity_gen_with_identity_mat_is_dropped(tmp_path, ring, one, minus_on
     assert status == 0
 
 
+@pytest.mark.parametrize("rank, mat, status", [(1, "1", "ji"), (2, "1 0 0 1", "not_ji")])
+def test_profile_whose_gens_are_all_the_identity_is_the_trivial_group(
+        tmp_path, rank, mat, status):
+    # Z^d x| 1 is a lattice group: ji exactly when d = 1
+    f = tmp_path / "trivial.profile"
+    f.write_text(f"jigroup-profile v1\nkind va\nring Z\nrank {rank}\ndegree 1\n"
+                 f"gen 0\nmat {mat}\n")
+    profile = parse_profile(f.read_text())
+    assert (profile.Q.order, profile.action.dimension) == (1, rank)
+    out = io.StringIO()
+    code, _ = run_command(["--report", "machine", "analyze", str(f)], out)
+    assert code == 0
+    assert json.loads(out.getvalue())["just_infinite"]["status"] == status
+
+
+def test_order_gate_defaults_to_the_lattice_gate():
+    from jigroup.cli import _build_parser
+    from jigroup.perm import LATTICE_GATE
+
+    args = _build_parser().parse_args(["hilbert", "1", "1", "2"])
+    assert args.order_gate == LATTICE_GATE
+
+
 def test_relation_violation_line_skips_identity_gen():
     # the identity pair comes first, so the kept transposition is mat line 9
     text = ("jigroup-profile v1\nkind va\nring Z\nrank 1\ndegree 2\n"

@@ -18,7 +18,7 @@ from jigroup.ratmat import poly_trim
 from jigroup.zpoly import is_squarefree
 
 import corpora
-from oracles import closure_order_bruteforce
+from oracles import closure_order_bruteforce, fraction_solve
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30)
@@ -109,6 +109,32 @@ def test_padic_matrix_matches_exact_linear_algebra(data, p, r, k, m):
             with pytest.raises(PrecisionExhausted):
                 pa.det_valuation()
             assert pa.inverse() is None
+
+
+@given(st.data(), st.integers(1, 4), st.integers(2, 5), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_coords_matches_one_fraction_solve_per_image(data, r, k, m):
+    """rm.coords against a Fraction solve per image, on rows that are often
+    dependent (a last row summing two others, or a zero row) and images that
+    are combinations of the rows or free vectors, which may fall off the
+    span."""
+    rows = data.draw(rational_matrix(r, k))
+    if r > 2 and data.draw(st.booleans()):
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    images = []
+    for _ in range(m):
+        if data.draw(st.booleans()):
+            images.append(data.draw(rational_matrix(1, k))[0])
+            continue
+        c = data.draw(st.lists(small_rationals, min_size=r, max_size=r))
+        images.append([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(k)])
+    want = [fraction_solve(rm.mat_transpose(rm.mat(rows)), img) for img in images]
+    got = rm.coords(rm.mat(rows), rm.mat(images))
+    if None in want:
+        assert got is None
+    else:
+        assert got == tuple(want)
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 @given(st.permutations(range(6)), st.permutations(range(6)))

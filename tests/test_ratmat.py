@@ -415,31 +415,7 @@ def test_integer_multiple_is_the_least_one(kind):
         assert ints == [[int(x * den) for x in row] for row in m]
 
 
-def oracle_row_space_intersection(u_rows, v_rows):
-    """The former Fraction accumulation over the nullspace coordinates."""
-    u_rows = [r for r in u_rows if any(x != 0 for x in r)]
-    v_rows = [r for r in v_rows if any(x != 0 for x in r)]
-    if not u_rows or not v_rows:
-        return ()
-    n = len(u_rows[0])
-    rows = [tuple([u[i] for u in u_rows] + [-v[i] for v in v_rows]) for i in range(n)]
-    out = []
-    for w in rm.nullspace(rows):
-        vec = [Fraction(0)] * n
-        for a, u in zip(w[: len(u_rows)], u_rows):
-            for i in range(n):
-                vec[i] += a * u[i]
-        out.append(tuple(vec))
-    return rm.row_space_canonical(out)
-
-
-@pytest.mark.parametrize("kind", ENTRY_KINDS)
-def test_row_space_intersection_matches_former_loop(kind):
-    rng = random.Random("meet-" + kind)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        u = random_matrix(rng, rng.randint(0, 5), n, kind)
-        v = random_matrix(rng, rng.randint(0, 5), n, kind)
-        if u and v and rng.random() < 0.5:  # force a common vector
-            v = v[:-1] + (tuple(x + 3 * y for x, y in zip(u[0], u[-1])),)
-        assert rm.row_space_intersection(u, v) == oracle_row_space_intersection(u, v)
+def test_coords_sets_free_coordinates_to_zero_and_flags_images_off_the_span():
+    assert rm.coords(rm.mat([(1, 2), (2, 4)]), rm.mat([(3, 6), (0, 0)])) == ((3, 0), (0, 0))
+    assert rm.coords(rm.mat([(1, 2)]), rm.mat([(2, 4), (1, 3)])) is None
+    assert rm.coords(rm.mat([(1, 0), (0, 1)]), ()) == ()

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import center_by_centralizer, fraction_solve, start_projector_by_inverse
 
 from jigroup import catalog, ratmat as rm
 from jigroup import rep as rep_module
@@ -177,6 +178,105 @@ def test_algebra_center():
     assert len(algebra_center(comm)) == 1
     comm2 = commutant(c3_companion_rep())
     assert len(algebra_center(comm2)) == 2
+
+
+def _corpus_reps():
+    """The rational reps of the suite and of every Z-ring and rational Z_p
+    golden profile, each with its restrictions to the maximal subgroups."""
+    from test_padic_ext import q8c3_rep
+
+    from jigroup import fixtures
+    from jigroup.profile_io import parse_profile
+
+    golden = Path(__file__).resolve().parent / "golden"
+    reps = [c3_companion_rep(), c2_diag_rep(), q8_quaternion_rep(), d8_natural_rep(),
+            _s3_sum_zero_rep(), fixtures.q16_integral_rep(), q8c3_rep(),
+            q8c3_rep(Fraction(1, 3))]
+    reps += [parse_profile(f.read_text()).action for f in sorted(golden.glob("*.profile"))
+             if "kind va" in f.read_text()]
+    reps += [rep.restrict(M) for rep in reps for M in maximal_subgroups(rep.group)]
+    return [rep for rep in reps if rep.ring == "Q"]
+
+
+def test_algebra_center_matches_the_centralizer_oracle():
+    """The centre solved in the algebra's coordinates is the centralizer met
+    with the span, on every corpus commutant, and on each commutant basis
+    rescaled by a different fraction per element, which has non-integral
+    entries and integer multiples that are not the basis itself."""
+    kinds = set()
+    for rep in _corpus_reps():
+        basis = commutant(rep)
+        want = center_by_centralizer(basis)
+        assert algebra_center(basis) == want
+        rescaled = tuple(rm.mat_combination((Fraction(k + 2, 2 * k + 3),), (b,))
+                         for k, b in enumerate(basis))
+        assert any(x.denominator > 1 for b in rescaled for row in b for x in row)
+        assert algebra_center(rescaled) == want
+        kinds.add((len(basis), len(want)))
+    # scalars, fields, M_2(Q), and quaternion algebras over Q and Q(sqrt -3)
+    assert {(1, 1), (2, 2), (4, 1), (8, 2)} <= kinds
+
+
+def test_algebra_center_solves_in_the_algebras_coordinates(monkeypatch):
+    """One nullspace, dim columns wide; the d^2-unknown commutation rows of
+    the centralizer are never built."""
+    from jigroup.fixtures import q16_integral_rep
+
+    basis = commutant(q16_integral_rep())
+    widths = []
+    real_nullspace = rm.nullspace
+
+    def spy(rows):
+        widths.append(len(rows[0]))
+        return real_nullspace(rows)
+
+    def forbidden(mats):
+        raise AssertionError("algebra_center built commutation rows")
+
+    monkeypatch.setattr(rm, "nullspace", spy)
+    monkeypatch.setattr(rep_module, "commutation_rows", forbidden)
+    assert len(algebra_center(basis)) == 2
+    assert widths == [len(basis)] == [8]
+
+
+def test_invariant_complement_reads_the_projector_off_the_rref(monkeypatch):
+    """_invariant_complement calls neither rm.rref nor rm.mat_inv itself, and
+    its start projector is the former minv . sel . m product on every
+    invariant subspace the corpus splits off."""
+    callers = []
+
+    def spied(fn):
+        def call(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fn(*args)
+        return call
+
+    spaces = []
+    real_complement = rep_module._invariant_complement
+
+    def complement(rep, w_rows):
+        spaces.append(rm.row_space_canonical(w_rows))
+        return real_complement(rep, w_rows)
+
+    monkeypatch.setattr(rm, "rref", spied(rm.rref))
+    monkeypatch.setattr(rm, "mat_inv", spied(rm.mat_inv))
+    monkeypatch.setattr(rep_module, "_invariant_complement", complement)
+    for rep in _corpus_reps():
+        if irreducible_over_Q(rep).status == REDUCIBLE:
+            decompose_over_Q(rep)
+    assert len(spaces) > 10 and callers
+    assert "_invariant_complement" not in callers
+    monkeypatch.undo()
+    rng = random.Random("projector")
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                 for _ in range(d)] for _ in range(rng.randint(1, d))]
+        canon = rm.row_space_canonical(rows)
+        if canon:
+            spaces.append(canon)
+    for canon in spaces:
+        assert rep_module._pivot_projector(canon) == start_projector_by_inverse(canon)
 
 
 def test_irreducible_over_Q_verdicts():
@@ -445,7 +545,7 @@ def _oracle_pair_over_center(basis, w):
     ident = rm.identity(len(w))
 
     def coords(m, over):
-        return rm.solve(rm.mat_transpose([_flat(c) for c in over]), _flat(m))
+        return fraction_solve(rm.mat_transpose([_flat(c) for c in over]), _flat(m))
 
     x = next(c for c in basis if rm.rank([_flat(m) for m in (ident, w, c)]) == 3)
     alpha, beta, _, _ = coords(rm.mat_mul(x, x), (x, rm.mat_mul(w, x), ident, w))
