@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, partial, reduce
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from . import ratmat as rm
@@ -868,7 +869,7 @@ def _rational_field_split(a, c, facs, gens_p, p, prec):
     """The split of Q_p[a] for an exact commutant element a whose minimal
     polynomial, scaled to an integer model by x -> c x, factors as `facs`
     mod p: the idempotent lifted from c a, and its two invariant pieces."""
-    ca = PadicMatrix.from_rational(a, p, prec).scale(PadicMatrix(p, prec, [[c]]))
+    ca = PadicMatrix.from_rational(rm.mat_combination((c,), (a,)), p, prec)
     e = _lift_idempotent(facs, ca, p, prec, prec - 4)
     if e is None:
         raise PrecisionExhausted("field-split idempotent degenerated")
@@ -1128,7 +1129,12 @@ def _spin_split(rep, p, prec, seed=0):
 
 
 def _qp_analyze_approx(rep, p, prec, seed=0):
-    """Classification for reps whose entries are already PadicMatrix."""
+    """Classification for reps whose entries are already PadicMatrix.
+
+    A noncommutative 4-dim commutant is a quaternion algebra over Q_p.  A -1
+    Hilbert symbol makes it a division algebra, which no sampled element or
+    spin search could split, so its structure is built and read first.
+    """
     import random
 
     gens_p = list(rep.gen_images)
@@ -1136,6 +1142,16 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     dim = len(comm)
     if dim == 1:
         return ("irreducible", {"certificate": "scalar commutant"})
+    quaternion = cache(partial(_approx_quaternion, comm, p, prec))
+    if dim == 4 and not all((x * y - y * x).is_zero() for x, y in combinations(comm, 2)):
+        try:
+            quat = quaternion()
+        except PrecisionExhausted:
+            quat = None  # the fallback below builds it again and raises
+        if quat is not None:
+            k, a_int, b_int = _quaternion_ints(quat, prec)
+            if k >= 7 and hilbert_symbol(a_int, b_int, p) == -1:
+                return _quaternion_step(a_int, b_int, *quat[2:], gens_p, p, prec, k - 2)
     # sample elements: a constructive factorization of any minimal polynomial
     # splits; an inert minimal polynomial of full commutant degree certifies
     rng = random.Random(seed)
@@ -1165,16 +1181,22 @@ def _qp_analyze_approx(rep, p, prec, seed=0):
     if spun is not None:
         return ("split", {"pieces": spun})
     if dim == 4:
-        quat = _approx_quaternion(comm, p, prec)
+        quat = quaternion()
         if quat is not None:
-            a, b, i_p, j_p = quat
-            k = min(prec, a.cap, b.cap)
+            k, a_int, b_int = _quaternion_ints(quat, prec)
             # the conic search reads up to 5 digits, and Newton lifts to k - 2
             if k < 7:
                 raise PrecisionExhausted("not enough digits for the quaternion step")
-            a_int, b_int = (x.residues(k)[0][0] for x in (a, b))
-            return _quaternion_step(a_int, b_int, i_p, j_p, gens_p, p, prec, k - 2)
+            return _quaternion_step(a_int, b_int, *quat[2:], gens_p, p, prec, k - 2)
     return ("unknown", f"approx commutant of dimension {dim} not classified")
+
+
+def _quaternion_ints(quat, prec):
+    """(k, a_int, b_int) for an approx quaternion pair: the digits k, at most
+    prec, to which both squares are known, and their residues mod p^k."""
+    a, b = quat[:2]
+    k = min(prec, a.cap, b.cap)
+    return (k, *(x.residues(k)[0][0] for x in (a, b)))
 
 
 def _approx_quaternion(comm, p, prec):

@@ -190,7 +190,7 @@ def _verify_commutant(rep, basis):
         raise CertificateError("commutant missing the identity")
     # products of integer multiples span the same space as the products
     ints = [rm.integer_multiple(b) for b in basis]
-    products = [_flat(rm.mat_mul(a, b)) for a in ints for b in ints]
+    products = [_flat(rm._int_mul(a, b)) for a in ints for b in ints]
     if rm.row_space_canonical(list(canon) + products) != canon:
         raise CertificateError("commutant not closed under product")
 

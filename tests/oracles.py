@@ -6,15 +6,28 @@ needs.
 """
 
 import heapq
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from jigroup import catalog, chartab
 from jigroup import ratmat as rm
 from jigroup.hilbert import _valuation_and_unit
-from jigroup.padic import PadicMatrix, PrecisionExhausted
+from jigroup.padic import (
+    PadicMatrix,
+    PrecisionExhausted,
+    _approx_ladder,
+    _approx_quaternion,
+    _lift_idempotent,
+    _pieces_from_projector,
+    _quaternion_step,
+    _spin_split,
+    commutant_approx,
+    pminimal_polynomial,
+)
 from jigroup.perm import (
     ELEMENT_GATE,
     LATTICE_GATE,
@@ -493,6 +506,60 @@ def minimal_polynomial_by_degree(m):
             return PadicMatrix(m.p, ns.cap, ns.rows[:1], ns.val)
         powers.append(powers[-1] * m)
     raise PrecisionExhausted("no dependence found for minimal polynomial")
+
+
+
+def qp_analyze_approx_sampling_first(rep, p, prec, seed=0):
+    """padic._qp_analyze_approx without the division pre-check: the sampled
+    elements and the spin search run before the quaternion structure is
+    built.
+
+    Classification for reps whose entries are already PadicMatrix.
+    """
+    gens_p = list(rep.gen_images)
+    comm = commutant_approx(gens_p, p, prec)
+    dim = len(comm)
+    if dim == 1:
+        return ("irreducible", {"certificate": "scalar commutant"})
+    # sample elements: a constructive factorization of any minimal polynomial
+    # splits; an inert minimal polynomial of full commutant degree certifies
+    rng = random.Random(seed)
+    cands = list(comm)
+    for _ in range(16):
+        cands.append(reduce(operator.add, [
+            b.scale(PadicMatrix(p, prec, [[rng.randint(-3, 3)]])) for b in comm]))
+    for a in cands:
+        try:
+            mp = pminimal_polynomial(a)
+            report, how = _approx_ladder(mp, p)
+        except PrecisionExhausted:
+            continue
+        if report is None:
+            continue
+        if report.factor_count == 1 and mp.ncols - 1 == dim:
+            return ("irreducible", {"certificate": "commutant field inert", "how": how})
+        if report.factor_count > 1:
+            try:
+                e = _lift_idempotent(report.detail["factors"], a, p, prec, prec - 6)
+            except PrecisionExhausted:
+                continue
+            if e is None:
+                continue
+            return ("split", {"pieces": _pieces_from_projector(gens_p, e)})
+    spun = _spin_split(rep, p, prec, seed)
+    if spun is not None:
+        return ("split", {"pieces": spun})
+    if dim == 4:
+        quat = _approx_quaternion(comm, p, prec)
+        if quat is not None:
+            a, b, i_p, j_p = quat
+            k = min(prec, a.cap, b.cap)
+            # the conic search reads up to 5 digits, and Newton lifts to k - 2
+            if k < 7:
+                raise PrecisionExhausted("not enough digits for the quaternion step")
+            a_int, b_int = (x.residues(k)[0][0] for x in (a, b))
+            return _quaternion_step(a_int, b_int, i_p, j_p, gens_p, p, prec, k - 2)
+    return ("unknown", f"approx commutant of dimension {dim} not classified")
 
 
 # -- exact linear algebra ----------------------------------------------------------

@@ -20,6 +20,7 @@ from jigroup.padic import (
     padic_split,
     prow_echelon,
     qp_factor_count,
+    rep_from_approx,
 )
 from jigroup.rep import rep_from_data
 from jigroup.verdicts import IRREDUCIBLE, REDUCIBLE
@@ -344,6 +345,16 @@ def test_padic_split_c3_at_7():
     assert sorted(eigs) == [2, 4]
 
 
+def test_field_split_with_p_in_the_generator_denominator():
+    # C4 by a conjugate of the rotation: the commutant field Q(i) has a
+    # generator with 5 in its denominators, and splits over Q_5; the
+    # idempotent is lifted from c a with an integral block exponent
+    rep = rep_from_data(catalog.cyclic(4), [[[3, -2], [5, -3]]])
+    v = irreducible_over_Qp(rep, 5)
+    assert v.status == REDUCIBLE
+    assert [len(rows) for rows in v.witness["pieces"]] == [1, 1]
+
+
 def test_padic_split_precision_monotone_c3():
     for prec in (32, 64, 128):
         pieces = padic_split(c3_companion_rep(), 7, prec)
@@ -453,6 +464,206 @@ def test_approx_route_splits_a_quaternion_commutant_at_3(monkeypatch):
         assert rows.rank(floor) == 2
         for g in rep.gen_images:
             assert PadicMatrix.stack([rows, rows * g]).rank(floor) == 2
+
+
+# -- the approx route's division pre-check --------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ZP_PROFILES = ([SRC / "jigroup" / "data" / f"{name}.profile"
+                for name in ("q16_va", "pro2_dihedral", "c3_z3")]
+               + [GOLDEN / f"{name}.profile" for name in ("q8_z2", "q8_z3", "c3_z7")])
+
+
+def _approx_rep(rep, p, prec):
+    """rep over Z_p: an approx rep as it is, a rational one read to prec
+    digits through rep_from_approx."""
+    if rep.ring != "Q":
+        return rep
+    return rep_from_approx(rep.group, [rep.element_map[g] for g in rep.group.generators],
+                           PadicMatrix.identity(rep.dimension, p, prec))
+
+
+def _signed_conjugate(rep, rng):
+    """An approx rep conjugated by a seeded signed-permutation matrix P:
+    g -> P g P^T."""
+    d = rep.dimension
+    ident = rep.element_map[rep.group.identity()]
+    pi = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    P = PadicMatrix(ident.p, ident.cap,
+                    [[signs[i] * (pi[i] == j) for j in range(d)] for i in range(d)])
+    return rep_from_approx(rep.group, [P * rep.element_map[g] * P.transpose()
+                                       for g in rep.group.generators], ident)
+
+
+def _zp_profile_reps():
+    """(rep, p, prec): every Z_p profile over Z_p, its restrictions to the
+    maximal subgroups, and two seeded signed-permutation conjugates of each,
+    at the profile's precision and at 8 digits."""
+    from jigroup.profile_io import parse_profile
+    from jigroup.smallgrp import maximal_subgroups
+
+    rng = random.Random("signed conjugates")
+    for path in ZP_PROFILES:
+        profile = parse_profile(path.read_text())
+        p = profile.p
+        for prec in (profile.precision, 8):
+            rep = _approx_rep(profile.action, p, prec)
+            reps = [rep] + [rep.restrict(M) for M in maximal_subgroups(profile.Q)]
+            for sub in reps:
+                yield sub, p, prec
+                for _ in range(2):
+                    yield _signed_conjugate(sub, rng), p, prec
+
+
+def _analysis_outcome(f, rep, p, prec):
+    """The kind and the info of an analysis, with each piece as its residues,
+    cap and block exponent; or the type of the exception it raised."""
+    try:
+        kind, info = f(rep, p, prec)
+    except Exception as exc:
+        return type(exc).__name__
+    if not isinstance(info, dict):
+        return kind, {"reason": info}, []
+    pieces = [(m.rows, m.cap, m.val) for m in info.get("pieces", ())]
+    return kind, {k: v for k, v in info.items() if k != "pieces"}, pieces
+
+
+def test_division_precheck_gives_the_sampling_first_result():
+    """The quaternion step first, or the sampled elements and the spin
+    search first: the same kind, certificate and pieces, or the same
+    exception, on every Z_p profile, restriction and conjugate."""
+    from jigroup.padic import _qp_analyze_approx
+    from oracles import qp_analyze_approx_sampling_first
+
+    seen = set()
+    for rep, p, prec in _zp_profile_reps():
+        got = _analysis_outcome(_qp_analyze_approx, rep, p, prec)
+        assert got == _analysis_outcome(qp_analyze_approx_sampling_first, rep, p, prec)
+        seen.add(got if isinstance(got, str) else got[1].get("certificate", got[0]))
+    assert {"division quaternion", "commutant field inert", "scalar commutant", "split",
+            "PrecisionExhausted"} <= seen
+
+
+def _spy_calls(monkeypatch, names):
+    """Record (name, caller) for each call of the named padic functions."""
+    from jigroup import padic
+
+    calls = []
+    for name in names:
+        def spy(*args, real=getattr(padic, name), name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+        monkeypatch.setattr(padic, name, spy)
+    return calls
+
+
+def test_division_quaternion_skips_the_sampler_on_the_approx_route(monkeypatch):
+    # Q8's rho_H over Z_2: (-1, -1)_2 = -1, so the structure built first
+    # certifies division; no sampled minimal polynomial, no spin search
+    from jigroup import padic
+    from jigroup.profile_io import parse_profile
+
+    rep = _approx_rep(parse_profile((GOLDEN / "q8_z2.profile").read_text()).action, 2, 64)
+    calls = _spy_calls(monkeypatch, ("_spin_split", "pminimal_polynomial",
+                                     "_approx_quaternion"))
+    kind, info = padic._qp_analyze(rep, 2, 64)
+    assert (kind, info) == ("irreducible", {"certificate": "division quaternion", "symbol": -1})
+    assert [name for name, _ in calls].count("_approx_quaternion") == 1
+    assert "_spin_split" not in [name for name, _ in calls]
+    assert {caller for name, caller in calls if name == "pminimal_polynomial"} == {
+        "_approx_quaternion"}
+
+
+@pytest.mark.parametrize("p, certificate", [(2, "commutant field inert"), (11, None)])
+def test_commutative_commutant_runs_the_sampler_first(monkeypatch, p, certificate):
+    # C5 by the companion of Phi_5: the commutant is Q(zeta_5), 4-dim and
+    # commutative, inert at 2 and split at 11; no quaternion structure
+    from jigroup import padic
+    from jigroup.padic import commutant_approx
+
+    companion = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+    rep = _approx_rep(rep_from_data(catalog.cyclic(5), [companion]), p, 32)
+    comm = commutant_approx(list(rep.gen_images), p, 32)
+    assert len(comm) == 4
+    assert all((x * y - y * x).is_zero() for x in comm for y in comm)
+    calls = _spy_calls(monkeypatch, ("pminimal_polynomial", "_approx_quaternion"))
+    kind, info = padic._qp_analyze(rep, p, 32)
+    assert info.get("certificate") == certificate
+    assert kind == ("irreducible" if certificate else "split")
+    assert calls and calls[0] == ("pminimal_polynomial", "_qp_analyze_approx")
+    assert "_approx_quaternion" not in [name for name, _ in calls]
+
+
+# -- the exact and approx routes never contradict each other --------------------------
+
+
+def _unimodular_conjugate(rep, rng):
+    """rep conjugated by a seeded integer matrix U of determinant 1, a
+    product of elementary matrices: g -> U g U^-1."""
+    from jigroup import ratmat as rm
+
+    d = rep.dimension
+    u = rm.identity(d)
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        e = [[int(r == c) + (r == i and c == j and i != j) * rng.choice((-2, -1, 1, 2))
+              for c in range(d)] for r in range(d)]
+        u = rm.mat_mul(u, e)
+    u_inv = rm.mat_inv(u)
+    return rep_from_data(rep.group, [rm.mat_mul(rm.mat_mul(u, rep.element_map[g]), u_inv)
+                                     for g in rep.group.generators])
+
+
+def _definite(f, rep, p, prec):
+    """True for an irreducible verdict, False for a split, None for an
+    abstention: an unclassified commutant or too few digits."""
+    try:
+        kind, _ = f(rep, p, prec)
+    except PrecisionExhausted:
+        return None
+    return {"irreducible": True, "split": False, "split_exact": False}.get(kind)
+
+
+def _cross_route_cases():
+    """(rep, p): each distinct rational corpus rep of dimension at most 4,
+    and a seeded unimodular conjugate of it, at p = 2, 3, 5 and 7; each of
+    dimension 8 at one of these primes in turn, which keeps the commutants
+    of 64 unknowns few."""
+    from test_rep import _corpus_reps
+
+    rng = random.Random("unimodular conjugates")
+    distinct = {}
+    for rep in _corpus_reps():
+        if rep.group.generators:
+            distinct.setdefault((rep.group.generators, tuple(rep.gen_images)), rep)
+    large = 0
+    for rep in distinct.values():
+        if rep.dimension <= 4:
+            for sub in (rep, _unimodular_conjugate(rep, rng)):
+                for p in (2, 3, 5, 7):
+                    yield sub, p
+        else:
+            yield rep, (2, 3, 5, 7)[large % 4]
+            large += 1
+
+
+def test_exact_and_approx_routes_never_contradict():
+    """On rational corpus reps and unimodular conjugates of them, the exact
+    route and the approx route on the same matrices give no opposite
+    verdicts over Q_p; abstentions are counted, and stay few."""
+    from jigroup.padic import _qp_analyze
+
+    tally = {"agree": 0, "abstain": 0}
+    for rep, p in _cross_route_cases():
+        exact = _definite(_qp_analyze, rep, p, 32)
+        approx = _definite(_qp_analyze, _approx_rep(rep, p, 32), p, 32)
+        if exact is None or approx is None:
+            tally["abstain"] += 1
+            continue
+        assert exact == approx, (rep, p)
+        tally["agree"] += 1
+    assert tally["agree"] > 10 * tally["abstain"], tally
 
 
 # -- the one-echelon minimal polynomial against the per-degree oracle ----------------
