@@ -18,6 +18,8 @@ GOLDEN = ROOT / "tests" / "golden"
 # through the quadratic centre) and S3, a point group that is not a p-group.
 # Permutation groups whose G/G' gives too few linear characters to fill the
 # table, so the Dixon split still runs: S6 (2 of 11) and D30 (4 of 18).
+# Wreath shadows A5 and PSL(2,7) wr (V x| C_p) at p = 2 and 3: the order-81
+# top of p = 3 has 8 normal subgroups, whose rows the reports keep in order.
 
 CASES = {
     "analyze_c3_z3": ["analyze", DATA / "c3_z3.profile"],
@@ -31,6 +33,9 @@ CASES = {
     "analyze_q16_z": ["analyze", GOLDEN / "q16_z.profile"],
     "analyze_s3_z": ["analyze", GOLDEN / "s3_z.profile"],
     "shadow_wreath_a5_p2": ["shadow", DATA / "wreath_a5_p2.profile"],
+    "shadow_wreath_a5_p3": ["shadow", GOLDEN / "wreath_a5_p3.profile"],
+    "shadow_wreath_psl27_p2": ["shadow", GOLDEN / "wreath_psl27_p2.profile"],
+    "shadow_wreath_psl27_p3": ["shadow", GOLDEN / "wreath_psl27_p3.profile"],
     "chartab_q16_group": ["chartab", DATA / "q16_group.profile"],
     "chartab_extraspecial128_group": ["chartab", DATA / "extraspecial128_group.profile"],
     "chartab_s6_group": ["chartab", GOLDEN / "s6_group.profile"],
