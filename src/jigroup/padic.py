@@ -1209,7 +1209,7 @@ def _approx_quaternion(comm, p, prec):
         if mp.ncols - 1 != 2:
             continue
         # i = x - t/2 with mp = x^2 - t x + n: mp[1] = -t
-        i_p = x + ident.scale(mp.entry(0, 1).scale(Fraction(-1, 2)))
+        i_p = x + ident.scale(mp.entry(0, 1).scale(Fraction(1, 2)))
         sq = i_p * i_p
         a = sq.entry(0, 0)
         if not (sq - ident.scale(a)).is_zero() or a.is_zero():

@@ -666,6 +666,28 @@ def test_exact_and_approx_routes_never_contradict():
     assert tally["agree"] > 10 * tally["abstain"], tally
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_approx_quaternion_pair_on_unimodular_conjugates_of_rho_h(p):
+    """On seeded unimodular conjugates of Q8's rho_H the approx builder finds
+    a quaternion pair, and i^2 - a, j^2 - b and ij + ji vanish to the cap.
+    i is x - t/2 for a commutant element x with x^2 - t x + n = 0; x + t/2
+    squares to a scalar only where t vanishes."""
+    from jigroup.padic import _approx_quaternion, commutant_approx
+    from jigroup.profile_io import parse_profile
+
+    rho_h = parse_profile((GOLDEN / "q8_z2.profile").read_text()).action
+    rng = random.Random("rho_H conjugates")
+    for _ in range(6):
+        rep = _approx_rep(_unimodular_conjugate(rho_h, rng), p, 32)
+        quat = _approx_quaternion(commutant_approx(list(rep.gen_images), p, 32), p, 32)
+        assert quat is not None
+        a, b, i, j = quat
+        ident = PadicMatrix.identity(4, p, 32)
+        assert (i * i - ident.scale(a)).is_zero() and not a.is_zero()
+        assert (j * j - ident.scale(b)).is_zero() and not b.is_zero()
+        assert (i * j + j * i).is_zero()
+
+
 # -- the one-echelon minimal polynomial against the per-degree oracle ----------------
 
 
