@@ -20,13 +20,6 @@ def cyclic(n, degree=None):
     return PermGroup([perm_from_cycles(d, tuple(range(n)))])
 
 
-def klein_four():
-    """Elementary abelian of order 4, regular on 4 points."""
-    return PermGroup(
-        [perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))]
-    )
-
-
 def elementary_abelian(p, k):
     """(C_p)^k acting regularly on p^k points (tuples over F_p)."""
     pts = list(product(range(p), repeat=k))
@@ -39,15 +32,6 @@ def elementary_abelian(p, k):
                 idx[tuple((v[i] + e[i]) % p for i in range(k))] for v in pts
             )
         )
-    return PermGroup(gens)
-
-
-def symmetric(n):
-    if n == 1:
-        return PermGroup([identity_perm(1)], 1)
-    gens = [perm_from_cycles(n, tuple(range(n)))]
-    if n > 2:
-        gens.append(perm_from_cycles(n, (0, 1)))
     return PermGroup(gens)
 
 

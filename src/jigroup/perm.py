@@ -9,7 +9,9 @@ random elements of a fixed seed until the orbit sizes multiply to that
 order.  That product is a lower bound for the order at every step, so
 reaching the known order proves the chain complete; the random elements
 change only how fast it gets there (Seress, Permutation Group Algorithms,
-2003, ch. 4).
+2003, ch. 4).  A caller that also proves the order from below gives it as
+the order, and the fill, kept as an oracle, waits for the first question
+that needs the chain.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 
@@ -352,7 +355,7 @@ class PermGroup:
     the stabilizer chain holds strong generators internally.
     """
 
-    def __init__(self, generators, degree=None, _known_order=None):
+    def __init__(self, generators, degree=None, _known_order=None, _lazy=False):
         gens = [tuple(g) for g in generators]
         if degree is None:
             if not gens:
@@ -367,14 +370,20 @@ class PermGroup:
         ident = identity_perm(degree)
         self.degree = degree
         self.generators = tuple(g for g in gens if g != ident)
-        self._chain = _Chain(degree)
-        if _known_order is None:
-            for g in self.generators:
-                self._chain.add_generator(g)
-        else:  # the caller proves |<generators>| <= _known_order
-            self._chain.fill(self.generators, _known_order)
-        self._order = self._chain.order()
+        self._known_order = _known_order
+        # _lazy: the caller proves |<generators>| = _known_order from both sides
+        self._order = _known_order if _lazy else self._chain.order()
         self._elements_cache = None
+
+    @cached_property
+    def _chain(self):
+        chain = _Chain(self.degree)
+        if self._known_order is None:
+            for g in self.generators:
+                chain.add_generator(g)
+        else:  # the caller proves |<generators>| <= _known_order
+            chain.fill(self.generators, self._known_order)
+        return chain
 
     @property
     def order(self):
@@ -448,16 +457,6 @@ class PermGroup:
             if len({len(b) for b in system}) != 1:
                 raise CertificateError("blocks of unequal size")
         return out
-
-    def minimal_block_systems(self):
-        """Minimal nontrivial block systems, plus a primitivity flag.
-
-        Returns (systems, primitive), each system as in block_systems.
-        Raises on intransitive input.
-        """
-        layer = [s for s in self._layer() if len(s) > 1]
-        minimal = [s for s in layer if not any(set(t[0]) < set(s[0]) for t in layer)]
-        return sorted(minimal), not minimal
 
     def _layer(self):
         """The distinct systems atk(0, b), b = 1..n-1: each is the finest

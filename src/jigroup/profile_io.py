@@ -1,4 +1,4 @@
-"""Line-based profile files: parse and emit with located diagnostics.
+"""Line-based profile files: parse with located diagnostics.
 
 Format (version header required, '#' comments allowed):
 
@@ -13,9 +13,9 @@ Format (version header required, '#' comments allowed):
 
 Entry tokens: integers, rationals "n/d", or p-adic approximations "r:k"
 (residue r known mod p^k).  A matrix with a p-adic entry is known to the
-least precision its entries state, and is emitted at that precision; the
-rep of a profile with such a matrix is the approx rep of padic, every other
-rep is rational.  Kinds: va, wreath, permgroup, matrep (a rational MatRep).
+least precision its entries state; the rep of a profile with such a matrix
+is the approx rep of padic, every other rep is rational.  Kinds: va,
+wreath, permgroup, matrep (a rational MatRep).
 """
 
 from __future__ import annotations
@@ -266,44 +266,3 @@ def _isqrt_exact(ln, n):
     if d * d != n:
         raise ProfileError(ln, f"{n} entries do not form a square matrix")
     return d
-
-
-# -- emission -----------------------------------------------------------------
-
-
-def _fmt_entry(x):
-    q = Fraction(x)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def emit_va_profile(profile):
-    """Canonical text for a VaProfile; parse(emit(p)) reproduces it."""
-    lines = [FORMAT_HEADER, "kind va"]
-    lines.append(
-        "ring Z" if profile.ring == "Z" else f"ring Z{profile.ring[1]}"
-    )
-    lines.append(f"rank {profile.rank}")
-    lines.append(f"precision {profile.precision}")
-    lines.append(f"degree {profile.Q.degree}")
-    for g in profile.Q.generators:
-        lines.append("gen " + " ".join(str(i) for i in g))
-    for m in profile.action.gen_images:
-        if isinstance(m, PadicMatrix):
-            tokens = [f"{x}:{m.cap}" for row in m.residues(m.cap) for x in row]
-        else:
-            tokens = [_fmt_entry(x) for row in m for x in row]
-        lines.append("mat " + " ".join(tokens))
-    return "\n".join(lines) + "\n"
-
-
-def emit_permgroup(group):
-    lines = [FORMAT_HEADER, "kind permgroup", f"degree {group.degree}"]
-    for g in group.generators:
-        lines.append("gen " + " ".join(str(i) for i in g))
-    return "\n".join(lines) + "\n"
-
-
-def emit_wreath(fiber_tag, p):
-    return "\n".join(
-        [FORMAT_HEADER, "kind wreath", f"fiber {fiber_tag}", f"prime {p}"]
-    ) + "\n"

@@ -1,19 +1,22 @@
 """Exhaustive machinery for small groups: lattices, maximals, Frattini.
 
 All operations here enumerate elements, so they are gated at 2**12 by
-default (the worked fixtures are far below that).  The subgroup lattice
-reads a multiplication table over the element list, built once per group
-and kept here: subgroups are element index sets, and the lattice is the
-closure of the cyclic subgroups under pairwise join, which reaches every
-subgroup of a finite group.  `recognize_special` reads permutations
-instead: element orders, the centre and the normal closure of the
-generator commutators.
+default (the worked fixtures are far below that).  They read a
+multiplication table over the element list, built once per group and kept
+here; subgroups are element index sets.  The maximal subgroups of a p-group
+come from its Frattini quotient and the normal subgroups from the normal
+closures of the classes.  The lattice, the closure of the cyclic subgroups
+under pairwise join, serves `all_subgroups` and the maximal subgroups of
+other groups.  `recognize_special` reads permutations instead: element
+orders, the centre and the normal closure of the generator commutators.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from functools import reduce
+from itertools import product
 
 from .perm import (
     LATTICE_GATE,
@@ -55,6 +58,7 @@ class SmallGroupTable:
         self.gens = tuple(self.index[g] for g in group.generators)
         self._all_subgroups = None
         self._maximal = None
+        self._handle_gens = {}  # subgroup -> the generators its handle gets
 
     def conj(self, i, g):
         return self.table[self.table[self.inverse[g]][i]][g]
@@ -125,17 +129,57 @@ class SmallGroupTable:
         return self._all_subgroups
 
     def maximal_subgroups(self):
-        """All maximal subgroups as element frozensets."""
-        if self._maximal is not None:
-            return self._maximal
+        """All maximal subgroups as element frozensets, in lattice order:
+        from Phi for a p-group, from the lattice otherwise."""
+        if self._maximal is None:
+            primes = primefactors(self.n)
+            self._maximal = (self._frattini_maximal(primes[0]) if len(primes) == 1
+                             else self._lattice_maximal())
+        return self._maximal
+
+    def _lattice_maximal(self):
         subs = [s for s, _ in self.all_subgroups() if len(s) < self.n]
         subs.sort(key=len, reverse=True)
         maximal = []
         for s in subs:
             if not any(s < m for m in maximal):
                 maximal.append(s)
-        self._maximal = maximal
         return maximal
+
+    def _frattini_maximal(self, p):
+        """The maximal subgroups of a p-group: the preimages of the
+        hyperplanes of P/Phi = F_p^r, Phi = P'P^p (Burnside's basis theorem;
+        Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+
+        The elements get coordinates on P/Phi from the generators that
+        leave the span of those before them.
+        """
+        group = self._group()
+        powers = [reduce(mul, (g,) * p) for g in group.generators]
+        phi = self.closure(self.index[g] for g in (*derived_subgroup(group).generators, *powers))
+        if not self.is_subgroup_normal(phi):
+            raise CertificateError("P'P^p is not normal")
+        coords, r = dict.fromkeys(phi, ()), 0
+        for g in self.gens:
+            if g in coords:
+                continue
+            layer, x = list(coords.items()), g
+            for k in range(1, p):
+                for y, v in layer:
+                    coords[self.table[y][x]] = v + (0,) * (r - len(v)) + (k,)
+                x = self.table[x][g]
+            r += 1
+        if len(coords) != self.n or p**r * len(phi) != self.n or r == 0:
+            raise CertificateError("|P/Phi| is not p^r for some r > 0")
+        # the kernels of the nonzero functionals; multiples share a kernel
+        maximal = {frozenset(x for x, v in coords.items()
+                             if sum(map(operator.mul, f, v)) % p == 0)
+                   for f in product(range(p), repeat=r) if any(f)}
+        if len(maximal) != (p**r - 1) // (p - 1):
+            raise CertificateError(f"{len(maximal)} maximal subgroups, not (p^r - 1)/(p - 1)")
+        if any(len(m) * p != self.n or not phi <= m for m in maximal):
+            raise CertificateError("a maximal subgroup misses Phi or has index other than p")
+        return sorted(maximal, key=sorted)
 
     def conjugacy_classes_of_subgroups(self, subgroups):
         """Group the given element-sets into conjugacy classes."""
@@ -150,7 +194,23 @@ class SmallGroupTable:
         return all(self._conj_set(s, g) == s for g in self.gens)
 
     def normal_subgroups(self):
-        return [s for s, _ in self.all_subgroups() if self.is_subgroup_normal(s)]
+        """Every normal subgroup, in lattice order: the products of the normal
+        closures of the conjugacy classes (Hulpke, "Computing normal
+        subgroups", ISSAC 1998)."""
+        closures = {self.closure(c) for c in _orbits_of(range(self.n), self.gens, self.conj)}
+        normals = sorted(_walk(frozenset([self.ident]), closures, self._product),
+                         key=lambda s: (len(s), sorted(s)))
+        if not all(map(self.is_subgroup_normal, normals)):
+            raise CertificateError("a product of class closures is not normal")
+        return normals
+
+    def _product(self, s, c):
+        """SC for a normal subgroup S: the union of the cosets Sb, b in C."""
+        t = set(s)
+        for b in c:
+            if b not in t:
+                t.update(self.table[a][b] for a in s)
+        return frozenset(t)
 
     def handle(self, els):
         """Wrap a subgroup, as an element index set, as a SubgroupHandle of the parent.
@@ -158,13 +218,16 @@ class SmallGroupTable:
         The generators are the elements of els, in index order, that lie
         outside the subgroup the earlier generators generate.
         """
-        gens, sub = (), frozenset([self.ident])
-        for i in sorted(els):
-            if i not in sub:
-                sub = self.join(sub, gens, i)
-                gens += (i,)
-        if sub != els:
-            raise CertificateError("handle elements are not a subgroup")
+        gens = self._handle_gens.get(els)
+        if gens is None:
+            gens, sub = (), frozenset([self.ident])
+            for i in sorted(els):
+                if i not in sub:
+                    sub = self.join(sub, gens, i)
+                    gens += (i,)
+            if sub != els:
+                raise CertificateError("handle elements are not a subgroup")
+            self._handle_gens[els] = gens
         return SubgroupHandle(self._group(), [self.elements[i] for i in gens], check=False)
 
 
@@ -217,8 +280,8 @@ def frattini(group, gate=LATTICE_GATE):
 def maximal_subgroups_over(group, handle, gate=LATTICE_GATE):
     """Maximal subgroups of `group` containing `handle` (all of them)."""
     tbl = small_table(group, gate)
-    want = frozenset(tbl.index[e] for e in handle.group.elements(gate))
-    return [tbl.handle(s) for s in tbl.maximal_subgroups() if want <= s]
+    want = [tbl.index[g] for g in handle.generators]
+    return [tbl.handle(s) for s in tbl.maximal_subgroups() if all(i in s for i in want)]
 
 
 def recognize_special(group, gate=LATTICE_GATE):

@@ -14,7 +14,7 @@ from itertools import product
 
 from . import catalog
 from .basal import BasalCertificate, ShadowModel, ShadowSubgroup, shadow_ji_verdict
-from .perm import PermGroup, SubgroupHandle
+from .perm import PermGroup, SubgroupHandle, conj, identity_perm, mul
 from .smallgrp import maximal_subgroups_over
 from .verdicts import CertificateError
 
@@ -44,12 +44,14 @@ def wreath_shadow(fiber_group, top_group, provenance=""):
         fiber_group_order=fiber_group.order,
         provenance=provenance or "wreath shadow",
     )
-    gens = _fiber_gens(fiber_group, 0, n_omega)
-    gens += [model.lift_top(a) for a in top_group.generators]
-    # |F wr P| bounds the order from above, the chain from below
+    lifts = [model.lift_top(a) for a in top_group.generators]
+    gens = _fiber_gens(fiber_group, 0, n_omega) + lifts
+    # |F wr P| bounds the order from above, the fibers and the top from below;
+    # the chain is filled only when something asks for membership or elements
     _check_in_wreath(gens, fiber_group, top_group)
+    _check_base_and_top(model, fiber_group, lifts)
     model.group = PermGroup(
-        gens, _known_order=fiber_group.order**n_omega * top_group.order)
+        gens, _known_order=fiber_group.order**n_omega * top_group.order, _lazy=True)
     model.basal_family = _block_product_family(model, fiber_group)
     return model
 
@@ -70,6 +72,37 @@ def _check_in_wreath(gens, fiber_group, top_group):
             top.append(j)
         if top not in top_group:
             raise CertificateError("generator permutes the fibers outside P")
+
+
+def _check_base_and_top(model, fiber_group, lifts):
+    """Raise CertificateError unless the fiber-0 generators and the top lifts
+    generate at least |F|^|Omega| * |P| elements.
+
+    Words in the lifts carry fiber 0 to every fiber i and conjugate the
+    fiber-0 generators onto exactly those of F on fiber i.  These copies of
+    F have disjoint supports, so they generate F^Omega, which lies in the
+    kernel of the projection to the fibers; the lifts project onto the
+    generators of P, so the image contains P.
+    """
+    n_omega, deg_f = model.top.degree, fiber_group.degree
+    words = {0: identity_perm(n_omega * deg_f)}
+    todo = [words[0]]
+    for w in todo:  # todo grows while it is read
+        for lift in lifts:
+            v = mul(w, lift)
+            if v[0] // deg_f not in words:
+                words[v[0] // deg_f] = v
+                todo.append(v)
+    if len(words) != n_omega:
+        raise CertificateError(
+            f"the top lifts carry fiber 0 to {len(words)} of {n_omega} fibers")
+    fiber0 = _fiber_gens(fiber_group, 0, n_omega)
+    for i, w in words.items():
+        if [conj(h, w) for h in fiber0] != _fiber_gens(fiber_group, i, n_omega):
+            raise CertificateError(f"fiber 0 is not conjugated onto F on fiber {i}")
+    for a, lift in zip(model.top.generators, lifts):
+        if model.project_to_top(lift) != a:
+            raise CertificateError("a top lift projects outside the top generators")
 
 
 def _block_product_family(model, fiber_group):

@@ -14,6 +14,8 @@ from jigroup.profiles import VaProfile
 from jigroup.rep import rep_from_data
 from jigroup.wreath import SIMPLE_FIBERS, wreath_shadow
 
+from oracles import klein_four, minimal_block_systems, symmetric
+
 # -- named profiles ---------------------------------------------------------------
 
 
@@ -42,17 +44,17 @@ def curated_top_groups():
     return [
         ("C2", catalog.cyclic(2)),
         ("C3", catalog.cyclic(3)),
-        ("S3", catalog.symmetric(3)),
+        ("S3", symmetric(3)),
         ("C4", catalog.cyclic(4)),
-        ("V4", catalog.klein_four()),
+        ("V4", klein_four()),
         ("D8", catalog.dihedral(4)),
         ("A4", catalog.alternating(4)),
-        ("S4", catalog.symmetric(4)),
+        ("S4", symmetric(4)),
         ("C5", catalog.cyclic(5)),
         ("D10", catalog.dihedral(5)),
         ("F20", _frobenius(5, 4, 2)),
         ("A5", catalog.alternating(5)),
-        ("S5", catalog.symmetric(5)),
+        ("S5", symmetric(5)),
     ]
 
 
@@ -75,14 +77,14 @@ def primitive_corpus():
     groups = [
         ("C2", catalog.cyclic(2)),
         ("C3", catalog.cyclic(3)),
-        ("S3", catalog.symmetric(3)),
+        ("S3", symmetric(3)),
         ("A4", catalog.alternating(4)),
-        ("S4", catalog.symmetric(4)),
+        ("S4", symmetric(4)),
         ("C5", catalog.cyclic(5)),
         ("D10", catalog.dihedral(5)),
         ("F20", _frobenius(5, 4, 2)),
         ("A5", catalog.alternating(5)),
-        ("S5", catalog.symmetric(5)),
+        ("S5", symmetric(5)),
         ("C7", catalog.cyclic(7)),
         ("D14", catalog.dihedral(7)),
         ("F21", _frobenius(7, 3, 2)),
@@ -92,7 +94,7 @@ def primitive_corpus():
         ("AGL(1,8)", _agl18()),
     ]
     for name, g in groups:
-        _, primitive = g.minimal_block_systems()
+        _, primitive = minimal_block_systems(g)
         assert primitive, f"{name} is not primitive"
     return groups
 

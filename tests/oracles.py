@@ -41,6 +41,7 @@ from jigroup.perm import (
     perm_from_cycles,
     perm_order,
 )
+from jigroup.profile_io import FORMAT_HEADER
 from jigroup.profiles import subgroup_ji
 from jigroup.rep import (
     SAMPLE_BUDGET,
@@ -59,6 +60,23 @@ from jigroup.smallgrp import all_subgroups, small_table
 from jigroup.verdicts import CertificateError
 
 # -- permutation groups -------------------------------------------------------------
+
+
+def klein_four():
+    """Elementary abelian of order 4, regular on 4 points."""
+    return PermGroup(
+        [perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))]
+    )
+
+
+def symmetric(n):
+    """S_n on n points, from an n-cycle and a transposition."""
+    if n == 1:
+        return PermGroup([identity_perm(1)], 1)
+    gens = [perm_from_cycles(n, tuple(range(n)))]
+    if n > 2:
+        gens.append(perm_from_cycles(n, (0, 1)))
+    return PermGroup(gens)
 
 
 def closure_order_bruteforce(gens, gate=ELEMENT_GATE):
@@ -117,6 +135,14 @@ def all_block_systems(group, gate=LATTICE_GATE):
         blocks = _walk(block, group.generators, lambda b, g: frozenset(g[p] for p in b))
         systems.add(tuple(sorted(tuple(sorted(b)) for b in blocks)))
     return sorted(systems, key=lambda system: (len(system[0]), system))
+
+
+def minimal_block_systems(group):
+    """Minimal nontrivial block systems of a transitive group, each as in
+    PermGroup.block_systems, plus a primitivity flag: (systems, primitive)."""
+    layer = [s for s in group._layer() if len(s) > 1]
+    minimal = [s for s in layer if not any(set(t[0]) < set(s[0]) for t in layer)]
+    return sorted(minimal), not minimal
 
 
 def extraspecial_128_on_cosets():
@@ -400,6 +426,45 @@ def rational_value(ctx, a):
 
 
 # -- profiles -------------------------------------------------------------------------
+
+
+def _fmt_entry(x):
+    q = Fraction(x)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def emit_va_profile(profile):
+    """Canonical text for a VaProfile; parse_profile(emit_va_profile(p)) reproduces
+    it.  A matrix with a p-adic entry is emitted at the precision it is known to."""
+    lines = [FORMAT_HEADER, "kind va"]
+    lines.append(
+        "ring Z" if profile.ring == "Z" else f"ring Z{profile.ring[1]}"
+    )
+    lines.append(f"rank {profile.rank}")
+    lines.append(f"precision {profile.precision}")
+    lines.append(f"degree {profile.Q.degree}")
+    for g in profile.Q.generators:
+        lines.append("gen " + " ".join(str(i) for i in g))
+    for m in profile.action.gen_images:
+        if isinstance(m, PadicMatrix):
+            tokens = [f"{x}:{m.cap}" for row in m.residues(m.cap) for x in row]
+        else:
+            tokens = [_fmt_entry(x) for row in m for x in row]
+        lines.append("mat " + " ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def emit_permgroup(group):
+    lines = [FORMAT_HEADER, "kind permgroup", f"degree {group.degree}"]
+    for g in group.generators:
+        lines.append("gen " + " ".join(str(i) for i in g))
+    return "\n".join(lines) + "\n"
+
+
+def emit_wreath(fiber_tag, p):
+    return "\n".join(
+        [FORMAT_HEADER, "kind wreath", f"fiber {fiber_tag}", f"prime {p}"]
+    ) + "\n"
 
 
 def full_lattice_scan(profile, seed=0):

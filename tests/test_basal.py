@@ -12,6 +12,8 @@ from jigroup.perm import PermGroup, SubgroupHandle, perm_from_cycles
 from jigroup.verdicts import JI, NOT_JI
 from jigroup.wreath import build_wreath_shadow, wreath_shadow
 
+from oracles import symmetric
+
 
 def test_is_basal_base_factor_of_c2wrc2():
     # dihedral of order 8 on 4 points = C2 wr C2; one base factor = <(0 1)>
@@ -24,7 +26,7 @@ def test_is_basal_base_factor_of_c2wrc2():
 
 
 def test_is_basal_normal_subgroup():
-    G = catalog.symmetric(4)
+    G = symmetric(4)
     v4 = SubgroupHandle(
         G,
         [perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))],
@@ -35,7 +37,7 @@ def test_is_basal_normal_subgroup():
 
 
 def test_is_basal_refusal_sym3():
-    G = catalog.symmetric(3)
+    G = symmetric(3)
     B = SubgroupHandle(G, [perm_from_cycles(3, (0, 1))])
     check = is_basal(G, B)
     assert not check.basal
@@ -43,7 +45,7 @@ def test_is_basal_refusal_sym3():
 
 
 def test_is_basal_rejects_trivial():
-    G = catalog.symmetric(3)
+    G = symmetric(3)
     with pytest.raises(ValueError):
         is_basal(G, SubgroupHandle.trivial(G))
 
@@ -63,7 +65,7 @@ def test_basal_from_intersections_coordinate_factor():
 
 
 def test_basal_from_intersections_already_basal():
-    G = catalog.symmetric(4)
+    G = symmetric(4)
     v4 = SubgroupHandle(
         G,
         [perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))],
@@ -88,7 +90,7 @@ def test_basal_from_intersections_c3xc3():
 
 
 def test_basal_from_intersections_requires_subnormality():
-    G = catalog.symmetric(3)
+    G = symmetric(3)
     K = SubgroupHandle(G, [perm_from_cycles(3, (0, 1))])
     # K^G = S3 and K is not normal in S3
     with pytest.raises(ValueError):

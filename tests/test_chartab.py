@@ -30,8 +30,10 @@ from oracles import (
     cyclo_mul,
     cyclo_one,
     is_rational,
+    klein_four,
     rational_value,
     root_power,
+    symmetric,
     table_conjugacy_classes,
 )
 
@@ -75,7 +77,7 @@ def test_chartab_q16():
 
 
 def test_chartab_s3_rational():
-    ct = character_table(catalog.symmetric(3))
+    ct = character_table(symmetric(3))
     assert sorted(ct.degrees) == [1, 1, 2]
     # all S3 character values are rational integers
     for row in ct.values:
@@ -127,7 +129,7 @@ def test_min_faithful_degree_cyclic_prime():
 
 def test_min_faithful_degree_klein():
     # exhaustive kernel-intersection oracle: V4 needs two linear characters
-    assert min_faithful_degree(catalog.klein_four()) == 2
+    assert min_faithful_degree(klein_four()) == 2
 
 
 def test_min_faithful_degree_q8():
@@ -139,8 +141,8 @@ def test_min_faithful_degree_one_iff_cyclic():
     for G, expected in [
         (catalog.cyclic(6), 1),
         (catalog.cyclic(4), 1),
-        (catalog.klein_four(), 2),
-        (catalog.symmetric(3), 2),
+        (klein_four(), 2),
+        (symmetric(3), 2),
     ]:
         assert (min_faithful_degree(G) == 1) == (expected == 1)
 
@@ -167,7 +169,7 @@ def _bruteforce_min_faithful(G):
 
 @pytest.mark.parametrize(
     "G",
-    [catalog.klein_four(), catalog.quaternion(8), catalog.symmetric(3),
+    [klein_four(), catalog.quaternion(8), symmetric(3),
      catalog.dihedral(4), catalog.cyclic(12)],
 )
 def test_min_faithful_against_bruteforce(G):
@@ -293,7 +295,7 @@ _TABLES = {}
 def _table(name):
     if name not in _TABLES:
         group = {"q16": catalog.quaternion(16), "d30": catalog.dihedral(30),
-                 "s6": catalog.symmetric(6)}[name]
+                 "s6": symmetric(6)}[name]
         _TABLES[name] = (character_table(group), group.order)
     return _TABLES[name]
 
@@ -365,7 +367,7 @@ def _classes_by_all_elements(tbl):
 
 
 @pytest.mark.parametrize("group", [catalog.quaternion(16), catalog.dihedral(30),
-                                   catalog.symmetric(6), catalog.cyclic(1)])
+                                   symmetric(6), catalog.cyclic(1)])
 def test_conjugacy_classes_match_all_elements_walk(group):
     tbl = small_table(group)
     classes = _classes(group, group.elements())
@@ -472,7 +474,7 @@ def test_patched_linear_exponent_raises_certificate_error_under_O():
     (catalog.extraspecial_128(), 1, 65),  # 64 linear characters of 65
     (catalog.quaternion(16), 3, 7 * 7),
     (catalog.dihedral(30), 14, 18 * 18),
-    (catalog.symmetric(6), 9, 11 * 11),
+    (symmetric(6), 9, 11 * 11),
 ])
 def test_split_runs_on_the_residual_space_only(group, residual, columns, monkeypatch):
     # the split starts from the rows of the characters that are not linear; a
@@ -675,7 +677,7 @@ def test_solve_left_matches_former_loop(l):
                     oracle_solve_left(np.array(block), bad, l)
 
 
-@pytest.mark.parametrize("group", [catalog.symmetric(3), catalog.quaternion(8),
+@pytest.mark.parametrize("group", [symmetric(3), catalog.quaternion(8),
                                    catalog.dihedral(5)])
 def test_block_that_a_class_matrix_moves_raises(group):
     # a class matrix preserves the span of its eigen-rows and no random line

@@ -9,6 +9,7 @@ from jigroup import catalog, fixtures
 from jigroup.cli import run_command
 
 import corpora
+from oracles import minimal_block_systems
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,7 +82,7 @@ def test_shadow_corpus_orders():
 
 def test_primitive_corpus_members_are_primitive():
     for name, G in corpora.primitive_corpus():
-        _, primitive = G.minimal_block_systems()
+        _, primitive = minimal_block_systems(G)
         assert primitive, name
 
 

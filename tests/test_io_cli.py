@@ -9,15 +9,11 @@ import pytest
 from jigroup import catalog, fixtures
 from jigroup.cli import run_command
 from jigroup.perm import PermGroup
-from jigroup.profile_io import (
-    ProfileError,
-    emit_permgroup,
-    emit_va_profile,
-    parse_profile,
-)
+from jigroup.profile_io import ProfileError, parse_profile
 from jigroup.profiles import VaProfile
 
 import corpora
+from oracles import emit_permgroup, emit_va_profile, emit_wreath
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "jigroup" / "data"
 
@@ -353,8 +349,6 @@ def test_cli_chartab_over_gate_machine_error_is_pinned():
 
 
 def test_cli_shadow_p3(tmp_path):
-    from jigroup.profile_io import emit_wreath
-
     f = tmp_path / "w3.profile"
     f.write_text(emit_wreath("A5", 3))
     out = io.StringIO()

@@ -24,8 +24,11 @@ import corpora
 from oracles import (
     all_block_systems,
     closure_order_bruteforce,
+    klein_four,
+    minimal_block_systems,
     point_stabilizer,
     random_element,
+    symmetric,
 )
 
 
@@ -55,8 +58,8 @@ def test_group_from_generators_errors():
 @pytest.mark.parametrize(
     "builder,expected",
     [
-        (lambda: catalog.symmetric(5), 120),
-        (lambda: catalog.symmetric(6), 720),
+        (lambda: symmetric(5), 120),
+        (lambda: symmetric(6), 720),
         (lambda: catalog.alternating(5), 60),
         (lambda: catalog.alternating(6), 360),
         (lambda: catalog.alternating(7), 2520),
@@ -66,7 +69,7 @@ def test_group_from_generators_errors():
         (lambda: catalog.quaternion(16), 16),
         (lambda: catalog.semidihedral16(), 16),
         (lambda: catalog.cyclic(12), 12),
-        (lambda: catalog.klein_four(), 4),
+        (lambda: klein_four(), 4),
         (lambda: catalog.elementary_abelian(3, 2), 9),
         (lambda: catalog.psl27(7), 168),
         (lambda: catalog.psl27(8), 168),
@@ -79,7 +82,7 @@ def test_catalog_orders(builder, expected):
 
 def test_chain_order_matches_bruteforce_closure():
     cases = [
-        catalog.symmetric(5),
+        symmetric(5),
         catalog.alternating(5),
         catalog.dihedral(6),
         catalog.quaternion(16),
@@ -121,7 +124,7 @@ def test_orbits():
 
 
 def test_orbits_invariant_under_generating_set_change():
-    G1 = catalog.symmetric(4)
+    G1 = symmetric(4)
     G2 = PermGroup(
         [perm_from_cycles(4, (0, 1)), perm_from_cycles(4, (1, 2)), perm_from_cycles(4, (2, 3))]
     )
@@ -153,11 +156,11 @@ def _all_invariant_partitions(G):
 
 @pytest.mark.parametrize(
     "G",
-    [catalog.cyclic(4), catalog.symmetric(4), catalog.dihedral(4), catalog.cyclic(6),
+    [catalog.cyclic(4), symmetric(4), catalog.dihedral(4), catalog.cyclic(6),
      catalog.alternating(4), catalog.dihedral(6)],
 )
 def test_minimal_blocks_against_partition_oracle(G):
-    systems, primitive = G.minimal_block_systems()
+    systems, primitive = minimal_block_systems(G)
     oracle = _all_invariant_partitions(G)
     nontrivial = [
         p for p in oracle if len(p) not in (1, G.degree)
@@ -174,9 +177,9 @@ def test_minimal_blocks_against_partition_oracle(G):
 
 @pytest.mark.parametrize(
     "G",
-    [catalog.cyclic(4), catalog.symmetric(4), catalog.dihedral(4), catalog.cyclic(6),
-     catalog.alternating(4), catalog.dihedral(6), catalog.klein_four(), catalog.cyclic(5),
-     catalog.symmetric(3), PermGroup([identity_perm(1)], 1)],
+    [catalog.cyclic(4), symmetric(4), catalog.dihedral(4), catalog.cyclic(6),
+     catalog.alternating(4), catalog.dihedral(6), klein_four(), catalog.cyclic(5),
+     symmetric(3), PermGroup([identity_perm(1)], 1)],
 )
 def test_block_systems_against_partition_oracle(G):
     oracle = [p for p in _all_invariant_partitions(G) if len(p) > 1]
@@ -188,9 +191,9 @@ def _block_system_corpus():
 
     return {
         "C4": lambda: catalog.cyclic(4),
-        "S4": lambda: catalog.symmetric(4),
+        "S4": lambda: symmetric(4),
         "D8": lambda: catalog.dihedral(4),
-        "V4": catalog.klein_four,
+        "V4": klein_four,
         "C12": lambda: catalog.cyclic(12),
         "D12": lambda: catalog.dihedral(6),
         "Q16-regular": lambda: catalog.quaternion(16),
@@ -211,7 +214,7 @@ def test_block_systems_match_the_lattice_oracle(name):
     assert systems == all_block_systems(G)
     # the minimal systems are the ones whose block of 0 holds no smaller block
     nontrivial = systems[1:]  # the singletons come first
-    assert G.minimal_block_systems() == (
+    assert minimal_block_systems(G) == (
         sorted(s for s in nontrivial
                if not any(set(t[0]) < set(s[0]) for t in nontrivial)),
         not nontrivial)
@@ -244,30 +247,30 @@ def test_block_systems_skip_joins_with_a_finer_layer_system():
 
 @pytest.mark.parametrize("name, G", corpora.primitive_corpus())
 def test_primitive_corpus_has_only_the_singleton_system(name, G):
-    assert G.minimal_block_systems() == ([], True)
+    assert minimal_block_systems(G) == ([], True)
     assert G.block_systems() == [tuple((i,) for i in range(G.degree))]
 
 
 def test_minimal_blocks_spec_examples():
-    systems, primitive = catalog.cyclic(4).minimal_block_systems()
+    systems, primitive = minimal_block_systems(catalog.cyclic(4))
     assert not primitive
     assert systems == [((0, 2), (1, 3))]
 
-    _, primitive = catalog.symmetric(4).minimal_block_systems()
+    _, primitive = minimal_block_systems(symmetric(4))
     assert primitive
 
-    _, primitive = catalog.dihedral(4).minimal_block_systems()
+    _, primitive = minimal_block_systems(catalog.dihedral(4))
     assert not primitive
 
 
 def test_minimal_blocks_rejects_intransitive():
     G = PermGroup([perm_from_cycles(4, (0, 1))])
     with pytest.raises(ValueError):
-        G.minimal_block_systems()
+        minimal_block_systems(G)
 
 
 def test_point_stabilizer():
-    G = catalog.symmetric(5)
+    G = symmetric(5)
     S = point_stabilizer(G, 0)
     assert S.order == 24
     assert all(g[0] == 0 for g in S.generators)
@@ -276,7 +279,7 @@ def test_point_stabilizer():
 
 
 def test_relative_ops_sym3():
-    G = catalog.symmetric(3)
+    G = symmetric(3)
     H = SubgroupHandle(G, [perm_from_cycles(3, (0, 1))])
     ops = relative_ops(G, H)
     assert ops["normal_closure"].order == 6
@@ -287,7 +290,7 @@ def test_relative_ops_sym3():
 
 
 def test_relative_ops_normal_subgroup():
-    G = catalog.symmetric(4)
+    G = symmetric(4)
     a4 = SubgroupHandle(
         G, [perm_from_cycles(4, (0, 1, 2)), perm_from_cycles(4, (1, 2, 3))]
     )
@@ -331,13 +334,13 @@ def test_relative_ops_requires_containment():
 
 
 def test_normal_closure_scales_without_element_enumeration():
-    G = catalog.symmetric(6)
+    G = symmetric(6)
     H = [perm_from_cycles(6, (0, 1, 2))]
     assert G.normal_closure(H).order == 360
 
 
 def test_element_gate():
-    G = catalog.symmetric(8)
+    G = symmetric(8)
     with pytest.raises(OrderGateExceeded):
         G.elements(gate=1000)
 
@@ -403,7 +406,7 @@ def test_product_kernel_matches_the_generator_forms(degree):
 @pytest.mark.parametrize("name", ["S6", "PSL27", "Q16", "extraspecial128"])
 def test_known_order_chain_matches_the_deterministic_chain(name):
     G = {
-        "S6": catalog.symmetric(6),
+        "S6": symmetric(6),
         "PSL27": catalog.psl27(8),
         "Q16": catalog.quaternion(16),
         "extraspecial128": catalog.extraspecial_128(),
@@ -422,7 +425,7 @@ def test_known_order_chain_refuses_a_wrong_order(factor):
 
 def test_known_order_chain_refuses_each_order_it_passes_on_the_way(monkeypatch):
     # a fill that stopped on reaching its target would accept each of these
-    G = catalog.symmetric(6)
+    G = symmetric(6)
     passed = []
     sift_in = perm._Chain._sift_in
     monkeypatch.setattr(perm._Chain, "_sift_in",
@@ -437,7 +440,7 @@ def test_known_order_chain_refuses_each_order_it_passes_on_the_way(monkeypatch):
 
 
 def test_known_order_chain_completes_a_stalled_fill_by_the_sweep(monkeypatch):
-    G = catalog.symmetric(6)
+    G = symmetric(6)
     monkeypatch.setattr(perm, "_STALL", 1)
     swept = []
     sweep = perm._Chain._sweep

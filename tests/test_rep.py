@@ -5,7 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import center_by_centralizer, fraction_solve, start_projector_by_inverse
+from oracles import (
+    center_by_centralizer,
+    fraction_solve,
+    start_projector_by_inverse,
+    symmetric,
+)
 
 from jigroup import catalog, ratmat as rm
 from jigroup import rep as rep_module
@@ -305,7 +310,7 @@ def test_decompose_c2_diag():
 
 def test_decompose_regular_rep_s3():
     # permutation rep of S3 on 3 points: trivial + standard
-    G = catalog.symmetric(3)
+    G = symmetric(3)
     mats = []
     for g in G.generators:
         mats.append([[1 if g[j] == i else 0 for j in range(3)] for i in range(3)])
@@ -644,7 +649,7 @@ def _s3_sum_zero_rep():
     """S3 on the sum-zero lattice, basis e0 - e2, e1 - e2, conjugated by
     diag(1, 2); its C3 restriction is the companion rep of x^2 + x + 1
     conjugated the same way."""
-    G = catalog.symmetric(3)
+    G = symmetric(3)
 
     def image(g):
         rows = []

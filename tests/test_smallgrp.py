@@ -29,13 +29,17 @@ from jigroup.smallgrp import (
     small_table,
 )
 from jigroup.verdicts import CertificateError
+from jigroup.zpoly import primefactors
 
 import corpora
 from oracles import (
     dixon_split_full_space,
+    klein_four,
     lift_by_exponent_dft,
     min_faithful_degree_by_frozensets,
+    minimal_block_systems,
     mod_l_value,
+    symmetric,
     table_center,
     table_class_matrices,
     table_conjugacy_classes,
@@ -71,7 +75,7 @@ def bruteforce_subgroups(G):
 @pytest.mark.parametrize(
     "G",
     [catalog.quaternion(8), catalog.quaternion(16), catalog.cyclic(12),
-     catalog.dihedral(4), catalog.symmetric(3)],
+     catalog.dihedral(4), symmetric(3)],
 )
 def test_lattice_against_subset_oracle(G):
     tbl = small_table(G)
@@ -103,7 +107,7 @@ def test_maximal_subgroups_q16():
 
 def test_maximal_subgroups_gate():
     with pytest.raises(OrderGateExceeded):
-        maximal_subgroups(catalog.symmetric(8))
+        maximal_subgroups(symmetric(8))
 
 
 def test_frattini_q8():
@@ -117,19 +121,19 @@ def test_frattini_elementary_abelian():
 
 
 def test_frattini_alt4_inside_sym4():
-    _, primitive = catalog.symmetric(4).minimal_block_systems()
+    _, primitive = minimal_block_systems(symmetric(4))
     assert primitive
     assert frattini(catalog.alternating(4)).order == 1
 
 
 def test_normal_subgroups_sym4():
-    ns = normal_subgroups(catalog.symmetric(4))
+    ns = normal_subgroups(symmetric(4))
     assert sorted(h.order for h in ns) == [1, 4, 12, 24]
     assert all(h.is_normal_in_parent() for h in ns)
 
 
 def test_maximal_subgroups_over():
-    G = catalog.symmetric(4)
+    G = symmetric(4)
     v4_prime = SubgroupHandle(
         G,
         [
@@ -149,7 +153,7 @@ def test_all_block_systems_c4():
 
 
 def test_all_block_systems_s4_primitive():
-    systems = catalog.symmetric(4).block_systems()
+    systems = symmetric(4).block_systems()
     assert systems == [((0,), (1,), (2,), (3,))]
 
 
@@ -161,7 +165,7 @@ def test_all_block_systems_d8():
 
 def test_all_block_systems_regular_v4():
     # regular Klein four-group: three block systems of size 2 plus singletons
-    systems = catalog.klein_four().block_systems()
+    systems = klein_four().block_systems()
     assert len(systems) == 4
 
 
@@ -172,11 +176,11 @@ def test_recognize_special():
     }
     assert recognize_special(catalog.cyclic(6)) == {"cyclic"}
     assert recognize_special(catalog.cyclic(8)) == {"cyclic", ("p_group", 2)}
-    assert recognize_special(catalog.klein_four()) == {
+    assert recognize_special(klein_four()) == {
         ("p_group", 2),
         "elementary_abelian",
     }
-    assert recognize_special(catalog.symmetric(3)) == {"none"}
+    assert recognize_special(symmetric(3)) == {"none"}
     tags = recognize_special(catalog.extraspecial_128())
     assert ("p_group", 2) in tags and "extraspecial" in tags
     assert ("generalized_quaternion", 128) not in tags
@@ -211,8 +215,7 @@ def _extraspecial_invariants(E):
 
 
 def test_extraspecial_on_signed_vectors_matches_the_coset_build():
-    from jigroup.profile_io import emit_permgroup
-    from oracles import extraspecial_128_on_cosets
+    from oracles import emit_permgroup, extraspecial_128_on_cosets
 
     E = catalog.extraspecial_128()
     assert E.degree == 16
@@ -254,7 +257,7 @@ def test_lattice_joins_match_closure_from_the_identity(name):
     G = {
         "Q16": lambda: catalog.quaternion(16),
         "D30": lambda: catalog.dihedral(15),
-        "S4": lambda: catalog.symmetric(4),
+        "S4": lambda: symmetric(4),
         "affine_p3": lambda: build_wreath_shadow("A5", 3).model.top,
     }[name]()
     tbl = small_table(G)
@@ -331,7 +334,7 @@ def test_generator_actions_match_all_element_oracles(name):
 CLASS_GROUPS = {
     **ORACLE_GROUPS,
     "D30": catalog.dihedral(30),
-    "S6": catalog.symmetric(6),
+    "S6": symmetric(6),
     "extraspecial128": catalog.extraspecial_128(),
 }
 
@@ -474,7 +477,7 @@ def test_conjugacy_classes_extraspecial():
     assert sorted(len(c) for c in classes) == [1, 1] + [2] * 63
 
 
-@pytest.mark.parametrize("group", [catalog.symmetric(4), catalog.quaternion(16),
+@pytest.mark.parametrize("group", [symmetric(4), catalog.quaternion(16),
                                    catalog.dihedral(6), catalog.elementary_abelian(2, 4)])
 def test_handles_keep_their_elements_from_a_small_generating_set(group):
     tbl = small_table(group)
@@ -497,7 +500,7 @@ def test_handles_keep_their_elements_from_a_small_generating_set(group):
 
 
 def test_handle_of_a_non_subgroup_raises():
-    tbl = small_table(catalog.symmetric(3))
+    tbl = small_table(symmetric(3))
     t, c = (next(i for i, e in enumerate(tbl.elements) if perm_order(e) == k) for k in (2, 3))
     with pytest.raises(CertificateError, match="not a subgroup"):
         tbl.handle(frozenset([tbl.ident, t, c]))
@@ -518,3 +521,92 @@ def test_wreath_shadow_lifts_only_handle_generators(p, lifts, monkeypatch, tmp_p
     status, report = run_command(["shadow", str(f)], io.StringIO())
     assert status == 0 and report["H_index"] == p * p
     assert len(calls) == lifts
+
+
+# -- p-group maximals from Phi and normal subgroups from class closures --------------
+
+
+def _affine_top(p):
+    from jigroup.wreath import build_wreath_shadow
+
+    return build_wreath_shadow("A5", p).model.top
+
+
+P_GROUPS = {
+    **{name: (lambda g=g: g) for name, g in CLASS_GROUPS.items()
+       if len(primefactors(g.order)) == 1},
+    "Q8": lambda: catalog.quaternion(8),
+    "C2^4": lambda: PermGroup([perm_from_cycles(8, (2 * i, 2 * i + 1)) for i in range(4)]),
+    "C9xC3": lambda: PermGroup([perm_from_cycles(12, tuple(range(9))),
+                                perm_from_cycles(12, (9, 10, 11))]),
+    "affine_p2": lambda: _affine_top(2),
+    "affine_p3": lambda: _affine_top(3),
+}
+
+
+def _elements_of(tbl, handle, memo):
+    if handle.generators not in memo:
+        memo[handle.generators] = tbl.closure(tbl.index[g] for g in handle.generators)
+    return memo[handle.generators]
+
+
+@pytest.mark.parametrize("name", sorted(P_GROUPS))
+def test_p_group_maximals_and_normals_match_the_lattice(name):
+    # the maximal subgroups from Phi, over every subgroup H, and the normal
+    # subgroups from class closures are the lattice's, in the lattice's order
+    G = P_GROUPS[name]()
+    tbl = small_table(G)
+    lattice_maximal = tbl._lattice_maximal()
+    assert tbl.maximal_subgroups() == lattice_maximal
+    memo = {}
+    for s, gens in tbl.all_subgroups():
+        H = SubgroupHandle(G, [tbl.elements[i] for i in gens], check=False)
+        over = [_elements_of(tbl, m, memo) for m in maximal_subgroups_over(G, H)]
+        assert over == [m for m in lattice_maximal if s <= m]
+    lattice_normal = [s for s, _ in tbl.all_subgroups() if tbl.is_subgroup_normal(s)]
+    assert [_elements_of(tbl, n, memo) for n in normal_subgroups(G)] == lattice_normal
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_normal_subgroups_from_class_closures_match_the_lattice(name):
+    tbl = small_table(ORACLE_GROUPS[name])
+    lattice_normal = [s for s, _ in tbl.all_subgroups() if tbl.is_subgroup_normal(s)]
+    assert tbl.normal_subgroups() == lattice_normal
+
+
+def test_frattini_route_rechecks_raise_under_O():
+    # on the order-81 affine top: a P' patched to the non-normal <rot>, to
+    # the trivial group (then |P/Phi| = 81 but the generators reach 9
+    # cosets) and to P itself (r = 0), and a hyperplane walk that yields
+    # one functional of the four
+    script = (
+        "from jigroup import smallgrp\n"
+        "from jigroup.perm import PermGroup\n"
+        "from jigroup.verdicts import CertificateError\n"
+        "from jigroup.wreath import build_wreath_shadow\n"
+        "assert False, 'asserts are on'\n"
+        "top = build_wreath_shadow('A5', 3).model.top\n"
+        "derived = smallgrp.derived_subgroup\n"
+        "for patch in (lambda G: PermGroup([G.generators[1]]),\n"
+        "              lambda G: G.normal_closure([]), lambda G: G):\n"
+        "    smallgrp.derived_subgroup = patch\n"
+        "    try:\n"
+        "        smallgrp.SmallGroupTable(top).maximal_subgroups()\n"
+        "    except CertificateError as exc:\n"
+        "        print('rejected:', exc)\n"
+        "smallgrp.derived_subgroup = derived\n"
+        "smallgrp.product = lambda *args, **kwargs: iter([(1, 0)])\n"
+        "try:\n"
+        "    smallgrp.SmallGroupTable(top).maximal_subgroups()\n"
+        "except CertificateError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: P'P^p is not normal",
+        "rejected: |P/Phi| is not p^r for some r > 0",
+        "rejected: |P/Phi| is not p^r for some r > 0",
+        "rejected: 1 maximal subgroups, not (p^r - 1)/(p - 1)",
+    ]

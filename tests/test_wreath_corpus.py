@@ -7,7 +7,10 @@ overgroups act transitively with block-fixing cores; in this corpus those
 are the tops D8, A4 and S4 (and the affine tops of the worked example).
 """
 
+import io
+import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 
 from jigroup import wreath
 from jigroup.basal import (
+    ShadowModel,
     ShadowSubgroup,
     maxcor_equivalence_check,
     shadow_ji_verdict,
@@ -23,12 +27,14 @@ from jigroup.basal import (
 from jigroup.perm import PermGroup, conj, identity_perm, mul, perm_from_cycles
 from jigroup.smallgrp import all_subgroups, maximal_subgroups_over
 from jigroup.verdicts import JI, CertificateError
-from jigroup.wreath import build_wreath_shadow, wreath_verdicts
+from jigroup.wreath import SIMPLE_FIBERS, build_wreath_shadow, wreath_verdicts
 
 import corpora
 from oracles import random_element
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -218,6 +224,7 @@ def test_wreath_order_certificates_hold_under_O():
         "from jigroup.perm import PermGroup, mul, perm_from_cycles\n"
         "from jigroup.verdicts import CertificateError\n"
         "from jigroup.wreath import build_wreath_shadow\n"
+        "from test_wreath_corpus import BAD_LIFTS\n"
         "assert False, 'asserts are on'\n"
         "G = build_wreath_shadow('A5', 3).model.group\n"
         "for target in (2 * G.order, G.order // 2):\n"
@@ -227,15 +234,64 @@ def test_wreath_order_certificates_hold_under_O():
         "        print('rejected:', exc)\n"
         "lift = ShadowModel.lift_top\n"
         "odd = perm_from_cycles(135, (0, 1))\n"
-        "ShadowModel.lift_top = lambda self, a: mul(lift(self, a), odd)\n"
-        "try:\n"
-        "    build_wreath_shadow('A5', 3)\n"
-        "except CertificateError as exc:\n"
-        "    print('rejected:', exc)\n"
+        "for patch in [lambda self, a: mul(lift(self, a), odd), *BAD_LIFTS.values()]:\n"
+        "    ShadowModel.lift_top = patch\n"
+        "    try:\n"
+        "        build_wreath_shadow('A5', 3)\n"
+        "    except CertificateError as exc:\n"
+        "        print('rejected:', exc)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
+                          text=True, env={"PYTHONPATH": f"{SRC}{os.pathsep}{TESTS}"},
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3 and all(line.startswith("rejected: ") for line in lines)
+    assert len(lines) == 6 and all(line.startswith("rejected: ") for line in lines)
     assert "outside F" in lines[2]
+    for line, match in zip(lines[3:], BAD_LIFTS):
+        assert re.search(match, line), (line, match)
+
+
+# Top lifts that stay inside F wr P, so that only the lower bound can refuse
+# them, on A5 wr (V x| C_3): each keyed by the refusal it must meet.
+_LIFT = ShadowModel.lift_top
+BAD_LIFTS = {
+    # a 3-cycle of A5 on the fiber that fiber 0 goes to: fiber 0 is carried
+    # there by a conjugate of F's copy, not by the copy itself
+    "not conjugated onto F on fiber": lambda self, a: mul(
+        _LIFT(self, a), perm_from_cycles(135, tuple(5 * a[0] + t for t in range(3)))),
+    # the lift of a^2, which generates the same top group
+    "projects outside the top generators": lambda self, a: _LIFT(self, mul(a, a)),
+    "carry fiber 0 to 1 of 27 fibers": lambda self, a: identity_perm(135),
+}
+
+
+@pytest.mark.parametrize("match", BAD_LIFTS)
+def test_wreath_lower_bound_refuses_lifts_that_miss_the_base_or_the_top(match, monkeypatch):
+    monkeypatch.setattr(ShadowModel, "lift_top", BAD_LIFTS[match])
+    with pytest.raises(CertificateError, match=match):
+        build_wreath_shadow("A5", 3)
+
+
+WREATH_PROFILES = {
+    "A5-p2": SRC / "jigroup" / "data" / "wreath_a5_p2.profile",
+    **{f"{tag}-p{p}": GOLDEN / f"wreath_{tag.lower()}_p{p}.profile"
+       for tag, p in (("A5", 3), ("PSL27", 2), ("PSL27", 3))},
+}
+
+
+def test_shadow_builds_no_chain_of_the_shadow_group(monkeypatch):
+    # the order is certified from the structure; the chains built are those
+    # of the fiber, the top and its subgroups, never one on 4 or 27 fibers
+    from jigroup import perm
+    from jigroup.cli import run_command
+
+    degrees = []
+    init = perm._Chain.__init__
+    monkeypatch.setattr(perm._Chain, "__init__",
+                        lambda self, degree: degrees.append(degree) or init(self, degree))
+    for name, path in WREATH_PROFILES.items():
+        status, report = run_command(["shadow", str(path)], io.StringIO())
+        fiber, p = SIMPLE_FIBERS[name[:-3]](), int(name[-1])
+        assert status == 0 and report["order"] == fiber.order ** (p**p) * p ** (p + 1)
+    assert degrees and not {20, 28, 135, 189} & set(degrees)
