@@ -58,7 +58,6 @@ class SmallGroupTable:
         self.gens = tuple(self.index[g] for g in group.generators)
         self._all_subgroups = None
         self._maximal = None
-        self._handle_gens = {}  # subgroup -> the generators its handle gets
 
     def conj(self, i, g):
         return self.table[self.table[self.inverse[g]][i]][g]
@@ -218,16 +217,13 @@ class SmallGroupTable:
         The generators are the elements of els, in index order, that lie
         outside the subgroup the earlier generators generate.
         """
-        gens = self._handle_gens.get(els)
-        if gens is None:
-            gens, sub = (), frozenset([self.ident])
-            for i in sorted(els):
-                if i not in sub:
-                    sub = self.join(sub, gens, i)
-                    gens += (i,)
-            if sub != els:
-                raise CertificateError("handle elements are not a subgroup")
-            self._handle_gens[els] = gens
+        gens, sub = (), frozenset([self.ident])
+        for i in sorted(els):
+            if i not in sub:
+                sub = self.join(sub, gens, i)
+                gens += (i,)
+        if sub != els:
+            raise CertificateError("handle elements are not a subgroup")
         return SubgroupHandle(self._group(), [self.elements[i] for i in gens], check=False)
 
 
