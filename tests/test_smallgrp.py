@@ -532,9 +532,11 @@ def _affine_top(p):
     return build_wreath_shadow("A5", p).model.top
 
 
+# a fresh order-128 group, so that its lattice goes with it after the test
 P_GROUPS = {
-    **{name: (lambda g=g: g) for name, g in CLASS_GROUPS.items()
+    **{name: (lambda g=g: g) for name, g in ORACLE_GROUPS.items()
        if len(primefactors(g.order)) == 1},
+    "extraspecial128": catalog.extraspecial_128,
     "Q8": lambda: catalog.quaternion(8),
     "C2^4": lambda: PermGroup([perm_from_cycles(8, (2 * i, 2 * i + 1)) for i in range(4)]),
     "C9xC3": lambda: PermGroup([perm_from_cycles(12, tuple(range(9))),
