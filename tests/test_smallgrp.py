@@ -186,8 +186,15 @@ def test_recognize_special():
     assert ("generalized_quaternion", 128) not in tags
 
 
-def test_extraspecial_structure():
-    E = catalog.extraspecial_128()
+@pytest.fixture(scope="module")
+def extraspecial_128():
+    """The order-128 group of this module's lattice tests: its lattice is
+    built once, and goes with the module."""
+    return catalog.extraspecial_128()
+
+
+def test_extraspecial_structure(extraspecial_128):
+    E = extraspecial_128
     tbl = small_table(E)
     assert len(center(E)) == len(table_center(tbl)) == 2
     assert table_derived_subgroup(tbl) == table_center(tbl)
@@ -532,11 +539,10 @@ def _affine_top(p):
     return build_wreath_shadow("A5", p).model.top
 
 
-# a fresh order-128 group, so that its lattice goes with it after the test
 P_GROUPS = {
     **{name: (lambda g=g: g) for name, g in ORACLE_GROUPS.items()
        if len(primefactors(g.order)) == 1},
-    "extraspecial128": catalog.extraspecial_128,
+    "extraspecial128": None,  # the module's fixture
     "Q8": lambda: catalog.quaternion(8),
     "C2^4": lambda: PermGroup([perm_from_cycles(8, (2 * i, 2 * i + 1)) for i in range(4)]),
     "C9xC3": lambda: PermGroup([perm_from_cycles(12, tuple(range(9))),
@@ -553,10 +559,10 @@ def _elements_of(tbl, handle, memo):
 
 
 @pytest.mark.parametrize("name", sorted(P_GROUPS))
-def test_p_group_maximals_and_normals_match_the_lattice(name):
+def test_p_group_maximals_and_normals_match_the_lattice(name, extraspecial_128):
     # the maximal subgroups from Phi, over every subgroup H, and the normal
     # subgroups from class closures are the lattice's, in the lattice's order
-    G = P_GROUPS[name]()
+    G = P_GROUPS[name]() if P_GROUPS[name] else extraspecial_128
     tbl = small_table(G)
     lattice_maximal = tbl._lattice_maximal()
     assert tbl.maximal_subgroups() == lattice_maximal
